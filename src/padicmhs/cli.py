@@ -361,6 +361,21 @@ def _parse_window(text: str) -> PrimeWindow:
 DEFAULT_ORDER = 8
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= ``low`` (anything else is a usage error)."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return convert
+
+
 def cmd_expand(args) -> int:
     ast = parse(args.expr)
     if ast.kind == "cong":
@@ -459,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--order",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="truncation order for series evaluation (default 8 for "
         "expand/valuation; congruence statements evaluate at their modulus "
@@ -526,7 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "identities", parents=[common], help="generate and dump a relation basis"
     )
-    p.add_argument("--modulus", type=int, required=True, help="modulus power n")
+    p.add_argument(
+        "--modulus", type=_int_at_least(1), required=True, help="modulus power n"
+    )
     p.add_argument("--dump", default=None, help="write the basis to a file")
     p.set_defaults(func=cmd_identities)
 
@@ -547,7 +564,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.primes = PrimeWindow()
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,12 +4,28 @@ A *weighted congruence* asserts that a rational linear combination of
 weighted multiple harmonic sums ``h_p(s) = p^weight(s) * H_{p-1}(s)``
 vanishes modulo ``p^n`` for all but finitely many primes ``p``.  This module
 generates a stock of such congruences by truncating Jarossay's double-shuffle
-family of p-adically convergent identities, assembles the truncations into a
-reduced row echelon matrix over exact rationals, and decides whether a
-candidate congruence lies in their Q-linear span.  Successful decisions are
-recorded as :class:`ProofCertificate` objects naming the generating
-identities and their multipliers, so a proof can be replayed later by pure
-arithmetic with no linear algebra.
+family of p-adically convergent identities, and decides whether a candidate
+congruence lies in their Q-linear span.  Successful decisions are recorded
+as :class:`ProofCertificate` objects naming the generating identities and
+their multipliers, so a proof can be replayed later by pure arithmetic with
+no linear algebra.
+
+The span is found modulo primes and lifted; modular arithmetic only
+proposes, and exact checks decide:
+
+* the relations (integer vectors) are row-reduced modulo 2^61 - 1 without
+  combination tracking, which gives the pivot columns, the relations that
+  raise the rank, and one annihilating functional per free column;
+* the functionals are lifted to rationals by rational reconstruction and
+  kept only after they vanish exactly on every generated relation, so a
+  target is in the span exactly when every functional vanishes on it;
+* the multipliers of a proof are solved modulo primes over the
+  rank-raising relations alone, lifted the same way, and returned only
+  after their exact sum reproduces the target.
+
+A prime that loses rank or whose residues do not lift is passed over for
+the next prime of a fixed sequence, so results do not depend on luck: in
+the worst case the run stops with an error, never with a wrong verdict.
 
 The underlying identity: for compositions ``s`` and ``t`` (``t`` nonempty),
 
@@ -26,14 +42,15 @@ triple ``(s, t, u)`` with ``weight(s) + weight(t) + weight(u) < n``.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .arith import INFINITY, binomial
+from .arith import INFINITY
 from .compositions import (
     Comp,
     enumerate_compositions,
@@ -71,7 +88,7 @@ Prov = tuple[Comp, Comp, Comp]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-BASIS_FORMAT_VERSION = 1
+BASIS_FORMAT_VERSION = 2
 CERTIFICATE_FORMAT_VERSION = 1
 
 #: Environment variable overriding the on-disk relation cache directory.
@@ -125,34 +142,32 @@ def _tuples_summing_at_most(m: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _jarossay_identity(s: Comp, t: Comp, n: int) -> tuple[tuple[Comp, Fraction], ...]:
+def _jarossay_identity(s: Comp, t: Comp, n: int) -> tuple[tuple[Comp, int], ...]:
     """LHS minus RHS of the double-shuffle identity, truncated to weight < n.
 
     Requires ``weight(s) + weight(t) < n``; with that precondition every
     retained composition automatically has weight < n, on both sides.  ``s``
     may be empty (the identity then rewrites ``h_p(t)`` itself); ``t`` empty
     gives the empty vector.  Returns a sorted tuple of (composition,
-    coefficient) pairs with zero coefficients removed.
+    integer coefficient) pairs with zero coefficients removed.
     """
     if weight(s) + weight(t) >= n:
         raise ValueError("identity truncation requires weight(s) + weight(t) < n")
-    coords: dict[Comp, Fraction] = {}
-    for w, mult in shuffle(s, t).items():
-        coords[w] = coords.get(w, _ZERO) + mult
+    coords: dict[Comp, int] = dict(shuffle(s, t))
     m = len(t)
     sign = -1 if weight(t) % 2 else 1
     budget = n - 1 - weight(s) - weight(t)
     for a in _tuples_summing_at_most(m, budget):
-        coeff = _ONE
+        coeff = 1
         for ai, ti in zip(a, t):
-            coeff *= binomial(ai + ti - 1, ti - 1)
+            coeff *= math.comb(ai + ti - 1, ti - 1)
         w = tuple(t[i] + a[i] for i in range(m - 1, -1, -1)) + s
-        coords[w] = coords.get(w, _ZERO) - sign * coeff
+        coords[w] = coords.get(w, 0) - sign * coeff
     return tuple(sorted((w, c) for w, c in coords.items() if c != 0))
 
 
-def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, Fraction]:
-    """Coordinates of the relation for the triple (s, t, u) at modulus n.
+def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, int]:
+    """Integer coordinates of the relation for the triple (s, t, u) at modulus n.
 
     The (s, t) identity is truncated to weight < n - weight(u) and then
     multiplied by ``h_p(u)`` via the stuffle product.  Stuffle preserves
@@ -161,15 +176,25 @@ def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, Fraction]:
     base = _jarossay_identity(s, t, n - weight(u))
     if not u:
         return dict(base)
-    out: dict[Comp, Fraction] = {}
+    out: dict[Comp, int] = {}
     for w, c in base:
         for v, mult in stuffle(w, u).items():
-            nv = out.get(v, _ZERO) + c * mult
+            nv = out.get(v, 0) + c * mult
             if nv:
                 out[v] = nv
             else:
                 out.pop(v, None)
     return out
+
+
+def _combine(
+    combination: Iterable[tuple[Prov, Fraction]], n: int
+) -> dict[Comp, Fraction]:
+    """Exact sum of ``multiplier * relation(s, t, u)`` at modulus power n."""
+    acc: dict[Comp, Fraction] = {}
+    for (s, t, u), mult in combination:
+        _axpy(acc, _relation_coords(s, t, u, n), mult)
+    return acc
 
 
 class RelationVector:
@@ -259,54 +284,254 @@ def jarossay_relation(s: Comp, t: Comp, n: int) -> RelationVector:
     return RelationVector(_relation_coords(s, t, (), n), n, (s, t, ()))
 
 
-# -- echelonized bases -----------------------------------------------------
+# -- modular arithmetic ----------------------------------------------------
+
+
+#: The primes of the modular steps, tried in this order: 2^61 - 1 and the
+#: next seven primes below it.  Together they lift fractions whose numerators
+#: and denominators have up to about 240 bits.
+_PRIMES = tuple((1 << 61) - 1 - d for d in (0, 30, 44, 228, 258, 282, 338, 390))
+
+
+def _reconstruct(a: int, m: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= sqrt(m/2) and n == a*d (mod m), if any.
+
+    Rational reconstruction (Wang, Guy & Davenport 1982): such a fraction is
+    unique when it exists, and the extended Euclidean algorithm finds it.
+    """
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, a % m, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _lift(
+    residues_at: Callable[[int], tuple[tuple, dict] | None],
+    exact: Callable[[dict], bool],
+) -> tuple[tuple, dict]:
+    """Rational values found modulo the primes of ``_PRIMES``.
+
+    ``residues_at(q)`` returns None when the prime q is unusable, else a
+    pair ``(key, residues)``: the values modulo q, and a key that is
+    smallest for the primes that keep the most of the rational structure
+    (smaller means higher rank, then earlier pivots).  Residues of the primes
+    sharing the smallest key seen so far are combined by the Chinese
+    remainder theorem and rationally reconstructed after each prime.  The
+    first reconstruction that ``exact`` accepts is returned with its key;
+    nothing unchecked is ever returned.  Raises RuntimeError when the primes
+    run out first.
+    """
+    best: tuple | None = None
+    acc: dict = {}
+    modulus = 1
+    for q in _PRIMES:
+        found = residues_at(q)
+        if found is None:
+            continue
+        key, residues = found
+        if best is None or key < best:
+            best, acc, modulus = key, residues, q
+        elif key == best:
+            inv = pow(modulus, -1, q)
+            acc = {
+                k: a + modulus * ((residues[k] - a) * inv % q) for k, a in acc.items()
+            }
+            modulus *= q
+        else:
+            continue
+        values = {}
+        for k, a in acc.items():
+            value = _reconstruct(a, modulus)
+            if value is None:
+                break
+            values[k] = value
+        else:
+            if exact(values):
+                return best, values
+    raise RuntimeError(
+        f"no rational values lifted from {len(_PRIMES)} primes passed the exact check"
+    )
+
+
+def _axpy_mod(dst: dict, src: Mapping, c: int, q: int) -> None:
+    """In-place ``dst += c * src`` modulo q over sparse mappings, dropping zeros."""
+    for k, v in src.items():
+        nv = (dst.get(k, 0) + c * v) % q
+        if nv:
+            dst[k] = nv
+        else:
+            dst.pop(k, None)
+
+
+def _echelon(
+    vectors: Iterable[Mapping[int, int]], q: int, track: bool = False
+) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]], list[int]]:
+    """Reduced row echelon form modulo q of integer vectors taken in order.
+
+    Returns ``(rows, combos, independent)``: ``rows`` maps each pivot column
+    to its row (pivot coefficient 1, zero in every other pivot column);
+    ``independent`` lists the positions of the vectors that raised the rank.
+    With ``track``, ``combos`` maps each pivot column to its row written as a
+    combination of the input vectors (by position); otherwise it is empty.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    combos: dict[int, dict[int, int]] = {}
+    independent: list[int] = []
+    for k, vec in enumerate(vectors):
+        work = {col: c % q for col, c in vec.items() if c % q}
+        combo = {k: 1}
+        for piv in [col for col in work if col in rows]:
+            c = q - work[piv]
+            _axpy_mod(work, rows[piv], c, q)
+            if track:
+                _axpy_mod(combo, combos[piv], c, q)
+        if not work:
+            continue
+        piv = min(work)
+        inv = pow(work[piv], -1, q)
+        work = {col: c * inv % q for col, c in work.items()}
+        combo = {j: c * inv % q for j, c in combo.items()}
+        for other, row in rows.items():
+            c = row.get(piv)
+            if c:
+                _axpy_mod(row, work, q - c, q)
+                if track:
+                    _axpy_mod(combos[other], combo, q - c, q)
+        rows[piv] = work
+        if track:
+            combos[piv] = combo
+        independent.append(k)
+    return rows, combos, independent
+
+
+def _annihilator_residues(
+    vectors: Sequence[Mapping[int, int]], ncols: int, q: int
+) -> tuple[tuple, dict[tuple[int, int], int]]:
+    """Residues modulo q of the annihilating functionals of ``vectors``.
+
+    For each free column f of the mod-q reduced row echelon form, the
+    functional is ``e_f - sum_j a_{j,f} e_{pivot_j}`` (``a_{j,f}`` the entry
+    of row j in column f); the residues are keyed ``(f, column)``.  The key
+    ranks q by rank, then pivot columns, then independent vectors.
+    """
+    rows, _, independent = _echelon(vectors, q)
+    pivots = sorted(rows)
+    residues: dict[tuple[int, int], int] = {}
+    for f in range(ncols):
+        if f not in rows:
+            residues[(f, f)] = 1
+            for p in pivots:
+                if p > f:
+                    break
+                residues[(f, p)] = -rows[p].get(f, 0) % q
+    return (-len(pivots), tuple(pivots), tuple(independent)), residues
+
+
+def _functionals(
+    values: Mapping[tuple[int, int], Fraction]
+) -> dict[int, dict[int, Fraction]]:
+    """Group lifted ``(f, column)`` entries by free column, dropping zeros."""
+    out: dict[int, dict[int, Fraction]] = {}
+    for (f, col), v in values.items():
+        if v:
+            out.setdefault(f, {})[col] = v
+    return out
+
+
+def _annihilates(
+    values: Mapping[tuple[int, int], Fraction], vectors: Iterable[Mapping[int, int]]
+) -> bool:
+    """Exact check that every lifted functional vanishes on every vector."""
+    scaled = []
+    for lam in _functionals(values).values():
+        den = math.lcm(*(v.denominator for v in lam.values()))
+        scaled.append({col: int(v * den) for col, v in lam.items()})
+    for vec in vectors:
+        for lam in scaled:
+            if sum(lam.get(col, 0) * c for col, c in vec.items()):
+                return False
+    return True
+
+
+# -- relation bases --------------------------------------------------------
 
 
 class RelationBasis:
-    """Echelonized stock of truncated relations at one modulus power.
+    """The span of the generated relations at one modulus power.
 
-    Rows are kept in reduced row echelon form over the column order of
-    ``enumerate_compositions(n - 1)`` (pivot coefficient 1, pivot column
-    cleared from every other row).  Each row also records the exact rational
-    combination of original (s, t, u) relations it arose from, so that
-    span-membership answers can be exported as certificates that reference
-    only the original, independently recomputable relations.
+    Over the column order of ``enumerate_compositions(n - 1)``, the span has
+    the pivot columns of its reduced row echelon form (RREF) and one free
+    column f for each other column.  The basis stores the pivots, the
+    *independent triples* (the (s, t, u) relations that raised the rank, in
+    generation order; they form a basis of the span), and for each free
+    column f the annihilating functional
+
+        lambda_f = e_f - sum_j a_{j,f} e_{pivot_j},
+
+    where ``a_{j,f}`` is the RREF entry of row j in column f.  The
+    functionals vanish on every generated relation, so a vector lies in the
+    span exactly when every ``lambda_f`` vanishes on it.  RREF rows and their
+    combinations of original relations are derived on access.
     """
 
-    __slots__ = ("_modulus", "_columns", "_col_index", "_pivots", "_rows", "_combos")
+    __slots__ = (
+        "_modulus",
+        "_columns",
+        "_col_index",
+        "_pivots",
+        "_triples",
+        "_annihilators",
+        "_solvers",
+    )
 
     def __init__(
         self,
         modulus_power: int,
         pivots: Sequence[Comp],
-        rows: Sequence[Mapping[Comp, Fraction]],
-        combos: Sequence[Mapping[Prov, Fraction]],
-        provenances: Sequence[Prov],
+        triples: Sequence[Prov],
+        annihilators: Mapping[Comp, Mapping[Comp, Fraction]],
     ) -> None:
         if not isinstance(modulus_power, int) or modulus_power < 1:
             raise ValueError("modulus_power must be a positive int")
-        if not (len(pivots) == len(rows) == len(combos) == len(provenances)):
-            raise ValueError("pivots, rows, combos, provenances must align")
+        if len(pivots) != len(triples):
+            raise ValueError("pivots and independent triples must align")
         self._modulus = modulus_power
         self._columns = enumerate_compositions(modulus_power - 1)
         self._col_index = {w: i for i, w in enumerate(self._columns)}
         last = -1
-        vectors: list[RelationVector] = []
-        kept_combos: list[dict[Prov, Fraction]] = []
-        for piv, row, combo, prov in zip(pivots, rows, combos, provenances):
+        for piv in pivots:
             idx = self._col_index.get(piv)
             if idx is None:
                 raise ValueError(f"pivot {format_comp(piv)} outside column range")
             if idx <= last:
                 raise ValueError("pivot columns must be strictly increasing")
             last = idx
-            if row.get(piv) != 1:
-                raise ValueError("echelon rows must have pivot coefficient 1")
-            vectors.append(RelationVector(row, modulus_power, prov))
-            kept_combos.append({p: Fraction(c) for p, c in combo.items() if c != 0})
+        for s, t, u in triples:
+            _check_comp(s, name="provenance component")
+            _check_comp(t, allow_empty=False, name="provenance component")
+            _check_comp(u, name="provenance component")
+            if weight(s) + weight(t) + weight(u) >= modulus_power:
+                raise ValueError("independent triple outside the modulus power")
+        pivot_set = set(pivots)
+        free = [w for w in self._columns if w not in pivot_set]
+        if set(annihilators) != set(free):
+            raise ValueError("annihilators must be indexed by the free columns")
+        kept: dict[Comp, dict[Comp, Fraction]] = {}
+        for f in free:
+            lam = {w: Fraction(c) for w, c in annihilators[f].items() if c != 0}
+            if lam.get(f) != 1 or not set(lam) - {f} <= pivot_set:
+                raise ValueError(
+                    f"annihilator {format_comp(f)} must be e_f plus pivot columns"
+                )
+            kept[f] = lam
         self._pivots = list(pivots)
-        self._rows = vectors
-        self._combos = kept_combos
+        self._triples = list(triples)
+        self._annihilators = kept
+        self._solvers: dict[int, tuple | None] = {}
 
     @property
     def modulus_power(self) -> int:
@@ -314,11 +539,7 @@ class RelationBasis:
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> list[RelationVector]:
-        return list(self._rows)
+        return len(self._pivots)
 
     @property
     def pivots(self) -> list[Comp]:
@@ -328,9 +549,28 @@ class RelationBasis:
     def columns(self) -> list[Comp]:
         return list(self._columns)
 
+    @property
+    def rows(self) -> list[RelationVector]:
+        """The RREF rows, each named by the first triple of its combination."""
+        out = []
+        for i in range(self.rank):
+            coords = self._row_coords(i)
+            combo = self.express(coords)
+            prov = next(t for t in self._triples if t in combo)
+            out.append(RelationVector(coords, self._modulus, prov))
+        return out
+
     def combination_of(self, index: int) -> dict[Prov, Fraction]:
-        """The tracked origin of row ``index`` as original-relation multipliers."""
-        return dict(self._combos[index])
+        """RREF row ``index`` as multipliers of original relations."""
+        return self.express(self._row_coords(index))
+
+    def _row_coords(self, index: int) -> dict[Comp, Fraction]:
+        piv = self._pivots[index]
+        coords = {piv: _ONE}
+        for f, lam in self._annihilators.items():
+            if piv in lam:
+                coords[f] = -lam[piv]
+        return coords
 
     def _validate_coords(self, coords: Mapping[Comp, Fraction]) -> None:
         for w in coords:
@@ -341,14 +581,19 @@ class RelationBasis:
                 )
 
     def reduce(self, coords: Mapping[Comp, Fraction]) -> dict[Comp, Fraction]:
-        """Canonical representative of ``coords`` modulo the row span."""
+        """Canonical representative of ``coords`` modulo the span.
+
+        It is supported on the free columns, with ``lambda_f(coords)`` in
+        column f: the same vector as subtracting RREF rows until no pivot
+        column is left.
+        """
         self._validate_coords(coords)
-        residual = {w: Fraction(c) for w, c in coords.items() if c != 0}
-        for i, piv in enumerate(self._pivots):
-            c = residual.get(piv)
-            if c:
-                _axpy(residual, self._rows[i]._coords, -c)
-        return residual
+        out: dict[Comp, Fraction] = {}
+        for f, lam in self._annihilators.items():
+            value = sum((lam[w] * c for w, c in coords.items() if w in lam), _ZERO)
+            if value:
+                out[f] = value
+        return out
 
     def express(
         self, coords: Mapping[Comp, Fraction]
@@ -357,19 +602,65 @@ class RelationBasis:
 
         Returns a mapping from provenance triples to multipliers such that
         the exact sum of multiplier * relation reproduces ``coords``; returns
-        None when ``coords`` is outside the span.
+        None when ``coords`` is outside the span.  The multipliers are found
+        modulo primes and lifted (see :func:`_lift`); they are returned only
+        after the exact sum has been checked.
         """
-        self._validate_coords(coords)
-        residual = {w: Fraction(c) for w, c in coords.items() if c != 0}
-        combo: dict[Prov, Fraction] = {}
-        for i, piv in enumerate(self._pivots):
-            c = residual.get(piv)
-            if c:
-                _axpy(residual, self._rows[i]._coords, -c)
-                _axpy(combo, self._combos[i], c)
-        if residual:
+        if self.reduce(coords):
             return None
-        return combo
+        target = {w: Fraction(c) for w, c in coords.items() if c != 0}
+        if not target:
+            return {}
+        _, values = _lift(
+            lambda q: self._combination_residues(target, q),
+            lambda values: self._replays(values, target),
+        )
+        return {self._triples[k]: v for k, v in values.items() if v}
+
+    def _solver(self, q: int) -> tuple | None:
+        """RREF modulo q of the independent triples, with combinations.
+
+        Built once per prime; None when the triples are dependent modulo q.
+        """
+        if q not in self._solvers:
+            n, index = self._modulus, self._col_index
+            vectors = [
+                {index[w]: c for w, c in _relation_coords(*prov, n).items()}
+                for prov in self._triples
+            ]
+            rows, combos, independent = _echelon(vectors, q, track=True)
+            self._solvers[q] = (
+                (rows, combos) if len(independent) == len(vectors) else None
+            )
+        return self._solvers[q]
+
+    def _combination_residues(
+        self, target: Mapping[Comp, Fraction], q: int
+    ) -> tuple[tuple, dict[int, int]] | None:
+        """Multipliers of the independent triples for ``target``, modulo q."""
+        solver = self._solver(q)
+        if solver is None or any(c.denominator % q == 0 for c in target.values()):
+            return None
+        rows, combos = solver
+        residual = {
+            self._col_index[w]: c.numerator * pow(c.denominator, -1, q) % q
+            for w, c in target.items()
+        }
+        combo: dict[int, int] = {}
+        for piv, c in [(p, residual[p]) for p in residual if p in rows]:
+            _axpy_mod(residual, rows[piv], q - c, q)
+            _axpy_mod(combo, combos[piv], c, q)
+        if any(residual.values()):
+            raise RuntimeError(
+                f"relation basis at modulus p^{self._modulus} is inconsistent: "
+                "a target its annihilators accept is outside the span of its "
+                "independent triples"
+            )
+        return (), {k: combo.get(k, 0) for k in range(len(self._triples))}
+
+    def _replays(self, values: Mapping[int, Fraction], target: Mapping) -> bool:
+        combination = ((self._triples[k], mult) for k, mult in values.items())
+        return _combine(combination, self._modulus) == target
 
     # -- serialization ----------------------------------------------------
 
@@ -379,18 +670,15 @@ class RelationBasis:
             f"padicmhs-basis {BASIS_FORMAT_VERSION}",
             f"modulus {self._modulus}",
             f"columns {len(self._columns)}",
-            f"rows {len(self._rows)}",
+            f"rank {self.rank}",
         ]
-        for i, vec in enumerate(self._rows):
-            lines.append(
-                f"row pivot={format_comp(self._pivots[i])} "
-                f"provenance={_format_prov(vec.provenance)}"
-            )
-            for w, c in vec.sorted_coords():
-                lines.append(f"c {format_comp(w)} {c}")
-            for prov, c in sorted(self._combos[i].items()):
-                lines.append(f"k {_format_prov(prov)} {c}")
-            lines.append("end row")
+        lines += [f"pivot {format_comp(p)}" for p in self._pivots]
+        lines += [f"triple {_format_prov(t)}" for t in self._triples]
+        for f, lam in self._annihilators.items():
+            lines.append(f"annihilator {format_comp(f)}")
+            for w in sorted(lam, key=_col_key):
+                lines.append(f"a {format_comp(w)} {lam[w]}")
+            lines.append("end annihilator")
         lines.append("end basis")
         return "\n".join(lines) + "\n"
 
@@ -414,42 +702,29 @@ class RelationBasis:
             raise ValueError(f"unsupported basis format version {version!r}")
         modulus = int(expect("modulus"))
         ncols = int(expect("columns"))
-        nrows = int(expect("rows"))
+        rank = int(expect("rank"))
         if ncols != len(enumerate_compositions(modulus - 1)):
             raise ValueError("column count does not match the modulus power")
-        pivots: list[Comp] = []
-        rows: list[dict[Comp, Fraction]] = []
-        combos: list[dict[Prov, Fraction]] = []
-        provs: list[Prov] = []
-        for _ in range(nrows):
-            header = expect("row ")
-            m = re.fullmatch(r"pivot=(\([^)]*\))\s+provenance=\[(.*)\]", header)
-            if m is None:
-                raise ValueError(f"malformed row header: {header!r}")
-            pivots.append(parse_comp(m.group(1)))
-            provs.append(_parse_prov("[" + m.group(2) + "]"))
-            coords: dict[Comp, Fraction] = {}
-            combo: dict[Prov, Fraction] = {}
+        pivots = [parse_comp(expect("pivot ")) for _ in range(rank)]
+        triples = [_parse_prov(expect("triple ")) for _ in range(rank)]
+        annihilators: dict[Comp, dict[Comp, Fraction]] = {}
+        for _ in range(ncols - rank):
+            lam = annihilators.setdefault(parse_comp(expect("annihilator ")), {})
             while True:
                 try:
                     line = next(it)
                 except StopIteration:
-                    raise ValueError("basis text ended inside a row")
-                if line == "end row":
+                    raise ValueError("basis text ended inside an annihilator")
+                if line == "end annihilator":
                     break
                 tag, _, rest = line.partition(" ")
                 field, _, value = rest.rpartition(" ")
-                if tag == "c":
-                    coords[parse_comp(field)] = Fraction(value)
-                elif tag == "k":
-                    combo[_parse_prov(field)] = Fraction(value)
-                else:
-                    raise ValueError(f"unexpected line in row: {line!r}")
-            rows.append(coords)
-            combos.append(combo)
+                if tag != "a":
+                    raise ValueError(f"unexpected line in annihilator: {line!r}")
+                lam[parse_comp(field)] = Fraction(value)
         if expect("end basis") != "":
             raise ValueError("trailing content after 'end basis'")
-        return cls(modulus, pivots, rows, combos, provs)
+        return cls(modulus, pivots, triples, annihilators)
 
 
 def _format_prov(prov: Prov) -> str:
@@ -508,16 +783,18 @@ def _enumerate_triples(n: int) -> Iterator[Prov]:
 def generate_relations(
     n: int, cache_dir: str | os.PathLike | None = None
 ) -> RelationBasis:
-    """Echelonized basis of all generated relations at modulus power ``n``.
+    """The span of all generated relations at modulus power ``n``.
 
     Enumerates every triple ``(s, t, u)`` with ``t`` nonempty (``s`` and
     ``u`` may be empty) and total weight below ``n``, truncates the (s, t)
     identity to weight < n - weight(u), multiplies by ``h_p(u)`` under the
-    stuffle product, and reduces the resulting vectors to reduced row
-    echelon form with exact rational arithmetic.  Bases are memoized per
-    process and persisted as versioned text files in ``cache_dir`` (argument,
-    else the PADICMHS_CACHE_DIR environment variable, else a per-user cache
-    directory); unreadable or stale cache files are regenerated.
+    stuffle product, and finds the span of the resulting integer vectors
+    modulo primes, keeping the annihilating functionals only once they
+    vanish exactly on every vector (see :class:`RelationBasis`).  Bases are
+    memoized per process and persisted as versioned text files in
+    ``cache_dir`` (argument, else the PADICMHS_CACHE_DIR environment
+    variable, else a per-user cache directory); unreadable or stale cache
+    files are regenerated.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("modulus power n must be a positive int")
@@ -536,46 +813,29 @@ def generate_relations(
             _PROCESS_BASES[n] = basis
             return basis
 
-    col_index = {w: i for i, w in enumerate(enumerate_compositions(n - 1))}
-    pivots: list[Comp] = []
-    rows: list[dict[Comp, Fraction]] = []
-    combos: list[dict[Prov, Fraction]] = []
-    first_seen: dict[Prov, int] = {}
-    for gen_index, prov in enumerate(_enumerate_triples(n)):
-        s, t, u = prov
-        work = _relation_coords(s, t, u, n)
-        if not work:
-            continue
-        first_seen.setdefault(prov, gen_index)
-        combo: dict[Prov, Fraction] = {prov: _ONE}
-        for i, piv in enumerate(pivots):
-            c = work.get(piv)
-            if c:
-                _axpy(work, rows[i], -c)
-                _axpy(combo, combos[i], -c)
-        if not work:
-            continue
-        piv = min(work, key=col_index.__getitem__)
-        inv = _ONE / work[piv]
-        work = {w: c * inv for w, c in work.items()}
-        combo = {pr: c * inv for pr, c in combo.items()}
-        for i in range(len(pivots)):
-            c = rows[i].get(piv)
-            if c:
-                _axpy(rows[i], work, -c)
-                _axpy(combos[i], combo, -c)
-        pos = len(pivots)
-        target_idx = col_index[piv]
-        while pos > 0 and col_index[pivots[pos - 1]] > target_idx:
-            pos -= 1
-        pivots.insert(pos, piv)
-        rows.insert(pos, work)
-        combos.insert(pos, combo)
-
-    provenances = [
-        min(combo, key=lambda pr: first_seen.get(pr, 1 << 30)) for combo in combos
-    ]
-    basis = RelationBasis(n, pivots, rows, combos, provenances)
+    columns = enumerate_compositions(n - 1)
+    col_index = {w: i for i, w in enumerate(columns)}
+    provs: list[Prov] = []
+    vectors: list[dict[int, int]] = []
+    for prov in _enumerate_triples(n):
+        coords = _relation_coords(*prov, n)
+        if coords:
+            provs.append(prov)
+            vectors.append({col_index[w]: c for w, c in coords.items()})
+    (_, pivots, independent), values = _lift(
+        lambda q: _annihilator_residues(vectors, len(columns), q),
+        lambda values: _annihilates(values, vectors),
+    )
+    annihilators = {
+        columns[f]: {columns[col]: v for col, v in lam.items()}
+        for f, lam in _functionals(values).items()
+    }
+    basis = RelationBasis(
+        n,
+        [columns[p] for p in pivots],
+        [provs[k] for k in independent],
+        annihilators,
+    )
     _PROCESS_BASES[n] = basis
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -743,13 +1003,18 @@ def provable_valuation(
 
     Scans downward from the series order and returns the first power with a
     full per-offset proof (0 when even mod p is out of reach).  The exact
-    zero series has no finite bound and returns INFINITY; other exact series
-    are scanned upward until the first failure.
+    zero series has no finite bound and returns INFINITY; an exact monomial
+    ``c * p^k`` returns ``max(k, 0)`` directly; other exact series are
+    scanned upward until the first failure.
     """
     order = series.order
     if order is None:
         if series.is_zero():
             return INFINITY
+        if len(series.terms) == 1:
+            ((b, s),) = series.terms
+            if not s:
+                return max(b, 0)
         best = 0
         for n in range(1, EXACT_SCAN_LIMIT + 1):
             stmt = CongruenceStatement(series, n)
@@ -782,11 +1047,7 @@ def replay_certificate(cert: ProofCertificate) -> bool:
     stmt = cert.target
     if stmt.modulus_power < 1:
         return True  # a congruence mod p^0 (or weaker) is vacuous
-    target = _statement_coords(stmt)
-    acc: dict[Comp, Fraction] = {}
-    for (s, t, u), mult in cert.combination:
-        _axpy(acc, _relation_coords(s, t, u, stmt.modulus_power), mult)
-    return acc == target
+    return _combine(cert.combination, stmt.modulus_power) == _statement_coords(stmt)
 
 
 def dump_certificates(certs: Sequence[ProofCertificate]) -> str:
@@ -910,9 +1171,6 @@ def verify_certificate_text(text: str) -> tuple[bool, str]:
                     f"part {i} references a relation outside modulus power "
                     f"{part['modulus']}"
                 )
-        acc: dict[Comp, Fraction] = {}
-        for (s, t, u), mult in part["combo"]:
-            _axpy(acc, _relation_coords(s, t, u, part["modulus"]), mult)
-        if acc != part["coords"]:
+        if _combine(part["combo"], part["modulus"]) != part["coords"]:
             return False, f"part {i} combination does not reproduce its target"
     return True, f"replayed {len(parts)} part(s) exactly"

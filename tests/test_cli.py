@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicmhs import cli
 from padicmhs.cli import (
     ExprAst,
     ExprSyntaxError,
@@ -253,6 +254,40 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "H(1) = 0 mod p^2", "--primes", "11-23"])
         assert exc.value.code == 2
+
+
+class TestBadInputs:
+    def test_valuation_of_exact_prime_power(self, capsys):
+        assert main(["valuation", "p^100"]) == 0
+        assert capsys.readouterr().out.strip() == "100"
+
+    def test_runtime_error_is_exit_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("scan limit reached")
+
+        monkeypatch.setattr(cli, "provable_valuation", refuse)
+        assert main(["valuation", "p^2*H(1)"]) == 2
+        assert capsys.readouterr().err == "error: scan limit reached\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "H(1)", "--order", "-3"],
+            ["valuation", "p^2", "--order", "-1"],
+            ["identities", "--modulus", "0"],
+            ["identities", "--modulus", "-4"],
+        ],
+    )
+    def test_negative_order_and_modulus_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >=" in captured.err
+
+    def test_order_zero_accepted(self, capsys):
+        assert main(["expand", "H(1)", "--order", "0"]) == 0
 
 
 class TestCertificateCommands:

@@ -1,16 +1,20 @@
 """Tests for relation generation, membership proofs, and certificates."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from padicmhs import prover
 from padicmhs.arith import INFINITY, padic_valuation
+from padicmhs.cli import eval_statement, parse
 from padicmhs.compositions import weight
 from padicmhs.oracle import eval_mhs, primes_in
 from padicmhs.prover import (
     ProofCertificate,
     RelationBasis,
     RelationVector,
+    _enumerate_triples,
     _relation_coords,
     all_proved,
     clear_relation_cache,
@@ -189,6 +193,131 @@ class TestGenerateRelations:
             generate_relations(0)
 
 
+# A basis in the retired format 1 (rows with tracked combinations).
+V1_BASIS_N2 = """padicmhs-basis 1
+modulus 2
+columns 2
+rows 1
+row pivot=(1) provenance=[s=();t=(1);u=()]
+c (1) 1
+k [s=();t=(1);u=()] 1/2
+end row
+end basis
+"""
+
+CB = "12 - 9*binp(2,1,1) + 2*binp(3,1,1) = 24*p^3*H(3) mod p^6"
+
+
+def proof_dump(text: str, cache_dir, order=None) -> str:
+    """Certificate text of ``padicmhs prove <text> [--order order]``."""
+    lhs, rhs, n = eval_statement(parse(text), cache_dir, order)
+    return dump_certificates(prove_supercongruence(lhs, rhs, n, cache_dir=cache_dir))
+
+
+class TestModularLift:
+    """The span is found modulo primes; exact checks decide the results."""
+
+    @pytest.mark.parametrize(
+        "n,rank,columns",
+        [(2, 1, 2), (3, 3, 4), (4, 6, 8), (5, 14, 16), (6, 29, 32), (7, 60, 64),
+         (8, 123, 128)],
+    )
+    def test_rank_and_columns_pinned(self, basis_cache, n, rank, columns):
+        basis = generate_relations(n, basis_cache)
+        assert (basis.rank, len(basis.columns)) == (rank, columns)
+
+    def test_annihilators_vanish_on_every_relation(self, basis_cache):
+        # reduce(x) lists lambda_f(x) for every free column f, so an empty
+        # reduction means every annihilator vanishes exactly on x
+        for n in range(1, 8):
+            basis = generate_relations(n, basis_cache)
+            for s, t, u in _enumerate_triples(n):
+                assert basis.reduce(_relation_coords(s, t, u, n)) == {}, (n, s, t, u)
+            free = [w for w in basis.columns if w not in set(basis.pivots)]
+            for f in free:  # one independent functional per free column
+                assert basis.reduce({f: F(1)}) == {f: F(1)}
+
+    @pytest.mark.parametrize("small", [3, 7])
+    def test_unlucky_first_prime_changes_nothing(self, tmp_path, monkeypatch, small):
+        # modulo 3 the rank drops at n = 5 and 6 (13 < 14, 28 < 29), so the
+        # lifted functionals fail the exact check; modulo 7 the rank holds
+        # and the residues are combined with those of the next prime
+        dumps = {}
+        for label, primes in (
+            ("default", prover._PRIMES),
+            ("small", (small,) + prover._PRIMES),
+        ):
+            monkeypatch.setattr(prover, "_PRIMES", primes)
+            clear_relation_cache()
+            cache = tmp_path / label
+            dumps[label] = [generate_relations(n, cache).dump() for n in (5, 6)]
+            dumps[label].append(proof_dump(CB, cache))
+        clear_relation_cache()
+        assert dumps["small"] == dumps["default"]
+
+    def test_primes_are_distinct_and_pass_fermat(self):
+        assert len(set(prover._PRIMES)) == len(prover._PRIMES)
+        for q in prover._PRIMES:
+            assert all(pow(b, q - 1, q) == 1 for b in (2, 3, 5, 7, 11, 13))
+
+    def test_reconstruct(self):
+        m = (1 << 61) - 1
+
+        def residue(x):
+            return x.numerator * pow(x.denominator, -1, m) % m
+
+        # numerators and denominators up to the bound sqrt(m / 2) = 2^30 - 1
+        for x in (F(0), F(1), F(-3, 7), F(12345, 678), F(-(2**30 - 1), 2**30 - 2)):
+            assert prover._reconstruct(residue(x), m) == x
+        assert prover._reconstruct(residue(F(-(2**30), 2**30 - 1)), m) is None
+
+    def test_corrupt_annihilator_cannot_prove(self, basis_cache):
+        # lambda_(2,1) loses its (1,2) entry, so it wrongly accepts h(1,2);
+        # the combination solve finds h(1,2) outside the span and refuses
+        text = generate_relations(4, basis_cache).dump()
+        assert "a (1,2) -1\n" in text
+        tampered = RelationBasis.load(text.replace("a (1,2) -1\n", ""))
+        assert tampered.reduce({(1, 2): F(1)}) == {}
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            tampered.express({(1, 2): F(1)})
+
+    def test_load_rejects_format_1(self):
+        with pytest.raises(ValueError, match="version"):
+            RelationBasis.load(V1_BASIS_N2)
+
+
+class TestPinnedCertificates:
+    """Certificate text is byte-identical to the exact-rational prover's.
+
+    The digests were taken from the output of the Fraction Gauss-Jordan
+    prover that preceded the modular one.
+    """
+
+    @pytest.mark.parametrize(
+        "text,order,digest",
+        [
+            (CB, None, "5b1b0eec251add9b786469f92cb6e3e50f49e2cfc0d714d5d25ddfc9e1ec4332"),
+            ("p*H(1) + p^2*H(1,1) = 0 mod p^3", None,
+             "f19338c3ad620801f43e4cb0708e009cb737ae6fe3364aa8e8c98bd7187e035d"),
+            ("binp(2,1,1)*apery() = 2 mod p^5", None,
+             "a181ad54560079d63ed33def8f7a7a7cd88404c0409e552054208558f3cb1b21"),
+            ("2*sumpoly(1;1,1) + sumpoly(1;2) = 2*p - 2 + 1/3*p^2*(2*p-1)*H(2,1) mod p^4",
+             None, "a152a82acfb8c51fcf1786c1ecbcb9ac7ae5d3177310f24d99c4f020845f5a7c"),
+            ("2*sumpoly(p^2;1,1) + sumpoly(p^2;2) = -4/9 + 79/108*p - 13/36*p^2"
+             " + 1/6*H(1) mod p^3",
+             None, "dd7941790cf6385d57befc4426728c6da9e1951caf4c75d0d2923f450919b098"),
+            ("hres(2) = p^2*H(1) mod p^6", None,
+             "9ef5ca02b2efdfc216ad304ff80b430d1917ab6003cbf5398f192230f3f56d19"),
+            ("p^-2*alt(2) = 3/4*H(2) mod p^3", 5,
+             "29e332af3c84190448bc1a87e0b1bf817a5d14886703262a2440b81ba0daafa9"),
+        ],
+        ids=["cb", "wolstenholme", "ca1", "cs1", "cs2", "cr1", "congalt"],
+    )
+    def test_digest(self, basis_cache, text, order, digest):
+        dump = proof_dump(text, basis_cache, order)
+        assert hashlib.sha256(dump.encode("ascii")).hexdigest() == digest
+
+
 class TestProveWeighted:
     def test_h1_mod_p2(self, basis_cache):
         cert = prove_weighted(wstmt({(1,): 1}, 2), basis_cache)
@@ -364,6 +493,12 @@ class TestProvableValuation:
     def test_exact_h1(self, basis_cache):
         series = MhsSeries({(1, (1,)): F(1)}, None)
         assert provable_valuation(series, basis_cache) == 3
+
+    @pytest.mark.parametrize("k,expected", [(100, 100), (2, 2), (0, 0), (-2, 0)])
+    def test_exact_monomial_needs_no_scan(self, k, expected):
+        # c * p^k has valuation k; the upward scan would stop at 64
+        series = MhsSeries({(k, ()): F(-7, 3)}, None)
+        assert provable_valuation(series) == expected
 
     def test_wc_series(self, basis_cache):
         terms = {(k, (1,) * k): F(6 * 2**k - 18) for k in range(1, 6)}
