@@ -74,6 +74,10 @@ def binomial(a: Fraction | int, k: int) -> Fraction:
     """
     if k < 0:
         return Fraction(0)
+    if isinstance(a, int):
+        if a >= 0:
+            return Fraction(comb(a, k))
+        return Fraction((-1) ** k * comb(k - a - 1, k))  # C(-m, k) = (-1)^k C(m+k-1, k)
     from math import factorial
 
     num = Fraction(1)

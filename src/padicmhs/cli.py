@@ -470,6 +470,25 @@ def cmd_verify_certificate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser that reads ``-H(1)``-style arguments as positionals.
+
+    argparse takes any unknown token that starts with ``-`` for an option, so
+    an expression such as ``-H(1)`` or ``-hres(3)`` would be rejected.  The
+    only single-dash option is ``-h``; every other single-dash token is an
+    expression.  Long options (``--order`` etc.) are parsed as before.
+    """
+
+    def _parse_optional(self, arg_string):
+        if (
+            arg_string.startswith("-")
+            and not arg_string.startswith("--")
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -508,7 +527,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"padicmhs {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     p = sub.add_parser("expand", parents=[common], help="expand an expression")
     p.add_argument("expr")

@@ -1004,8 +1004,9 @@ def provable_valuation(
     Scans downward from the series order and returns the first power with a
     full per-offset proof (0 when even mod p is out of reach).  The exact
     zero series has no finite bound and returns INFINITY; an exact monomial
-    ``c * p^k`` returns ``max(k, 0)`` directly; other exact series are
-    scanned upward until the first failure.
+    ``c * p^k`` returns ``max(k, 0)`` directly; other exact series start at
+    their guaranteed valuation (``H_{p-1}`` values are p-integral) and are
+    scanned upward, at most EXACT_SCAN_LIMIT steps, until the first failure.
     """
     order = series.order
     if order is None:
@@ -1015,15 +1016,14 @@ def provable_valuation(
             ((b, s),) = series.terms
             if not s:
                 return max(b, 0)
-        best = 0
-        for n in range(1, EXACT_SCAN_LIMIT + 1):
+        start = max(series.min_valuation(), 0)
+        for n in range(start + 1, start + EXACT_SCAN_LIMIT + 1):
             stmt = CongruenceStatement(series, n)
-            if all_proved(prove_mixed(stmt, cache_dir=cache_dir)):
-                best = n
-            else:
-                return best
+            if not all_proved(prove_mixed(stmt, cache_dir=cache_dir)):
+                return n - 1
         raise RuntimeError(
-            f"provable valuation of an exact series exceeded {EXACT_SCAN_LIMIT}"
+            "provable valuation of an exact series exceeded "
+            f"{start + EXACT_SCAN_LIMIT}"
         )
     for n in range(order, 0, -1):
         stmt = CongruenceStatement(series.truncate(n), n)

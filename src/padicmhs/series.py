@@ -29,10 +29,6 @@ __all__ = [
     "MhsSeries",
     "CongruenceStatement",
     "decompose_weighted",
-    "series_add",
-    "series_mul",
-    "series_invert_unit",
-    "series_truncate",
 ]
 
 Order = Union[int, None]
@@ -53,6 +49,10 @@ class MhsSeries:
     Terms are stored deduplicated on ``(p_exponent, composition)`` with
     nonzero coefficients; any term with ``p_exponent >= order`` is absorbed
     into the error tail at construction time.  Instances are immutable.
+
+    The constructor validates and normalizes its input.  Ring operations
+    build their results from operands that are already normalized, so they
+    go through :meth:`_trusted` instead and are not checked again.
     """
 
     __slots__ = ("_terms", "_order")
@@ -83,6 +83,19 @@ class MhsSeries:
                 acc[key] = c
         self._terms = acc
         self._order = order
+
+    @classmethod
+    def _trusted(cls, terms: dict[Key, Fraction], order: Order) -> "MhsSeries":
+        """Wrap a normalized term dict without checking it (and without copying).
+
+        The caller guarantees what ``__init__`` would establish: every
+        coefficient is a nonzero Fraction, every composition is valid, and
+        every p-exponent is below ``order``.
+        """
+        out = object.__new__(cls)
+        out._terms = terms
+        out._order = order
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -156,48 +169,75 @@ class MhsSeries:
     def __add__(self, other: "MhsSeries") -> "MhsSeries":
         if not isinstance(other, MhsSeries):
             return NotImplemented
-        order = _min_order(self._order, other._order)
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return MhsSeries(merged, order)
+        return self._merge(other, 1)
 
     def __neg__(self) -> "MhsSeries":
-        out = MhsSeries.zero(self._order)
-        out._terms = {key: -c for key, c in self._terms.items()}
-        return out
+        return MhsSeries._trusted(
+            {key: -c for key, c in self._terms.items()}, self._order
+        )
 
     def __sub__(self, other: "MhsSeries") -> "MhsSeries":
         if not isinstance(other, MhsSeries):
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
+
+    def _merge(self, other: "MhsSeries", sign: int) -> "MhsSeries":
+        """``self + sign * other`` with each coefficient added once."""
+        order = _min_order(self._order, other._order)
+        merged = self._terms_below(order)
+        for key, c in other._terms.items():
+            if order is not None and key[0] >= order:
+                continue
+            if sign < 0:
+                c = -c
+            prev = merged.get(key)
+            if prev is None:
+                merged[key] = c
+            else:
+                c += prev
+                if c:
+                    merged[key] = c
+                else:
+                    del merged[key]
+        return MhsSeries._trusted(merged, order)
+
+    def _terms_below(self, N: Order) -> dict[Key, Fraction]:
+        """A copy of the terms with p-exponent below ``N`` (all when ``N`` is None)."""
+        if N is None or (self._order is not None and self._order <= N):
+            return dict(self._terms)
+        return {key: c for key, c in self._terms.items() if key[0] < N}
 
     def scale(self, c: RationalLike) -> "MhsSeries":
         c = Fraction(c)
         if c == 0:
-            return MhsSeries.zero(self._order)
-        out = MhsSeries.zero(self._order)
-        out._terms = {key: c * v for key, v in self._terms.items()}
-        return out
+            return MhsSeries._trusted({}, self._order)
+        return MhsSeries._trusted(
+            {key: c * v for key, v in self._terms.items()}, self._order
+        )
 
     def shift(self, k: int) -> "MhsSeries":
         """Multiply by the exact power ``p^k``."""
+        if not isinstance(k, int):
+            raise TypeError(f"p-exponent must be an int, got {k!r}")
         order = None if self._order is None else self._order + k
-        return MhsSeries({(b + k, s): c for (b, s), c in self._terms.items()}, order)
+        return MhsSeries._trusted(
+            {(b + k, s): c for (b, s), c in self._terms.items()}, order
+        )
 
     def mul_term(self, c: RationalLike, b: int, s: Comp) -> "MhsSeries":
         """Multiply by the exact single term ``c * p^b * H(s)`` (stuffle)."""
         c = Fraction(c)
         _check_comp(s)
+        if not isinstance(b, int):
+            raise TypeError(f"p-exponent must be an int, got {b!r}")
         order = _mul_order(self._order, None, self.min_valuation(), b)
-        if c == 0:
-            return MhsSeries.zero(order)
         acc: dict[Key, Fraction] = {}
-        for (b1, s1), c1 in self._terms.items():
-            for s3, mult in stuffle(s1, s).items():
-                key = (b1 + b, s3)
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c * mult
-        return MhsSeries(acc, order)
+        if c != 0:
+            for (b1, s1), c1 in self._terms.items():
+                b12 = b1 + b
+                if order is None or b12 < order:
+                    _accumulate(acc, c1 * c, b12, stuffle(s1, s))
+        return MhsSeries._trusted(_nonzero(acc), order)
 
     def __mul__(self, other: object) -> "MhsSeries":
         if isinstance(other, (int, Fraction)):
@@ -210,12 +250,10 @@ class MhsSeries:
         acc: dict[Key, Fraction] = {}
         for (b1, s1), c1 in self._terms.items():
             for (b2, s2), c2 in other._terms.items():
-                c12 = c1 * c2
                 b12 = b1 + b2
-                for s3, mult in stuffle(s1, s2).items():
-                    key = (b12, s3)
-                    acc[key] = acc.get(key, Fraction(0)) + c12 * mult
-        return MhsSeries(acc, order)
+                if order is None or b12 < order:
+                    _accumulate(acc, c1 * c2, b12, stuffle(s1, s2))
+        return MhsSeries._trusted(_nonzero(acc), order)
 
     def __rmul__(self, other: object) -> "MhsSeries":
         if isinstance(other, (int, Fraction)):
@@ -243,23 +281,23 @@ class MhsSeries:
         """
         c = self.constant_coefficient()
         if c == 0:
-            raise ValueError("series_invert_unit: constant term is zero (not a unit)")
+            raise ValueError("invert_unit: constant term is zero (not a unit)")
         bad = [key for key in self._terms if key != (0, ()) and key[0] <= 0]
         if bad:
             raise ValueError(
-                "series_invert_unit: non-constant term with p-exponent <= 0: "
+                "invert_unit: non-constant term with p-exponent <= 0: "
                 f"{sorted(bad)}"
             )
         u_terms = {key: v / c for key, v in self._terms.items() if key != (0, ())}
         if self._order is None:
             if u_terms:
                 raise ValueError(
-                    "series_invert_unit: exact series with a non-constant part "
+                    "invert_unit: exact series with a non-constant part "
                     "has no finite exact inverse; truncate it first"
                 )
             return MhsSeries.constant(1 / c)
         N = self._order
-        u = MhsSeries(u_terms, N)
+        u = MhsSeries._trusted(u_terms, N)
         acc = MhsSeries.constant(1, N)
         power = MhsSeries.constant(1)
         sign = 1
@@ -275,11 +313,11 @@ class MhsSeries:
         """Weaken to ``O(p^N)``; rejects ``N`` beyond the known order."""
         if self._order is not None and N > self._order:
             raise ValueError(
-                f"series_truncate: cannot strengthen O(p^{self._order}) to O(p^{N})"
+                f"truncate: cannot strengthen O(p^{self._order}) to O(p^{N})"
             )
-        return MhsSeries(
-            {key: c for key, c in self._terms.items() if key[0] < N}, N
-        )
+        if not isinstance(N, int):
+            raise TypeError(f"order must be an int, got {N!r}")
+        return MhsSeries._trusted(self._terms_below(N), N)
 
     # -- comparison / rendering -----------------------------------------
 
@@ -330,23 +368,19 @@ def _render_term(ac: Fraction, b: int, s: Comp) -> str:
     return " * ".join(factors)
 
 
-# -- function-style aliases for the operator methods ---------------------
+def _accumulate(
+    acc: dict[Key, Fraction], c: Fraction, b: int, products: Mapping[Comp, int]
+) -> None:
+    """Add ``c * mult * p^b * H(s)`` to ``acc`` for each ``s -> mult`` of ``products``."""
+    for s, mult in products.items():
+        term = c if mult == 1 else c * mult
+        key = (b, s)
+        prev = acc.get(key)
+        acc[key] = term if prev is None else prev + term
 
 
-def series_add(a: MhsSeries, b: MhsSeries) -> MhsSeries:
-    return a + b
-
-
-def series_mul(a: MhsSeries, b: MhsSeries) -> MhsSeries:
-    return a * b
-
-
-def series_invert_unit(a: MhsSeries) -> MhsSeries:
-    return a.invert_unit()
-
-
-def series_truncate(a: MhsSeries, N: int) -> MhsSeries:
-    return a.truncate(N)
+def _nonzero(acc: dict[Key, Fraction]) -> dict[Key, Fraction]:
+    return {key: c for key, c in acc.items() if c}
 
 
 # -- congruence statements ----------------------------------------------

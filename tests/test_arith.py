@@ -6,6 +6,7 @@ independent method (explicit formulas or brute-force sums) rather than
 trusting the implementation under test.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,27 @@ class TestBinomial:
 
     def test_negative_k_is_zero(self):
         assert binomial(5, -1) == 0
+
+    @staticmethod
+    def _product_formula(a, k):
+        if k < 0:
+            return F(0)
+        num = F(1)
+        for i in range(k):
+            num *= F(a) - i
+        return num / math.factorial(k)
+
+    def test_integer_upper_matches_product_formula(self):
+        for a in range(-12, 13):
+            for k in range(-1, 13):
+                got = binomial(a, k)
+                assert type(got) is Fraction
+                assert got == self._product_formula(a, k), (a, k)
+
+    def test_fraction_upper_matches_product_formula(self):
+        for a in [F(n) for n in range(-12, 13)] + [F(1, 2), F(-7, 3), F(22, 5)]:
+            for k in range(-1, 13):
+                assert binomial(a, k) == self._product_formula(a, k), (a, k)
 
     def test_pascal(self):
         for a in range(-6, 7):

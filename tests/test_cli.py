@@ -289,6 +289,68 @@ class TestBadInputs:
     def test_order_zero_accepted(self, capsys):
         assert main(["expand", "H(1)", "--order", "0"]) == 0
 
+    @pytest.mark.parametrize(
+        "expr,expected", [("p^70*H(1)", "72"), ("p^60*H(1)", "62"), ("p^2*H(1)", "4")]
+    )
+    def test_exact_valuation_scan_starts_at_min_valuation(self, capsys, expr, expected):
+        assert main(["valuation", expr]) == 0
+        assert capsys.readouterr().out.strip() == expected
+
+
+WOLSTENHOLME_NEGATED = "-p*H(1) - p^2*H(1,1) = 0 mod p^3"
+
+
+class TestLeadingMinus:
+    """An argument that starts with '-' is an expression or a file, not an option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["expand", "-H(1)", "--order", "3"], ["expand", "--order", "3", "-H(1)"]],
+    )
+    def test_expand(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "-H(1)\n"
+
+    def test_expand_expression_starting_with_h_is_not_help(self, capsys):
+        assert main(["expand", "-hres(2)", "--order", "3"]) == 0
+        assert capsys.readouterr().out == "-p * H(1) - 1/2 * p^2 * H(2) + O(p^3)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["valuation", "-p*H(1)-p^2*H(1,1)", "--order", "4"],
+            ["valuation", "--order", "4", "-p*H(1)-p^2*H(1,1)"],
+        ],
+    )
+    def test_valuation(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "3\n"
+
+    @pytest.mark.parametrize(
+        "command,options,first_line",
+        [
+            ("prove", ["--order", "3"], f"PROVED: {WOLSTENHOLME_NEGATED}"),
+            ("verify", ["--primes", "11..23"], f"verify: {WOLSTENHOLME_NEGATED}"),
+        ],
+    )
+    @pytest.mark.parametrize("options_first", [False, True])
+    def test_statement_file(
+        self, tmp_path, monkeypatch, capsys, command, options, first_line, options_first
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-wolstenholme.txt").write_text(
+            WOLSTENHOLME_NEGATED + "\n", encoding="ascii"
+        )
+        args = ["-wolstenholme.txt"]
+        argv = [command] + (options + args if options_first else args + options)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(first_line + "\n")
+
+    def test_unknown_option_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", "-x", "--modulus", "2"])
+        assert exc.value.code == 2
+
 
 class TestCertificateCommands:
     def test_dump_and_replay(self, tmp_path, capsys):

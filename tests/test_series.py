@@ -1,19 +1,17 @@
 """Tests for the MHS-series algebra: arithmetic, truncation, inversion,
 congruence statements, and weighted decomposition."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from padicmhs.arith import INFINITY
+from padicmhs.compositions import stuffle
 from padicmhs.series import (
     CongruenceStatement,
     MhsSeries,
     decompose_weighted,
-    series_add,
-    series_invert_unit,
-    series_mul,
-    series_truncate,
 )
 
 F = Fraction
@@ -88,7 +86,7 @@ class TestConstruction:
 class TestAdd:
     def test_add_zero_identity(self):
         a = S({(1, (2, 1)): F(1, 3)}, 6)
-        assert series_add(a, MhsSeries.zero()) == a
+        assert a + MhsSeries.zero() == a
 
     def test_exact_cancellation_weaker_order_wins(self):
         a = S({(1, (1,)): 1}, 3)
@@ -226,10 +224,10 @@ class TestMul:
 
 class TestInvertUnit:
     def test_invert_one(self):
-        assert series_invert_unit(MhsSeries.constant(1)) == MhsSeries.constant(1)
+        assert MhsSeries.constant(1).invert_unit() == MhsSeries.constant(1)
 
     def test_invert_rational_constant(self):
-        out = series_invert_unit(S({(0, ()): 2}, 4))
+        out = S({(0, ()): 2}, 4).invert_unit()
         assert out.terms == {(0, ()): F(1, 2)}
         assert out.order == 4
 
@@ -292,7 +290,7 @@ class TestInvertUnit:
 class TestTruncate:
     def test_drop_high_terms(self):
         a = S({(0, ()): 2, (1, (1,)): 1, (2, (1, 1)): 1}, 5)
-        out = series_truncate(a, 2)
+        out = a.truncate(2)
         assert out.terms == {(0, ()): F(2), (1, (1,)): F(1)}
         assert out.order == 2
 
@@ -576,6 +574,98 @@ class TestEquality:
         assert a == b and hash(a) == hash(b)
 
 
-def test_series_mul_alias():
+def test_series_mul_operator():
     a = S({(1, (1,)): 1}, 3)
-    assert series_mul(a, a) == a * a
+    assert a * a == a.mul_term(1, 1, (1,))
+
+
+# ---------------------------------------------------------------------------
+# ring operations build results without re-validation: check they are normal
+# ---------------------------------------------------------------------------
+
+
+_COMPS = [(), (1,), (2,), (1, 1), (2, 1), (1, 2), (3,)]
+_COEFFS = [F(1), F(-1), F(2), F(-3, 2), F(5, 7), F(1, 3)]
+
+
+def _random_series(rng, order=None, min_exp=-2):
+    terms = {
+        (rng.randint(min_exp, 4), rng.choice(_COMPS)): rng.choice(_COEFFS)
+        for _ in range(rng.randint(0, 4))
+    }
+    return S(terms, order)
+
+
+def _random_pair(rng):
+    orders = [None, -1, 0, 1, 2, 3, 4, 5, 6]
+    a = _random_series(rng, rng.choice(orders))
+    b = _random_series(rng, rng.choice(orders))
+    if rng.random() < 0.5:
+        # share some of a's terms with the opposite sign so that sums cancel
+        shared = [(k, -c) for k, c in a.terms.items() if rng.random() < 0.7]
+        b = S(list(b.terms.items()) + shared, b.order)
+    return a, b
+
+
+def _assert_normalized(r):
+    assert r == MhsSeries(r.terms, r.order)
+    for (b, _s), c in r.terms.items():
+        assert type(c) is Fraction
+        assert c != 0
+        assert r.order is None or b < r.order
+
+
+class TestTrustedResults:
+    """Every ring operation returns what the validating constructor would build."""
+
+    def test_random_operations_are_normalized(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            a, b = _random_pair(rng)
+            known = [o for o in (a.order, b.order) if o is not None]
+            order = min(known) if known else None
+            a_items = list(a.terms.items())
+            total = a + b
+            _assert_normalized(total)
+            assert total == S(a_items + list(b.terms.items()), order)
+            diff = a - b
+            _assert_normalized(diff)
+            assert diff == S(a_items + [(k, -c) for k, c in b.terms.items()], order)
+            _assert_normalized(-a)
+            for c in (0, 1, F(-2, 3)):
+                _assert_normalized(a.scale(c))
+            _assert_normalized(a.shift(rng.randint(-2, 2)))
+            prod = a * b
+            _assert_normalized(prod)
+            reference = [
+                ((b1 + b2, s3), c1 * c2 * mult)
+                for (b1, s1), c1 in a.terms.items()
+                for (b2, s2), c2 in b.terms.items()
+                for s3, mult in stuffle(s1, s2).items()
+            ]
+            assert prod == S(reference, prod.order)
+            c = rng.choice(_COEFFS + [F(0)])
+            _assert_normalized(a.mul_term(c, rng.randint(-1, 2), rng.choice(_COMPS)))
+            top = 6 if a.order is None else a.order
+            _assert_normalized(a.truncate(rng.randint(-2, top)))
+
+    def test_random_inverses_are_normalized(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            order = rng.randint(1, 5)
+            terms = _random_series(rng, order, min_exp=1).terms
+            terms[(0, ())] = rng.choice(_COEFFS)
+            unit = S(terms, order)
+            inv = unit.invert_unit()
+            _assert_normalized(inv)
+            assert (unit * inv).truncate(order) == MhsSeries.constant(1, order)
+        _assert_normalized(MhsSeries.constant(F(-3, 5)).invert_unit())
+
+    def test_non_integer_exponents_rejected(self):
+        a = S({(1, (1,)): 1})
+        with pytest.raises(TypeError):
+            a.shift(F(1, 2))
+        with pytest.raises(TypeError):
+            a.mul_term(1, 0.5, (1,))
+        with pytest.raises(TypeError):
+            a.truncate(2.5)
