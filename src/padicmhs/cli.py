@@ -28,9 +28,10 @@ Expression grammar (ASCII, whitespace-insensitive)::
                | "(" expr ")"
 
 ``prove`` and ``verify`` accept either an inline congruence or a path to a
-statement file (one congruence per line, ``#`` comments).  Quantity atoms
-inside congruences are expanded at the congruence's modulus power unless
-``--order`` asks for more.
+statement file (one congruence per line, ``#`` comments).  ``prove`` expands
+quantity atoms at the congruence's modulus power unless ``--order`` asks for
+more; ``verify`` never expands them and evaluates every atom at each prime
+with the oracle.
 """
 
 from __future__ import annotations
@@ -43,9 +44,15 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .arith import INFINITY
+from .arith import INFINITY, padic_valuation
 from .expansions import expand_quantity
-from .oracle import DEFAULT_WORK_BUDGET, PrimeWindow, check_numeric
+from .oracle import (
+    DEFAULT_WORK_BUDGET,
+    PrimeWindow,
+    check_numeric,
+    eval_mhs,
+    eval_quantity,
+)
 from .prover import (
     dump_certificates,
     generate_relations,
@@ -54,11 +61,12 @@ from .prover import (
     verify_certificate_text,
 )
 from .quantities import QUANTITY_NAMES, parse_quantity
-from .series import CongruenceStatement, MhsSeries
+from .series import MhsSeries
 
 __all__ = [
     "ExprAst",
     "ExprSyntaxError",
+    "eval_at_prime",
     "eval_series",
     "eval_statement",
     "main",
@@ -331,6 +339,48 @@ def eval_statement(
     return lhs, rhs, n
 
 
+def _nodes(ast: ExprAst):
+    """Every node of an expression tree, the root first."""
+    yield ast
+    for child in ast.children:
+        yield from _nodes(child)
+
+
+def eval_at_prime(
+    ast: ExprAst, p: int, work_budget: int = DEFAULT_WORK_BUDGET
+) -> Fraction:
+    """Exact value of an expression node at the prime p, by the oracle alone.
+
+    No series expansion is involved: ``H`` atoms are summed directly and
+    quantity atoms go through :func:`padicmhs.oracle.eval_quantity`, which
+    raises ``WorkBudgetExceeded`` when the direct sum is over
+    ``work_budget``.
+    """
+    kind = ast.kind
+    if kind == "lit":
+        return ast.payload
+    if kind == "p":
+        return Fraction(p) ** ast.payload
+    if kind == "H":
+        return eval_mhs(p - 1, ast.payload)
+    if kind == "quantity":
+        return eval_quantity(ast.payload, p, work_budget)
+    values = [eval_at_prime(child, p, work_budget) for child in ast.children]
+    if kind == "add":
+        return values[0] + values[1]
+    if kind == "sub":
+        return values[0] - values[1]
+    if kind == "mul":
+        return values[0] * values[1]
+    if kind == "neg":
+        return -values[0]
+    if kind == "inv":
+        if padic_valuation(values[0], p) != 0:
+            raise ValueError(f"inv of a value that is not a p-adic unit at p={p}")
+        return 1 / values[0]
+    raise ValueError(f"no value at a prime for {kind!r} nodes")
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
@@ -433,9 +483,26 @@ def cmd_verify(args) -> int:
     statements = _load_statements(args.congruence)
     ok = True
     for text in statements:
-        lhs, rhs, n = eval_statement(parse(text), args.cache_dir, args.order)
-        stmt = CongruenceStatement(lhs - rhs, n)
-        report = check_numeric(stmt, args.primes, work_budget=args.work_budget)
+        ast = parse(text)
+        if ast.kind != "cong":
+            raise ValueError("expected a congruence '<expr> = <expr> mod p^<n>'")
+        nodes = list(_nodes(ast))
+        if any(node.kind == "quantity" and node.payload.name == "zetap" for node in nodes):
+            raise ValueError(
+                "verify evaluates every atom at each prime, and zetap(k) is a "
+                "p-adic limit with no exact value at a single prime; use prove"
+            )
+        dens = [node.payload.denominator for node in nodes if node.kind == "lit"]
+        lhs, rhs = ast.children
+
+        def diff(p):
+            if any(d % p == 0 for d in dens):
+                return None  # a literal is not p-integral
+            return eval_at_prime(lhs, p, args.work_budget) - eval_at_prime(
+                rhs, p, args.work_budget
+            )
+
+        report = check_numeric(diff, args.primes, required=ast.payload)
         print(f"verify: {text}")
         print(report.render())
         ok = ok and report.passed
@@ -496,8 +563,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_int_at_least(0),
         default=None,
         help="truncation order for series evaluation (default 8 for "
-        "expand/valuation; congruence statements evaluate at their modulus "
-        "power unless --order asks for more)",
+        "expand/valuation; prove expands congruence statements at their "
+        "modulus power unless --order asks for more; verify expands nothing)",
     )
     common.add_argument(
         "--cache-dir",

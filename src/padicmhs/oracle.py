@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .arith import INFINITY, binomial, padic_valuation
 from .compositions import Comp
@@ -93,18 +93,13 @@ class PrimeWindow:
 def eval_mhs(N: int, s: Comp) -> Fraction:
     """H_N(s) = sum over N >= n_1 > ... > n_k >= 1 of prod n_i^(-s_i).
 
-    Dynamic program over prefixes, O(N * depth) exact-rational operations.
+    This is ``eval_power_sum(N, 0, s)``, memoized.
     """
-    k = len(s)
-    if k == 0:
+    if not s:
         return Fraction(1)
-    if N < k:
+    if N < len(s):
         return Fraction(0)
-    D = [Fraction(1)] + [Fraction(0)] * k
-    for n in range(1, N + 1):
-        for j in range(min(k, n), 0, -1):
-            D[j] += D[j - 1] * Fraction(1, n ** s[k - j])
-    return D[k]
+    return eval_power_sum(N, 0, s)
 
 
 def eval_power_sum(
@@ -114,20 +109,60 @@ def eval_power_sum(
 
     Exponents may be arbitrary integers.  With ``restricted_at=p``, indices
     divisible by p are skipped (the S^{(p)} variant).
+
+    A dynamic program over prefixes on integers scaled by one fixed common
+    denominator K = lcm(M+1..N)^P, P the sum of the positive exponents.
+    K times a prefix sum stays divisible by n^e for each positive exponent
+    e still to come, so that step is the exact ``D[j-1] // n**e``; any
+    other exponent multiplies by n^(-e).  One reduction at the end.
     """
     if not (N >= M >= 0):
         raise ValueError(f"eval_power_sum requires N >= M >= 0, got N={N}, M={M}")
     k = len(exps)
     if k == 0:
         return Fraction(1)
-    D = [Fraction(1)] + [Fraction(0)] * k
+    P = sum(e for e in exps if e > 0)
+    K = _lcm_range(M + 1, N) ** P if P else 1
+    D = [K] + [0] * k
     for n in range(M + 1, N + 1):
         if restricted_at is not None and n % restricted_at == 0:
             continue
         for j in range(k, 0, -1):
-            if D[j - 1]:
-                D[j] += D[j - 1] * Fraction(n) ** (-exps[k - j])
-    return D[k]
+            prev = D[j - 1]
+            if prev:
+                e = exps[k - j]
+                D[j] += prev // n**e if e > 0 else prev * n ** (-e)
+    return Fraction(D[k], K)
+
+
+def _lcm_range(lo: int, hi: int) -> int:
+    """lcm of the integers lo..hi, for lo >= 1 (1 when the range is empty).
+
+    Each prime q <= B = min(sqrt(hi), hi - lo) of a sieve enters with its
+    highest power that has a multiple in the range and is divided out of
+    every n.  A prime above B divides no n twice (B = sqrt(hi)) or no two
+    n (B = hi - lo), so the distinct cofactors left over complete the lcm.
+    Memory grows with the length of the range, not with hi.
+    """
+    if hi < lo:
+        return 1
+    bound = min(math.isqrt(hi), hi - lo)
+    composite = bytearray(bound + 1)
+    rest = list(range(lo, hi + 1))
+    factors: set[int] = set()
+    for q in range(2, bound + 1):
+        if composite[q]:
+            continue
+        composite[q * q :: q] = b"\1" * len(range(q * q, bound + 1, q))
+        f = 1
+        while hi // (f * q) * (f * q) >= lo:  # a multiple of f*q is in range
+            f *= q
+        factors.add(f)
+        for i in range(-lo % q, len(rest), q):
+            while rest[i] % q == 0:
+                rest[i] //= q
+    factors.update(rest)
+    return math.prod(factors)
 
 
 def eval_polylog_sum(
@@ -252,12 +287,12 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
 
     subject to p not dividing l_1 or l_{k-1} and no two *consecutive* l's
     congruent mod p.  D is computed by an ascending dynamic program with
-    per-residue prefix sums, O(k * p^r) exact operations.  To avoid
-    per-step rational reduction, the program runs on integers over the
-    running common denominator S = lcm(1..n): a level-j state (a sum of
-    products of j..L reciprocals) is stored times S^(L+1-j), and all
-    states are rescaled whenever S grows.  One exact division at the end
-    recovers the rational value.
+    per-residue prefix sums, O(k * p^r) integer operations, all on one
+    fixed common denominator K = lcm(1..p^r-1)^(k-1).  With T_j(n) the sum
+    of the level-j..(k-1) chain tails that start at l_j = n (a sum of
+    products of k-j reciprocals), K * T_j(n) is an integer divisible by n,
+    so each step is one exact division by n.  One reduction at the end
+    gives the rational value.
 
     For k = 1 the only composition is (p^r) itself, which the coprimality
     constraint excludes, so the sum is empty and the value is 0.
@@ -267,32 +302,19 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     L = k - 1
     top = p**r
     _charge(L * (top - 1), budget, QuantitySpec("curious", (r, k)))
-    # tot[j] = sum of T_j(m) over m < n; res[j][c] = same, restricted to m = c mod p,
-    # where T_j(n) sums the level-j..L chain tails with l_j = n.
-    S = 1
+    K = _lcm_range(1, top - 1) ** L
+    # tot[j] = sum of K*T_j(m) over m < n; res[j][c] = same, restricted to m = c mod p
     tot = [0] * (L + 1)
     res = [[0] * p for _ in range(L + 1)]
-    total = 0  # scaled by S^L
+    total = 0  # K * D
     for n in range(1, top):
-        f = n // math.gcd(S, n)
-        if f > 1:  # n is a prime power; lcm grows
-            S *= f
-            for j in range(1, L + 1):
-                m = f ** (L + 1 - j)
-                tot[j] *= m
-                row = res[j]
-                for c in range(p):
-                    if row[c]:
-                        row[c] *= m
-            total *= f**L
         rn = n % p
-        q = S // n
         tvals = [0] * (L + 1)
-        tvals[L] = q if rn else 0
+        tvals[L] = K // n if rn else 0
         for j in range(L - 1, 0, -1):
             acc = tot[j + 1] - res[j + 1][rn]
             if acc:
-                tvals[j] = acc * q
+                tvals[j] = acc // n
         if rn:
             total += tvals[1]
         for j in range(1, L + 1):
@@ -300,7 +322,7 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
             if tj:
                 tot[j] += tj
                 res[j][rn] += tj
-    return Fraction(math.factorial(k), top) * Fraction(total, S**L)
+    return Fraction(math.factorial(k) * total, top * K)
 
 
 def eval_series_terms(series: MhsSeries, p: int) -> Fraction:
@@ -384,7 +406,7 @@ class NumericReport:
 Subject = Union[
     CongruenceStatement,
     tuple[QuantitySpec, MhsSeries],
-    Callable[[int], Fraction],
+    Callable[[int], Optional[Fraction]],
 ]
 
 
@@ -413,11 +435,12 @@ def check_numeric(
     - a ``(QuantitySpec, MhsSeries)`` pair: checks v_p(quantity - series
       terms) >= series.order (or >= ``required`` when given; an exact series
       requires an exactly zero difference);
-    - a callable ``p -> Fraction`` difference, with ``required`` mandatory.
+    - a callable ``p -> Fraction`` difference, with ``required`` mandatory;
+      it returns None at a prime where the claim is not p-integral.
 
-    For the first two forms, primes dividing a coefficient denominator of
-    the series are skipped (the series is not p-integral there) and listed
-    in the report.
+    Such primes are skipped and listed in the report; for the first two
+    forms they are the primes dividing a coefficient denominator of the
+    series.
     """
     window = window or PrimeWindow()
     skipped: list[int] = []
@@ -457,6 +480,9 @@ def check_numeric(
             d = diff(p)
         except WorkBudgetExceeded:
             records.append((p, req, None))
+            continue
+        if d is None:
+            skipped.append(p)
             continue
         records.append((p, req, padic_valuation(d, p)))
     return NumericReport(records, skipped)

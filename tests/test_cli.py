@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicmhs import cli
+from padicmhs.arith import padic_valuation
 from padicmhs.cli import (
     ExprAst,
     ExprSyntaxError,
@@ -15,6 +16,7 @@ from padicmhs.cli import (
     main,
     parse,
 )
+from padicmhs.oracle import eval_series_terms
 from padicmhs.prover import RelationBasis
 from padicmhs.series import MhsSeries
 
@@ -254,6 +256,59 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "H(1) = 0 mod p^2", "--primes", "11-23"])
         assert exc.value.code == 2
+
+    def test_quantity_over_budget_is_refused(self, capsys):
+        # hres(9) at p=11 needs 11^9 - 1 summation steps, far over the budget;
+        # the series of hres(9) vanishes below p^9, so only the oracle refuses
+        assert main(["verify", "hres(9) = 0 mod p^1", "--primes", "11..11"]) == 1
+        out = capsys.readouterr().out
+        assert "REFUSED" in out and "summary: FAIL" in out
+        assert "inf" not in out
+
+    def test_curious_congruence_passes(self, capsys):
+        stmt = "curious(3,3) = -2*p^2*H(2,1) + 2*p^4*H(4,1) mod p^6"
+        assert main(["verify", stmt, "--primes", "11..13"]) == 0
+        assert "summary: PASS" in capsys.readouterr().out
+
+    def test_wrong_expansion_is_not_consulted(self, capsys, monkeypatch):
+        """A false claim FAILs even when the expansion layer agrees with it."""
+        wrong = MhsSeries({(2, (1,)): 2}, 6)  # hres(2) = p^2*H(1) mod p^6 (cr1)
+
+        def patched(spec, order, cache_dir=None):
+            assert spec.name == "hres"
+            return wrong
+
+        monkeypatch.setattr(cli, "expand_quantity", patched)
+        stmt = "hres(2) = 2*p^2*H(1) mod p^6"
+        assert main(["expand", "hres(2)", "--order", "6"]) == 0
+        assert capsys.readouterr().out == "2 * p^2 * H(1) + O(p^6)\n"
+        assert main(["verify", stmt, "--primes", "11..23"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 6  # five primes and the summary
+
+    def test_zetap_is_refused(self, capsys):
+        assert main(["verify", "zetap(3) = 0 mod p^1", "--primes", "11..13"]) == 2
+        captured = capsys.readouterr()
+        assert "zetap" in captured.err and captured.out == ""
+
+    def test_literal_denominator_primes_are_skipped(self, capsys):
+        stmt = "p*H(1) + p^2*H(1,1) = 1/13 - 1/13 mod p^3"
+        assert main(["verify", stmt, "--primes", "11..17"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped (prime divides a coefficient denominator): 13" in out
+        assert "    13 " not in out
+
+    def test_non_unit_inverse_is_error(self, capsys):
+        assert main(["verify", "inv(H(1)) = 0 mod p^1", "--primes", "11..11"]) == 2
+        assert "unit" in capsys.readouterr().err
+
+    def test_eval_at_prime_matches_series_terms(self):
+        # an H-only expression: its value and its order-6 series agree mod p^6
+        text = "(1 + p*H(1))*inv(1 - p^2*H(2)) - 3/4*p^-1*H(1,1)"
+        series = eval_series(parse(text), 6)
+        for p in (11, 13):
+            diff = cli.eval_at_prime(parse(text), p) - eval_series_terms(series, p)
+            assert padic_valuation(diff, p) >= 6
 
 
 class TestBadInputs:

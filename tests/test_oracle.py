@@ -3,7 +3,10 @@ and valuation reports.  Reference values come from independent brute-force
 summation, never from the code under test."""
 
 import math
+import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -11,9 +14,12 @@ import pytest
 from padicmhs.arith import INFINITY, padic_valuation
 from padicmhs.compositions import enumerate_compositions, stuffle
 from padicmhs.oracle import (
+    DEFAULT_WORK_BUDGET,
     NumericReport,
     PrimeWindow,
     WorkBudgetExceeded,
+    _eval_curious,
+    _lcm_range,
     apery_number,
     check_numeric,
     eval_mhs,
@@ -304,6 +310,118 @@ class TestCurious:
             eval_quantity(q, 11, work_budget=100)
 
 
+def power_sum_reference(N, M, exps, restricted_at=None):
+    """S_{N,M}(exps) by a plain Fraction dynamic program (no common denominator)."""
+    k = len(exps)
+    D = [F(1)] + [F(0)] * k
+    for n in range(M + 1, N + 1):
+        if restricted_at is not None and n % restricted_at == 0:
+            continue
+        for j in range(k, 0, -1):
+            D[j] += D[j - 1] * F(n) ** (-exps[k - j])
+    return D[k]
+
+
+def curious_brute(r, k, p):
+    """Sum of 1/(n_1*...*n_k) over the compositions of p^r into k parts prime to p.
+
+    The compositions are enumerated one part at a time, never choosing a
+    part divisible by p; compositions that end in the same remainder share
+    the sum over their remaining parts.  This sums over the compositions
+    directly, not through the symmetrized chain form the oracle uses.
+    """
+
+    @lru_cache(maxsize=None)
+    def walk(rest, parts):
+        if parts == 1:
+            return F(1, rest) if rest % p else F(0)
+        return sum(
+            (F(1, a) * walk(rest - a, parts - 1) for a in range(1, rest - parts + 2) if a % p),
+            F(0),
+        )
+
+    return walk(p**r, k)
+
+
+class TestFixedDenominator:
+    """The integer dynamic programs agree exactly with Fraction references."""
+
+    CURIOUS_MODULI = [
+        (p, r) for p in primes_in(2, 49) for r in range(1, 6) if p**r <= 49
+    ]
+
+    def test_lcm_range(self):
+        for lo in range(1, 12):
+            for hi in range(lo - 1, 40):
+                assert _lcm_range(lo, hi) == math.lcm(*range(lo, hi + 1)), (lo, hi)
+        for lo in (10**12, 97**9 - 40, 2**61 - 20):
+            for length in (0, 1, 2, 7, 30):
+                hi = lo + length - 1
+                assert _lcm_range(lo, hi) == math.lcm(*range(lo, hi + 1)), (lo, hi)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_curious_against_compositions(self, k):
+        for p, r in self.CURIOUS_MODULI:
+            assert _eval_curious(r, k, p, DEFAULT_WORK_BUDGET) == curious_brute(
+                r, k, p
+            ), (r, k, p)
+
+    def test_power_sum_against_fraction_reference(self):
+        rng = random.Random(20261018)
+        for _ in range(600):
+            k = rng.randint(1, 4)
+            exps = [rng.randint(-3, 4) for _ in range(k)]
+            exps[rng.randrange(k)] = rng.choice([0, -1, -2])  # a zero or negative entry
+            exps = tuple(exps)
+            N = rng.randint(0, 40)
+            M = rng.randint(1, N) if N and rng.random() < 0.6 else 0
+            restricted_at = rng.choice([None, None, 2, 3, 5, 7])
+            assert eval_power_sum(N, M, exps, restricted_at) == power_sum_reference(
+                N, M, exps, restricted_at
+            ), (N, M, exps, restricted_at)
+
+    def test_power_sum_positive_exponents(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            exps = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+            N = rng.randint(0, 60)
+            M = rng.randint(0, N)
+            restricted_at = rng.choice([None, 3, 5])
+            assert eval_power_sum(N, M, exps, restricted_at) == power_sum_reference(
+                N, M, exps, restricted_at
+            ), (N, M, exps, restricted_at)
+
+    def test_eval_mhs_is_the_power_sum_from_zero(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            s = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+            N = rng.randint(len(s), 50)
+            assert eval_mhs(N, s) == eval_power_sum(N, 0, s) == power_sum_reference(N, 0, s)
+        assert eval_mhs(3, ()) == 1
+        assert eval_mhs(2, (1, 1, 1)) == 0
+
+
+class TestRefusalBeforeAllocation:
+    """An over-budget evaluation is refused before its denominator is built."""
+
+    @pytest.mark.parametrize(
+        "name,args", [("curious", "5,7"), ("psum", "p^5;0;2,1"), ("hres", "6")]
+    )
+    def test_refused_at_once(self, name, args):
+        t0 = time.perf_counter()
+        with pytest.raises(WorkBudgetExceeded):
+            eval_quantity(parse_quantity(name, args), 97)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_short_range_far_from_one(self):
+        # two summation steps: the denominator depends on the range, not on p^9
+        t0 = time.perf_counter()
+        q = parse_quantity("psum", "p^9;p^9-2;1,-1")
+        N = 97**9
+        assert eval_quantity(q, 97) == F(N - 1, N)
+        assert time.perf_counter() - t0 < 1.0
+
+
 class TestEvalSeriesTerms:
     def test_basic(self):
         s = MhsSeries({(0, ()): 2, (1, (1,)): 2}, 3)
@@ -409,3 +527,10 @@ class TestCheckNumeric:
     def test_empty_window_fails(self):
         report = check_numeric(lambda p: F(0), PrimeWindow(90, 96), required=1)
         assert not report.passed
+
+    def test_callable_skips_a_prime_with_none(self):
+        report = check_numeric(
+            lambda p: None if p == 13 else F(p), PrimeWindow(11, 17), required=1
+        )
+        assert report.passed and report.skipped == [13]
+        assert [p for (p, _r, _g) in report.records] == [11, 17]
