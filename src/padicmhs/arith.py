@@ -9,10 +9,12 @@ number-theoretic primitives:
 * The generalized binomial coefficient ``binomial(a, k)`` for rational ``a``
   and integer ``k >= 0``.
 * Power-sum polynomials: ``power_sum_poly(d)`` is the polynomial G_d with
-  G_d(x) = sum_{a=0}^{x-1} a^d (Faulhaber's formula), plus ``eval_poly``
-  for dense ascending-coefficient evaluation.
-* ``LaurentPoly``: a sparse Laurent polynomial in p with rational
-  coefficients and an optional truncation order.
+  G_d(x) = sum_{a=0}^{x-1} a^d (Faulhaber's formula).
+* Dense ascending-coefficient polynomials: ``eval_poly`` (Horner),
+  ``strip_poly`` (drop trailing zeros), ``int_poly`` (integer coefficients,
+  stripped) and ``poly_sub``.
+* ``LaurentPoly``: the result of ``laurent_expand``, sparse coefficients of
+  a Laurent polynomial in p with an optional truncation order.
 * ``laurent_expand``: the p-adically valid Laurent expansion of a ratio of
   integer polynomials around p -> infty (formally, around 1/p -> 0).
 * ``padic_valuation``: the p-adic valuation of a rational, with ``INFINITY``
@@ -29,14 +31,17 @@ from math import comb
 
 __all__ = [
     "INFINITY",
+    "IntPoly",
     "LaurentPoly",
     "bernoulli",
     "binomial",
     "eval_poly",
-    "faulhaber_power_sum",
+    "int_poly",
     "laurent_expand",
     "padic_valuation",
+    "poly_sub",
     "power_sum_poly",
+    "strip_poly",
 ]
 
 #: Sentinel for an infinite p-adic valuation (the valuation of 0).  It is
@@ -109,9 +114,8 @@ def power_sum_poly(d: int) -> tuple[Fraction, ...]:
     return result
 
 
-#: Alias under the classical name: faulhaber_power_sum(m) gives the
-#: coefficients of the polynomial whose value at x is sum_{a=0}^{x-1} a^m.
-faulhaber_power_sum = power_sum_poly
+#: Integer polynomial as a tuple of ascending coefficients; () is zero.
+IntPoly = tuple[int, ...]
 
 
 def eval_poly(coeffs: tuple[Fraction, ...], x: Fraction | int) -> Fraction:
@@ -122,8 +126,38 @@ def eval_poly(coeffs: tuple[Fraction, ...], x: Fraction | int) -> Fraction:
     return acc
 
 
+def strip_poly(f) -> tuple:
+    """``f`` as a tuple without trailing zero coefficients."""
+    n = len(f)
+    while n and f[n - 1] == 0:
+        n -= 1
+    return tuple(f[:n])
+
+
+def int_poly(coeffs, name: str = "polynomial") -> IntPoly:
+    """Integer coefficient tuple of ``coeffs`` (stripped); ValueError on a non-integer."""
+    out = []
+    for c in coeffs:
+        c = Fraction(c)
+        if c.denominator != 1:
+            raise ValueError(f"{name} needs integer coefficients, got {c}")
+        out.append(c.numerator)
+    return strip_poly(out)
+
+
+def poly_sub(f: IntPoly, g: IntPoly) -> IntPoly:
+    """``f - g`` with trailing zeros stripped."""
+    n = max(len(f), len(g))
+    return strip_poly(
+        [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
+    )
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial in p with Fraction coefficients.
+
+    The value type returned by :func:`laurent_expand`; it holds terms only
+    and has no arithmetic.
 
     ``order`` is the truncation order: the object stands for the stored
     terms plus O(p^order).  ``order=None`` means the polynomial is exact.
@@ -141,10 +175,6 @@ class LaurentPoly:
         self.coeffs = clean
         self.order = order
 
-    @classmethod
-    def constant(cls, value: Fraction | int) -> "LaurentPoly":
-        return cls({0: Fraction(value)})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -152,47 +182,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash((frozenset(self.coeffs.items()), self.order))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        order = _min_order(self.order, other.order)
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return LaurentPoly(merged, order)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        order = _mul_order(
-            self.order, other.order, self.min_valuation(), other.min_valuation()
-        )
-        prod: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                prod[e] = prod.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(prod, order)
-
-    def scale(self, c: Fraction | int) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPoly({}, self.order)
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()}, self.order)
-
-    def min_valuation(self):
-        """min(min exponent, order); INFINITY for an exact zero."""
-        vals = list(self.coeffs)
-        if self.order is not None:
-            vals.append(self.order)
-        return min(vals) if vals else INFINITY
-
-    def evaluate(self, p: int) -> Fraction:
-        """Evaluate the stored terms at a concrete prime (ignores the O-tail)."""
-        return sum((c * Fraction(p) ** e for e, c in self.coeffs.items()), Fraction(0))
 
     def __repr__(self):
         if not self.coeffs:
@@ -204,31 +193,6 @@ class LaurentPoly:
         if self.order is not None:
             body += f" + O(p^{self.order})"
         return f"LaurentPoly({body})"
-
-
-def _min_order(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _mul_order(oa, ob, va, vb):
-    """Truncation order of a product, given operand orders and min-valuations.
-
-    The O(p^oa) tail of the first factor meets every term of the second, so
-    it contributes O(p^(oa + vb)); symmetrically for the other tail, and the
-    two tails multiply to O(p^(oa + ob)).  ``None`` means exact (no tail).
-    """
-    candidates = []
-    if oa is not None and vb is not INFINITY:
-        candidates.append(oa + vb)
-    if ob is not None and va is not INFINITY:
-        candidates.append(ob + va)
-    if oa is not None and ob is not None:
-        candidates.append(oa + ob)
-    return min(candidates) if candidates else None
 
 
 def _poly_valuation(coeffs: list[Fraction]) -> int | None:

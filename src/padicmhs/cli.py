@@ -580,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--work-budget",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_WORK_BUDGET,
         help="oracle work budget in summation steps",
     )
@@ -652,7 +652,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.primes = PrimeWindow()
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,15 +12,21 @@ Two products act on the span of compositions:
   (s_1, ..., s_k) <-> x^(s_1 - 1) y ... x^(s_k - 1) y.
 
 Linear combinations are plain dicts mapping compositions to Fractions.
+
+The composition generator, the bounded-tuple generator and the composition
+validator used by the other modules live here too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 __all__ = [
+    "bounded_tuples",
+    "check_comp",
     "comp_to_word",
+    "compositions_of",
     "depth",
     "enumerate_compositions",
     "format_comp",
@@ -121,14 +127,41 @@ def stuffle(s: Comp, t: Comp) -> dict[Comp, int]:
     return dict(_stuffle_cached(tuple(s), tuple(t)))
 
 
-def _comps_of_weight(w: int):
-    """Compositions of exact weight w, ascending lexicographic on parts."""
+def compositions_of(w: int) -> Iterator[Comp]:
+    """Compositions of exact weight w, ascending lexicographic on parts.
+
+    There are 2^(w-1) of them for w >= 1; w = 0 gives only ().
+    """
     if w == 0:
         yield ()
         return
     for first in range(1, w + 1):
-        for rest in _comps_of_weight(w - first):
+        for rest in compositions_of(w - first):
             yield (first,) + rest
+
+
+def bounded_tuples(m: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """All m-tuples of non-negative integers with sum <= bound, lexicographic.
+
+    A negative bound gives no tuples; m = 0 gives () when bound >= 0.
+    """
+    if bound < 0:
+        return
+    if m == 0:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for rest in bounded_tuples(m - 1, bound - first):
+            yield (first,) + rest
+
+
+def check_comp(s: object, *, allow_empty: bool = True, name: str = "composition") -> Comp:
+    """Return ``s`` if it is a tuple of positive ints, else raise ValueError."""
+    if not isinstance(s, tuple) or not all(isinstance(e, int) and e >= 1 for e in s):
+        raise ValueError(f"{name} must be a tuple of positive integers, got {s!r}")
+    if not allow_empty and not s:
+        raise ValueError(f"{name} must be a nonempty composition")
+    return s
 
 
 def enumerate_compositions(max_weight: int) -> list[Comp]:
@@ -143,7 +176,7 @@ def enumerate_compositions(max_weight: int) -> list[Comp]:
     """
     out: list[Comp] = []
     for w in range(max_weight + 1):
-        out.extend(_comps_of_weight(w))
+        out.extend(compositions_of(w))
     return out
 
 
@@ -162,9 +195,3 @@ def parse_comp(text: str) -> Comp:
         return ()
     return tuple(int(part.strip()) for part in inner.split(","))
 
-
-def scale_comb(comb: dict[Comp, int | Fraction], c: Fraction) -> dict[Comp, Fraction]:
-    """Scalar multiple of a composition linear combination, dropping zeros."""
-    if c == 0:
-        return {}
-    return {s: Fraction(m) * c for s, m in comb.items() if m != 0}

@@ -37,10 +37,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .arith import bernoulli, binomial, laurent_expand, power_sum_poly
-from .compositions import Comp, stuffle, weight
+from .arith import (
+    IntPoly,
+    bernoulli,
+    binomial,
+    int_poly,
+    laurent_expand,
+    poly_sub,
+    power_sum_poly,
+    strip_poly,
+)
+from .compositions import Comp, check_comp, compositions_of, stuffle, weight
 from .powersums import full_sum, poly_sum, signed_mhs, valuation_bound
 from .prover import generate_relations
 from .quantities import QuantitySpec
@@ -63,43 +72,14 @@ __all__ = [
     "factorial_ratio",
 ]
 
-IntPoly = tuple[int, ...]  # ascending coefficients
-
 
 # ---------------------------------------------------------------------------
-# polynomial helpers
+# small helpers
 # ---------------------------------------------------------------------------
-
-
-def _int_poly(coeffs: Sequence[int | Fraction], name: str = "polynomial") -> IntPoly:
-    out = []
-    for c in coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ValueError(f"{name} needs integer coefficients, got {c}")
-        out.append(c.numerator)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _frac_poly(coeffs: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _degree(f: IntPoly) -> int:
     return len(f) - 1  # zero polynomial never passed where degree matters
-
-
-def _poly_sub(f: IntPoly, g: IntPoly) -> IntPoly:
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _validate_order(order: int) -> int:
@@ -216,8 +196,8 @@ def expand_power_sum(
     p-powers that can appear are bounded below by
     ``-deg(f) * sum_i max(exps_i, 0)`` (0 when restricted).
     """
-    fi = _int_poly(f, "upper bound")
-    gi = _int_poly(g, "lower bound")
+    fi = int_poly(f, "upper bound")
+    gi = int_poly(g, "lower bound")
     exps = tuple(exps)
     if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
         raise ValueError(f"power-sum exponents must be integers, got {exps!r}")
@@ -274,10 +254,8 @@ def expand_sum_poly_mhs(
     eliminated exactly.  For empty ``s`` the sum is ``R(p) - P(0)``.  The
     result is exact; ``order`` (if given) truncates it afterwards.
     """
-    Pf = _frac_poly(P)
-    s = tuple(s)
-    if any(not isinstance(e, int) or e < 1 for e in s):
-        raise ValueError(f"composition parts must be positive integers, got {s!r}")
+    Pf = strip_poly([Fraction(c) for c in P])
+    s = check_comp(tuple(s))
     # R(x) = sum_{k<x} P(k), so R(p) - R(n) = sum_{k=n}^{p-1} P(k).
     R: list[Fraction] = []
     for j, c in enumerate(Pf):
@@ -306,16 +284,6 @@ def expand_sum_poly_mhs(
 # ---------------------------------------------------------------------------
 # binomial coefficients via factorial ratios
 # ---------------------------------------------------------------------------
-
-
-def _unit_power(series: MhsSeries, n: int) -> MhsSeries:
-    if n < 0:
-        series = series.invert_unit()
-        n = -n
-    out = MhsSeries.constant(1, None)
-    for _ in range(n):
-        out = out * series
-    return out
 
 
 def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> MhsSeries:
@@ -348,7 +316,7 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
     for poly, eps in pairs:
         if eps not in (1, -1):
             raise ValueError(f"factorial exponents must be +1 or -1, got {eps!r}")
-        pi = _int_poly(poly, "factorial argument")
+        pi = int_poly(poly, "factorial argument")
         if pi and pi[-1] < 0:
             raise ValueError(
                 f"factorial arguments must be eventually nonnegative, got {pi!r}"
@@ -356,9 +324,9 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
         if pi:
             pending.append((pi, eps))
         if eps == 1:
-            total = _poly_sub(total, _poly_sub((), pi))  # total += pi
+            total = poly_sub(total, poly_sub((), pi))  # total += pi
         else:
-            total = _poly_sub(total, pi)
+            total = poly_sub(total, pi)
     if len(total) > 1:
         raise ValueError(
             "signed factorial arguments must sum to a constant, got "
@@ -386,9 +354,7 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
             c = poly[-1]
             if c <= 0:
                 raise ValueError(f"leading coefficients must be positive, got {c}")
-            h = poly[:-1]
-            while h and h[-1] == 0:
-                h = h[:-1]
+            h = strip_poly(poly[:-1])
             # the (c p^d)! part: restricted units plus one level down
             for a in range(1, c):
                 atoms[("V", d, a)] = atoms.get(("V", d, a), 0) + eps
@@ -399,8 +365,7 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
                 atoms[("U", d, c, h)] = atoms.get(("U", d, c, h), 0) + eps
                 pending.append((h, eps))
             else:
-                m = _poly_sub((), h)  # -h
-                m = _poly_sub(m, (1,))  # -h - 1, leading coefficient > 0
+                m = poly_sub((-1,), h)  # -h - 1, leading coefficient > 0
                 # P(p)! = (c p^d)! / (c p^d * (-1)^(H-1) * (H-1)! * U')
                 h_at_1 = sum(h)
                 if (h_at_1 + 1) % 2:
@@ -441,7 +406,7 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
                 inner = poly_sum(h, (1,) * n, False, M - d * n)
                 unit = unit + inner.scale(Fraction(c) ** n).shift(d * n).truncate(M)
                 n += 1
-        prod = prod * _unit_power(unit, n_exp)
+        prod = prod * (unit if n_exp > 0 else unit.invert_unit()) ** abs(n_exp)
     return prod.shift(p_exp).scale(scalar)
 
 
@@ -457,8 +422,8 @@ def expand_binomial_poly(
     ``f! / (g! (f-g)!)``.
     """
     order = _validate_order(order)
-    fi = _int_poly(f, "binomial numerator")
-    gi = _int_poly(g, "binomial denominator")
+    fi = int_poly(f, "binomial numerator")
+    gi = int_poly(g, "binomial denominator")
     if not gi:
         return MhsSeries.constant(1, None)
     if not fi or fi[-1] < 0:
@@ -469,7 +434,7 @@ def expand_binomial_poly(
         return MhsSeries.zero(None)
     if _degree(fi) < _degree(gi):
         return MhsSeries.zero(None)
-    h = _poly_sub(fi, gi)
+    h = poly_sub(fi, gi)
     if not h:
         return MhsSeries.constant(1, None)
     if h[-1] < 0:
@@ -573,15 +538,6 @@ def expand_apery(order: int, *, cache_dir=None) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def _compositions_of(k: int) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions_of(k - first):
-            yield (first,) + rest
-
-
 def expand_curious(r: int, k: int, order: int, *, cache_dir=None) -> MhsSeries:
     """Sum of ``1/(n_1 ... n_k)`` over compositions ``n_1 + ... + n_k = p^r``
     with every part coprime to p.
@@ -628,7 +584,7 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
     pinned_exp = r - 1  # a_1 = p^(r-1)
     a_poly = (-1,) + (0,) * (r - 2) + (1,)  # x^(r-1) - 1
 
-    for runs in _compositions_of(k):
+    for runs in compositions_of(k):
         t = len(runs)
         run_of: list[int] = []
         for ri, size in enumerate(runs):

@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
-from .arith import INFINITY, binomial, padic_valuation
+from .arith import INFINITY, binomial, eval_poly, padic_valuation
 from .compositions import Comp
-from .quantities import QuantitySpec, poly_eval
+from .quantities import QuantitySpec
 from .series import CongruenceStatement, MhsSeries
 
 __all__ = [
@@ -215,8 +215,8 @@ def eval_quantity(
         return Fraction(math.comb(a * p**r, b * p**r))
     if name == "binpoly":
         f, g = args
-        fn = _as_int(poly_eval(f, p), "binpoly numerator polynomial")
-        gn = _as_int(poly_eval(g, p), "binpoly denominator polynomial")
+        fn = _as_int(eval_poly(f, p), "binpoly numerator polynomial")
+        gn = _as_int(eval_poly(g, p), "binpoly denominator polynomial")
         return binomial(fn, gn)
     if name == "apery":
         return Fraction(apery_number(p - 1))
@@ -228,8 +228,8 @@ def eval_quantity(
         )
     if name == "psum":
         f, g, exps, restricted = args
-        N = _as_int(poly_eval(f, p), "psum upper bound")
-        M = _as_int(poly_eval(g, p), "psum lower bound")
+        N = _as_int(eval_poly(f, p), "psum upper bound")
+        M = _as_int(eval_poly(g, p), "psum lower bound")
         _charge((N - M) * max(1, len(exps)), work_budget, q)
         return eval_power_sum(N, M, exps, restricted_at=p if restricted else None)
     if name == "hres":
@@ -251,10 +251,10 @@ def eval_quantity(
         return Fraction(p) ** k * eval_polylog_sum(p - 1, (k,), (Fraction(-1),))
     if name == "rat":
         num, den = args
-        d = poly_eval(den, p)
+        d = eval_poly(den, p)
         if d == 0:
             raise ZeroDivisionError(f"rat denominator vanishes at p={p}")
-        return poly_eval(num, p) / d
+        return eval_poly(num, p) / d
     raise ValueError(f"unknown quantity {name!r}")
 
 
@@ -273,7 +273,7 @@ def _eval_sumpoly(P: tuple[Fraction, ...], s: Comp, p: int) -> Fraction:
     for m in range(1, p):
         for j in range(min(k, m), 0, -1):
             D[j] += D[j - 1] * Fraction(1, m ** s[k - j])
-        total += poly_eval(P, m) * D[k]
+        total += eval_poly(P, m) * D[k]
     return total
 
 
@@ -346,6 +346,13 @@ def _fmt_val(v: Union[int, float, None]) -> str:
     return str(v)
 
 
+def _verdict(req: Union[int, float], got: Union[int, float, None]) -> str:
+    """REFUSED, PASS or FAIL for one (required, achieved) record."""
+    if got is None:
+        return "REFUSED"
+    return "PASS" if got >= req else "FAIL"
+
+
 class NumericReport:
     """Per-prime valuation records for one claimed congruence/expansion.
 
@@ -365,32 +372,20 @@ class NumericReport:
     @property
     def passed(self) -> bool:
         return bool(self.records) and all(
-            got is not None and got >= req for (_p, req, got) in self.records
+            _verdict(req, got) == "PASS" for (_p, req, got) in self.records
         )
 
     @property
     def refused(self) -> list[int]:
         return [p for (p, _req, got) in self.records if got is None]
 
-    def machine_lines(self) -> list[str]:
-        out = []
-        for p, req, got in self.records:
-            if got is None:
-                verdict = "REFUSED"
-            else:
-                verdict = "PASS" if got >= req else "FAIL"
-            out.append(f"p={p} req={_fmt_val(req)} got={_fmt_val(got)} {verdict}")
-        return out
-
     def render(self) -> str:
         header = f"{'prime':>6}  {'required':>8}  {'achieved':>8}  verdict"
         rows = [header, "-" * len(header)]
         for p, req, got in self.records:
-            if got is None:
-                verdict = "REFUSED"
-            else:
-                verdict = "PASS" if got >= req else "FAIL"
-            rows.append(f"{p:>6}  {_fmt_val(req):>8}  {_fmt_val(got):>8}  {verdict}")
+            rows.append(
+                f"{p:>6}  {_fmt_val(req):>8}  {_fmt_val(got):>8}  {_verdict(req, got)}"
+            )
         rows.append(f"summary: {'PASS' if self.passed else 'FAIL'}")
         if self.skipped:
             rows.append(

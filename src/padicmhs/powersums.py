@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
-from .arith import INFINITY, binomial, power_sum_poly
+from .arith import INFINITY, IntPoly, binomial, int_poly, poly_sub, power_sum_poly, strip_poly
+from .compositions import bounded_tuples, compositions_of
 from .series import MhsSeries
 
 __all__ = [
@@ -53,28 +53,11 @@ __all__ = [
 ]
 
 Exps = tuple[int, ...]
-IntPoly = tuple[int, ...]  # ascending coefficients
 
 
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-
-def _strip(f: IntPoly) -> IntPoly:
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
-def _norm_poly(f) -> IntPoly:
-    out = []
-    for c in f:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ValueError(f"power-sum bound polynomials need integer coefficients, got {c}")
-        out.append(c.numerator)
-    return _strip(tuple(out))
 
 
 def _parity_sign(n: int) -> int:
@@ -110,28 +93,6 @@ def _const_chain_sum(c: int, exps: Exps) -> Fraction:
             if D[j - 1]:
                 D[j] += D[j - 1] * Fraction(n) ** (-exps[k - j])
     return D[k]
-
-
-def _bounded_tuples(m: int, maxsum: int) -> Iterator[tuple[int, ...]]:
-    """All m-tuples of non-negative integers with sum <= maxsum."""
-    if maxsum < 0:
-        return
-    if m == 0:
-        yield ()
-        return
-    for first in range(maxsum + 1):
-        for rest in _bounded_tuples(m - 1, maxsum - first):
-            yield (first,) + rest
-
-
-def _ordered_compositions(k: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of positive integers summing to k (2^(k-1) of them)."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _ordered_compositions(k - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +193,7 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
 
     k = len(exps)
     acc = MhsSeries.zero(order)
-    for structure in _ordered_compositions(k):
+    for structure in compositions_of(k):
         blocks: list[Exps] = []
         pos = 0
         for size in structure:
@@ -254,7 +215,7 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
             # a term with total geometric degree n has valuation at least
             # base_p + sum(n) + lb_a, so only sum(n) < order - base_p - lb_a
             # can be visible
-            for assign in _bounded_tuples(len(geoms), order - base_p - lb_a - 1):
+            for assign in bounded_tuples(len(geoms), order - base_p - lb_a - 1):
                 coeff = Fraction(1)
                 p_power = base_p
                 e = [blocks[t][0] if j0[t] else 0 for t in range(nruns)]
@@ -345,7 +306,7 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     f(p) instead, and the strip (f(p), a*p^r] is expanded geometrically
     into sums bounded by h - 1; the recursion is on deg f and chain depth.
     """
-    f = _norm_poly(f)
+    f = int_poly(f, "power-sum bound")
     if not exps:
         return MhsSeries.constant(1)
     if len(f) <= 1:
@@ -362,7 +323,7 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
         raise ValueError(
             f"poly_sum: upper-bound polynomial must have a positive leading coefficient, got {f}"
         )
-    rest = _strip(f[:-1])
+    rest = strip_poly(f[:-1])
     k = len(exps)
 
     if not rest:
@@ -425,7 +386,7 @@ def _upper_plus(
             maxtotal = total
             total += 1
     acc = MhsSeries.zero(order)
-    for t in _bounded_tuples(len(sigma), maxtotal):
+    for t in bounded_tuples(len(sigma), maxtotal):
         coeff = Fraction(1)
         for s_l, t_l in zip(sigma, t):
             coeff *= binomial(-s_l, t_l)
@@ -450,7 +411,7 @@ def _upper_minus(
     """
     if not sigma:
         return MhsSeries.constant(1)
-    hm1 = _strip((h[0] - 1,) + h[1:])
+    hm1 = poly_sub(h, (1,))
 
     def chain_tail(tau: Exps, order_t: int) -> MhsSeries:
         # ascending chains 1 <= m_1 < ... < m_j <= h(p)-1 with factors m_l^(-tau_l)
@@ -465,7 +426,7 @@ def _upper_minus(
             maxtotal = total
             total += 1
         acc = MhsSeries.zero(order_t)
-        for t in _bounded_tuples(len(tau), maxtotal):
+        for t in bounded_tuples(len(tau), maxtotal):
             coeff = Fraction(1)
             for s_l, t_l in zip(tau, t):
                 coeff *= binomial(-s_l, t_l) * _parity_sign(s_l + t_l) * a**t_l
@@ -507,18 +468,13 @@ def full_sum(f, g, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     interval is eventually empty and the sum is exactly 0 (or 1 for the
     empty chain).
     """
-    f = _norm_poly(f)
-    g = _norm_poly(g)
+    f = int_poly(f, "power-sum bound")
+    g = int_poly(g, "power-sum bound")
     if not exps:
         return MhsSeries.constant(1)
     if not g:
         return poly_sum(f, exps, restricted, order)
-    diff = _strip(
-        tuple(
-            (f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)
-            for i in range(max(len(f), len(g)))
-        )
-    )
+    diff = poly_sub(f, g)
     if not diff or diff[-1] < 0:
         return MhsSeries.zero()
     key = (f, g, exps, restricted, order)

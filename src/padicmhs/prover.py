@@ -53,6 +53,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .arith import INFINITY
 from .compositions import (
     Comp,
+    bounded_tuples,
+    check_comp,
     enumerate_compositions,
     format_comp,
     parse_comp,
@@ -102,14 +104,6 @@ EXACT_SCAN_LIMIT = 64
 # -- small helpers --------------------------------------------------------
 
 
-def _check_comp(s: object, *, allow_empty: bool = True, name: str = "composition") -> Comp:
-    if not isinstance(s, tuple) or not all(isinstance(e, int) and e >= 1 for e in s):
-        raise ValueError(f"{name} must be a tuple of positive integers, got {s!r}")
-    if not allow_empty and not s:
-        raise ValueError(f"{name} must be a nonempty composition")
-    return s
-
-
 def _col_key(w: Comp) -> tuple:
     """Sort key reproducing the enumerate_compositions column order."""
     return (weight(w), w)
@@ -125,17 +119,6 @@ def _axpy(dst: dict, src: Mapping, c: Fraction) -> None:
             dst[k] = nv
         else:
             dst.pop(k, None)
-
-
-def _tuples_summing_at_most(m: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All m-tuples of non-negative integers with sum <= bound."""
-    if m == 0:
-        if bound >= 0:
-            yield ()
-        return
-    for first in range(bound + 1):
-        for rest in _tuples_summing_at_most(m - 1, bound - first):
-            yield (first,) + rest
 
 
 # -- relation construction ------------------------------------------------
@@ -157,7 +140,7 @@ def _jarossay_identity(s: Comp, t: Comp, n: int) -> tuple[tuple[Comp, int], ...]
     m = len(t)
     sign = -1 if weight(t) % 2 else 1
     budget = n - 1 - weight(s) - weight(t)
-    for a in _tuples_summing_at_most(m, budget):
+    for a in bounded_tuples(m, budget):
         coeff = 1
         for ai, ti in zip(a, t):
             coeff *= math.comb(ai + ti - 1, ti - 1)
@@ -217,7 +200,7 @@ class RelationVector:
             raise TypeError("modulus_power must be an int")
         cleaned: dict[Comp, Fraction] = {}
         for w, c in dict(coords).items():
-            _check_comp(w)
+            check_comp(w)
             c = Fraction(c)
             if c == 0:
                 continue
@@ -230,7 +213,7 @@ class RelationVector:
         if not (isinstance(provenance, tuple) and len(provenance) == 3):
             raise ValueError("provenance must be a triple (s, t, u) of compositions")
         for part in provenance:
-            _check_comp(part, name="provenance component")
+            check_comp(part, name="provenance component")
         self._coords = cleaned
         self._modulus = modulus_power
         self._provenance = provenance
@@ -273,8 +256,8 @@ def jarossay_relation(s: Comp, t: Comp, n: int) -> RelationVector:
     ``s`` and ``t`` must be nonempty compositions with
     ``weight(s) + weight(t) < n``.
     """
-    s = _check_comp(tuple(s), allow_empty=False, name="s")
-    t = _check_comp(tuple(t), allow_empty=False, name="t")
+    s = check_comp(tuple(s), allow_empty=False, name="s")
+    t = check_comp(tuple(t), allow_empty=False, name="t")
     if not isinstance(n, int):
         raise TypeError("n must be an int")
     if weight(s) + weight(t) >= n:
@@ -511,9 +494,9 @@ class RelationBasis:
                 raise ValueError("pivot columns must be strictly increasing")
             last = idx
         for s, t, u in triples:
-            _check_comp(s, name="provenance component")
-            _check_comp(t, allow_empty=False, name="provenance component")
-            _check_comp(u, name="provenance component")
+            check_comp(s, name="provenance component")
+            check_comp(t, allow_empty=False, name="provenance component")
+            check_comp(u, name="provenance component")
             if weight(s) + weight(t) + weight(u) >= modulus_power:
                 raise ValueError("independent triple outside the modulus power")
         pivot_set = set(pivots)

@@ -45,7 +45,6 @@ __all__ = [
     "format_poly",
     "parse_quantity",
     "format_quantity",
-    "poly_eval",
     "QUANTITY_NAMES",
 ]
 
@@ -233,13 +232,6 @@ def format_poly(coeffs: Poly) -> str:
         else:
             chunks.append(("-" if c < 0 else "+") + body)
     return "".join(chunks)
-
-
-def poly_eval(coeffs: Poly, x: int | Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

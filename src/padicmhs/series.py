@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .arith import INFINITY, _min_order, _mul_order
-from .compositions import Comp, format_comp, stuffle, weight
+from .arith import INFINITY
+from .compositions import Comp, check_comp, format_comp, stuffle, weight
 
 __all__ = [
     "MhsSeries",
@@ -37,10 +37,29 @@ Key = tuple[int, Comp]  # (p_exponent, composition)
 RationalLike = Union[int, Fraction, str]
 
 
-def _check_comp(s: object) -> Comp:
-    if not isinstance(s, tuple) or not all(isinstance(e, int) and e >= 1 for e in s):
-        raise ValueError(f"composition must be a tuple of positive integers, got {s!r}")
-    return s
+def _min_order(a: Order, b: Order) -> Order:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _mul_order(oa, ob, va, vb):
+    """Truncation order of a product, given operand orders and min-valuations.
+
+    The O(p^oa) tail of the first factor meets every term of the second, so
+    it contributes O(p^(oa + vb)); symmetrically for the other tail, and the
+    two tails multiply to O(p^(oa + ob)).  ``None`` means exact (no tail).
+    """
+    candidates = []
+    if oa is not None and vb is not INFINITY:
+        candidates.append(oa + vb)
+    if ob is not None and va is not INFINITY:
+        candidates.append(ob + va)
+    if oa is not None and ob is not None:
+        candidates.append(oa + ob)
+    return min(candidates) if candidates else None
 
 
 class MhsSeries:
@@ -69,7 +88,7 @@ class MhsSeries:
         for (b, s), c in items:
             if not isinstance(b, int):
                 raise TypeError(f"p-exponent must be an int, got {b!r}")
-            _check_comp(s)
+            check_comp(s)
             c = Fraction(c)
             if c == 0:
                 continue
@@ -227,7 +246,7 @@ class MhsSeries:
     def mul_term(self, c: RationalLike, b: int, s: Comp) -> "MhsSeries":
         """Multiply by the exact single term ``c * p^b * H(s)`` (stuffle)."""
         c = Fraction(c)
-        _check_comp(s)
+        check_comp(s)
         if not isinstance(b, int):
             raise TypeError(f"p-exponent must be an int, got {b!r}")
         order = _mul_order(self._order, None, self.min_valuation(), b)

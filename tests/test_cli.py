@@ -331,6 +331,7 @@ class TestBadInputs:
             ["valuation", "p^2", "--order", "-1"],
             ["identities", "--modulus", "0"],
             ["identities", "--modulus", "-4"],
+            ["verify", "H(1) = 0 mod p^1", "--work-budget", "-1"],
         ],
     )
     def test_negative_order_and_modulus_rejected(self, capsys, argv):
@@ -340,6 +341,12 @@ class TestBadInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be >=" in captured.err
+
+    def test_vanishing_rat_denominator_is_exit_2(self, capsys):
+        assert main(["verify", "rat(1/(p-11)) = 0 mod p^1", "--primes", "11..13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rat denominator vanishes at p=11\n"
 
     def test_order_zero_accepted(self, capsys):
         assert main(["expand", "H(1)", "--order", "0"]) == 0

@@ -9,8 +9,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
+
 from padicmhs.compositions import (
+    bounded_tuples,
+    check_comp,
     comp_to_word,
+    compositions_of,
     enumerate_compositions,
     format_comp,
     parse_comp,
@@ -142,6 +147,35 @@ class TestEnumeration:
         assert c8[: len(c6)] == c6
         weights = [weight(c) for c in c8]
         assert weights == sorted(weights)
+
+
+class TestGenerators:
+    def test_composition_generator_count_and_order(self):
+        for w in range(1, 9):
+            comps = list(compositions_of(w))
+            assert len(comps) == 2 ** (w - 1)
+            assert comps == sorted(set(comps))
+            assert all(sum(s) == w and min(s) >= 1 for s in comps)
+        assert list(compositions_of(0)) == [()]
+
+    def test_bounded_tuples_match_filtered_product(self):
+        for m in range(4):
+            for bound in range(-1, 5):
+                expected = [
+                    t
+                    for t in itertools.product(range(max(bound + 1, 0)), repeat=m)
+                    if sum(t) <= bound
+                ]
+                assert list(bounded_tuples(m, bound)) == expected, (m, bound)
+
+    def test_check_comp(self):
+        assert check_comp((2, 1)) == (2, 1)
+        assert check_comp(()) == ()
+        with pytest.raises(ValueError, match="^s must be a nonempty composition$"):
+            check_comp((), allow_empty=False, name="s")
+        for bad in [(1, 0), [1], (1.0,), "12"]:
+            with pytest.raises(ValueError, match="^composition must be a tuple"):
+                check_comp(bad)
 
 
 class TestFormatting:

@@ -5,11 +5,12 @@ coefficient maps or canonical renderings) and numeric soundness against
 the exact-rational oracle at concrete primes.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from padicmhs.arith import bernoulli
+from padicmhs.arith import bernoulli, padic_valuation
 from padicmhs.expansions import (
     canonicalize,
     expand_alternating,
@@ -353,6 +354,15 @@ class TestBinomials:
     def test_factorial_ratio_needs_unit_exponents(self):
         with pytest.raises(ValueError):
             factorial_ratio([((0, 1), 2)], 5)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_factorial_ratio_squared_unit(self, order):
+        # (2p)!/((p+1)!)^2: the unit factor of (p+1)! enters with exponent -2
+        series = factorial_ratio([((0, 2), 1), ((1, 1), -1), ((1, 1), -1)], order)
+        for p in (11, 13, 17, 19):
+            exact = F(math.factorial(2 * p), math.factorial(p + 1) ** 2)
+            diff = exact - eval_series_terms(series, p)
+            assert diff == 0 or padic_valuation(diff, p) >= order, p
 
 
 def _poly_args(f, g):

@@ -502,17 +502,22 @@ class TestCheckNumeric:
         report = check_numeric((q, series), PrimeWindow(11, 13), work_budget=10)
         assert not report.passed
         assert report.refused == [11, 13]
-        assert all("REFUSED" in line for line in report.machine_lines())
+        rows = report.render().splitlines()[2:4]
+        assert [row.split() for row in rows] == [
+            ["11", "1", "refused", "REFUSED"],
+            ["13", "1", "refused", "REFUSED"],
+        ]
 
     def test_machine_line_format(self):
         stmt = CongruenceStatement(
             MhsSeries({(1, (1,)): 1, (2, (1, 1)): 1}, 3), 3
         )
         report = check_numeric(stmt, PrimeWindow(11, 13))
-        lines = report.machine_lines()
-        assert len(lines) == 2
-        assert lines[0].startswith("p=11 req=3 got=")
-        assert lines[0].endswith("PASS")
+        lines = report.render().splitlines()
+        assert len(lines) == 5
+        assert lines[2].split()[:2] == ["11", "3"]
+        assert lines[2].endswith("PASS")
+        assert lines[4] == "summary: PASS"
 
     def test_render_table(self):
         stmt = CongruenceStatement(MhsSeries({(1, (1,)): 1}, 2), 2)

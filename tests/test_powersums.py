@@ -287,11 +287,10 @@ def test_positive_exponent_sum():
     assert positive_exponent_sum(()) == 0
 
 
-def test_faulhaber_alias():
-    from padicmhs.arith import eval_poly, faulhaber_power_sum, power_sum_poly
+def test_power_sum_poly_values():
+    from padicmhs.arith import eval_poly, power_sum_poly
 
-    assert faulhaber_power_sum is power_sum_poly
     for p in primes_in(2, 50):
         for m in range(0, 13):
             direct = sum(F(a) ** m for a in range(p))
-            assert eval_poly(faulhaber_power_sum(m), p) == direct
+            assert eval_poly(power_sum_poly(m), p) == direct

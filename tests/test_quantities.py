@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicmhs.arith import eval_poly
 from padicmhs.quantities import (
     QuantitySpec,
     format_poly,
@@ -11,7 +12,6 @@ from padicmhs.quantities import (
     parse_poly,
     parse_poly_ratio,
     parse_quantity,
-    poly_eval,
 )
 
 F = Fraction
@@ -56,11 +56,11 @@ class TestParsePoly:
         # "2p" is accepted as 2*p
         assert parse_poly("2p") == (F(0), F(2))
 
-    def test_poly_eval(self):
+    def test_eval_poly(self):
         f = parse_poly("p^2-1")
-        assert poly_eval(f, 7) == 48
-        assert poly_eval((), 5) == 0
-        assert poly_eval(parse_poly("1/2*p^2+p"), 4) == 12
+        assert eval_poly(f, 7) == 48
+        assert eval_poly((), 5) == 0
+        assert eval_poly(parse_poly("1/2*p^2+p"), 4) == 12
 
 
 class TestPolyRatio:
