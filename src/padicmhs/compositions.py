@@ -156,8 +156,8 @@ def bounded_tuples(m: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 
 def check_comp(s: object, *, allow_empty: bool = True, name: str = "composition") -> Comp:
-    """Return ``s`` if it is a tuple of positive ints, else raise ValueError."""
-    if not isinstance(s, tuple) or not all(isinstance(e, int) and e >= 1 for e in s):
+    """Return ``s`` if it is a tuple of positive ints (not bools), else raise ValueError."""
+    if not isinstance(s, tuple) or not all(type(e) is int and e >= 1 for e in s):
         raise ValueError(f"{name} must be a tuple of positive integers, got {s!r}")
     if not allow_empty and not s:
         raise ValueError(f"{name} must be a nonempty composition")

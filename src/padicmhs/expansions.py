@@ -578,11 +578,24 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
     ``(a p - j)^(-1)`` with ``j >= 1`` expands geometrically as
     ``-sum_n (a p)^n j^(-1-n)``, while ``j = 0`` slots contribute
     ``(a p)^(-1)`` directly.
+
+    Every leaf of that expansion is a j-part (a product of MHS at p^0)
+    times an a-part that depends only on the leaf's profile ``(shift,
+    svec)``: ``p^shift`` times the a-chain sum ``S_{p^(r-1)-1,0}(svec)``.
+    The signed j-parts are summed per profile first, and each a-part is
+    computed once per ``svec`` at the largest order its profiles need, so
+    there is one product per profile instead of one per leaf.  For
+    ``r = 2`` the a-chains run over ``[1, p-1]`` and their sum is exactly
+    :func:`signed_mhs`; it differs from the geometric expansion of
+    :func:`poly_sum` only by reversal relations, which canonicalization
+    removes.  For ``r >= 3`` the a-part is :func:`poly_sum`.
     """
-    acc = MhsSeries.zero(order)
     kfact = factorial(k)
     pinned_exp = r - 1  # a_1 = p^(r-1)
     a_poly = (-1,) + (0,) * (r - 2) + (1,)  # x^(r-1) - 1
+    zero = MhsSeries.zero()
+    # k! times the signed j-parts, summed per profile (shift, svec)
+    j_sums: dict[tuple[int, tuple[int, ...]], MhsSeries] = {}
 
     for runs in compositions_of(k):
         t = len(runs)
@@ -655,13 +668,7 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                     return shift + valuation_bound(pinned_exp, svec, False)
 
                 def emit(nvec: dict[int, int]) -> None:
-                    nonlocal acc
-                    shift, svec = profile(nvec)
-                    if t > 1:
-                        a_part = poly_sum(a_poly, svec, False, order - shift)
-                    else:
-                        a_part = MhsSeries.constant(1, None)
-                    j_part = MhsSeries.constant(1, None)
+                    j_part = MhsSeries.constant(kfact * base_sign)
                     for bi, slots in enumerate(block_slots):
                         sigma = []
                         for si, slot in enumerate(slots):
@@ -672,8 +679,8 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                             j_part = j_part * MhsSeries.term(
                                 1, 0, tuple(reversed(sigma)), None
                             )
-                    piece = (j_part * a_part).shift(shift).scale(kfact * base_sign)
-                    acc = acc + piece.truncate(order)
+                    key = profile(nvec)
+                    j_sums[key] = j_sums.get(key, zero) + j_part
 
                 def dfs(i: int, nvec: dict[int, int]) -> None:
                     # every extra geometric term raises the floor by >= 1,
@@ -693,6 +700,17 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                         n += 1
 
                 dfs(0, {})
+
+    a_orders: dict[tuple[int, ...], int] = {}
+    for shift, svec in j_sums:
+        a_orders[svec] = max(a_orders.get(svec, order - shift), order - shift)
+    a_parts = {
+        svec: signed_mhs(svec) if r == 2 else poly_sum(a_poly, svec, False, a_order)
+        for svec, a_order in a_orders.items()
+    }
+    acc = MhsSeries.zero(order)
+    for (shift, svec), j_sum in j_sums.items():
+        acc = acc + (j_sum * a_parts[svec].truncate(order - shift)).shift(shift)
     return acc
 
 

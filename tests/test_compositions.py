@@ -173,7 +173,7 @@ class TestGenerators:
         assert check_comp(()) == ()
         with pytest.raises(ValueError, match="^s must be a nonempty composition$"):
             check_comp((), allow_empty=False, name="s")
-        for bad in [(1, 0), [1], (1.0,), "12"]:
+        for bad in [(1, 0), [1], (1.0,), "12", (True,), (2, True)]:
             with pytest.raises(ValueError, match="^composition must be a tuple"):
                 check_comp(bad)
 

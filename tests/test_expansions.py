@@ -5,6 +5,7 @@ coefficient maps or canonical renderings) and numeric soundness against
 the exact-rational oracle at concrete primes.
 """
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ import pytest
 
 from padicmhs.arith import bernoulli, padic_valuation
 from padicmhs.expansions import (
+    _expand_curious_general,
     canonicalize,
     expand_alternating,
     expand_apery,
@@ -453,6 +455,97 @@ class TestCurious:
             expand_curious(0, 2, 5)
         with pytest.raises(ValueError):
             expand_curious(2, 0, 5)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_leading_term_closed_form(self, r):
+        # Zhao (2007), Wang & Cai (2014): curious(r,3) = -2 p^(r-1) B_{p-3}
+        # mod p^r, and H_{p-1}(2,1) = B_{p-3} mod p
+        lead = "-2 * p * H(2,1)" if r == 2 else f"-2 * p^{r - 1} * H(2,1)"
+        assert expand_curious(r, 3, r).render() == f"{lead} + O(p^{r})"
+
+
+class TestCuriousProfiles:
+    """The per-profile expansion of ``_expand_curious_general``.
+
+    For r = 2 the a-chains are summed exactly, so the raw series changes
+    by reversal relations only: canonical forms are pinned by digest and
+    the raw series is checked against the oracle.  For r >= 3 the a-parts
+    come from ``poly_sum`` as before, so the raw term maps are pinned.
+    """
+
+    CANONICAL_SHA256 = {
+        (2, 2, 6): "beef7f752bb51f75cead486d953ec85af6d041c125945d8a03268d265cb5da97",
+        (2, 3, 7): "e360aa3da8f0af46e28c8acc35828d535717f54670d95f26bb0f37c1686ec8cf",
+        (2, 4, 5): "87ca750347b68edb02d69133b5c5dd3b4a421a42c39249bf1e3a276c91635681",
+        (3, 3, 6): "ed52ad04001d87be0950123a487489445e5bfbdff1b4e29d3ad154817a69a84b",
+        (4, 3, 5): "284994e1450aa7cf207d443814f01511f0d10bf5abfe10342a8af5534848ed93",
+    }
+
+    RAW_TERMS = {
+        (3, 2, 6): {
+            (-1, (1,)): F(-2),
+            (0, (2,)): F(-1),
+            (1, (3,)): F(-1, 3),
+            (2, (2,)): F(-1),
+            (3, (3,)): F(-1),
+            (3, (5,)): F(1, 15),
+            (4, (4,)): F(-1, 2),
+            (5, (3,)): F(-2, 3),
+            (5, (7,)): F(-1, 21),
+        },
+        (4, 2, 5): {
+            (-1, (1,)): F(-2),
+            (0, (2,)): F(-1),
+            (1, (3,)): F(-1, 3),
+            (3, (2,)): F(-1),
+            (3, (5,)): F(1, 15),
+            (4, (3,)): F(-1),
+        },
+        (3, 3, 6): {
+            (1, (1, 1)): F(6),
+            (2, (1, 2)): F(3),
+            (2, (2, 1)): F(3),
+            (3, (1, 3)): F(1),
+            (3, (2, 2)): F(3, 2),
+            (3, (3, 1)): F(1),
+            (4, (1, 2)): F(3),
+            (4, (2, 1)): F(3),
+            (4, (2, 3)): F(1, 2),
+            (4, (3, 2)): F(1, 2),
+            (5, (1, 3)): F(3),
+            (5, (1, 5)): F(-1, 5),
+            (5, (2, 2)): F(3),
+            (5, (3, 1)): F(3),
+            (5, (3, 3)): F(1, 6),
+            (5, (5, 1)): F(-1, 5),
+        },
+        (4, 3, 5): {
+            (2, (1, 1)): F(6),
+            (3, (1, 2)): F(3),
+            (3, (2, 1)): F(3),
+            (4, (1, 3)): F(1),
+            (4, (2, 2)): F(3, 2),
+            (4, (3, 1)): F(1),
+        },
+    }
+
+    @pytest.mark.parametrize("r,k,order", sorted(CANONICAL_SHA256))
+    def test_canonical_digest(self, r, k, order):
+        text = expand_curious(r, k, order).render()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.CANONICAL_SHA256[(r, k, order)], text
+
+    @pytest.mark.parametrize("k,order", [(3, 6), (4, 5)])
+    def test_raw_r2_numeric(self, k, order):
+        raw = _expand_curious_general(2, k, order)
+        assert raw.order == order
+        assert_numeric((QuantitySpec("curious", (2, k)), raw), PrimeWindow(11, 19))
+
+    @pytest.mark.parametrize("r,k,order", sorted(RAW_TERMS))
+    def test_raw_terms_r3_up(self, r, k, order):
+        raw = _expand_curious_general(r, k, order)
+        assert raw.order == order
+        assert raw.terms == self.RAW_TERMS[(r, k, order)]
 
 
 # ---------------------------------------------------------------------------

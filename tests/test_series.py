@@ -52,6 +52,8 @@ class TestConstruction:
             S({(1, "x"): 1}, 3)  # type: ignore[dict-item]
         with pytest.raises(ValueError):
             S({(1, (2, -1)): 1}, 3)
+        with pytest.raises(ValueError):
+            S({(0, (True,)): 1})  # would render as H(True)
 
     def test_invalid_exponent_rejected(self):
         with pytest.raises(TypeError):
