@@ -1,8 +1,9 @@
 """Independent numeric verification at concrete primes.
 
-Everything here computes exact rational values by *direct* summation or
-binomial arithmetic — never through the symbolic series expansions that it
-is used to check.  ``check_numeric`` evaluates a claimed congruence or
+Everything here computes exact rational values by *direct* summation,
+binomial arithmetic or, for the curious sums, a generating-function identity
+evaluated by binary splitting — never through the symbolic series expansions
+that it is used to check.  ``check_numeric`` evaluates a claimed congruence or
 expansion at every prime of a window and reports the achieved p-adic
 valuations against the required one.
 
@@ -280,19 +281,39 @@ def _eval_sumpoly(P: tuple[Fraction, ...], s: Comp, p: int) -> Fraction:
 def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     """C_{r,k,p} = sum of 1/(n_1*...*n_k) over n_1+...+n_k = p^r, p | no n_i.
 
-    Evaluated through the symmetrized chain form: with m_i the suffix sums,
-    the sum equals k! / p^r times
+    With N = p^r, M = p^(r-1) and f(x) = sum over p not dividing n of
+    x^n/n = -log(1-x) + log(1-x^p)/p, C is [x^N] f^k, that is
 
-        D = sum over p^r > l_1 > ... > l_{k-1} >= 1 of prod 1/l_i,
+        C = k! [x^N z^k] exp(z f) = k! [x^N z^k] (1-x)^(-z) (1-x^p)^(z/p)
+          = k! [z^k] sum_{m=0}^{M} G_m(z) F_{N-pm}(z),
 
-    subject to p not dividing l_1 or l_{k-1} and no two *consecutive* l's
-    congruent mod p.  D is computed by an ascending dynamic program with
-    per-residue prefix sums, O(k * p^r) integer operations, all on one
-    fixed common denominator K = lcm(1..p^r-1)^(k-1).  With T_j(n) the sum
-    of the level-j..(k-1) chain tails that start at l_j = n (a sum of
-    products of k-j reciprocals), K * T_j(n) is an integer divisible by n,
-    so each step is one exact division by n.  One reduction at the end
-    gives the rational value.
+    where G_m = prod_{j<m} (pj - z)/(p(j+1)) and F_n = prod_{i<n} (i+z)/(i+1)
+    are the binomial series coefficients.  The end terms m = 0 and m = M
+    give k!/N e_{k-1}(N-1) and (-1/p)^k k!/M e_{k-1}(M-1), e_j(n) the
+    elementary symmetric function of 1/1, ..., 1/n; the inner terms give
+    -(k!/p) sum_{m=1}^{M-1} [z^(k-2)] A_m(-z/p) B_m(z) / (m(N-pm)) with
+    A_m = prod_{1<=j<m} (1+z/j) and B_m = prod_{1<=n<N-pm} (1+z/n).
+
+    Over the denominator D = p^M M! N! the m-th term is the integer
+    polynomial prod_{j<m} P_j * prod_{m<=j<M} Q_j, where
+
+        P_j = c_j (pj - z),   c_j = product of the integers in (N-p(j+1), N-pj],
+        Q_j = p(j+1) prod_{N-p(j+1) <= n < N-pj} (n + z).
+
+    The sum is one binary-splitting pass over j: a node [l, r) holds
+    P = prod P_j, Q = prod Q_j and T = the sum over l <= m < r of
+    prod_{l<=j<m} P_j prod_{m<=j<r} Q_j; halves merge as P_L P_R, Q_L Q_R
+    and T_L Q_R + P_L T_R, and the whole sum is T + P of the root.  P_0
+    and Q_{M-1} both carry the factor z; with it divided out, inner terms
+    need [z^(k-2)] and end terms [z^(k-1)], so P and Q are kept mod z^k and
+    T mod z^(k-1).  P is held as the integer prod c_j times a polynomial
+    with small coefficients, and the products of linear factors n + z are
+    product trees with sequential leaves (``_rising``).
+
+    The work is O(log M) levels of multiplications of integers of up to
+    about N log2(N) bits.  k! X / D is divided exactly onto N K, K =
+    lcm(1..N-1)^(k-1), a multiple of the value's denominator, so the
+    reduction of the returned Fraction is the only gcd.
 
     For k = 1 the only composition is (p^r) itself, which the coprimality
     constraint excludes, so the sum is empty and the value is 0.
@@ -302,27 +323,55 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     L = k - 1
     top = p**r
     _charge(L * (top - 1), budget, QuantitySpec("curious", (r, k)))
-    K = _lcm_range(1, top - 1) ** L
-    # tot[j] = sum of K*T_j(m) over m < n; res[j][c] = same, restricted to m = c mod p
-    tot = [0] * (L + 1)
-    res = [[0] * p for _ in range(L + 1)]
-    total = 0  # K * D
-    for n in range(1, top):
-        rn = n % p
-        tvals = [0] * (L + 1)
-        tvals[L] = K // n if rn else 0
-        for j in range(L - 1, 0, -1):
-            acc = tot[j + 1] - res[j + 1][rn]
-            if acc:
-                tvals[j] = acc // n
-        if rn:
-            total += tvals[1]
-        for j in range(1, L + 1):
-            tj = tvals[j]
-            if tj:
-                tot[j] += tj
-                res[j][rn] += tj
-    return Fraction(math.factorial(k) * total, top * K)
+    M = top // p
+
+    def leaf(j: int) -> tuple[int, list[int], list[int], list[int]]:
+        lo, hi = top - p * (j + 1), top - p * j
+        a = [p * j, -1] + [0] * (k - 2) if j else [-1] + [0] * L  # P_0 / z
+        Q = [p * (j + 1) * x for x in _rising(max(lo, 1), hi, k)]  # Q_{M-1} / z
+        return math.prod(range(lo + 1, hi + 1)), a, Q, Q[:L]
+
+    def split(lo: int, hi: int) -> tuple[int, list[int], list[int], list[int]]:
+        if hi - lo == 1:
+            return leaf(lo)
+        mid = (lo + hi) // 2
+        cL, aL, QL, TL = split(lo, mid)
+        cR, aR, QR, TR = split(mid, hi)
+        T = [x + cL * y for x, y in zip(_poly_mul(TL, QR, L), _poly_mul(aL, TR, L))]
+        return cL * cR, _poly_mul(aL, aR, k), _poly_mul(QL, QR, k), T
+
+    # the root merge, reduced to the two coefficients it needs
+    one = [1] + [0] * L
+    cL, aL, QL, TL = split(0, M // 2) if M > 1 else (1, one, one, [0] * L)
+    cR, aR, QR, TR = split(M // 2, M)
+    X = sum((TL[i] - QL[i]) * QR[L - 1 - i] for i in range(L))
+    X += cL * sum(aL[i] * TR[L - 1 - i] for i in range(L))
+    X += sum(QL[i] * QR[L - i] for i in range(k))
+    X += cL * cR * sum(aL[i] * aR[L - i] for i in range(k))
+    den = top * _lcm_range(1, top - 1) ** L
+    D = p**M * math.factorial(M) * math.factorial(top)
+    num, rem = divmod(math.factorial(k) * X * den, D)
+    if rem:
+        raise ArithmeticError(f"curious({r},{k}) at p={p}: inexact division onto N*K")
+    return Fraction(num, den)
+
+
+def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of a*b (coefficient lists of length >= n)."""
+    return [sum(a[i] * b[t - i] for i in range(t + 1)) for t in range(n)]
+
+
+def _rising(lo: int, hi: int, n: int) -> list[int]:
+    """prod_{lo <= m < hi} (m + z) mod z^n: a product tree, 32-factor leaves."""
+    if hi - lo > 32:
+        mid = (lo + hi) // 2
+        return _poly_mul(_rising(lo, mid, n), _rising(mid, hi, n), n)
+    c = [1] + [0] * (n - 1)
+    for m in range(lo, hi):
+        for i in range(n - 1, 0, -1):
+            c[i] = c[i] * m + c[i - 1]
+        c[0] *= m
+    return c
 
 
 def eval_series_terms(series: MhsSeries, p: int) -> Fraction:
@@ -405,14 +454,9 @@ Subject = Union[
 ]
 
 
-def _series_denominator_primes(series: MhsSeries, window: PrimeWindow) -> set[int]:
-    bad: set[int] = set()
-    for c in series.terms.values():
-        d = c.denominator
-        for p in window.primes():
-            if d % p == 0:
-                bad.add(p)
-    return bad
+def _series_denominator_primes(series: MhsSeries, primes: list[int]) -> set[int]:
+    """The primes of the list that divide a coefficient denominator of the series."""
+    return {p for c in series.terms.values() for p in primes if c.denominator % p == 0}
 
 
 def check_numeric(
@@ -437,14 +481,14 @@ def check_numeric(
     forms they are the primes dividing a coefficient denominator of the
     series.
     """
-    window = window or PrimeWindow()
+    primes = (window or PrimeWindow()).primes()
     skipped: list[int] = []
 
     if isinstance(subject, CongruenceStatement):
         series = subject.lhs_minus_rhs
         req = subject.modulus_power if required is None else required
         diff = lambda p: eval_series_terms(series, p)  # noqa: E731
-        bad = _series_denominator_primes(series, window)
+        bad = _series_denominator_primes(series, primes)
     elif isinstance(subject, tuple):
         qspec, series = subject
         if required is not None:
@@ -456,7 +500,7 @@ def check_numeric(
         diff = lambda p: eval_quantity(qspec, p, work_budget) - eval_series_terms(  # noqa: E731
             series, p
         )
-        bad = _series_denominator_primes(series, window)
+        bad = _series_denominator_primes(series, primes)
     elif callable(subject):
         if required is None:
             raise ValueError("check_numeric with a callable needs required=")
@@ -467,7 +511,7 @@ def check_numeric(
         raise TypeError(f"unsupported subject {subject!r}")
 
     records: list[tuple[int, Union[int, float], Union[int, float, None]]] = []
-    for p in window.primes():
+    for p in primes:
         if p in bad:
             skipped.append(p)
             continue

@@ -81,12 +81,12 @@ class MhsSeries:
         terms: Mapping[Key, RationalLike] | Iterable[tuple[Key, RationalLike]] = (),
         order: Order = None,
     ) -> None:
-        if order is not None and not isinstance(order, int):
+        if order is not None and type(order) is not int:
             raise TypeError(f"order must be an int or None, got {order!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Key, Fraction] = {}
         for (b, s), c in items:
-            if not isinstance(b, int):
+            if type(b) is not int:
                 raise TypeError(f"p-exponent must be an int, got {b!r}")
             check_comp(s)
             c = Fraction(c)
@@ -236,7 +236,7 @@ class MhsSeries:
 
     def shift(self, k: int) -> "MhsSeries":
         """Multiply by the exact power ``p^k``."""
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise TypeError(f"p-exponent must be an int, got {k!r}")
         order = None if self._order is None else self._order + k
         return MhsSeries._trusted(
@@ -247,7 +247,7 @@ class MhsSeries:
         """Multiply by the exact single term ``c * p^b * H(s)`` (stuffle)."""
         c = Fraction(c)
         check_comp(s)
-        if not isinstance(b, int):
+        if type(b) is not int:
             raise TypeError(f"p-exponent must be an int, got {b!r}")
         order = _mul_order(self._order, None, self.min_valuation(), b)
         acc: dict[Key, Fraction] = {}
@@ -330,12 +330,12 @@ class MhsSeries:
 
     def truncate(self, N: int) -> "MhsSeries":
         """Weaken to ``O(p^N)``; rejects ``N`` beyond the known order."""
+        if type(N) is not int:
+            raise TypeError(f"order must be an int, got {N!r}")
         if self._order is not None and N > self._order:
             raise ValueError(
                 f"truncate: cannot strengthen O(p^{self._order}) to O(p^{N})"
             )
-        if not isinstance(N, int):
-            raise TypeError(f"order must be an int, got {N!r}")
         return MhsSeries._trusted(self._terms_below(N), N)
 
     # -- comparison / rendering -----------------------------------------

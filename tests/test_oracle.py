@@ -2,6 +2,7 @@
 and valuation reports.  Reference values come from independent brute-force
 summation, never from the code under test."""
 
+import hashlib
 import math
 import random
 import time
@@ -343,6 +344,90 @@ def curious_brute(r, k, p):
     return walk(p**r, k)
 
 
+def curious_chain_reference(r, k, p):
+    """C_{r,k,p} by the symmetrized chain form, an O(k p^r)-step integer DP.
+
+    With m_i the suffix sums of a composition, the sum equals k!/p^r times
+    the sum over p^r > l_1 > ... > l_{k-1} >= 1 of prod 1/l_i, subject to
+    p not dividing l_1 or l_{k-1} and no two consecutive l's congruent mod
+    p.  The DP ascends over n with per-residue prefix sums on the common
+    denominator K = lcm(1..p^r-1)^(k-1); each step is one exact division.
+    """
+    if k == 1:
+        return F(0)
+    L = k - 1
+    top = p**r
+    K = _lcm_range(1, top - 1) ** L
+    # tot[j] = sum of K*T_j(m) over m < n; res[j][c] = same, restricted to m = c mod p
+    tot = [0] * (L + 1)
+    res = [[0] * p for _ in range(L + 1)]
+    total = 0  # K * D
+    for n in range(1, top):
+        rn = n % p
+        tvals = [0] * (L + 1)
+        tvals[L] = K // n if rn else 0
+        for j in range(L - 1, 0, -1):
+            acc = tot[j + 1] - res[j + 1][rn]
+            if acc:
+                tvals[j] = acc // n
+        if rn:
+            total += tvals[1]
+        for j in range(1, L + 1):
+            tj = tvals[j]
+            if tj:
+                tot[j] += tj
+                res[j][rn] += tj
+    return F(math.factorial(k) * total, top * K)
+
+
+class TestCuriousBinarySplitting:
+    """The binary-splitting curious sum against the chain DP and pinned values."""
+
+    MODULI = (
+        [(2, p) for p in primes_in(2, 31)] + [(3, p) for p in primes_in(2, 11)] + [(4, 5), (5, 3)]
+    )
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_against_chain_reference(self, k):
+        for r, p in self.MODULI:
+            assert _eval_curious(r, k, p, DEFAULT_WORK_BUDGET) == curious_chain_reference(
+                r, k, p
+            ), (r, k, p)
+
+    # SHA-256 of hex(numerator), hex(denominator), as the chain DP computed them
+    PINNED = {
+        (3, 4, 23): (
+            "c3d507c261f89709e6f29975875494426e89adf0258ad10eab9dba50c21dc482",
+            "5b425c1e51a2260cdac406d6743f8b42d944d2739d45177ebfed87aafb393a48",
+        ),
+        (3, 3, 23): (
+            "4be309fe6d00b4cf0dd871f21afab27d37addf26fe46c7803100b771e6d32e77",
+            "a8ebf358a2c5f8795872cdc88a7ccdfd6912a078be793a406153bd3fc2f6130d",
+        ),
+        (2, 4, 61): (
+            "998574b5ec95039bf348a2e041abc9ba9c747535bef53b14788f582242d55e04",
+            "ffc8e2ef8d3871b81e97bdee9a4ceabce33303b5e2f5d2ed5cda5038f4da4eb6",
+        ),
+    }
+
+    @pytest.mark.parametrize("r,k,p", sorted(PINNED))
+    def test_pinned_digests(self, r, k, p):
+        value = _eval_curious(r, k, p, DEFAULT_WORK_BUDGET)
+        digests = tuple(
+            hashlib.sha256(hex(n).encode()).hexdigest()
+            for n in (value.numerator, value.denominator)
+        )
+        assert digests == self.PINNED[(r, k, p)]
+
+    @pytest.mark.parametrize("r,k,p", [(2, 3, 5), (2, 4, 7), (3, 2, 3)])
+    def test_budget_boundary(self, r, k, p):
+        cost = (k - 1) * (p**r - 1)
+        q = parse_quantity("curious", f"{r},{k}")
+        assert eval_quantity(q, p, work_budget=cost) == curious_brute(r, k, p)
+        with pytest.raises(WorkBudgetExceeded):
+            eval_quantity(q, p, work_budget=cost - 1)
+
+
 class TestFixedDenominator:
     """The integer dynamic programs agree exactly with Fraction references."""
 
@@ -495,6 +580,20 @@ class TestCheckNumeric:
         report = check_numeric(stmt, PrimeWindow(11, 31))
         assert 11 in report.skipped
         assert all(p != 11 for (p, _r, _g) in report.records)
+
+    def test_window_primes_listed_once(self):
+        calls = []
+
+        class CountingWindow(PrimeWindow):
+            def primes(self):
+                calls.append(1)
+                return super().primes()
+
+        terms = {(1, (1,)): F(1, 11), (1, (2,)): F(1, 13), (2, (1, 1)): 1, (2, (3,)): 1}
+        stmt = CongruenceStatement(MhsSeries(terms, 2), 1)
+        report = check_numeric(stmt, CountingWindow(11, 31))
+        assert calls == [1]
+        assert report.skipped == [11, 13]
 
     def test_refusal_recorded(self):
         q = parse_quantity("curious", "3,3")

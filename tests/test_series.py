@@ -58,10 +58,14 @@ class TestConstruction:
     def test_invalid_exponent_rejected(self):
         with pytest.raises(TypeError):
             S({(F(1, 2), ()): 1}, 3)  # type: ignore[dict-item]
+        with pytest.raises(TypeError):
+            S({(True, (1,)): 1}, 3)  # would keep the key (True, (1,))
 
     def test_invalid_order_rejected(self):
         with pytest.raises(TypeError):
             S({}, F(3, 2))  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            S({(0, (1,)): 1}, True)  # would render as O(p^True)
 
     def test_constructors(self):
         assert MhsSeries.constant(F(2, 3), 5).terms == {(0, ()): F(2, 3)}
@@ -671,3 +675,10 @@ class TestTrustedResults:
             a.mul_term(1, 0.5, (1,))
         with pytest.raises(TypeError):
             a.truncate(2.5)
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                a.shift(flag)
+            with pytest.raises(TypeError):
+                a.mul_term(1, flag, (1,))
+            with pytest.raises(TypeError):
+                a.truncate(flag)
