@@ -13,15 +13,16 @@ no linear algebra.
 The span is found modulo primes and lifted; modular arithmetic only
 proposes, and exact checks decide:
 
-* the relations (integer vectors) are row-reduced modulo 2^61 - 1 without
-  combination tracking, which gives the pivot columns, the relations that
-  raise the rank, and one annihilating functional per free column;
+* the relations (integer vectors) are row-reduced modulo 2^61 - 1, which
+  gives the pivot columns, the relations that raise the rank, and one
+  annihilating functional per free column;
 * the functionals are lifted to rationals by rational reconstruction and
   kept only after they vanish exactly on every generated relation, so a
   target is in the span exactly when every functional vanishes on it;
-* the multipliers of a proof are solved modulo primes over the
-  rank-raising relations alone, lifted the same way, and returned only
-  after their exact sum reproduces the target.
+* the multipliers of a proof are solved for each target by the same
+  elimination, run on the transposed system of the rank-raising relations
+  with the target as its last column; they are lifted the same way and
+  returned only after their exact sum reproduces the target.
 
 A prime that loses rank or whose residues do not lift is passed over for
 the next prime of a fixed sequence, so results do not depend on luck: in
@@ -70,12 +71,10 @@ __all__ = [
     "CERTIFICATE_FORMAT_VERSION",
     "ProofCertificate",
     "RelationBasis",
-    "RelationVector",
     "all_proved",
     "clear_relation_cache",
     "dump_certificates",
     "generate_relations",
-    "jarossay_relation",
     "prove_mixed",
     "prove_supercongruence",
     "prove_weighted",
@@ -88,7 +87,6 @@ __all__ = [
 Prov = tuple[Comp, Comp, Comp]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 BASIS_FORMAT_VERSION = 2
 CERTIFICATE_FORMAT_VERSION = 1
@@ -180,93 +178,6 @@ def _combine(
     return acc
 
 
-class RelationVector:
-    """A weighted congruence: sum of coords[w] * h_p(w) == 0 (mod p^n).
-
-    ``coords`` maps compositions (each of weight < ``modulus_power``) to
-    rational coefficients; ``provenance`` names the triple (s, t, u) the
-    vector was generated from.
-    """
-
-    __slots__ = ("_coords", "_modulus", "_provenance")
-
-    def __init__(
-        self,
-        coords: Mapping[Comp, Fraction],
-        modulus_power: int,
-        provenance: Prov,
-    ) -> None:
-        if not isinstance(modulus_power, int):
-            raise TypeError("modulus_power must be an int")
-        cleaned: dict[Comp, Fraction] = {}
-        for w, c in dict(coords).items():
-            check_comp(w)
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if weight(w) >= modulus_power:
-                raise ValueError(
-                    f"coordinate {format_comp(w)} has weight >= modulus power "
-                    f"{modulus_power}"
-                )
-            cleaned[w] = c
-        if not (isinstance(provenance, tuple) and len(provenance) == 3):
-            raise ValueError("provenance must be a triple (s, t, u) of compositions")
-        for part in provenance:
-            check_comp(part, name="provenance component")
-        self._coords = cleaned
-        self._modulus = modulus_power
-        self._provenance = provenance
-
-    @property
-    def coords(self) -> dict[Comp, Fraction]:
-        return dict(self._coords)
-
-    @property
-    def modulus_power(self) -> int:
-        return self._modulus
-
-    @property
-    def provenance(self) -> Prov:
-        return self._provenance
-
-    def sorted_coords(self) -> list[tuple[Comp, Fraction]]:
-        """Coordinates in the canonical column order."""
-        return sorted(self._coords.items(), key=lambda it: _col_key(it[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RelationVector):
-            return NotImplemented
-        return (
-            self._modulus == other._modulus
-            and self._coords == other._coords
-            and self._provenance == other._provenance
-        )
-
-    def __repr__(self) -> str:
-        body = " + ".join(
-            f"{c}*h{format_comp(w)}" for w, c in self.sorted_coords()
-        )
-        return f"<RelationVector {body or '0'} = 0 mod p^{self._modulus}>"
-
-
-def jarossay_relation(s: Comp, t: Comp, n: int) -> RelationVector:
-    """The mod-p^n truncation of the double-shuffle identity for (s, t).
-
-    ``s`` and ``t`` must be nonempty compositions with
-    ``weight(s) + weight(t) < n``.
-    """
-    s = check_comp(tuple(s), allow_empty=False, name="s")
-    t = check_comp(tuple(t), allow_empty=False, name="t")
-    if not isinstance(n, int):
-        raise TypeError("n must be an int")
-    if weight(s) + weight(t) >= n:
-        raise ValueError(
-            f"weight(s) + weight(t) = {weight(s) + weight(t)} must be < n = {n}"
-        )
-    return RelationVector(_relation_coords(s, t, (), n), n, (s, t, ()))
-
-
 # -- modular arithmetic ----------------------------------------------------
 
 
@@ -351,44 +262,36 @@ def _axpy_mod(dst: dict, src: Mapping, c: int, q: int) -> None:
 
 
 def _echelon(
-    vectors: Iterable[Mapping[int, int]], q: int, track: bool = False
-) -> tuple[dict[int, dict[int, int]], dict[int, dict[int, int]], list[int]]:
+    vectors: Iterable[Mapping[int, int]], q: int
+) -> tuple[dict[int, dict[int, int]], list[int]]:
     """Reduced row echelon form modulo q of integer vectors taken in order.
 
-    Returns ``(rows, combos, independent)``: ``rows`` maps each pivot column
-    to its row (pivot coefficient 1, zero in every other pivot column);
+    Returns ``(rows, independent)``: ``rows`` maps each pivot column to its
+    row (pivot coefficient 1, zero in every other pivot column), and
     ``independent`` lists the positions of the vectors that raised the rank.
-    With ``track``, ``combos`` maps each pivot column to its row written as a
-    combination of the input vectors (by position); otherwise it is empty.
+    A row's pivot is its smallest column, so the largest column is a pivot
+    exactly when some combination of the vectors is nonzero in that column
+    alone.  The span of the relations and the multipliers of a proof (see
+    :meth:`RelationBasis.express`) are both read from this one elimination.
     """
     rows: dict[int, dict[int, int]] = {}
-    combos: dict[int, dict[int, int]] = {}
     independent: list[int] = []
     for k, vec in enumerate(vectors):
         work = {col: c % q for col, c in vec.items() if c % q}
-        combo = {k: 1}
         for piv in [col for col in work if col in rows]:
-            c = q - work[piv]
-            _axpy_mod(work, rows[piv], c, q)
-            if track:
-                _axpy_mod(combo, combos[piv], c, q)
+            _axpy_mod(work, rows[piv], q - work[piv], q)
         if not work:
             continue
         piv = min(work)
         inv = pow(work[piv], -1, q)
         work = {col: c * inv % q for col, c in work.items()}
-        combo = {j: c * inv % q for j, c in combo.items()}
-        for other, row in rows.items():
+        for row in rows.values():
             c = row.get(piv)
             if c:
                 _axpy_mod(row, work, q - c, q)
-                if track:
-                    _axpy_mod(combos[other], combo, q - c, q)
         rows[piv] = work
-        if track:
-            combos[piv] = combo
         independent.append(k)
-    return rows, combos, independent
+    return rows, independent
 
 
 def _annihilator_residues(
@@ -401,7 +304,7 @@ def _annihilator_residues(
     of row j in column f); the residues are keyed ``(f, column)``.  The key
     ranks q by rank, then pivot columns, then independent vectors.
     """
-    rows, _, independent = _echelon(vectors, q)
+    rows, independent = _echelon(vectors, q)
     pivots = sorted(rows)
     residues: dict[tuple[int, int], int] = {}
     for f in range(ncols):
@@ -457,8 +360,7 @@ class RelationBasis:
 
     where ``a_{j,f}`` is the RREF entry of row j in column f.  The
     functionals vanish on every generated relation, so a vector lies in the
-    span exactly when every ``lambda_f`` vanishes on it.  RREF rows and their
-    combinations of original relations are derived on access.
+    span exactly when every ``lambda_f`` vanishes on it.
     """
 
     __slots__ = (
@@ -468,7 +370,6 @@ class RelationBasis:
         "_pivots",
         "_triples",
         "_annihilators",
-        "_solvers",
     )
 
     def __init__(
@@ -514,7 +415,6 @@ class RelationBasis:
         self._pivots = list(pivots)
         self._triples = list(triples)
         self._annihilators = kept
-        self._solvers: dict[int, tuple | None] = {}
 
     @property
     def modulus_power(self) -> int:
@@ -531,29 +431,6 @@ class RelationBasis:
     @property
     def columns(self) -> list[Comp]:
         return list(self._columns)
-
-    @property
-    def rows(self) -> list[RelationVector]:
-        """The RREF rows, each named by the first triple of its combination."""
-        out = []
-        for i in range(self.rank):
-            coords = self._row_coords(i)
-            combo = self.express(coords)
-            prov = next(t for t in self._triples if t in combo)
-            out.append(RelationVector(coords, self._modulus, prov))
-        return out
-
-    def combination_of(self, index: int) -> dict[Prov, Fraction]:
-        """RREF row ``index`` as multipliers of original relations."""
-        return self.express(self._row_coords(index))
-
-    def _row_coords(self, index: int) -> dict[Comp, Fraction]:
-        piv = self._pivots[index]
-        coords = {piv: _ONE}
-        for f, lam in self._annihilators.items():
-            if piv in lam:
-                coords[f] = -lam[piv]
-        return coords
 
     def _validate_coords(self, coords: Mapping[Comp, Fraction]) -> None:
         for w in coords:
@@ -600,46 +477,37 @@ class RelationBasis:
         )
         return {self._triples[k]: v for k, v in values.items() if v}
 
-    def _solver(self, q: int) -> tuple | None:
-        """RREF modulo q of the independent triples, with combinations.
-
-        Built once per prime; None when the triples are dependent modulo q.
-        """
-        if q not in self._solvers:
-            n, index = self._modulus, self._col_index
-            vectors = [
-                {index[w]: c for w, c in _relation_coords(*prov, n).items()}
-                for prov in self._triples
-            ]
-            rows, combos, independent = _echelon(vectors, q, track=True)
-            self._solvers[q] = (
-                (rows, combos) if len(independent) == len(vectors) else None
-            )
-        return self._solvers[q]
-
     def _combination_residues(
         self, target: Mapping[Comp, Fraction], q: int
     ) -> tuple[tuple, dict[int, int]] | None:
-        """Multipliers of the independent triples for ``target``, modulo q."""
-        solver = self._solver(q)
-        if solver is None or any(c.denominator % q == 0 for c in target.values()):
+        """Multipliers of the independent triples for ``target``, modulo q.
+
+        Row-reduces the transposed system: one row per composition w, with
+        w's coefficient in the relation of independent triple k in column k
+        and the target's in column r = rank.  Fewer than r pivots among the
+        columns below r means the triples are dependent modulo q, and q is
+        passed over; otherwise a pivot in column r means the target is
+        outside their span, and else column r holds the multipliers.
+        """
+        if any(c.denominator % q == 0 for c in target.values()):
             return None
-        rows, combos = solver
-        residual = {
-            self._col_index[w]: c.numerator * pow(c.denominator, -1, q) % q
-            for w, c in target.items()
-        }
-        combo: dict[int, int] = {}
-        for piv, c in [(p, residual[p]) for p in residual if p in rows]:
-            _axpy_mod(residual, rows[piv], q - c, q)
-            _axpy_mod(combo, combos[piv], c, q)
-        if any(residual.values()):
+        r, n = self.rank, self._modulus
+        system: dict[Comp, dict[int, int]] = {w: {} for w in self._columns}
+        for k, prov in enumerate(self._triples):
+            for w, c in _relation_coords(*prov, n).items():
+                system[w][k] = c
+        for w, c in target.items():
+            system[w][r] = c.numerator * pow(c.denominator, -1, q)
+        rows, _ = _echelon(system.values(), q)
+        if not all(k in rows for k in range(r)):
+            return None
+        if r in rows:
             raise RuntimeError(
                 f"relation basis at modulus p^{self._modulus} is inconsistent: "
                 "a target its annihilators accept is outside the span of its "
                 "independent triples"
             )
-        return (), {k: combo.get(k, 0) for k in range(len(self._triples))}
+        return (), {k: rows[k].get(r, 0) for k in range(r)}
 
     def _replays(self, values: Mapping[int, Fraction], target: Mapping) -> bool:
         combination = ((self._triples[k], mult) for k, mult in values.items())
@@ -668,18 +536,7 @@ class RelationBasis:
     @classmethod
     def load(cls, text: str) -> "RelationBasis":
         """Inverse of :meth:`dump`; raises ValueError on malformed input."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        it = iter(lines)
-
-        def expect(prefix: str) -> str:
-            try:
-                line = next(it)
-            except StopIteration:
-                raise ValueError(f"basis text ended early, expected {prefix!r}")
-            if not line.startswith(prefix):
-                raise ValueError(f"expected {prefix!r}, got {line!r}")
-            return line[len(prefix):].strip()
-
+        expect = _line_reader(text, "basis")
         version = expect("padicmhs-basis")
         if version != str(BASIS_FORMAT_VERSION):
             raise ValueError(f"unsupported basis format version {version!r}")
@@ -694,10 +551,7 @@ class RelationBasis:
         for _ in range(ncols - rank):
             lam = annihilators.setdefault(parse_comp(expect("annihilator ")), {})
             while True:
-                try:
-                    line = next(it)
-                except StopIteration:
-                    raise ValueError("basis text ended inside an annihilator")
+                line = expect(inside="an annihilator")
                 if line == "end annihilator":
                     break
                 tag, _, rest = line.partition(" ")
@@ -710,16 +564,43 @@ class RelationBasis:
         return cls(modulus, pivots, triples, annihilators)
 
 
+def _line_reader(text: str, kind: str) -> Callable[..., str]:
+    """Reader over the stripped nonblank lines of a basis or certificate text.
+
+    ``read(prefix)`` returns the next line without ``prefix``; it raises
+    ValueError when that line lacks the prefix or the text has ended, and
+    ``read(inside=block)`` names the open block in the end-of-text message.
+    """
+    lines = iter([ln.strip() for ln in text.splitlines() if ln.strip()])
+
+    def read(prefix: str = "", inside: str = "") -> str:
+        line = next(lines, None)
+        if line is None:
+            raise ValueError(
+                f"{kind} text ended inside {inside}"
+                if inside
+                else f"{kind} text ended early, expected {prefix!r}"
+            )
+        if not line.startswith(prefix):
+            raise ValueError(f"expected {prefix!r}, got {line!r}")
+        return line[len(prefix):].strip()
+
+    return read
+
+
+_PROV_PATTERN = r"\[s=(\([^)]*\));t=(\([^)]*\));u=(\([^)]*\))\]"
+
+
 def _format_prov(prov: Prov) -> str:
     s, t, u = prov
     return f"[s={format_comp(s)};t={format_comp(t)};u={format_comp(u)}]"
 
 
 def _parse_prov(text: str) -> Prov:
-    m = re.fullmatch(r"\[s=(\([^)]*\));t=(\([^)]*\));u=(\([^)]*\))\]", text.strip())
+    m = re.fullmatch(_PROV_PATTERN, text.strip())
     if m is None:
         raise ValueError(f"malformed provenance: {text!r}")
-    return (parse_comp(m.group(1)), parse_comp(m.group(2)), parse_comp(m.group(3)))
+    return tuple(map(parse_comp, m.groups()))
 
 
 # -- generation with caching ----------------------------------------------
@@ -1061,33 +942,18 @@ def dump_certificates(certs: Sequence[ProofCertificate]) -> str:
         for w, c in coords:
             lines.append(f"c {format_comp(w)} {c}")
         lines.append(f"combination {len(cert.combination)}")
-        for (s, t, u), mult in cert.combination:
-            lines.append(
-                f"{mult} * R[s={format_comp(s)};t={format_comp(t)};u={format_comp(u)}]"
-            )
+        for prov, mult in cert.combination:
+            lines.append(f"{mult} * R{_format_prov(prov)}")
         lines.append("end part")
     lines.append("end certificate")
     return "\n".join(lines) + "\n"
 
 
-_COMBO_LINE = re.compile(
-    r"(-?\d+(?:/\d+)?)\s*\*\s*R\[s=(\([^)]*\));t=(\([^)]*\));u=(\([^)]*\))\]"
-)
+_COMBO_LINE = re.compile(r"(-?\d+(?:/\d+)?)\s*\*\s*R" + _PROV_PATTERN)
 
 
 def _parse_certificate_parts(text: str) -> list[dict]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    it = iter(lines)
-
-    def expect(prefix: str) -> str:
-        try:
-            line = next(it)
-        except StopIteration:
-            raise ValueError(f"certificate text ended early, expected {prefix!r}")
-        if not line.startswith(prefix):
-            raise ValueError(f"expected {prefix!r}, got {line!r}")
-        return line[len(prefix):].strip()
-
+    expect = _line_reader(text, "certificate")
     version = expect("padicmhs-certificate")
     if version != str(CERTIFICATE_FORMAT_VERSION):
         raise ValueError(f"unsupported certificate format version {version!r}")
@@ -1110,18 +976,11 @@ def _parse_certificate_parts(text: str) -> list[dict]:
         ncombo = int(expect("combination"))
         combo: list[tuple[Prov, Fraction]] = []
         for _ in range(ncombo):
-            try:
-                line = next(it)
-            except StopIteration:
-                raise ValueError("certificate text ended inside a combination")
+            line = expect(inside="a combination")
             m = _COMBO_LINE.fullmatch(line)
             if m is None:
                 raise ValueError(f"malformed combination entry: {line!r}")
-            prov = (
-                parse_comp(m.group(2)),
-                parse_comp(m.group(3)),
-                parse_comp(m.group(4)),
-            )
+            prov = tuple(map(parse_comp, m.group(2, 3, 4)))
             combo.append((prov, Fraction(m.group(1))))
         if expect("end part") != "":
             raise ValueError(f"missing 'end part' after part {i}")

@@ -28,6 +28,7 @@ from padicmhs.oracle import (
     PrimeWindow,
 )
 from padicmhs.prover import (
+    _relation_coords,
     generate_relations,
     prove_supercongruence,
     prove_weighted,
@@ -338,7 +339,8 @@ def test_criterion_8_property_suites():
             if mass != binomial(weight(s) + weight(t), weight(s)):
                 problems.append(f"shuffle mass {s}x{t}")
 
-    # every generated relation at n <= 7 has numeric valuation >= n at 11..97
+    # the relation of every independent triple at n <= 7 has numeric
+    # valuation >= n at 11..97
     primes = list(primes_in(11, 97))
     hmemo = {}
 
@@ -350,13 +352,13 @@ def test_criterion_8_property_suites():
     n_rel = 0
     for n in range(1, 8):
         basis = generate_relations(n, cache_dir=CACHE["dir"])
-        for row in basis.rows:
+        for prov in basis._triples:
             n_rel += 1
+            coords = _relation_coords(*prov, n)
             for p in primes:
-                val = sum(c * p ** weight(s) * hval(p, s)
-                          for s, c in row.coords.items())
+                val = sum(c * p ** weight(s) * hval(p, s) for s, c in coords.items())
                 if val != 0 and padic_valuation(val, p) < n:
-                    problems.append(f"relation {row.provenance} at n={n}, p={p}")
+                    problems.append(f"relation {prov} at n={n}, p={p}")
                     break
 
     # expansion soundness spot matrix: one numeric check per quantity kind
