@@ -4,6 +4,8 @@ supercongruences and an exact-rational numeric cross-check."""
 
 __version__ = "0.1.0"
 
+from fractions import Fraction
+
 from .arith import (
     INFINITY,
     bernoulli,
@@ -63,6 +65,31 @@ from .prover import (
 )
 from .quantities import QuantitySpec, format_quantity, parse_quantity
 from .series import CongruenceStatement, MhsSeries
+from . import arith, compositions, oracle, powersums, prover
+
+
+def clear_caches() -> None:
+    """Empty every in-process memo table (relation bases on disk are kept).
+
+    Each table refills on demand, so results do not change; what is lost is
+    only the time to recompute them.
+    """
+    for fn in (
+        powersums.signed_mhs,
+        powersums._chain_product,
+        compositions._shuffle_words,
+        compositions._stuffle_cached,
+        prover._jarossay_identity,
+        oracle.eval_mhs,
+        oracle._lcm_range,
+    ):
+        fn.cache_clear()
+    powersums._memo.clear()
+    arith._power_sum_memo.clear()
+    arith._bernoulli_memo.clear()
+    arith._bernoulli_memo[0] = Fraction(1)
+    prover.clear_relation_cache()
+
 
 __all__ = [
     "INFINITY",
@@ -80,6 +107,7 @@ __all__ = [
     "binomial",
     "canonicalize",
     "check_numeric",
+    "clear_caches",
     "dump_certificates",
     "enumerate_compositions",
     "eval_mhs",

@@ -136,6 +136,7 @@ def eval_power_sum(
     return Fraction(D[k], K)
 
 
+@lru_cache(maxsize=64)
 def _lcm_range(lo: int, hi: int) -> int:
     """lcm of the integers lo..hi, for lo >= 1 (1 when the range is empty).
 
@@ -143,7 +144,8 @@ def _lcm_range(lo: int, hi: int) -> int:
     highest power that has a multiple in the range and is divided out of
     every n.  A prime above B divides no n twice (B = sqrt(hi)) or no two
     n (B = hi - lo), so the distinct cofactors left over complete the lcm.
-    Memory grows with the length of the range, not with hi.
+    Memory grows with the length of the range, not with hi.  Memoized:
+    the evaluators of one run ask for the same few ranges again and again.
     """
     if hi < lo:
         return 1

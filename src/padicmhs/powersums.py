@@ -21,7 +21,9 @@ to ``p``.  The reduction chain:
   are a block sum one level down, the ``j``-chains are ascending chains in
   ``[0, p-1]`` grouped by runs of equal ``a``'s (independent runs multiply
   via the stuffle product), and each factor ``(a*p - j)^(-s)`` is expanded
-  geometrically with an explicit truncation bound;
+  geometrically with an explicit truncation bound; the leaves' j-parts are
+  summed per a-part profile, so each a-part is computed once and each
+  profile takes one product;
 * :func:`signed_mhs` handles chains over ``[1, p-1]`` whose exponents may be
   zero or negative, eliminating them with power-sum polynomials.
 
@@ -31,14 +33,23 @@ happen to be exact (constants, eliminated signed sums) keep ``order=None``.
 Truncation of the geometric expansions is driven by valuation lower bounds:
 a sum over an interval ``(L, U]`` with ``U ~ p^d`` lies in valuation
 ``>= -d * sum_i max(s_i, 0)``, and ``>= 0`` when restricted.
+
+:func:`block_sum`, :func:`top_sum`, :func:`poly_sum` and :func:`full_sum`
+share one memo keyed by the sum without its order.  It keeps each sum at
+the highest order computed so far and serves a lower order by truncation:
+below that order the terms are the same whichever higher order the sum was
+computed at.  An exact result is served only at the order it was computed
+for.  :func:`padicmhs.clear_caches` empties it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+from typing import Callable
 
-from .arith import INFINITY, IntPoly, binomial, int_poly, poly_sub, power_sum_poly, strip_poly
+from .arith import INFINITY, IntPoly, int_poly, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
 from .series import MhsSeries
 
@@ -54,6 +65,9 @@ __all__ = [
 
 Exps = tuple[int, ...]
 
+_ONE = MhsSeries._trusted({(0, ()): Fraction(1)}, None)
+_ZERO = MhsSeries._trusted({}, None)
+
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -62,6 +76,43 @@ Exps = tuple[int, ...]
 
 def _parity_sign(n: int) -> int:
     return -1 if n % 2 else 1
+
+
+def _binom_neg(s: int, n: int) -> int:
+    """C(-s, n) for integers s and n >= 0."""
+    if s <= 0:
+        return comb(-s, n)
+    return _parity_sign(n) * comb(n + s - 1, n)
+
+
+def _exact_constant(c: Fraction) -> MhsSeries:
+    """The exact constant series c (the empty series when c is zero)."""
+    return MhsSeries._trusted({(0, ()): c} if c else {}, None)
+
+
+#: sum key -> (order, series): each bounded sum at the highest order so far
+_memo: dict[tuple, tuple[int, MhsSeries]] = {}
+
+
+def _memoized(key: tuple, order: int, compute: Callable[[], MhsSeries]) -> MhsSeries:
+    """The sum ``key`` to O(p^order), from the memo or by ``compute()``.
+
+    Below ``order`` a truncated expansion has the same terms whichever
+    higher order it was computed at, so a result kept at a higher order is
+    served truncated.  An exact result is served only at the order it was
+    computed for.  The memo keeps the highest order computed so far.
+    """
+    hit = _memo.get(key)
+    if hit is not None:
+        at, series = hit
+        if at == order:
+            return series
+        if at > order and series.order is not None:
+            return series.truncate(order)
+    series = compute()
+    if hit is None or order > hit[0]:
+        _memo[key] = (order, series)
+    return series
 
 
 def positive_exponent_sum(exps: Exps) -> int:
@@ -113,19 +164,19 @@ def signed_mhs(exps: Exps) -> MhsSeries:
     chain position, so the recursion terminates; the result is exact.
     """
     if all(e >= 1 for e in exps):
-        return MhsSeries.term(1, 0, exps)
+        return MhsSeries._trusted({(0, exps): Fraction(1)}, None)
     k = len(exps)
     i = next(idx for idx, e in enumerate(exps) if e <= 0)
     d = -exps[i]
     g = power_sum_poly(d)
     ghat = list(g)
     ghat[d] += 1
-    acc = MhsSeries.zero()
+    acc = _ZERO
     if k == 1:
         # sum_{n=1}^{p-1} n^d = G_d(p) - [d == 0]
-        acc = MhsSeries({(j, ()): c for j, c in enumerate(g)})
+        acc = MhsSeries._trusted({(j, ()): c for j, c in enumerate(g) if c}, None)
         if d == 0:
-            acc = acc - MhsSeries.constant(1)
+            acc = acc - _ONE
         return acc
     if i == 0:
         # sum over n_1 in (n_2, p-1]: G_d(p) - Ghat_d(n_2)
@@ -161,7 +212,13 @@ def signed_mhs(exps: Exps) -> MhsSeries:
 # one block: S_{b p^r, (b-1) p^r}
 # ---------------------------------------------------------------------------
 
-_block_cache: dict[tuple, MhsSeries] = {}
+
+@lru_cache(maxsize=None)
+def _chain_product(chains: tuple[Exps, ...]) -> MhsSeries:
+    """The stuffle product of ``signed_mhs(u)`` over the chains ``u``, left to right."""
+    if not chains:
+        return _ONE
+    return _chain_product(chains[:-1]) * signed_mhs(chains[-1])
 
 
 def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
@@ -176,23 +233,35 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
     with j >= 1 is expanded geometrically; the j-chains reduce to
     :func:`signed_mhs` (independent runs multiply by stuffle) and the
     a-chains form a block sum at level r-1.
+
+    Every leaf of that expansion is coeff * chains * p^p_power * a-part,
+    where the a-part depends only on the exponents ``e`` of the a-chain.
+    The leaves' coeff * chains are summed per profile (e, p_power) first,
+    each a-part is computed once at the largest order its leaves need, and
+    each profile takes one product; by distributivity the result is the
+    same as one product per leaf.
     """
     if b < 1 or r < 0:
         raise ValueError(f"block_sum requires b >= 1, r >= 0, got b={b}, r={r}")
     if not exps:
-        return MhsSeries.constant(1)
+        return _ONE
     if r == 0:
         # single index n = b
         if len(exps) == 1:
-            return MhsSeries.constant(Fraction(b) ** (-exps[0]))
-        return MhsSeries.zero()
-    key = (b, r, exps, restricted, order)
-    cached = _block_cache.get(key)
-    if cached is not None:
-        return cached
+            return _exact_constant(Fraction(b) ** (-exps[0]))
+        return _ZERO
+    return _memoized(
+        ("block", b, r, exps, restricted),
+        order,
+        lambda: _block_sum(b, r, exps, restricted, order),
+    )
 
+
+def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     k = len(exps)
-    acc = MhsSeries.zero(order)
+    # profile (e, p_power) -> terms of the summed coeff * chains
+    profiles: dict[tuple[Exps, int], dict] = {}
+    a_orders: dict[Exps, int] = {}
     for structure in compositions_of(k):
         blocks: list[Exps] = []
         pos = 0
@@ -215,41 +284,58 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
             # a term with total geometric degree n has valuation at least
             # base_p + sum(n) + lb_a, so only sum(n) < order - base_p - lb_a
             # can be visible
-            for assign in bounded_tuples(len(geoms), order - base_p - lb_a - 1):
-                coeff = Fraction(1)
-                p_power = base_p
-                e = [blocks[t][0] if j0[t] else 0 for t in range(nruns)]
-                chain_exps: list[list[int]] = [[] for _ in range(nruns)]
-                for ((t, sigma), n) in zip(geoms, assign):
-                    coeff *= binomial(-sigma, n) * _parity_sign(sigma + n)
-                    p_power += n
-                    e[t] -= n
-                    chain_exps[t].append(sigma + n)
+            max_degree = order - base_p - lb_a - 1
+            # (a*p - j)^(-sigma) = sum_n C(-sigma, n) (-1)^(sigma+n) (a*p)^n j^(-sigma-n)
+            coeff_rows = [
+                [_binom_neg(sigma, n) * _parity_sign(sigma + n) for n in range(max_degree + 1)]
+                for _t, sigma in geoms
+            ]
+            e_start = [blocks[t][0] if j0[t] else 0 for t in range(nruns)]
+            for assign in bounded_tuples(len(geoms), max_degree):
+                coeff = 1
+                for row, n in zip(coeff_rows, assign):
+                    coeff *= row[n]
                 if coeff == 0:
                     continue
-                chains = MhsSeries.constant(1)
-                for u in chain_exps:
-                    if u:
-                        chains = chains * signed_mhs(tuple(reversed(u)))
+                e = list(e_start)
+                chain_exps: list[list[int]] = [[] for _ in range(nruns)]
+                for (t, sigma), n in zip(geoms, assign):
+                    e[t] -= n
+                    chain_exps[t].append(sigma + n)
+                chains = _chain_product(tuple(tuple(reversed(u)) for u in chain_exps if u))
                 chain_val = chains.min_valuation()
                 if chain_val is INFINITY:
                     continue
+                p_power = base_p + sum(assign)
                 order_a = order - p_power - chain_val
                 lb_actual = 0 if r == 1 else -(r - 1) * sum(x for x in e if x > 0)
                 if order_a <= lb_actual:
                     continue  # the a-part alone pushes the term past the order
-                a_part = block_sum(b, r - 1, tuple(e), False, order_a)
-                acc = acc + (chains * a_part).scale(coeff).shift(p_power)
-    result = acc.truncate(order)
-    _block_cache[key] = result
-    return result
+                e_key = tuple(e)
+                a_orders[e_key] = max(a_orders.get(e_key, order_a), order_a)
+                summed = profiles.setdefault((e_key, p_power), {})
+                for key, c in chains.terms.items():
+                    c = c * coeff
+                    prev = summed.get(key)
+                    summed[key] = c if prev is None else prev + c
+
+    a_parts = {e: block_sum(b, r - 1, e, False, a_order) for e, a_order in a_orders.items()}
+    acc = MhsSeries._trusted({}, order)
+    for (e, p_power), summed in profiles.items():
+        chains = MhsSeries._trusted({key: c for key, c in summed.items() if c}, None)
+        chain_val = chains.min_valuation()
+        if chain_val is INFINITY:
+            continue
+        a_part = a_parts[e]
+        if a_part.order is not None:
+            a_part = a_part.truncate(order - p_power - chain_val)
+        acc = acc + (chains * a_part).shift(p_power)
+    return acc.truncate(order)
 
 
 # ---------------------------------------------------------------------------
 # S_{b p^r, 0} by splitting into b blocks
 # ---------------------------------------------------------------------------
-
-_top_cache: dict[tuple, MhsSeries] = {}
 
 
 def top_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
@@ -263,36 +349,31 @@ def top_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeri
     if b < 0 or r < 0:
         raise ValueError(f"top_sum requires b >= 0, r >= 0, got b={b}, r={r}")
     if not exps:
-        return MhsSeries.constant(1)
+        return _ONE
     if b == 0:
-        return MhsSeries.zero()
+        return _ZERO
     if r == 0:
-        return MhsSeries.constant(_const_chain_sum(b, exps))
-    key = (b, r, exps, restricted, order)
-    cached = _top_cache.get(key)
-    if cached is not None:
-        return cached
+        return _exact_constant(_const_chain_sum(b, exps))
+    return _memoized(
+        ("top", b, r, exps, restricted), order, lambda: _top_sum(b, r, exps, restricted, order)
+    )
 
-    k = len(exps)
-    acc = MhsSeries.zero(order)
-    for i in range(k + 1):
+
+def _top_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
+    acc = MhsSeries._trusted({}, order)
+    for i in range(len(exps) + 1):
         pref, suf = exps[:i], exps[i:]
         lb_pref = valuation_bound(r, pref, restricted)
         lb_suf = valuation_bound(r, suf, restricted)
         x = block_sum(b, r, pref, restricted, order - lb_suf)
         y = top_sum(b - 1, r, suf, restricted, order - lb_pref)
         acc = acc + x * y
-    result = acc.truncate(order)
-    _top_cache[key] = result
-    return result
+    return acc.truncate(order)
 
 
 # ---------------------------------------------------------------------------
 # S_{f(p), 0} for a general polynomial bound
 # ---------------------------------------------------------------------------
-
-_poly_cache: dict[tuple, MhsSeries] = {}
-
 
 def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     """MhsSeries for S_{f(p), 0}(exps) (restricted: S^{(p)}) to O(p^order).
@@ -308,30 +389,31 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     """
     f = int_poly(f, "power-sum bound")
     if not exps:
-        return MhsSeries.constant(1)
+        return _ONE
     if len(f) <= 1:
         c = f[0] if f else 0
-        return MhsSeries.constant(_const_chain_sum(c, exps))
-    key = (f, exps, restricted, order)
-    cached = _poly_cache.get(key)
-    if cached is not None:
-        return cached
-
-    r = len(f) - 1
-    a = f[-1]
-    if a <= 0:
+        return _exact_constant(_const_chain_sum(c, exps))
+    if f[-1] <= 0:
         raise ValueError(
             f"poly_sum: upper-bound polynomial must have a positive leading coefficient, got {f}"
         )
+    return _memoized(
+        ("poly", f, exps, restricted), order, lambda: _poly_sum(f, exps, restricted, order)
+    )
+
+
+def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries:
+    r = len(f) - 1
+    a = f[-1]
     rest = strip_poly(f[:-1])
     k = len(exps)
 
     if not rest:
-        result = top_sum(a, r, exps, restricted, order)
-    elif rest[-1] > 0:
+        return top_sum(a, r, exps, restricted, order)
+    if rest[-1] > 0:
         # f = a*x^r + g with g eventually positive: split chains at a*p^r
         dg = len(rest) - 1
-        acc = MhsSeries.zero(order)
+        acc = MhsSeries._trusted({}, order)
         for i in range(k + 1):
             pref, suf = exps[:i], exps[i:]
             lb_pref = valuation_bound(dg, pref, restricted)
@@ -339,24 +421,21 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
             u = _upper_plus(a, r, rest, pref, restricted, order - lb_suf)
             t = top_sum(a, r, suf, restricted, order - lb_pref)
             acc = acc + u * t
-        result = acc.truncate(order)
-    else:
-        # f = a*x^r - h with h eventually positive: split chains over
-        # [1, a*p^r] at f(p) and move the strip (f(p), a*p^r] to the left:
-        # S_{f,0}(s) = S_{a p^r,0}(s) - sum_{i>=1} S_{a p^r, f}(s_1..s_i)
-        #                                          * S_{f,0}(s_{i+1}..s_k)
-        h = tuple(-c for c in rest)
-        acc = top_sum(a, r, exps, restricted, order)
-        for i in range(1, k + 1):
-            pref, suf = exps[:i], exps[i:]
-            lb_pref = valuation_bound(r, pref, restricted)
-            lb_suf = valuation_bound(r, suf, restricted)
-            u = _upper_minus(a, r, h, pref, restricted, order - lb_suf)
-            s2 = poly_sum(f, suf, restricted, order - lb_pref)
-            acc = acc - u * s2
-        result = acc.truncate(order)
-    _poly_cache[key] = result
-    return result
+        return acc.truncate(order)
+    # f = a*x^r - h with h eventually positive: split chains over
+    # [1, a*p^r] at f(p) and move the strip (f(p), a*p^r] to the left:
+    # S_{f,0}(s) = S_{a p^r,0}(s) - sum_{i>=1} S_{a p^r, f}(s_1..s_i)
+    #                                          * S_{f,0}(s_{i+1}..s_k)
+    h = tuple(-c for c in rest)
+    acc = top_sum(a, r, exps, restricted, order)
+    for i in range(1, k + 1):
+        pref, suf = exps[:i], exps[i:]
+        lb_pref = valuation_bound(r, pref, restricted)
+        lb_suf = valuation_bound(r, suf, restricted)
+        u = _upper_minus(a, r, h, pref, restricted, order - lb_suf)
+        s2 = poly_sum(f, suf, restricted, order - lb_pref)
+        acc = acc - u * s2
+    return acc.truncate(order)
 
 
 def _upper_plus(
@@ -372,7 +451,7 @@ def _upper_plus(
     exponent mass), which truncates the t-enumeration.
     """
     if not sigma:
-        return MhsSeries.constant(1)
+        return _ONE
     dg = len(g) - 1
     possum = positive_exponent_sum(sigma)
     if restricted:
@@ -385,11 +464,11 @@ def _upper_plus(
         while (r - dg) * total - dg * possum < order:
             maxtotal = total
             total += 1
-    acc = MhsSeries.zero(order)
+    acc = MhsSeries._trusted({}, order)
     for t in bounded_tuples(len(sigma), maxtotal):
-        coeff = Fraction(1)
+        coeff = 1
         for s_l, t_l in zip(sigma, t):
-            coeff *= binomial(-s_l, t_l)
+            coeff *= _binom_neg(s_l, t_l)
         if coeff == 0:
             continue
         st = sum(t)
@@ -410,13 +489,13 @@ def _upper_minus(
     ascending m-chains with bound h(p)-1 are sums with reversed exponents.
     """
     if not sigma:
-        return MhsSeries.constant(1)
+        return _ONE
     hm1 = poly_sub(h, (1,))
 
     def chain_tail(tau: Exps, order_t: int) -> MhsSeries:
         # ascending chains 1 <= m_1 < ... < m_j <= h(p)-1 with factors m_l^(-tau_l)
         if not tau:
-            return MhsSeries.constant(1)
+            return _ONE
         dh = max(len(hm1) - 1, 0)
         possum = positive_exponent_sum(tau)
         maxtotal = -1
@@ -425,11 +504,11 @@ def _upper_minus(
         while bound(total) < order_t:
             maxtotal = total
             total += 1
-        acc = MhsSeries.zero(order_t)
+        acc = MhsSeries._trusted({}, order_t)
         for t in bounded_tuples(len(tau), maxtotal):
-            coeff = Fraction(1)
+            coeff = 1
             for s_l, t_l in zip(tau, t):
-                coeff *= binomial(-s_l, t_l) * _parity_sign(s_l + t_l) * a**t_l
+                coeff *= _binom_neg(s_l, t_l) * _parity_sign(s_l + t_l) * a**t_l
             if coeff == 0:
                 continue
             st = sum(t)
@@ -452,9 +531,6 @@ def _upper_minus(
 # S_{f(p), g(p)} for general polynomial bounds
 # ---------------------------------------------------------------------------
 
-_full_cache: dict[tuple, MhsSeries] = {}
-
-
 def full_sum(f, g, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     """MhsSeries for S_{f(p), g(p)}(exps) (restricted: S^{(p)}) to O(p^order).
 
@@ -471,17 +547,18 @@ def full_sum(f, g, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     f = int_poly(f, "power-sum bound")
     g = int_poly(g, "power-sum bound")
     if not exps:
-        return MhsSeries.constant(1)
+        return _ONE
     if not g:
         return poly_sum(f, exps, restricted, order)
     diff = poly_sub(f, g)
     if not diff or diff[-1] < 0:
-        return MhsSeries.zero()
-    key = (f, g, exps, restricted, order)
-    cached = _full_cache.get(key)
-    if cached is not None:
-        return cached
+        return _ZERO
+    return _memoized(
+        ("full", f, g, exps, restricted), order, lambda: _full_sum(f, g, exps, restricted, order)
+    )
 
+
+def _full_sum(f: IntPoly, g: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     df = len(f) - 1
     dg = len(g) - 1
     k = len(exps)
@@ -493,6 +570,4 @@ def full_sum(f, g, exps: Exps, restricted: bool, order: int) -> MhsSeries:
         part = full_sum(f, g, pref, restricted, order - lb_suf)
         low = poly_sum(g, suf, restricted, order - lb_pref)
         acc = acc - part * low
-    result = acc if acc.order is None else acc.truncate(order)
-    _full_cache[key] = result
-    return result
+    return acc if acc.order is None else acc.truncate(order)

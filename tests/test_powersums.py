@@ -7,11 +7,15 @@ truncated series are skipped, as the series only claims validity away from
 them.
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+import padicmhs
+from padicmhs import arith, compositions, oracle, powersums, prover
 from padicmhs.arith import padic_valuation
+from padicmhs.expansions import _expand_curious_general, expand_curious
 from padicmhs.oracle import eval_mhs, eval_power_sum, eval_series_terms, primes_in
 from padicmhs.powersums import (
     block_sum,
@@ -294,3 +298,95 @@ def test_power_sum_poly_values():
         for m in range(0, 13):
             direct = sum(F(a) ** m for a in range(p))
             assert eval_poly(power_sum_poly(m), p) == direct
+
+
+# ---------------------------------------------------------------------------
+# the order-free memo
+# ---------------------------------------------------------------------------
+
+
+def term_digest(series):
+    """First 16 hex digits of the SHA-256 of the sorted raw term map and order."""
+    data = repr((sorted((b, s, str(c)) for (b, s), c in series.terms.items()), series.order))
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+# raw term maps computed with one memo entry per (sum, order)
+PINNED_DIGESTS = [
+    (full_sum, ((-1, 0, 1), (), (2, 1), False, 11), "c3e1327fd96b8759"),
+    (full_sum, ((-1, 0, 0, 1), (), (1, 2), False, 7), "21e24b83d61cfb26"),
+    (full_sum, ((0, 1, 2), (0, 1), (2, 1), False, 6), "4c593a665124212c"),
+    (full_sum, ((0, 0, 1), (), (1, 1, 1), True, 6), "10b9e721ad38873a"),
+    (full_sum, ((-1, 0, 1), (), (1, -1, 2), False, 6), "01f0fb862f7fd0e6"),
+    (block_sum, (2, 2, (1, 2), False, 6), "74269570354bec6f"),
+    (top_sum, (3, 2, (2, 1, 1), True, 5), "0e21d512a0946a08"),
+    (_expand_curious_general, (3, 4, 5), "07ca0a1f6798bfd6"),
+]
+
+
+class TestOrderMemo:
+    """Each sum is kept at the highest order computed and truncated on demand."""
+
+    @pytest.mark.parametrize("direction", ["listed", "reversed"])
+    def test_pinned_term_maps(self, direction):
+        cases = PINNED_DIGESTS if direction == "listed" else PINNED_DIGESTS[::-1]
+        padicmhs.clear_caches()
+        for fn, args, digest in cases:
+            assert term_digest(fn(*args)) == digest, f"{fn.__name__}{args}"
+
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            (block_sum, (2, 2, (1, 2), False)),
+            (block_sum, (1, 3, (1, 1), False)),
+            (top_sum, (2, 2, (2, 1), True)),
+            (poly_sum, ((-1, 0, 1), (2, 1), False)),
+            (poly_sum, ((1, 0, 1), (1, 2), False)),
+            (full_sum, ((0, 1, 2), (0, 1), (2, 1), False)),
+        ],
+    )
+    def test_fresh_equals_truncated_higher_order(self, fn, args):
+        for order in (3, 4):
+            padicmhs.clear_caches()
+            fresh = fn(*args, order)
+            padicmhs.clear_caches()
+            higher = fn(*args, order + 2)
+            assert higher.truncate(order) == fresh
+            assert fn(*args, order) == fresh  # served from the memo
+
+    def test_exact_result_stays_exact_at_every_order(self):
+        padicmhs.clear_caches()
+        at_six = full_sum((7,), (2,), (1, -1, 2), False, 6)
+        assert at_six.order is None
+        for order in (4, 6, 8):
+            assert full_sum((7,), (2,), (1, -1, 2), False, order) == at_six
+
+
+def memo_table_sizes():
+    """Entry counts of every in-process memo table of the package."""
+    lru_tables = {
+        "powersums.signed_mhs": powersums.signed_mhs,
+        "powersums._chain_product": powersums._chain_product,
+        "compositions._shuffle_words": compositions._shuffle_words,
+        "compositions._stuffle_cached": compositions._stuffle_cached,
+        "prover._jarossay_identity": prover._jarossay_identity,
+        "oracle.eval_mhs": oracle.eval_mhs,
+        "oracle._lcm_range": oracle._lcm_range,
+    }
+    sizes = {name: fn.cache_info().currsize for name, fn in lru_tables.items()}
+    sizes["powersums._memo"] = len(powersums._memo)
+    sizes["arith._power_sum_memo"] = len(arith._power_sum_memo)
+    sizes["arith._bernoulli_memo"] = len(arith._bernoulli_memo) - 1  # B_0 is its seed
+    sizes["prover._PROCESS_BASES"] = len(prover._PROCESS_BASES)
+    return sizes
+
+
+def test_clear_caches_empties_every_table(tmp_path):
+    series = expand_curious(3, 3, 5, cache_dir=tmp_path)
+    eval_series_terms(series, 13)
+    oracle.eval_quantity(padicmhs.QuantitySpec("curious", (3, 3)), 13)
+    assert all(memo_table_sizes().values()), memo_table_sizes()
+    padicmhs.clear_caches()
+    assert not any(memo_table_sizes().values()), memo_table_sizes()
+    assert arith._bernoulli_memo == {0: F(1)}
+    assert expand_curious(3, 3, 5, cache_dir=tmp_path) == series
