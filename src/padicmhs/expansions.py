@@ -49,11 +49,11 @@ from .arith import (
     power_sum_poly,
     strip_poly,
 )
-from .compositions import Comp, check_comp, compositions_of, stuffle, weight
+from .compositions import Comp, _stuffle_cached, check_comp, compositions_of, stuffle, weight
 from .powersums import full_sum, poly_sum, signed_mhs, valuation_bound
 from .prover import generate_relations
 from .quantities import QuantitySpec
-from .series import MhsSeries
+from .series import MhsSeries, _integer_terms, _over, _rescale, _stuffle_into
 
 __all__ = [
     "canonicalize",
@@ -589,13 +589,19 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
     :func:`signed_mhs`; it differs from the geometric expansion of
     :func:`poly_sum` only by reversal relations, which canonicalization
     removes.  For ``r >= 3`` the a-part is :func:`poly_sum`.
+
+    The j-parts have integer coefficients: ``emit`` folds each leaf's
+    stuffle products as an int map ``{composition: coefficient}`` and adds
+    it into its profile; the profile products are summed as int numerators
+    over one common denominator, and a Fraction is built once per output
+    term.
     """
     kfact = factorial(k)
     pinned_exp = r - 1  # a_1 = p^(r-1)
     a_poly = (-1,) + (0,) * (r - 2) + (1,)  # x^(r-1) - 1
-    zero = MhsSeries.zero()
-    # k! times the signed j-parts, summed per profile (shift, svec)
-    j_sums: dict[tuple[int, tuple[int, ...]], MhsSeries] = {}
+    # k! times the signed j-parts, summed per profile (shift, svec) as int
+    # maps {composition: coefficient} of terms at p^0
+    j_sums: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
 
     for runs in compositions_of(k):
         t = len(runs)
@@ -649,57 +655,64 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                     nj0[run_of[pos]] += 1
                 base_sign = -1 if (len(geom) + e_size) % 2 else 1
 
-                def profile(nvec: dict[int, int]) -> tuple[int, tuple[int, ...]]:
-                    run_n = [0] * t
-                    for pos, n in nvec.items():
-                        run_n[run_of[pos]] += n
-                    shift = (
-                        sum(nvec.values())
-                        - len(zero_positions)
-                        + pinned_exp * (run_n[0] - nj0[0])
-                    )
+                # the j-chains of each block, as the slots their exponents sum
+                sigma_slots = [
+                    slots[1:] if bi in zero_blocks else slots
+                    for bi, slots in enumerate(block_slots)
+                ]
+                sigma_slots = [slots[::-1] for slots in sigma_slots if slots]
+                # geometric degrees: per position, and summed per run
+                nvec: dict[int, int] = {}
+                run_n = [0] * t
+
+                def profile(total: int) -> tuple[int, tuple[int, ...]]:
+                    shift = total - len(zero_positions) + pinned_exp * (run_n[0] - nj0[0])
                     svec = tuple(nj0[ri] - run_n[ri] for ri in range(1, t))
                     return shift, svec
 
-                def bound(nvec: dict[int, int]) -> int:
+                def bound(total: int) -> int:
                     # valuation floor of this piece: dropping it entirely is
                     # sound once the floor reaches the target order
-                    shift, svec = profile(nvec)
+                    shift, svec = profile(total)
                     return shift + valuation_bound(pinned_exp, svec, False)
 
-                def emit(nvec: dict[int, int]) -> None:
-                    j_part = MhsSeries.constant(kfact * base_sign)
-                    for bi, slots in enumerate(block_slots):
-                        sigma = []
-                        for si, slot in enumerate(slots):
-                            if bi in zero_blocks and si == 0:
-                                continue
-                            sigma.append(sum(1 + nvec[pos] for pos in slot))
-                        if sigma:
-                            j_part = j_part * MhsSeries.term(
-                                1, 0, tuple(reversed(sigma)), None
-                            )
-                    key = profile(nvec)
-                    j_sums[key] = j_sums.get(key, zero) + j_part
+                def emit(total: int) -> None:
+                    # the leaf's j-part, a product of H's at p^0, as an int
+                    # map {composition: coefficient}, added into its profile
+                    j_part = {(): kfact * base_sign}
+                    for slots in sigma_slots:
+                        sigma = tuple(sum(1 + nvec[pos] for pos in slot) for slot in slots)
+                        product: dict[tuple[int, ...], int] = {}
+                        for s1, c1 in j_part.items():
+                            for s, mult in _stuffle_cached(s1, sigma):
+                                product[s] = product.get(s, 0) + c1 * mult
+                        j_part = product
+                    j_sum = j_sums.setdefault(profile(total), {})
+                    for s, c in j_part.items():
+                        j_sum[s] = j_sum.get(s, 0) + c
 
-                def dfs(i: int, nvec: dict[int, int]) -> None:
+                def dfs(i: int, total: int) -> None:
                     # every extra geometric term raises the floor by >= 1,
                     # so each loop below terminates
-                    if bound(nvec) >= order:
+                    if bound(total) >= order:
                         return
                     if i == len(geom):
-                        emit(nvec)
+                        emit(total)
                         return
+                    pos = geom[i]
+                    ri = run_of[pos]
                     n = 0
                     while True:
-                        nvec[geom[i]] = n
-                        if bound(nvec) >= order:
-                            del nvec[geom[i]]
-                            return
-                        dfs(i + 1, nvec)
+                        nvec[pos] = n
+                        if bound(total + n) >= order:
+                            break
+                        dfs(i + 1, total + n)
                         n += 1
+                        run_n[ri] += 1
+                    run_n[ri] -= n
+                    del nvec[pos]
 
-                dfs(0, {})
+                dfs(0, 0)
 
     a_orders: dict[tuple[int, ...], int] = {}
     for shift, svec in j_sums:
@@ -708,10 +721,15 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
         svec: signed_mhs(svec) if r == 2 else poly_sum(a_poly, svec, False, a_order)
         for svec, a_order in a_orders.items()
     }
-    acc = MhsSeries.zero(order)
+    # sum of p^shift * j_sum * a_part over the profiles, on int numerators
+    acc: dict = {}
+    den = 1
     for (shift, svec), j_sum in j_sums.items():
-        acc = acc + (j_sum * a_parts[svec].truncate(order - shift)).shift(shift)
-    return acc
+        j_nums = [((0, s), c) for s, c in j_sum.items() if c]
+        a_nums, a_den = _integer_terms(a_parts[svec].truncate(order - shift)._terms)
+        den = _rescale(acc, den, a_den)
+        _stuffle_into(acc, j_nums, a_nums, shift, order, den // a_den)
+    return MhsSeries._trusted(_over(acc, den), order)
 
 
 # ---------------------------------------------------------------------------

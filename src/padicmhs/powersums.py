@@ -51,7 +51,15 @@ from typing import Callable
 
 from .arith import INFINITY, IntPoly, int_poly, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
-from .series import MhsSeries
+from .series import (
+    IntTerms,
+    MhsSeries,
+    _add_over,
+    _integer_terms,
+    _over,
+    _rescale,
+    _stuffle_into,
+)
 
 __all__ = [
     "signed_mhs",
@@ -171,41 +179,52 @@ def signed_mhs(exps: Exps) -> MhsSeries:
     g = power_sum_poly(d)
     ghat = list(g)
     ghat[d] += 1
-    acc = _ZERO
+    # int numerators over the common denominator den
+    acc: dict[tuple[int, Exps], int] = {}
+    den = 1
+
+    def add(c: Fraction | int, chain: Exps, shift: int = 0) -> None:
+        # acc / den += c * p^shift * signed_mhs(chain)
+        nonlocal den
+        c = Fraction(c)
+        nums, d = _integer_terms(signed_mhs(chain)._terms)
+        if shift:
+            nums = [((b + shift, s), n) for (b, s), n in nums]
+        den = _add_over(acc, den, nums, d * c.denominator, c.numerator)
+
     if k == 1:
         # sum_{n=1}^{p-1} n^d = G_d(p) - [d == 0]
-        acc = MhsSeries._trusted({(j, ()): c for j, c in enumerate(g) if c}, None)
-        if d == 0:
-            acc = acc - _ONE
-        return acc
-    if i == 0:
-        # sum over n_1 in (n_2, p-1]: G_d(p) - Ghat_d(n_2)
-        rest = exps[1:]
-        s_rest = signed_mhs(rest)
         for j, c in enumerate(g):
             if c:
-                acc = acc + s_rest.shift(j).scale(c)
+                add(c, (), j)
+        if d == 0:
+            add(-1, ())
+    elif i == 0:
+        # sum over n_1 in (n_2, p-1]: G_d(p) - Ghat_d(n_2)
+        rest = exps[1:]
+        for j, c in enumerate(g):
+            if c:
+                add(c, rest, j)
         for j, c in enumerate(ghat):
             if c:
-                acc = acc - signed_mhs((rest[0] - j,) + rest[1:]).scale(c)
-        return acc
-    if i == k - 1:
+                add(-c, (rest[0] - j,) + rest[1:])
+    elif i == k - 1:
         # sum over n_k in [1, n_{k-1}): G_d(n_{k-1}) - [d == 0]
         head = exps[:-1]
         for j, c in enumerate(g):
             if c:
-                acc = acc + signed_mhs(head[:-1] + (head[-1] - j,)).scale(c)
+                add(c, head[:-1] + (head[-1] - j,))
         if d == 0:
-            acc = acc - signed_mhs(head)
-        return acc
-    # interior: sum over n_i in (n_{i+1}, n_{i-1}): G_d(n_{i-1}) - Ghat_d(n_{i+1})
-    for j, c in enumerate(g):
-        if c:
-            acc = acc + signed_mhs(exps[: i - 1] + (exps[i - 1] - j,) + exps[i + 1 :]).scale(c)
-    for j, c in enumerate(ghat):
-        if c:
-            acc = acc - signed_mhs(exps[:i] + (exps[i + 1] - j,) + exps[i + 2 :]).scale(c)
-    return acc
+            add(-1, head)
+    else:
+        # interior: sum over n_i in (n_{i+1}, n_{i-1}): G_d(n_{i-1}) - Ghat_d(n_{i+1})
+        for j, c in enumerate(g):
+            if c:
+                add(c, exps[: i - 1] + (exps[i - 1] - j,) + exps[i + 1 :])
+        for j, c in enumerate(ghat):
+            if c:
+                add(-c, exps[:i] + (exps[i + 1] - j,) + exps[i + 2 :])
+    return MhsSeries._trusted(_over(acc, den), None)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +233,18 @@ def signed_mhs(exps: Exps) -> MhsSeries:
 
 
 @lru_cache(maxsize=None)
-def _chain_product(chains: tuple[Exps, ...]) -> MhsSeries:
-    """The stuffle product of ``signed_mhs(u)`` over the chains ``u``, left to right."""
+def _chain_product(chains: tuple[Exps, ...]) -> tuple[MhsSeries, IntTerms, int, int | float]:
+    """The stuffle product of ``signed_mhs(u)`` over the chains ``u``, left to right.
+
+    Returned with its scaled form, the ``(key, numerator)`` pairs over the
+    lcm of its denominators and that lcm, and with its min-valuation.
+    """
     if not chains:
-        return _ONE
-    return _chain_product(chains[:-1]) * signed_mhs(chains[-1])
+        series = _ONE
+    else:
+        series = _chain_product(chains[:-1])[0] * signed_mhs(chains[-1])
+    nums, d = _integer_terms(series._terms)
+    return series, nums, d, series.min_valuation()
 
 
 def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
@@ -239,7 +265,10 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
     The leaves' coeff * chains are summed per profile (e, p_power) first,
     each a-part is computed once at the largest order its leaves need, and
     each profile takes one product; by distributivity the result is the
-    same as one product per leaf.
+    same as one product per leaf.  The profile sums are accumulated as int
+    numerators over one running common denominator (rescaled to the lcm
+    when a chain product brings a new one), and so are the profile
+    products; a Fraction is built once per output term.
     """
     if b < 1 or r < 0:
         raise ValueError(f"block_sum requires b >= 1, r >= 0, got b={b}, r={r}")
@@ -259,8 +288,9 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
 
 def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     k = len(exps)
-    # profile (e, p_power) -> terms of the summed coeff * chains
-    profiles: dict[tuple[Exps, int], dict] = {}
+    # profile (e, p_power) -> [int numerators of the summed coeff * chains,
+    # their common denominator]
+    profiles: dict[tuple[Exps, int], list] = {}
     a_orders: dict[Exps, int] = {}
     for structure in compositions_of(k):
         blocks: list[Exps] = []
@@ -302,8 +332,9 @@ def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsS
                 for (t, sigma), n in zip(geoms, assign):
                     e[t] -= n
                     chain_exps[t].append(sigma + n)
-                chains = _chain_product(tuple(tuple(reversed(u)) for u in chain_exps if u))
-                chain_val = chains.min_valuation()
+                _, nums, d, chain_val = _chain_product(
+                    tuple(tuple(reversed(u)) for u in chain_exps if u)
+                )
                 if chain_val is INFINITY:
                     continue
                 p_power = base_p + sum(assign)
@@ -313,24 +344,26 @@ def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsS
                     continue  # the a-part alone pushes the term past the order
                 e_key = tuple(e)
                 a_orders[e_key] = max(a_orders.get(e_key, order_a), order_a)
-                summed = profiles.setdefault((e_key, p_power), {})
-                for key, c in chains.terms.items():
-                    c = c * coeff
-                    prev = summed.get(key)
-                    summed[key] = c if prev is None else prev + c
+                profile = profiles.setdefault((e_key, p_power), [{}, 1])
+                profile[1] = _add_over(profile[0], profile[1], nums, d, coeff)
 
     a_parts = {e: block_sum(b, r - 1, e, False, a_order) for e, a_order in a_orders.items()}
-    acc = MhsSeries._trusted({}, order)
-    for (e, p_power), summed in profiles.items():
-        chains = MhsSeries._trusted({key: c for key, c in summed.items() if c}, None)
-        chain_val = chains.min_valuation()
-        if chain_val is INFINITY:
+    # sum of p^p_power * chains * a_part over the profiles, on int numerators
+    acc: dict = {}
+    den = 1
+    for (e, p_power), (summed, chain_den) in profiles.items():
+        chains = [(key, n) for key, n in summed.items() if n]
+        if not chains:
             continue
         a_part = a_parts[e]
         if a_part.order is not None:
-            a_part = a_part.truncate(order - p_power - chain_val)
-        acc = acc + (chains * a_part).shift(p_power)
-    return acc.truncate(order)
+            # chains * a_part is then known to O(p^(order - p_power))
+            a_part = a_part.truncate(order - p_power - min(key[0] for key, _ in chains))
+        a_nums, a_den = _integer_terms(a_part._terms)
+        d = chain_den * a_den
+        den = _rescale(acc, den, d)
+        _stuffle_into(acc, chains, a_nums, p_power, order, den // d)
+    return MhsSeries._trusted(_over(acc, den), order)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +451,11 @@ def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries
             pref, suf = exps[:i], exps[i:]
             lb_pref = valuation_bound(dg, pref, restricted)
             lb_suf = valuation_bound(r, suf, restricted)
-            u = _upper_plus(a, r, rest, pref, restricted, order - lb_suf)
-            t = top_sum(a, r, suf, restricted, order - lb_pref)
+            # each factor is requested at no less than its own valuation
+            # floor: below it the factor is zero, and a zero series stamped
+            # with a lower order would understate the product's order
+            u = _upper_plus(a, r, rest, pref, restricted, max(order - lb_suf, lb_pref))
+            t = top_sum(a, r, suf, restricted, max(order - lb_pref, lb_suf))
             acc = acc + u * t
         return acc.truncate(order)
     # f = a*x^r - h with h eventually positive: split chains over

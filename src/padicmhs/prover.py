@@ -370,6 +370,7 @@ class RelationBasis:
         "_pivots",
         "_triples",
         "_annihilators",
+        "_triple_rows",
     )
 
     def __init__(
@@ -415,6 +416,7 @@ class RelationBasis:
         self._pivots = list(pivots)
         self._triples = list(triples)
         self._annihilators = kept
+        self._triple_rows: dict[Comp, dict[int, int]] | None = None
 
     @property
     def modulus_power(self) -> int:
@@ -491,14 +493,14 @@ class RelationBasis:
         """
         if any(c.denominator % q == 0 for c in target.values()):
             return None
-        r, n = self.rank, self._modulus
-        system: dict[Comp, dict[int, int]] = {w: {} for w in self._columns}
-        for k, prov in enumerate(self._triples):
-            for w, c in _relation_coords(*prov, n).items():
-                system[w][k] = c
-        for w, c in target.items():
-            system[w][r] = c.numerator * pow(c.denominator, -1, q)
-        rows, _ = _echelon(system.values(), q)
+        r = self.rank
+        system = []
+        for w, row in self._transposed_triples().items():
+            c = target.get(w)
+            if c is not None:
+                row = {**row, r: c.numerator * pow(c.denominator, -1, q)}
+            system.append(row)
+        rows, _ = _echelon(system, q)
         if not all(k in rows for k in range(r)):
             return None
         if r in rows:
@@ -508,6 +510,20 @@ class RelationBasis:
                 "independent triples"
             )
         return (), {k: rows[k].get(r, 0) for k in range(r)}
+
+    def _transposed_triples(self) -> dict[Comp, dict[int, int]]:
+        """Column w -> {k: w's coefficient in the relation of independent triple k}.
+
+        The triple part of the transposed system, the same for every target
+        and prime; built on first use and kept with the basis.
+        """
+        if self._triple_rows is None:
+            system: dict[Comp, dict[int, int]] = {w: {} for w in self._columns}
+            for k, prov in enumerate(self._triples):
+                for w, c in _relation_coords(*prov, self._modulus).items():
+                    system[w][k] = c
+            self._triple_rows = system
+        return self._triple_rows
 
     def _replays(self, values: Mapping[int, Fraction], target: Mapping) -> bool:
         combination = ((self._triples[k], mult) for k, mult in values.items())

@@ -20,10 +20,11 @@ composition), whose conjunction implies the original statement.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .arith import INFINITY
-from .compositions import Comp, check_comp, format_comp, stuffle, weight
+from .compositions import Comp, _stuffle_cached, check_comp, format_comp, weight
 
 __all__ = [
     "MhsSeries",
@@ -244,21 +245,30 @@ class MhsSeries:
         )
 
     def mul_term(self, c: RationalLike, b: int, s: Comp) -> "MhsSeries":
-        """Multiply by the exact single term ``c * p^b * H(s)`` (stuffle)."""
+        """Multiply by the exact single term ``c * p^b * H(s)`` (stuffle).
+
+        Accumulates int numerators and builds Fractions as :meth:`__mul__` does.
+        """
         c = Fraction(c)
         check_comp(s)
         if type(b) is not int:
             raise TypeError(f"p-exponent must be an int, got {b!r}")
         order = _mul_order(self._order, None, self.min_valuation(), b)
-        acc: dict[Key, Fraction] = {}
-        if c != 0:
-            for (b1, s1), c1 in self._terms.items():
-                b12 = b1 + b
-                if order is None or b12 < order:
-                    _accumulate(acc, c1 * c, b12, stuffle(s1, s))
-        return MhsSeries._trusted(_nonzero(acc), order)
+        acc: dict[Key, int] = {}
+        if c == 0:
+            return MhsSeries._trusted(acc, order)
+        nums, d = _integer_terms(self._terms)
+        _stuffle_into(acc, nums, [((b, s), c.numerator)], 0, order, 1)
+        return MhsSeries._trusted(_over(acc, d * c.denominator), order)
 
     def __mul__(self, other: object) -> "MhsSeries":
+        """Stuffle product, with the truncation order of :func:`_mul_order`.
+
+        Each operand is scaled once to int numerators over the lcm ``d1``,
+        ``d2`` of its denominators; the products ``n1 * n2 * mult`` are
+        summed as ints per output key (:func:`_stuffle_into`), and one
+        Fraction over ``d1 * d2`` is built per nonzero output term.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, MhsSeries):
@@ -266,13 +276,11 @@ class MhsSeries:
         order = _mul_order(
             self._order, other._order, self.min_valuation(), other.min_valuation()
         )
-        acc: dict[Key, Fraction] = {}
-        for (b1, s1), c1 in self._terms.items():
-            for (b2, s2), c2 in other._terms.items():
-                b12 = b1 + b2
-                if order is None or b12 < order:
-                    _accumulate(acc, c1 * c2, b12, stuffle(s1, s2))
-        return MhsSeries._trusted(_nonzero(acc), order)
+        nums1, d1 = _integer_terms(self._terms)
+        nums2, d2 = _integer_terms(other._terms)
+        acc: dict[Key, int] = {}
+        _stuffle_into(acc, nums1, nums2, 0, order, 1)
+        return MhsSeries._trusted(_over(acc, d1 * d2), order)
 
     def __rmul__(self, other: object) -> "MhsSeries":
         if isinstance(other, (int, Fraction)):
@@ -387,19 +395,58 @@ def _render_term(ac: Fraction, b: int, s: Comp) -> str:
     return " * ".join(factors)
 
 
-def _accumulate(
-    acc: dict[Key, Fraction], c: Fraction, b: int, products: Mapping[Comp, int]
+# Int numerators over a common denominator: the ring operations and the
+# powersums/expansions hot loops accumulate these and build Fractions once,
+# per output term (``_over``).
+IntTerms = list[tuple[Key, int]]
+
+
+def _integer_terms(terms: dict[Key, Fraction]) -> tuple[IntTerms, int]:
+    """``(key, numerator)`` pairs over the lcm ``d`` of the denominators, and ``d``."""
+    d = 1
+    for c in terms.values():
+        d = lcm(d, c.denominator)
+    return [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()], d
+
+
+def _rescale(acc: dict, den: int, d: int) -> int:
+    """Rescale the numerators ``acc`` over ``den`` to a multiple of ``d``; return it."""
+    if den % d:
+        new_den = lcm(den, d)
+        up = new_den // den
+        for key in acc:
+            acc[key] *= up
+        den = new_den
+    return den
+
+
+def _add_over(acc: dict, den: int, nums: Iterable[tuple], d: int, c: int) -> int:
+    """``acc / den += c * nums / d`` on int numerators; returns the new ``den``."""
+    den = _rescale(acc, den, d)
+    c *= den // d
+    for key, n in nums:
+        acc[key] = acc.get(key, 0) + n * c
+    return den
+
+
+def _stuffle_into(
+    acc: dict[Key, int], nums1: IntTerms, nums2: IntTerms, shift: int, below: Order, c: int
 ) -> None:
-    """Add ``c * mult * p^b * H(s)`` to ``acc`` for each ``s -> mult`` of ``products``."""
-    for s, mult in products.items():
-        term = c if mult == 1 else c * mult
-        key = (b, s)
-        prev = acc.get(key)
-        acc[key] = term if prev is None else prev + term
+    """``acc += c * p^shift * nums1 * nums2`` (stuffle), keeping p-exponents below ``below``."""
+    for (b1, s1), n1 in nums1:
+        n1 *= c
+        for (b2, s2), n2 in nums2:
+            b = b1 + b2 + shift
+            if below is None or b < below:
+                n = n1 * n2
+                for s, mult in _stuffle_cached(s1, s2):
+                    key = (b, s)
+                    acc[key] = acc.get(key, 0) + n * mult
 
 
-def _nonzero(acc: dict[Key, Fraction]) -> dict[Key, Fraction]:
-    return {key: c for key, c in acc.items() if c}
+def _over(nums: dict[Key, int], d: int) -> dict[Key, Fraction]:
+    """The nonzero ``n / d`` of an int numerator map, as Fractions."""
+    return {key: Fraction(n, d) for key, n in nums.items() if n}
 
 
 # -- congruence statements ----------------------------------------------

@@ -16,7 +16,7 @@ from padicmhs.cli import (
     main,
     parse,
 )
-from padicmhs.oracle import eval_series_terms
+from padicmhs.oracle import PrimeWindow, check_numeric, eval_series_terms
 from padicmhs.prover import RelationBasis
 from padicmhs.series import MhsSeries
 
@@ -171,6 +171,16 @@ class TestExpandCommand:
     def test_rational_pinned(self, capsys):
         assert main(["expand", "rat(p^2)", "--order", "9"]) == 0
         assert capsys.readouterr().out.strip() == "p^2"
+
+    def test_psum_with_positive_remainder_below_the_floor(self, capsys):
+        # psum splits [1, p^2+p+1] at p^2; at order 3 its factors were once
+        # requested below their valuation floors, and the product lost order
+        text = "psum(p^2+p+1;0;2,2)"
+        assert main(["expand", text, "--order", "3"]) == 0
+        series = eval_series(parse(text), 3)
+        assert capsys.readouterr().out.strip() == series.render()
+        report = check_numeric((parse(text).payload, series), PrimeWindow(11, 23))
+        assert report.passed, report.render()
 
     def test_congruence_rejected(self, capsys):
         assert main(["expand", "H(1) = 0 mod p^2"]) == 2

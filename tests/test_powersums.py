@@ -362,6 +362,26 @@ class TestOrderMemo:
             assert full_sum((7,), (2,), (1, -1, 2), False, order) == at_six
 
 
+# raw term maps as the Fraction-accumulating expansion layer built them; the
+# int-numerator accumulation of products, profiles and j-parts keeps them
+INTEGER_ACCUMULATION_DIGESTS = [
+    (_expand_curious_general, (2, 3, 6), "a31c5eceaba7fe1e"),
+    (_expand_curious_general, (2, 4, 4), "824ef4d8a55d0aa4"),
+    (_expand_curious_general, (2, 4, 5), "757dcc58fef10bfe"),
+    (_expand_curious_general, (3, 3, 6), "cc02c2f20cd8d9d0"),
+    (signed_mhs, ((2, -1, 3),), "9dd828a1917801aa"),
+    (signed_mhs, ((1, 0, 2),), "97c7a36f1cd3d1f2"),
+    (signed_mhs, ((-2, 3),), "3876c4034d07b1ed"),
+    (signed_mhs, ((3, -2, -1, 2),), "835d82b6f5cdc654"),
+]
+
+
+@pytest.mark.parametrize("fn,args,digest", INTEGER_ACCUMULATION_DIGESTS)
+def test_integer_accumulation_keeps_raw_term_maps(fn, args, digest):
+    padicmhs.clear_caches()
+    assert term_digest(fn(*args)) == digest
+
+
 def memo_table_sizes():
     """Entry counts of every in-process memo table of the package."""
     lru_tables = {

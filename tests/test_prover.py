@@ -259,6 +259,23 @@ class TestModularLift:
         small = [[basis.express(row) for row in rref_rows(basis)] for basis in bases]
         assert small == default
 
+    def test_triple_part_of_the_system_is_built_once(self, basis_cache, monkeypatch):
+        # the triples' columns of the transposed system are the same for
+        # every target and prime; apart from them, only the exact replays
+        # (one relation per independent triple) compute relations
+        basis = generate_relations(6, basis_cache)
+        relations, replays = [], []
+        real_coords, real_replays = prover._relation_coords, RelationBasis._replays
+        monkeypatch.setattr(
+            prover, "_relation_coords", lambda *a: relations.append(a) or real_coords(*a)
+        )
+        monkeypatch.setattr(
+            RelationBasis, "_replays", lambda *a: replays.append(a) or real_replays(*a)
+        )
+        rows = rref_rows(basis)
+        assert all(basis.express(row) for row in rows)
+        assert len(relations) == basis.rank * (1 + len(replays))
+
     def test_primes_are_distinct_and_pass_fermat(self):
         assert len(set(prover._PRIMES)) == len(prover._PRIMES)
         for q in prover._PRIMES:

@@ -682,3 +682,92 @@ class TestTrustedResults:
                 a.mul_term(1, flag, (1,))
             with pytest.raises(TypeError):
                 a.truncate(flag)
+
+
+# ---------------------------------------------------------------------------
+# products on int numerators against a plain-Fraction reference
+# ---------------------------------------------------------------------------
+
+
+_MIXED_COEFFS = [F(1), F(-1), F(3), F(-3, 2), F(5, 7), F(1, 3), F(-7, 12), F(11, 30), F(13, 1024)]
+
+
+def _reference_product(a_terms, b_terms, order):
+    """Stuffle product with one Fraction multiply-add per term pair, zeros dropped."""
+    acc = {}
+    for (b1, s1), c1 in a_terms.items():
+        for (b2, s2), c2 in b_terms.items():
+            if order is None or b1 + b2 < order:
+                for s, mult in stuffle(s1, s2).items():
+                    key = (b1 + b2, s)
+                    acc[key] = acc.get(key, F(0)) + c1 * c2 * mult
+    return {key: c for key, c in acc.items() if c}
+
+
+def _mixed_series(rng, order):
+    terms = {
+        (rng.randint(-3, 4), rng.choice(_COMPS)): rng.choice(_MIXED_COEFFS)
+        for _ in range(rng.randint(0, 5))
+    }
+    return S(terms, order)
+
+
+class TestIntegerProducts:
+    """``__mul__`` and ``mul_term`` sum int numerators; the term maps must not change."""
+
+    def test_random_products_match_reference(self):
+        rng = random.Random(20261020)
+        orders = [None, None, -2, 0, 1, 3, 5]
+        for _ in range(400):
+            a = _mixed_series(rng, rng.choice(orders))
+            b = _mixed_series(rng, rng.choice(orders))
+            prod = a * b
+            _assert_normalized(prod)
+            assert prod.terms == _reference_product(a.terms, b.terms, prod.order)
+
+    def test_random_mul_term_matches_reference(self):
+        rng = random.Random(20261021)
+        for _ in range(400):
+            a = _mixed_series(rng, rng.choice([None, -1, 2, 4]))
+            c = rng.choice(_MIXED_COEFFS + [F(0)])
+            b, s = rng.randint(-2, 2), rng.choice(_COMPS)
+            out = a.mul_term(c, b, s)
+            _assert_normalized(out)
+            assert out.order == (None if a.order is None else a.order + b)
+            single = {(b, s): c} if c else {}
+            assert out.terms == _reference_product(a.terms, single, out.order)
+
+    def test_exact_times_truncated(self):
+        a = S({(-2, (1,)): F(1, 3), (0, (2,)): F(-5, 7), (1, ()): F(7, 12)})
+        b = S({(0, ()): F(2, 5), (1, (1, 1)): F(-1, 6)}, 2)
+        prod = a * b
+        assert prod.order == 0  # the O(p^2) tail meets the p^-2 term of a
+        assert prod.terms == _reference_product(a.terms, b.terms, 0)
+        assert prod.terms  # the p^-2 and p^-1 terms survive
+
+    def test_zero_operands(self):
+        a = S({(1, (2,)): F(3, 4), (-1, ()): F(-2, 9)}, 4)
+        for zero in (MhsSeries.zero(), MhsSeries.zero(3)):
+            for prod in (a * zero, zero * a):
+                assert prod.is_zero()
+                _assert_normalized(prod)
+        assert a.mul_term(0, 1, (1,)).terms == {}
+
+    def test_cancelling_products_drop_their_keys(self):
+        # (H(1) + H(2)) * (H(1) - H(2)) = H(1)^2 - H(2)^2: the cross terms
+        # H(1,2), H(2,1) and H(3) cancel exactly and must be absent
+        x = S({(0, (1,)): F(1, 3), (1, (2,)): F(2, 5)})
+        y = S({(0, (1,)): F(1, 3), (1, (2,)): F(-2, 5)})
+        prod = x * y
+        assert prod.terms == {
+            (0, (1, 1)): F(2, 9),
+            (0, (2,)): F(1, 9),
+            (2, (2, 2)): F(-8, 25),
+            (2, (4,)): F(-4, 25),
+        }
+        assert prod.terms == _reference_product(x.terms, y.terms, None)
+        # (H(1,1) - H(2)) * H(1) = 3 H(1,1,1) - H(3): H(2,1) and H(1,2) cancel
+        h = S({(0, (1, 1)): F(1, 3), (0, (2,)): F(-1, 3)})
+        out = h.mul_term(F(3, 4), 1, (1,))
+        assert out.terms == {(1, (1, 1, 1)): F(3, 4), (1, (3,)): F(-1, 4)}
+        assert out.terms == _reference_product(h.terms, {(1, (1,)): F(3, 4)}, None)
