@@ -41,6 +41,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import __version__
@@ -556,7 +557,9 @@ class _CommandParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--order",

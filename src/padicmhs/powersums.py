@@ -32,7 +32,11 @@ correct to ``O(p^order)`` for all but finitely many primes; results that
 happen to be exact (constants, eliminated signed sums) keep ``order=None``.
 Truncation of the geometric expansions is driven by valuation lower bounds:
 a sum over an interval ``(L, U]`` with ``U ~ p^d`` lies in valuation
-``>= -d * sum_i max(s_i, 0)``, and ``>= 0`` when restricted.
+``>= -d * sum_i max(s_i, 0)``, and ``>= 0`` when restricted.  The same
+floors set the orders of a chain split: to know a product ``X * Y`` to
+``O(p^order)``, each factor is computed to ``order`` less the other's floor,
+and never below its own floor.  Below its floor a factor is zero, and a zero
+series stamped with a lower order would understate the product's order.
 
 :func:`block_sum`, :func:`top_sum`, :func:`poly_sum` and :func:`full_sum`
 share one memo keyed by the sum without its order.  It keeps each sum at
@@ -47,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 from .arith import INFINITY, IntPoly, int_poly, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
@@ -139,6 +143,19 @@ def valuation_bound(upper_degree: int, exps: Exps, restricted: bool) -> int:
     return -upper_degree * positive_exponent_sum(exps)
 
 
+def _split_orders(
+    order: int, restricted: bool, pref: Exps, pref_degree: int, suf: Exps, suf_degree: int
+) -> tuple[int, int]:
+    """The orders at which to compute X(pref) and Y(suf) to know X*Y to O(p^order).
+
+    Each is ``max(order - lb_other, lb_own)``, ``lb`` the
+    :func:`valuation_bound` of the factor over an interval of that degree.
+    """
+    lb_pref = valuation_bound(pref_degree, pref, restricted)
+    lb_suf = valuation_bound(suf_degree, suf, restricted)
+    return max(order - lb_suf, lb_pref), max(order - lb_pref, lb_suf)
+
+
 def _const_chain_sum(c: int, exps: Exps) -> Fraction:
     """S_{c,0}(exps) for a constant bound: chains c >= n_1 > ... > n_k >= 1.
 
@@ -164,21 +181,21 @@ def signed_mhs(exps: Exps) -> MhsSeries:
     """Exact MhsSeries for S_{p-1,0}(exps), exponents of either sign.
 
     For all-positive exponents this is the single term H(exps).  Otherwise
-    the first nonpositive exponent -d is eliminated: summing n^d over the
-    gap between its neighbours is G_d(upper) - Ghat_d(lower) with
-    G_d(x) = sum_{a<x} a^d and Ghat_d = G_d + x^d, and each monomial of
-    those polynomials is absorbed into the neighbouring chain entry (or
-    becomes an explicit power of p at the ends).  Each step removes one
-    chain position, so the recursion terminates; the result is exact.
+    the first nonpositive exponent -d, at position i, is eliminated: summing
+    n_i^d over the gap between its neighbours is G_d(upper) - Ghat_d(lower)
+    with G_d(x) = sum_{a<x} a^d and Ghat_d = G_d + x^d.  The upper bound is
+    p when i is first, else n_(i-1); the lower bound is n_(i+1), or 0 when
+    i is last, where Ghat_d(0) = [d == 0].  Each monomial x^j of a bound
+    n_l is absorbed into that chain entry's exponent, and p^j becomes an
+    explicit power of p.  Each step removes one chain position, so the
+    recursion terminates; the result is exact.
     """
     if all(e >= 1 for e in exps):
         return MhsSeries._trusted({(0, exps): Fraction(1)}, None)
-    k = len(exps)
     i = next(idx for idx, e in enumerate(exps) if e <= 0)
     d = -exps[i]
+    rest = exps[:i] + exps[i + 1 :]
     g = power_sum_poly(d)
-    ghat = list(g)
-    ghat[d] += 1
     # int numerators over the common denominator den
     acc: dict[tuple[int, Exps], int] = {}
     den = 1
@@ -192,38 +209,23 @@ def signed_mhs(exps: Exps) -> MhsSeries:
             nums = [((b + shift, s), n) for (b, s), n in nums]
         den = _add_over(acc, den, nums, d * c.denominator, c.numerator)
 
-    if k == 1:
-        # sum_{n=1}^{p-1} n^d = G_d(p) - [d == 0]
-        for j, c in enumerate(g):
+    def add_poly(poly: Sequence[Fraction], at: int | None) -> None:
+        # poly(bound), the bound being p (at None) or the index at position
+        # ``at`` of ``rest``
+        for j, c in enumerate(poly):
             if c:
-                add(c, (), j)
-        if d == 0:
-            add(-1, ())
-    elif i == 0:
-        # sum over n_1 in (n_2, p-1]: G_d(p) - Ghat_d(n_2)
-        rest = exps[1:]
-        for j, c in enumerate(g):
-            if c:
-                add(c, rest, j)
-        for j, c in enumerate(ghat):
-            if c:
-                add(-c, (rest[0] - j,) + rest[1:])
-    elif i == k - 1:
-        # sum over n_k in [1, n_{k-1}): G_d(n_{k-1}) - [d == 0]
-        head = exps[:-1]
-        for j, c in enumerate(g):
-            if c:
-                add(c, head[:-1] + (head[-1] - j,))
-        if d == 0:
-            add(-1, head)
-    else:
-        # interior: sum over n_i in (n_{i+1}, n_{i-1}): G_d(n_{i-1}) - Ghat_d(n_{i+1})
-        for j, c in enumerate(g):
-            if c:
-                add(c, exps[: i - 1] + (exps[i - 1] - j,) + exps[i + 1 :])
-        for j, c in enumerate(ghat):
-            if c:
-                add(-c, exps[:i] + (exps[i + 1] - j,) + exps[i + 2 :])
+                if at is None:
+                    add(c, rest, j)
+                else:
+                    add(c, rest[:at] + (rest[at] - j,) + rest[at + 1 :])
+
+    add_poly(g, None if i == 0 else i - 1)
+    if i < len(rest):
+        minus_ghat = [-c for c in g]  # -Ghat_d = -(G_d + x^d)
+        minus_ghat[d] -= 1
+        add_poly(minus_ghat, i)
+    elif d == 0:
+        add(-1, rest)
     return MhsSeries._trusted(_over(acc, den), None)
 
 
@@ -396,11 +398,9 @@ def _top_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSer
     acc = MhsSeries._trusted({}, order)
     for i in range(len(exps) + 1):
         pref, suf = exps[:i], exps[i:]
-        lb_pref = valuation_bound(r, pref, restricted)
-        lb_suf = valuation_bound(r, suf, restricted)
-        x = block_sum(b, r, pref, restricted, order - lb_suf)
-        y = top_sum(b - 1, r, suf, restricted, order - lb_pref)
-        acc = acc + x * y
+        o_pref, o_suf = _split_orders(order, restricted, pref, r, suf, r)
+        block = block_sum(b, r, pref, restricted, o_pref)
+        acc = acc + block * top_sum(b - 1, r, suf, restricted, o_suf)
     return acc.truncate(order)
 
 
@@ -439,24 +439,17 @@ def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries
     r = len(f) - 1
     a = f[-1]
     rest = strip_poly(f[:-1])
-    k = len(exps)
 
     if not rest:
         return top_sum(a, r, exps, restricted, order)
     if rest[-1] > 0:
         # f = a*x^r + g with g eventually positive: split chains at a*p^r
-        dg = len(rest) - 1
         acc = MhsSeries._trusted({}, order)
-        for i in range(k + 1):
+        for i in range(len(exps) + 1):
             pref, suf = exps[:i], exps[i:]
-            lb_pref = valuation_bound(dg, pref, restricted)
-            lb_suf = valuation_bound(r, suf, restricted)
-            # each factor is requested at no less than its own valuation
-            # floor: below it the factor is zero, and a zero series stamped
-            # with a lower order would understate the product's order
-            u = _upper_plus(a, r, rest, pref, restricted, max(order - lb_suf, lb_pref))
-            t = top_sum(a, r, suf, restricted, max(order - lb_pref, lb_suf))
-            acc = acc + u * t
+            o_pref, o_suf = _split_orders(order, restricted, pref, len(rest) - 1, suf, r)
+            upper = _geometric_tail(a, r, rest, pref, restricted, o_pref, minus=False)
+            acc = acc + upper * top_sum(a, r, suf, restricted, o_suf)
         return acc.truncate(order)
     # f = a*x^r - h with h eventually positive: split chains over
     # [1, a*p^r] at f(p) and move the strip (f(p), a*p^r] to the left:
@@ -464,52 +457,46 @@ def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries
     #                                          * S_{f,0}(s_{i+1}..s_k)
     h = tuple(-c for c in rest)
     acc = top_sum(a, r, exps, restricted, order)
-    for i in range(1, k + 1):
+    for i in range(1, len(exps) + 1):
         pref, suf = exps[:i], exps[i:]
-        lb_pref = valuation_bound(r, pref, restricted)
-        lb_suf = valuation_bound(r, suf, restricted)
-        u = _upper_minus(a, r, h, pref, restricted, order - lb_suf)
-        s2 = poly_sum(f, suf, restricted, order - lb_pref)
-        acc = acc - u * s2
+        o_pref, o_suf = _split_orders(order, restricted, pref, r, suf, r)
+        strip = _upper_minus(a, r, h, pref, restricted, o_pref)
+        acc = acc - strip * poly_sum(f, suf, restricted, o_suf)
     return acc.truncate(order)
 
 
-def _upper_plus(
-    a: int, r: int, g: IntPoly, sigma: Exps, restricted: bool, order: int
+def _geometric_tail(
+    a: int, r: int, g: IntPoly, sigma: Exps, restricted: bool, order: int, minus: bool
 ) -> MhsSeries:
-    """S_{a p^r + g(p), a p^r}(sigma) to O(p^order), deg g < r, g eventually positive.
+    """Chains n_1 > ... > n_k with n = a*p^r + m (``minus``: a*p^r - m), m in [1, g(p)].
 
-    Indices are n = a*p^r + m with m in [1, g(p)];
-    (a*p^r + m)^(-s) = sum_t C(-s,t) a^t p^(rt) m^(-s-t), so each t-tuple
-    contributes a sum bounded by g in the shifted exponents.  The interval
-    contains no index divisible by p^(deg g + 1) for large p, so a term
-    with total geometric degree T has valuation >= r*T - deg(g) * (positive
-    exponent mass), which truncates the t-enumeration.
+    To O(p^order); deg g < r and g is eventually nonnegative.  Each factor
+    expands as (a*p^r +- m)^(-s) = sum_t C(-s,t) (+-1)^(s+t) a^t p^(rt) m^(-s-t),
+    so each t-tuple contributes a sum bounded by g in the shifted exponents,
+    with the exponents reversed for ``minus``, whose m-chains ascend.  For
+    large p no m is divisible by p^(d+1), d = deg g (d = 0 when restricted,
+    as the sums are then p-integral), so a term of total degree T has
+    valuation >= (r - d)*T - d*(positive exponent mass of sigma), which
+    truncates the t-enumeration.
     """
     if not sigma:
         return _ONE
-    dg = len(g) - 1
-    possum = positive_exponent_sum(sigma)
-    if restricted:
-        maxtotal = (order - 1) // r if order >= 1 else -1
-    else:
-        # visible while (r - dg) * total - dg * (possum + total) ... bounded by
-        # r*total - dg*(possum + total) < order
-        maxtotal = -1
-        total = 0
-        while (r - dg) * total - dg * possum < order:
-            maxtotal = total
-            total += 1
+    d = 0 if restricted else max(len(g) - 1, 0)
+    max_total = (order - 1 + d * positive_exponent_sum(sigma)) // (r - d)
     acc = MhsSeries._trusted({}, order)
-    for t in bounded_tuples(len(sigma), maxtotal):
+    for t in bounded_tuples(len(sigma), max_total):
         coeff = 1
         for s_l, t_l in zip(sigma, t):
-            coeff *= _binom_neg(s_l, t_l)
+            coeff *= _binom_neg(s_l, t_l) * a**t_l
         if coeff == 0:
             continue
         st = sum(t)
-        inner = poly_sum(g, tuple(s + u for s, u in zip(sigma, t)), restricted, order - r * st)
-        acc = acc + inner.scale(coeff * a**st).shift(r * st)
+        shifted = tuple(s + u for s, u in zip(sigma, t))
+        if minus:
+            coeff *= _parity_sign(sum(shifted))
+            shifted = shifted[::-1]
+        inner = poly_sum(g, shifted, restricted, order - r * st)
+        acc = acc + inner.scale(coeff).shift(r * st)
     return acc.truncate(order)
 
 
@@ -518,48 +505,18 @@ def _upper_minus(
 ) -> MhsSeries:
     """S_{a p^r, a p^r - h(p)}(sigma) to O(p^order), deg h < r, h eventually positive.
 
-    Indices are n = a*p^r - m with m in [0, h(p)-1], so descending n-chains
-    are ascending m-chains; m = 0 (i.e. n = a*p^r) can only occupy the first
-    position and is dropped when restricted.  For m >= 1,
-    (a*p^r - m)^(-s) = sum_t C(-s,t) (-1)^(s+t) a^t p^(rt) m^(-s-t), and the
-    ascending m-chains with bound h(p)-1 are sums with reversed exponents.
+    Indices are n = a*p^r - m with m in [0, h(p)-1].  The chains with every
+    m >= 1 are the geometric tail with bound h - 1; m = 0 (i.e. n = a*p^r)
+    can only occupy the first position and is dropped when restricted.
+    ``sigma`` is nonempty.
     """
-    if not sigma:
-        return _ONE
     hm1 = poly_sub(h, (1,))
-
-    def chain_tail(tau: Exps, order_t: int) -> MhsSeries:
-        # ascending chains 1 <= m_1 < ... < m_j <= h(p)-1 with factors m_l^(-tau_l)
-        if not tau:
-            return _ONE
-        dh = max(len(hm1) - 1, 0)
-        possum = positive_exponent_sum(tau)
-        maxtotal = -1
-        total = 0
-        bound = (lambda T: r * T) if restricted else (lambda T: (r - dh) * T - dh * possum)
-        while bound(total) < order_t:
-            maxtotal = total
-            total += 1
-        acc = MhsSeries._trusted({}, order_t)
-        for t in bounded_tuples(len(tau), maxtotal):
-            coeff = 1
-            for s_l, t_l in zip(tau, t):
-                coeff *= _binom_neg(s_l, t_l) * _parity_sign(s_l + t_l) * a**t_l
-            if coeff == 0:
-                continue
-            st = sum(t)
-            rev = tuple(reversed([s + u for s, u in zip(tau, t)]))
-            inner = poly_sum(hm1, rev, restricted, order_t - r * st)
-            acc = acc + inner.scale(coeff).shift(r * st)
-        return acc.truncate(order_t)
-
-    result = chain_tail(sigma, order)
+    result = _geometric_tail(a, r, hm1, sigma, restricted, order, minus=True)
     if not restricted:
         # m = 0 term: n_1 = a*p^r exactly
         s1 = sigma[0]
-        c0 = Fraction(a) ** (-s1)
-        tail = chain_tail(sigma[1:], order + r * s1)
-        result = result + tail.scale(c0).shift(-r * s1)
+        tail = _geometric_tail(a, r, hm1, sigma[1:], restricted, order + r * s1, minus=True)
+        result = result + tail.scale(Fraction(a) ** (-s1)).shift(-r * s1)
     return result.truncate(order)
 
 
@@ -595,15 +552,10 @@ def full_sum(f, g, exps: Exps, restricted: bool, order: int) -> MhsSeries:
 
 
 def _full_sum(f: IntPoly, g: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries:
-    df = len(f) - 1
-    dg = len(g) - 1
-    k = len(exps)
     acc = poly_sum(f, exps, restricted, order)
-    for i in range(k):
+    for i in range(len(exps)):
         pref, suf = exps[:i], exps[i:]
-        lb_pref = valuation_bound(df, pref, restricted)
-        lb_suf = valuation_bound(dg, suf, restricted)
-        part = full_sum(f, g, pref, restricted, order - lb_suf)
-        low = poly_sum(g, suf, restricted, order - lb_pref)
-        acc = acc - part * low
+        o_pref, o_suf = _split_orders(order, restricted, pref, len(f) - 1, suf, len(g) - 1)
+        part = full_sum(f, g, pref, restricted, o_pref)
+        acc = acc - part * poly_sum(g, suf, restricted, o_suf)
     return acc if acc.order is None else acc.truncate(order)

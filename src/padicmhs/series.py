@@ -156,13 +156,6 @@ class MhsSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_exact(self) -> bool:
-        return self._order is None
-
-    def is_weighted(self) -> bool:
-        """True when every term has p-exponent equal to its composition weight."""
-        return all(b == weight(s) for (b, s) in self._terms)
-
     def min_valuation(self) -> int | float:
         """Guaranteed lower bound for the p-adic valuation of the value.
 
@@ -243,23 +236,6 @@ class MhsSeries:
         return MhsSeries._trusted(
             {(b + k, s): c for (b, s), c in self._terms.items()}, order
         )
-
-    def mul_term(self, c: RationalLike, b: int, s: Comp) -> "MhsSeries":
-        """Multiply by the exact single term ``c * p^b * H(s)`` (stuffle).
-
-        Accumulates int numerators and builds Fractions as :meth:`__mul__` does.
-        """
-        c = Fraction(c)
-        check_comp(s)
-        if type(b) is not int:
-            raise TypeError(f"p-exponent must be an int, got {b!r}")
-        order = _mul_order(self._order, None, self.min_valuation(), b)
-        acc: dict[Key, int] = {}
-        if c == 0:
-            return MhsSeries._trusted(acc, order)
-        nums, d = _integer_terms(self._terms)
-        _stuffle_into(acc, nums, [((b, s), c.numerator)], 0, order, 1)
-        return MhsSeries._trusted(_over(acc, d * c.denominator), order)
 
     def __mul__(self, other: object) -> "MhsSeries":
         """Stuffle product, with the truncation order of :func:`_mul_order`.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicmhs import cli
+from padicmhs import clear_caches, cli
 from padicmhs.arith import padic_valuation
 from padicmhs.cli import (
     ExprAst,
@@ -180,6 +180,18 @@ class TestExpandCommand:
         series = eval_series(parse(text), 3)
         assert capsys.readouterr().out.strip() == series.render()
         report = check_numeric((parse(text).payload, series), PrimeWindow(11, 23))
+        assert report.passed, report.render()
+
+    def test_psum_with_negative_remainder_below_the_floor(self, capsys):
+        # psum splits [1, p^2] at p^2-p; from an empty memo the factors of
+        # that split were once requested below their valuation floors, and
+        # the run exited 2 with "cannot strengthen O(p^-4) to O(p^-3)"
+        clear_caches()
+        text = "psum(p^2-p;0;1,-2)"
+        assert main(["expand", text, "--order", "3"]) == 0
+        assert capsys.readouterr().out.strip() == "1/36 * p - 1/9 * p^2 + O(p^3)"
+        series = eval_series(parse(text), 3)
+        report = check_numeric((parse(text).payload, series), PrimeWindow(11, 29))
         assert report.passed, report.render()
 
     def test_congruence_rejected(self, capsys):
@@ -417,6 +429,12 @@ class TestLeadingMinus:
         argv = [command] + (options + args if options_first else args + options)
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith(first_line + "\n")
+
+    def test_parser_is_built_once(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["valuation", "p*H(1)"]) == 0
+        assert main(["valuation", "p^2*H(1)"]) == 0
+        assert capsys.readouterr().out == "3\n4\n"
 
     def test_unknown_option_still_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,14 @@ import padicmhs
 from padicmhs import arith, compositions, oracle, powersums, prover
 from padicmhs.arith import padic_valuation
 from padicmhs.expansions import _expand_curious_general, expand_curious
-from padicmhs.oracle import eval_mhs, eval_power_sum, eval_series_terms, primes_in
+from padicmhs.oracle import (
+    PrimeWindow,
+    check_numeric,
+    eval_mhs,
+    eval_power_sum,
+    eval_series_terms,
+    primes_in,
+)
 from padicmhs.powersums import (
     block_sum,
     full_sum,
@@ -26,6 +33,7 @@ from padicmhs.powersums import (
     top_sum,
     valuation_bound,
 )
+from padicmhs.quantities import parse_quantity
 from padicmhs.series import MhsSeries
 
 
@@ -373,6 +381,13 @@ INTEGER_ACCUMULATION_DIGESTS = [
     (signed_mhs, ((1, 0, 2),), "97c7a36f1cd3d1f2"),
     (signed_mhs, ((-2, 3),), "3876c4034d07b1ed"),
     (signed_mhs, ((3, -2, -1, 2),), "835d82b6f5cdc654"),
+    # one nonpositive exponent at each boundary: alone, first, last, interior
+    (signed_mhs, ((0,),), "06d303a64bd95a6d"),
+    (signed_mhs, ((-2,),), "6f148f922edd7ebe"),
+    (signed_mhs, ((2, -1),), "85d797c7dc1d8dce"),
+    (signed_mhs, ((1, 2, 0),), "62b9beff8d3e4fee"),
+    (signed_mhs, ((-1, -1),), "a5c95333107ca957"),
+    (signed_mhs, ((0, 3, -2),), "20dda124fdc13fbc"),
 ]
 
 
@@ -380,6 +395,54 @@ INTEGER_ACCUMULATION_DIGESTS = [
 def test_integer_accumulation_keeps_raw_term_maps(fn, args, digest):
     padicmhs.clear_caches()
     assert term_digest(fn(*args)) == digest
+
+
+class TestSplitOrderFloor:
+    """Each factor of a chain split is computed at no less than its valuation floor.
+
+    Below its floor a factor is zero; stamped with a lower order it once
+    understated the order of the product, which then could not be truncated
+    to the order asked for, depending on what the memo held.
+    """
+
+    PSUM = ((0, -1, 1), (), (1, -2), False)  # psum(p^2-p;0;1,-2)
+
+    def test_minus_remainder_from_an_empty_memo(self):
+        padicmhs.clear_caches()
+        series = full_sum(*self.PSUM, 3)
+        assert series.render() == "1/36 * p - 1/9 * p^2 + O(p^3)"
+        assert term_digest(series) == "7f11d5c5ac0b2dd0"
+        spec = parse_quantity("psum", "p^2-p;0;1,-2")
+        report = check_numeric((spec, series), PrimeWindow(11, 29))
+        assert report.passed, report.render()
+
+    def test_fresh_equals_served_after_a_higher_order(self):
+        padicmhs.clear_caches()
+        fresh = full_sum(*self.PSUM, 3)
+        padicmhs.clear_caches()
+        assert full_sum(*self.PSUM, 8).truncate(3) == fresh
+        assert full_sum(*self.PSUM, 3) == fresh
+
+    def test_grid_never_raises_and_fresh_equals_warm(self):
+        # p^2-p, p^2-p+1, 2p-1, p-1 and p^2-1 over (0, f] and (p-1, f]; 74 of
+        # these 360 calls used to raise, from an empty memo or a filled one
+        uppers = [(0, -1, 1), (1, -1, 1), (-1, 2), (-1, 1), (-1, 0, 1)]
+        lowers = [(), (-1, 1)]
+        cases = [
+            (f, g, exps, restricted, order)
+            for f in uppers
+            for g in lowers
+            for exps in [(1, -2), (0, 1), (2, 1)]
+            for restricted in (False, True)
+            for order in range(-2, 4)
+        ]
+        fresh = []
+        for case in cases:
+            padicmhs.clear_caches()
+            fresh.append(full_sum(*case))
+        padicmhs.clear_caches()
+        warm = [full_sum(*case) for case in cases]
+        assert warm == fresh
 
 
 def memo_table_sizes():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicmhs.arith import INFINITY
-from padicmhs.compositions import stuffle
+from padicmhs.compositions import stuffle, weight
 from padicmhs.series import (
     CongruenceStatement,
     MhsSeries,
@@ -171,7 +171,7 @@ class TestMul:
 
     def test_mul_term(self):
         a = S({(1, (1,)): 1, (0, ()): 2}, 4)
-        out = a.mul_term(3, 1, (1,))
+        out = a * MhsSeries.term(3, 1, (1,))
         assert out.terms == {
             (2, (1, 1)): F(6),
             (2, (2,)): F(3),
@@ -182,8 +182,8 @@ class TestMul:
     def test_mul_term_order_rule(self):
         # multiplying by an exact term of valuation v shifts the tail by v
         a = S({(0, ()): 1}, 4)
-        assert a.mul_term(1, 2, ()).order == 6
-        assert a.mul_term(1, 0, (1,)).order == 4
+        assert (a * MhsSeries.term(1, 2, ())).order == 6
+        assert (a * MhsSeries.term(1, 0, (1,))).order == 4
 
     def test_pow(self):
         a = S({(0, ()): 1, (1, (1,)): 1}, 4)
@@ -332,6 +332,11 @@ class TestTruncate:
 # ---------------------------------------------------------------------------
 
 
+def _offsets(series):
+    """The offsets weight(s) - b of the terms, read off the public term map."""
+    return {weight(s) - b for b, s in series.terms}
+
+
 class TestValuation:
     def test_min_valuation_terms_and_order(self):
         assert S({(2, (1,)): 1}, 5).min_valuation() == 2
@@ -343,17 +348,18 @@ class TestValuation:
         assert MhsSeries.zero().min_valuation() is INFINITY
 
     def test_is_weighted(self):
-        assert S({(2, (1, 1)): 1, (1, (1,)): 2}, 4).is_weighted()
-        assert not S({(1, (1, 1)): 1}, 4).is_weighted()
+        # weighted: every term's p-exponent equals the weight of its composition
+        assert _offsets(S({(2, (1, 1)): 1, (1, (1,)): 2}, 4)) == {0}
+        assert _offsets(S({(1, (1, 1)): 1}, 4)) == {1}
 
     def test_is_weighted_constant(self):
         # a constant is c * p^0 * H(()) with weight 0, so it is weighted
-        assert MhsSeries.constant(3).is_weighted()
-        assert not MhsSeries.p_power(1).is_weighted()
+        assert _offsets(MhsSeries.constant(3)) == {0}
+        assert _offsets(MhsSeries.p_power(1)) == {-1}
 
     def test_is_exact(self):
-        assert MhsSeries.constant(1).is_exact()
-        assert not MhsSeries.constant(1, 5).is_exact()
+        assert MhsSeries.constant(1).order is None
+        assert MhsSeries.constant(1, 5).order is not None
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +588,7 @@ class TestEquality:
 
 def test_series_mul_operator():
     a = S({(1, (1,)): 1}, 3)
-    assert a * a == a.mul_term(1, 1, (1,))
+    assert a * a == a * MhsSeries.term(1, 1, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +657,7 @@ class TestTrustedResults:
             ]
             assert prod == S(reference, prod.order)
             c = rng.choice(_COEFFS + [F(0)])
-            _assert_normalized(a.mul_term(c, rng.randint(-1, 2), rng.choice(_COMPS)))
+            _assert_normalized(a * MhsSeries.term(c, rng.randint(-1, 2), rng.choice(_COMPS)))
             top = 6 if a.order is None else a.order
             _assert_normalized(a.truncate(rng.randint(-2, top)))
 
@@ -672,14 +678,14 @@ class TestTrustedResults:
         with pytest.raises(TypeError):
             a.shift(F(1, 2))
         with pytest.raises(TypeError):
-            a.mul_term(1, 0.5, (1,))
+            MhsSeries.term(1, 0.5, (1,))
         with pytest.raises(TypeError):
             a.truncate(2.5)
         for flag in (True, False):
             with pytest.raises(TypeError):
                 a.shift(flag)
             with pytest.raises(TypeError):
-                a.mul_term(1, flag, (1,))
+                MhsSeries.term(1, flag, (1,))
             with pytest.raises(TypeError):
                 a.truncate(flag)
 
@@ -713,7 +719,7 @@ def _mixed_series(rng, order):
 
 
 class TestIntegerProducts:
-    """``__mul__`` and ``mul_term`` sum int numerators; the term maps must not change."""
+    """``__mul__`` sums int numerators; the term maps must not change."""
 
     def test_random_products_match_reference(self):
         rng = random.Random(20261020)
@@ -731,9 +737,10 @@ class TestIntegerProducts:
             a = _mixed_series(rng, rng.choice([None, -1, 2, 4]))
             c = rng.choice(_MIXED_COEFFS + [F(0)])
             b, s = rng.randint(-2, 2), rng.choice(_COMPS)
-            out = a.mul_term(c, b, s)
+            out = a * MhsSeries.term(c, b, s)
             _assert_normalized(out)
-            assert out.order == (None if a.order is None else a.order + b)
+            # an exact zero factor makes the product exactly zero
+            assert out.order == (None if a.order is None or not c else a.order + b)
             single = {(b, s): c} if c else {}
             assert out.terms == _reference_product(a.terms, single, out.order)
 
@@ -751,7 +758,7 @@ class TestIntegerProducts:
             for prod in (a * zero, zero * a):
                 assert prod.is_zero()
                 _assert_normalized(prod)
-        assert a.mul_term(0, 1, (1,)).terms == {}
+        assert (a * MhsSeries.term(0, 1, (1,))).terms == {}
 
     def test_cancelling_products_drop_their_keys(self):
         # (H(1) + H(2)) * (H(1) - H(2)) = H(1)^2 - H(2)^2: the cross terms
@@ -768,6 +775,6 @@ class TestIntegerProducts:
         assert prod.terms == _reference_product(x.terms, y.terms, None)
         # (H(1,1) - H(2)) * H(1) = 3 H(1,1,1) - H(3): H(2,1) and H(1,2) cancel
         h = S({(0, (1, 1)): F(1, 3), (0, (2,)): F(-1, 3)})
-        out = h.mul_term(F(3, 4), 1, (1,))
+        out = h * MhsSeries.term(F(3, 4), 1, (1,))
         assert out.terms == {(1, (1, 1, 1)): F(3, 4), (1, (3,)): F(-1, 4)}
         assert out.terms == _reference_product(h.terms, {(1, (1,)): F(3, 4)}, None)
