@@ -559,29 +559,36 @@ class _CommandParser(argparse.ArgumentParser):
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing does not change it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    """The command-line parser, built once per process: parsing does not change it.
+
+    Each subcommand takes only the options it reads: ``--order`` and
+    ``--cache-dir`` for the commands that expand, ``--cache-dir`` for
+    ``identities``, ``--primes`` and ``--work-budget`` for ``verify``.
+    """
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument(
         "--order",
         type=_int_at_least(0),
         default=None,
         help="truncation order for series evaluation (default 8 for "
         "expand/valuation; prove expands congruence statements at their "
-        "modulus power unless --order asks for more; verify expands nothing)",
+        "modulus power unless --order asks for more)",
     )
-    common.add_argument(
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument(
         "--cache-dir",
         default=None,
         help="directory for cached relation bases (default: PADICMHS_CACHE_DIR "
         "or a user cache directory)",
     )
-    common.add_argument(
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument(
         "--primes",
         type=_parse_window,
-        default=None,
+        default=PrimeWindow(),
         help="prime window lo..hi for numeric checks (default 11..97)",
     )
-    common.add_argument(
+    oracle.add_argument(
         "--work-budget",
         type=_int_at_least(0),
         default=DEFAULT_WORK_BUDGET,
@@ -601,18 +608,18 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=_CommandParser
     )
 
-    p = sub.add_parser("expand", parents=[common], help="expand an expression")
+    p = sub.add_parser("expand", parents=[order, cache], help="expand an expression")
     p.add_argument("expr")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser(
-        "valuation", parents=[common], help="proved valuation lower bound"
+        "valuation", parents=[order, cache], help="proved valuation lower bound"
     )
     p.add_argument("expr")
     p.set_defaults(func=cmd_valuation)
 
     p = sub.add_parser(
-        "prove", parents=[common], help="prove a congruence symbolically"
+        "prove", parents=[order, cache], help="prove a congruence symbolically"
     )
     p.add_argument("congruence", help="inline congruence or statement file")
     p.add_argument("--dump", default=None, help="write certificates to a file")
@@ -624,13 +631,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser(
-        "verify", parents=[common], help="check a congruence numerically"
+        "verify", parents=[oracle], help="check a congruence numerically"
     )
     p.add_argument("congruence", help="inline congruence or statement file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "identities", parents=[common], help="generate and dump a relation basis"
+        "identities", parents=[cache], help="generate and dump a relation basis"
     )
     p.add_argument(
         "--modulus", type=_int_at_least(1), required=True, help="modulus power n"
@@ -639,9 +646,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser(
-        "verify-certificate",
-        parents=[common],
-        help="arithmetically replay a certificate file",
+        "verify-certificate", help="arithmetically replay a certificate file"
     )
     p.add_argument("path")
     p.set_defaults(func=cmd_verify_certificate)
@@ -651,8 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "primes", None) is None:
-        args.primes = PrimeWindow()
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:

@@ -14,7 +14,7 @@ Two products act on the span of compositions:
 Linear combinations are plain dicts mapping compositions to Fractions.
 
 The composition generator, the bounded-tuple generator and the composition
-validator used by the other modules live here too.
+and integer validators used by the other modules live here too.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Iterator
 __all__ = [
     "bounded_tuples",
     "check_comp",
+    "check_int",
     "comp_to_word",
     "compositions_of",
-    "depth",
     "enumerate_compositions",
     "format_comp",
     "parse_comp",
@@ -42,10 +42,6 @@ Comp = tuple  # tuple[int, ...]
 
 def weight(s: Comp) -> int:
     return sum(s)
-
-
-def depth(s: Comp) -> int:
-    return len(s)
 
 
 def comp_to_word(s: Comp) -> str:
@@ -162,6 +158,15 @@ def check_comp(s: object, *, allow_empty: bool = True, name: str = "composition"
     if not allow_empty and not s:
         raise ValueError(f"{name} must be a nonempty composition")
     return s
+
+
+def check_int(value: object, name: str, low: int | None = None) -> int:
+    """Return ``value`` if it is an int (not a bool) and at least ``low``, else raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def enumerate_compositions(max_weight: int) -> list[Comp]:

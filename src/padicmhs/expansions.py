@@ -49,10 +49,10 @@ from .arith import (
     power_sum_poly,
     strip_poly,
 )
-from .compositions import Comp, _stuffle_cached, check_comp, compositions_of, stuffle, weight
+from .compositions import Comp, _stuffle_cached, check_int, compositions_of, stuffle, weight
 from .powersums import full_sum, poly_sum, signed_mhs, valuation_bound
 from .prover import generate_relations
-from .quantities import QuantitySpec
+from .quantities import QuantitySpec, check_quantity
 from .series import MhsSeries, _integer_terms, _over, _rescale, _stuffle_into
 
 __all__ = [
@@ -82,12 +82,6 @@ def _degree(f: IntPoly) -> int:
     return len(f) - 1  # zero polynomial never passed where degree matters
 
 
-def _validate_order(order: int) -> int:
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ValueError(f"order must be an integer, got {order!r}")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # rational functions of p
 # ---------------------------------------------------------------------------
@@ -102,7 +96,7 @@ def expand_rational(
     terminates (for example when ``den`` divides ``num``); otherwise it is
     truncated at ``order``.
     """
-    lp = laurent_expand(list(num), list(den), _validate_order(order))
+    lp = laurent_expand(list(num), list(den), check_int(order, "order"))
     terms = {(e, ()): c for e, c in lp.coeffs.items()}
     return MhsSeries(terms, lp.order)
 
@@ -122,9 +116,8 @@ def expand_zeta_p(k: int, order: int) -> MhsSeries:
 
     truncated to ``n < order`` (the dropped rows have valuation >= n).
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"zeta expansion needs an integer k >= 2, got {k!r}")
-    _validate_order(order)
+    check_quantity("zetap", (k,))
+    check_int(order, "order")
     terms: dict[tuple[int, Comp], Fraction] = {}
     for n in range(k - 1, max(order, k - 1)):
         if n >= order:
@@ -152,9 +145,8 @@ def expand_half_harmonic(k: int, order: int) -> MhsSeries:
     the j-th summand starts at p^(k+j-1), so terms with
     ``k + j - 1 >= order`` are empty.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"half-range expansion needs an integer k >= 2, got {k!r}")
-    _validate_order(order)
+    check_quantity("half", (k,))
+    check_int(order, "order")
     acc = expand_zeta_p(k, order)
     for j in range(0, max(order - k + 1, 0)):
         coeff = binomial(-k, j) * Fraction(1 - 2 ** (k + j), 2**j)
@@ -169,9 +161,8 @@ def expand_alternating(k: int, order: int) -> MhsSeries:
     Splitting even and odd indices gives
     ``2^(1-k) * p^k H_{(p-1)/2}(k) - p^k H(k)``.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"alternating expansion needs an integer k >= 2, got {k!r}")
-    _validate_order(order)
+    check_quantity("alt", (k,))
+    check_int(order, "order")
     half = expand_half_harmonic(k, order).scale(Fraction(1, 2 ** (k - 1)))
     return half - MhsSeries.term(1, k, (k,), order)
 
@@ -196,12 +187,9 @@ def expand_power_sum(
     p-powers that can appear are bounded below by
     ``-deg(f) * sum_i max(exps_i, 0)`` (0 when restricted).
     """
-    fi = int_poly(f, "upper bound")
-    gi = int_poly(g, "lower bound")
-    exps = tuple(exps)
-    if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
-        raise ValueError(f"power-sum exponents must be integers, got {exps!r}")
-    return full_sum(fi, gi, exps, bool(restricted), _validate_order(order))
+    f, g, exps = tuple(f), tuple(g), tuple(exps)
+    check_quantity("psum", (f, g, exps, restricted))
+    return full_sum(int_poly(f), int_poly(g), exps, restricted, check_int(order, "order"))
 
 
 def expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
@@ -214,11 +202,10 @@ def expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
       ``p^(m+1)``.
     * ``r > 2``: the general restricted power-sum expansion.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"restricted harmonic number needs an integer r >= 1, got {r!r}")
+    check_quantity("hres", (r,))
     if r == 1:
         return MhsSeries.term(1, 0, (1,), None)
-    _validate_order(order)
+    check_int(order, "order")
     if r == 2:
         terms: dict[tuple[int, Comp], Fraction] = {}
         for m in range(0, max(order - 1, 0)):
@@ -245,39 +232,27 @@ def expand_sum_poly_mhs(
 ) -> MhsSeries:
     """``sum_{k=1}^{p-1} P(k) * H_k(s)`` as an exact MHS combination.
 
-    Writing ``R(x) = sum_{k=0}^{x-1} P(k)`` (a polynomial via Faulhaber's
-    formula), exchanging the order of summation gives
+    Splitting off the top index, ``H_k(s) = H_{k-1}(s) + k^(-s_1) H_{k-1}(s_2, ...)``,
+    gives for each monomial ``k^j`` of P
 
-        sum_k P(k) H_k(s) = R(p) H(s) - sum_d R_d * S_{p-1,0}(s_1 - d, s_2, ..., s_k),
+        sum_k k^j H_k(s) = S_{p-1,0}(-j, s) + S_{p-1,0}(s_1 - j, s_2, ..., s_r),
 
-    where the trailing sums with a possibly nonpositive first exponent are
-    eliminated exactly.  For empty ``s`` the sum is ``R(p) - P(0)``.  The
-    result is exact; ``order`` (if given) truncates it afterwards.
+    two sums with a possibly nonpositive first exponent that
+    :func:`signed_mhs` eliminates exactly; for empty ``s`` only the first
+    remains.  The result is exact; ``order`` (if given) truncates it
+    afterwards.
     """
-    Pf = strip_poly([Fraction(c) for c in P])
-    s = check_comp(tuple(s))
-    # R(x) = sum_{k<x} P(k), so R(p) - R(n) = sum_{k=n}^{p-1} P(k).
-    R: list[Fraction] = []
-    for j, c in enumerate(Pf):
-        if c == 0:
-            continue
-        for e, q in enumerate(power_sum_poly(j)):
-            while len(R) <= e:
-                R.append(Fraction(0))
-            R[e] += c * q
-    if not s:
-        terms = {(e, ()): c for e, c in enumerate(R) if c}
-        p0 = Pf[0] if Pf else Fraction(0)
-        if p0:
-            terms[(0, ())] = terms.get((0, ()), Fraction(0)) - p0
-        series = MhsSeries(terms, None)
-    else:
-        series = MhsSeries({(e, s): c for e, c in enumerate(R) if c}, None)
-        for e, c in enumerate(R):
-            if c:
-                series = series - signed_mhs((s[0] - e,) + s[1:]).scale(c)
+    P, s = tuple(P), tuple(s)
+    check_quantity("sumpoly", (P, s))
+    series = MhsSeries.zero()
+    for j, c in enumerate(P):
+        if c:
+            part = signed_mhs((-j,) + s)
+            if s:
+                part = part + signed_mhs((s[0] - j,) + s[1:])
+            series = series + part.scale(c)
     if order is not None:
-        series = series.truncate(_validate_order(order))
+        series = series.truncate(check_int(order, "order"))
     return series
 
 
@@ -310,7 +285,7 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
     prefactor times the product of unit factors, truncated at ``order``
     (exact when no unit factors remain).
     """
-    order = _validate_order(order)
+    order = check_int(order, "order")
     pending: list[tuple[IntPoly, int]] = []
     total = ()
     for poly, eps in pairs:
@@ -421,7 +396,7 @@ def expand_binomial_poly(
     all large p.  Otherwise the result is the factorial ratio
     ``f! / (g! (f-g)!)``.
     """
-    order = _validate_order(order)
+    order = check_int(order, "order")
     fi = int_poly(f, "binomial numerator")
     gi = int_poly(g, "binomial denominator")
     if not gi:
@@ -449,13 +424,7 @@ def expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
     reproduces the classical central-binomial expansion
     ``2 * sum_n p^n H(1^n)``.
     """
-    for name, v in (("a", a), ("b", b), ("r", r)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"binomial parameter {name} must be an integer, got {v!r}")
-    if not (a >= b >= 0):
-        raise ValueError(f"binomial parameters need a >= b >= 0, got {a}, {b}")
-    if r < 0:
-        raise ValueError(f"binomial power must be nonnegative, got {r}")
+    check_quantity("binp", (a, b, r))
     if r == 0:
         return MhsSeries.constant(binomial(a, b), None)
     return expand_binomial_poly((0,) * r + (a,), (0,) * r + (b,), order)
@@ -480,7 +449,7 @@ def canonicalize(
         order = series.order
     if order is None:
         raise ValueError("canonicalize needs a finite truncation order")
-    series = series.truncate(_validate_order(order))
+    series = series.truncate(check_int(order, "order"))
     parts: dict[int, dict[Comp, Fraction]] = {}
     for (b, s), c in series.terms.items():
         parts.setdefault(weight(s) - b, {})[s] = c
@@ -512,7 +481,7 @@ def expand_apery(order: int, *, cache_dir=None) -> MhsSeries:
     and summing over k turns ``H_{k-1}(w)`` into ``H_{p-1}((a,) + w)``.
     Every term is weighted, so the series is canonicalized at ``order``.
     """
-    order = _validate_order(order)
+    order = check_int(order, "order")
     terms: dict[tuple[int, Comp], Fraction] = {}
     if order > 0:
         terms[(0, ())] = Fraction(1)
@@ -551,14 +520,12 @@ def expand_curious(r: int, k: int, order: int, *, cache_dir=None) -> MhsSeries:
       last entry coprime to p, write ``m_i = a_i p - j_i``, and expand;
       see :func:`_expand_curious_general`.  The result is canonicalized.
     """
-    for name, v in (("r", r), ("k", k)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"curious parameter {name} must be a positive integer, got {v!r}")
+    check_quantity("curious", (r, k))
     if k == 1:
         return MhsSeries.zero(None)
     if r == 1:
         return MhsSeries.term(factorial(k), -1, (1,) * (k - 1), None)
-    order = _validate_order(order)
+    order = check_int(order, "order")
     raw = _expand_curious_general(r, k, order)
     return canonicalize(raw, order, cache_dir=cache_dir)
 

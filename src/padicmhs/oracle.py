@@ -195,19 +195,14 @@ def apery_number(n: int) -> int:
     return sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{what} must evaluate to an integer, got {x}")
-    return x.numerator
-
-
 def eval_quantity(
     q: QuantitySpec, p: int, work_budget: int = DEFAULT_WORK_BUDGET
 ) -> Fraction:
     """Exact value of a named quantity at the prime p, by direct computation.
 
     Never routes through the symbolic series expansions it is used to
-    verify.  Raises :class:`WorkBudgetExceeded` when the direct computation
+    verify, and trusts ``q``, which checked its arguments when it was
+    built.  Raises :class:`WorkBudgetExceeded` when the direct computation
     would exceed ``work_budget`` elementary summation steps, and
     ``ValueError`` for quantities with no single-prime rational value
     (``zetap``).
@@ -218,9 +213,8 @@ def eval_quantity(
         return Fraction(math.comb(a * p**r, b * p**r))
     if name == "binpoly":
         f, g = args
-        fn = _as_int(eval_poly(f, p), "binpoly numerator polynomial")
-        gn = _as_int(eval_poly(g, p), "binpoly denominator polynomial")
-        return binomial(fn, gn)
+        # integer polynomials (the spec checked them), so the values are integers
+        return binomial(eval_poly(f, p).numerator, eval_poly(g, p).numerator)
     if name == "apery":
         return Fraction(apery_number(p - 1))
     if name == "zetap":
@@ -231,8 +225,7 @@ def eval_quantity(
         )
     if name == "psum":
         f, g, exps, restricted = args
-        N = _as_int(eval_poly(f, p), "psum upper bound")
-        M = _as_int(eval_poly(g, p), "psum lower bound")
+        N, M = eval_poly(f, p).numerator, eval_poly(g, p).numerator
         _charge((N - M) * max(1, len(exps)), work_budget, q)
         return eval_power_sum(N, M, exps, restricted_at=p if restricted else None)
     if name == "hres":

@@ -56,6 +56,7 @@ from .compositions import (
     Comp,
     bounded_tuples,
     check_comp,
+    check_int,
     enumerate_compositions,
     format_comp,
     parse_comp,
@@ -380,8 +381,7 @@ class RelationBasis:
         triples: Sequence[Prov],
         annihilators: Mapping[Comp, Mapping[Comp, Fraction]],
     ) -> None:
-        if not isinstance(modulus_power, int) or modulus_power < 1:
-            raise ValueError("modulus_power must be a positive int")
+        check_int(modulus_power, "modulus_power", 1)
         if len(pivots) != len(triples):
             raise ValueError("pivots and independent triples must align")
         self._modulus = modulus_power
@@ -676,8 +676,7 @@ def generate_relations(
     variable, else a per-user cache directory); unreadable or stale cache
     files are regenerated.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("modulus power n must be a positive int")
+    check_int(n, "modulus power n", 1)
     basis = _PROCESS_BASES.get(n)
     if basis is not None:
         return basis
@@ -825,19 +824,17 @@ def prove_weighted(
 
 def prove_mixed(
     stmt: CongruenceStatement,
-    n: int | None = None,
     cache_dir: str | os.PathLike | None = None,
 ) -> list[ProofCertificate]:
     """Prove a statement by per-offset decomposition into weighted parts.
 
     Each offset class ``k = weight(s) - b`` is rescaled by ``p^k`` and proved
-    as a weighted congruence modulo ``p^(n + k)``; the conjunction of the
-    parts implies the input statement.  Returns one certificate per part in
-    ascending offset order (a single trivially proved certificate for the
-    zero statement).  The input is proved iff every certificate is.
+    as a weighted congruence modulo ``p^(n + k)``, ``n`` being the
+    statement's modulus power; the conjunction of the parts implies the
+    input statement.  Returns one certificate per part in ascending offset
+    order (a single trivially proved certificate for the zero statement).
+    The input is proved iff every certificate is.
     """
-    if n is not None and n != stmt.modulus_power:
-        stmt = CongruenceStatement(stmt.lhs_minus_rhs, n)
     parts = decompose_weighted(stmt)
     if not parts:
         return [ProofCertificate(stmt, (), "proved")]
@@ -863,8 +860,7 @@ def prove_supercongruence(
     the difference is truncated to order ``n`` and handed to
     :func:`prove_mixed`.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("modulus power n must be a positive int")
+    check_int(n, "modulus power n", 1)
     for name, side in (("lhs", lhs), ("rhs", rhs)):
         if not isinstance(side, MhsSeries):
             raise TypeError(f"{name} must be an MhsSeries")

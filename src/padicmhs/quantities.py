@@ -6,7 +6,9 @@ arguments, an Apery number, a power sum with polynomial bounds, ...).  The
 oracle evaluates a spec exactly at a concrete prime; the expansions module
 turns the same spec into an :class:`~padicmhs.series.MhsSeries`.  Keeping
 the two routes behind one shared value type is what makes the numeric
-cross-checks meaningful.
+cross-checks meaningful.  A spec checks its arguments when it is built
+(:func:`check_quantity`, the one home of the argument rules), so both
+routes trust it and refuse the same inputs.
 
 Atom grammar (shared with the CLI)::
 
@@ -35,11 +37,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+
+from .compositions import check_comp, check_int
 
 __all__ = [
     "QuantitySpec",
     "Poly",
+    "check_quantity",
     "parse_poly",
     "parse_poly_ratio",
     "format_poly",
@@ -51,30 +55,92 @@ __all__ = [
 # ascending coefficient tuple; () is the zero polynomial
 Poly = tuple[Fraction, ...]
 
-QUANTITY_NAMES = (
-    "binp",
-    "binpoly",
-    "apery",
-    "zetap",
-    "psum",
-    "hres",
-    "curious",
-    "sumpoly",
-    "half",
-    "alt",
-    "rat",
-)
+# the argument names of each quantity, in order
+_PARAMS = {
+    "binp": ("a", "b", "r"),
+    "binpoly": ("f", "g"),
+    "apery": (),
+    "zetap": ("k",),
+    "psum": ("f", "g", "exps", "restricted"),
+    "hres": ("r",),
+    "curious": ("r", "k"),
+    "sumpoly": ("P", "s"),
+    "half": ("k",),
+    "alt": ("k",),
+    "rat": ("num", "den"),
+}
+
+QUANTITY_NAMES = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
 class QuantitySpec:
-    """A named prime-indexed quantity with normalized arguments."""
+    """A named prime-indexed quantity with normalized arguments.
+
+    Building a spec runs :func:`check_quantity`, so invalid arguments raise
+    ``ValueError`` here and never reach the oracle or the expansions.
+    """
 
     name: str
     args: tuple
 
+    def __post_init__(self) -> None:
+        check_quantity(self.name, self.args)
+
     def __str__(self) -> str:
         return format_quantity(self)
+
+
+def check_quantity(name: str, args: tuple) -> None:
+    """Raise ValueError unless ``args`` are valid arguments of the quantity ``name``.
+
+    The one home of the argument rules, shared by :class:`QuantitySpec` and
+    the public ``expand_*`` functions: integers are ints (not bools); binp
+    needs a >= b >= 0 and r >= 0; zetap, half and alt need k >= 2; hres
+    needs r >= 1; curious needs r, k >= 1; polynomials are tuples of ints
+    or Fractions, with integer coefficients except sumpoly's P; psum's
+    exponents are integers of either sign and ``restricted`` is a bool;
+    sumpoly's composition has positive parts; rat's denominator is nonzero.
+    """
+    params = _PARAMS.get(name)
+    if params is None:
+        raise ValueError(f"unknown quantity {name!r}")
+    if not isinstance(args, tuple) or len(args) != len(params):
+        raise ValueError(f"{name} takes ({','.join(params)}), got {args!r}")
+    if name == "binp":
+        a, b, r = (check_int(v, f"binp argument {what}", 0) for what, v in zip(params, args))
+        if a < b:
+            raise ValueError(f"binp requires a >= b >= 0, got {a},{b}")
+    elif name in ("zetap", "half", "alt"):
+        check_int(args[0], f"{name} argument k", 2)
+    elif name in ("hres", "curious"):
+        for what, v in zip(params, args):
+            check_int(v, f"{name} argument {what}", 1)
+    elif name == "sumpoly":
+        _check_poly(args[0], "sumpoly polynomial P", integer=False)
+        check_comp(args[1], name="sumpoly composition")
+    elif name in ("binpoly", "psum", "rat"):  # two integer polynomials first
+        for what, v in zip(params[:2], args):
+            _check_poly(v, f"{name} polynomial {what}", integer=True)
+        if name == "psum":
+            exps, restricted = args[2:]
+            if not isinstance(exps, tuple):
+                raise ValueError(f"psum exponents must be a tuple, got {exps!r}")
+            for e in exps:
+                check_int(e, "psum exponent")
+            if type(restricted) is not bool:
+                raise ValueError(f"psum restricted flag must be a bool, got {restricted!r}")
+        if name == "rat" and not any(args[1]):
+            raise ValueError("rat denominator must be a nonzero polynomial")
+
+
+def _check_poly(f: object, what: str, integer: bool) -> None:
+    if not isinstance(f, tuple) or not all(
+        type(c) is int or (type(c) is Fraction and (c.denominator == 1 or not integer))
+        for c in f
+    ):
+        kind = "integer" if integer else "rational"
+        raise ValueError(f"{what} must be a tuple of {kind} coefficients, got {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,92 +305,49 @@ def format_poly(coeffs: Poly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int(text: str, what: str) -> int:
-    text = text.strip()
-    if not re.fullmatch(r"-?\d+", text):
-        raise ValueError(f"expected an integer for {what}, got {text!r}")
-    return int(text)
-
-
-def _parse_comp(text: str, what: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; blank text gives ()."""
     parts = [t.strip() for t in text.split(",")] if text.strip() else []
-    return tuple(_parse_int(t, what) for t in parts)
+    for t in parts:
+        if not re.fullmatch(r"-?\d+", t):
+            raise ValueError(f"expected an integer for {what}, got {t!r}")
+    return tuple(int(t) for t in parts)
 
 
 def parse_quantity(name: str, inner: str) -> QuantitySpec:
-    """Build a validated QuantitySpec from an atom's name and argument text."""
+    """Turn an atom's name and argument text into a QuantitySpec.
+
+    Only the text is checked here; the spec checks its arguments when built.
+    """
+    if name not in _PARAMS:
+        raise ValueError(f"unknown quantity {name!r}")
     inner = inner.strip()
-    if name == "binp":
-        parts = _parse_comp(inner, "binp argument")
-        if len(parts) == 2:
-            parts = parts + (1,)  # binp(a,b) sugar for binp(a,b,1)
-        if len(parts) != 3:
-            raise ValueError("binp takes (a,b) or (a,b,r)")
-        a, b, r = parts
-        if not (a >= b >= 0):
-            raise ValueError(f"binp requires a >= b >= 0, got {a},{b}")
-        if r < 0:
-            raise ValueError(f"binp requires r >= 0, got {r}")
-        return QuantitySpec("binp", (a, b, r))
     if name == "binpoly":
         parts = _split_semicolons(inner)
         if len(parts) != 2:
             raise ValueError("binpoly takes (f;g)")
-        f = parse_poly(parts[0], integer=True)
-        g = parse_poly(parts[1], integer=True)
-        return QuantitySpec("binpoly", (f, g))
-    if name == "apery":
-        if inner:
-            raise ValueError("apery takes no arguments")
-        return QuantitySpec("apery", ())
-    if name == "zetap":
-        k = _parse_int(inner, "zetap argument")
-        if k < 2:
-            raise ValueError(f"zetap requires k >= 2, got {k}")
-        return QuantitySpec("zetap", (k,))
-    if name == "psum":
-        parts = _split_semicolons(inner)
-        restricted = False
-        if parts and parts[-1].strip() == "restricted":
-            restricted = True
-            parts = parts[:-1]
-        if len(parts) != 3:
-            raise ValueError("psum takes (f;g;s1,...,sk[;restricted])")
-        f = parse_poly(parts[0], integer=True)
-        g = parse_poly(parts[1], integer=True)
-        exps = _parse_comp(parts[2], "psum exponent")
-        return QuantitySpec("psum", (f, g, exps, restricted))
-    if name == "hres":
-        r = _parse_int(inner, "hres argument")
-        if r < 1:
-            raise ValueError(f"hres requires r >= 1, got {r}")
-        return QuantitySpec("hres", (r,))
-    if name == "curious":
-        parts = _parse_comp(inner, "curious argument")
-        if len(parts) != 2:
-            raise ValueError("curious takes (r,k)")
-        r, k = parts
-        if r < 1 or k < 1:
-            raise ValueError(f"curious requires r,k >= 1, got {r},{k}")
-        return QuantitySpec("curious", (r, k))
+        return QuantitySpec(name, (parse_poly(parts[0]), parse_poly(parts[1])))
     if name == "sumpoly":
         parts = _split_semicolons(inner)
         if len(parts) != 2:
             raise ValueError("sumpoly takes (P;s1,...,sk)")
-        P = parse_poly(parts[0])
-        s = _parse_comp(parts[1], "sumpoly composition part")
-        if any(e < 1 for e in s):
-            raise ValueError("sumpoly composition parts must be positive")
-        return QuantitySpec("sumpoly", (P, s))
-    if name in ("half", "alt"):
-        k = _parse_int(inner, f"{name} argument")
-        if k < 2:
-            raise ValueError(f"{name} requires k >= 2, got {k}")
-        return QuantitySpec(name, (k,))
+        return QuantitySpec(name, (parse_poly(parts[0]), _parse_ints(parts[1], "sumpoly part")))
+    if name == "psum":
+        parts = _split_semicolons(inner)
+        restricted = False
+        if parts and parts[-1] == "restricted":
+            restricted = True
+            parts = parts[:-1]
+        if len(parts) != 3:
+            raise ValueError("psum takes (f;g;s1,...,sk[;restricted])")
+        f, g = parse_poly(parts[0]), parse_poly(parts[1])
+        return QuantitySpec(name, (f, g, _parse_ints(parts[2], "psum exponent"), restricted))
     if name == "rat":
-        num, den = parse_poly_ratio(inner)
-        return QuantitySpec("rat", (num, den))
-    raise ValueError(f"unknown quantity {name!r}")
+        return QuantitySpec(name, parse_poly_ratio(inner))
+    args = _parse_ints(inner, f"{name} argument")
+    if name == "binp" and len(args) == 2:
+        args += (1,)  # binp(a,b) sugar for binp(a,b,1)
+    return QuantitySpec(name, args)
 
 
 def _split_semicolons(text: str) -> list[str]:

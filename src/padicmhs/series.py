@@ -24,7 +24,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .arith import INFINITY
-from .compositions import Comp, _stuffle_cached, check_comp, format_comp, weight
+from .compositions import Comp, _stuffle_cached, check_comp, check_int, format_comp, weight
 
 __all__ = [
     "MhsSeries",
@@ -132,10 +132,6 @@ class MhsSeries:
         """The single-term series ``c * p^b * H(s) + O(p^order)``."""
         return cls({(b, s): Fraction(c)}, order)
 
-    @classmethod
-    def p_power(cls, k: int, order: Order = None) -> "MhsSeries":
-        return cls({(k, ()): Fraction(1)}, order)
-
     # -- accessors -----------------------------------------------------
 
     @property
@@ -146,9 +142,6 @@ class MhsSeries:
     @property
     def order(self) -> Order:
         return self._order
-
-    def coefficient(self, b: int, s: Comp) -> Fraction:
-        return self._terms.get((b, s), Fraction(0))
 
     def constant_coefficient(self) -> Fraction:
         return self._terms.get((0, ()), Fraction(0))
@@ -264,8 +257,7 @@ class MhsSeries:
         return NotImplemented
 
     def __pow__(self, n: int) -> "MhsSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"series power requires a non-negative integer, got {n!r}")
+        check_int(n, "series power", 0)
         result = MhsSeries.constant(1)
         base = self
         while n:
@@ -442,8 +434,8 @@ class CongruenceStatement:
     def __init__(self, lhs_minus_rhs: MhsSeries, modulus_power: int) -> None:
         if not isinstance(lhs_minus_rhs, MhsSeries):
             raise TypeError("lhs_minus_rhs must be an MhsSeries")
-        if not isinstance(modulus_power, int):
-            raise TypeError("modulus_power must be an int")
+        if type(modulus_power) is not int:
+            raise TypeError(f"modulus_power must be an int, got {modulus_power!r}")
         order = lhs_minus_rhs.order
         if order is not None and modulus_power > order:
             raise ValueError(

@@ -442,6 +442,46 @@ class TestLeadingMinus:
         assert exc.value.code == 2
 
 
+# A minimal valid argv per subcommand, and the options each one does not read.
+SUBCOMMAND_ARGV = {
+    "expand": ["expand", "H(1)"],
+    "valuation": ["valuation", "H(1)"],
+    "prove": ["prove", "p*H(1) = 0 mod p^1"],
+    "verify": ["verify", "p*H(1) = 0 mod p^1"],
+    "identities": ["identities", "--modulus", "1"],
+    "verify-certificate": ["verify-certificate", "missing.cert"],
+}
+UNREAD_OPTIONS = [
+    (command, option)
+    for command, options in [
+        ("expand", ["--primes", "--work-budget"]),
+        ("valuation", ["--primes", "--work-budget"]),
+        ("prove", ["--primes", "--work-budget"]),
+        ("verify", ["--order", "--cache-dir"]),
+        ("identities", ["--order", "--primes", "--work-budget"]),
+        ("verify-certificate", ["--order", "--cache-dir", "--primes", "--work-budget"]),
+    ]
+    for option in options
+]
+OPTION_VALUES = {"--order": "3", "--cache-dir": "cache", "--primes": "11..13", "--work-budget": "10"}
+
+
+class TestSubcommandOptions:
+    def test_fifteen_unread_option_slots(self):
+        assert len(UNREAD_OPTIONS) == 15
+
+    @pytest.mark.parametrize("command,option", UNREAD_OPTIONS)
+    def test_unread_option_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, option):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(SUBCOMMAND_ARGV[command] + [option, OPTION_VALUES[option]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCertificateCommands:
     def test_dump_and_replay(self, tmp_path, capsys):
         cert = tmp_path / "wolstenholme.cert"

@@ -234,6 +234,8 @@ class TestRestrictedHarmonic:
     def test_validation(self):
         with pytest.raises(ValueError):
             expand_restricted_harmonic(0, 5)
+        with pytest.raises(ValueError):
+            expand_restricted_harmonic(True, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,11 @@ class TestGenerateRelations:
         with pytest.raises(ValueError):
             generate_relations(0)
 
+    def test_rejects_bool_modulus_and_writes_nothing(self, basis_cache):
+        with pytest.raises(ValueError):
+            generate_relations(True, cache_dir=basis_cache)
+        assert list(basis_cache.iterdir()) == []
+
 
 # A basis in the retired format 1 (rows with tracked combinations).
 V1_BASIS_N2 = """padicmhs-basis 1
@@ -475,7 +480,7 @@ class TestProveMixed:
 
     def test_weaken_with_n_argument(self, basis_cache):
         stmt = self._cs1_statement()
-        certs = prove_mixed(stmt, n=2, cache_dir=basis_cache)
+        certs = prove_mixed(CongruenceStatement(stmt.lhs_minus_rhs, 2), cache_dir=basis_cache)
         assert all_proved(certs)
 
     def test_mixed_statement_kind_accepted(self, basis_cache):

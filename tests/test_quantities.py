@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from padicmhs.arith import eval_poly
+from padicmhs.expansions import expand_quantity
+from padicmhs.oracle import eval_quantity
 from padicmhs.quantities import (
+    QUANTITY_NAMES,
     QuantitySpec,
     format_poly,
     format_quantity,
@@ -190,3 +193,58 @@ class TestParseQuantity:
             text = format_quantity(q)
             name2, inner2 = text.split("(", 1)
             assert parse_quantity(name2, inner2[:-1]) == q
+
+
+# one valid atom per quantity, cheap to expand at order 3 and evaluate at 11
+VALID_ATOMS = {
+    "binp": "2,1",
+    "binpoly": "p^2;p",
+    "apery": "",
+    "zetap": "3",
+    "psum": "p^2-1;0;2,1",
+    "hres": "2",
+    "curious": "2,3",
+    "sumpoly": "1/2*p^2+p;1,1",
+    "half": "2",
+    "alt": "3",
+    "rat": "(2*p-1)/3",
+}
+
+INVALID_SPECS = [
+    ("curious", (0, 2)),
+    ("hres", (0,)),
+    ("binp", (1, 2, 1)),
+    ("alt", (1,)),
+    ("curious", (True, 2)),
+    ("half", (True,)),
+    ("binp", (2, 1)),
+    ("psum", ((F(1, 2),), (), (1,), False)),
+    ("sumpoly", ((F(1),), (0, 1))),
+    ("rat", ((F(1),), ())),
+    ("zeta", (3,)),
+]
+
+
+class TestSpecBoundary:
+    """A spec checks its arguments when built; both routes then accept it."""
+
+    def test_every_quantity_has_a_valid_atom(self):
+        assert sorted(VALID_ATOMS) == sorted(QUANTITY_NAMES)
+
+    @pytest.mark.parametrize("name", QUANTITY_NAMES)
+    def test_valid_spec_round_trips_and_is_accepted(self, name, tmp_path):
+        q = parse_quantity(name, VALID_ATOMS[name])
+        name2, inner2 = format_quantity(q).split("(", 1)
+        assert parse_quantity(name2, inner2[:-1]) == q
+        expand_quantity(q, 3, cache_dir=tmp_path)
+        if name == "zetap":
+            # a p-adic limit: the oracle refuses it for what it is, not its argument
+            with pytest.raises(ValueError, match="p-adic limit"):
+                eval_quantity(q, 11)
+        else:
+            eval_quantity(q, 11)
+
+    @pytest.mark.parametrize("name,args", INVALID_SPECS)
+    def test_invalid_spec_raises_when_built(self, name, args):
+        with pytest.raises(ValueError):
+            QuantitySpec(name, args)

@@ -70,7 +70,7 @@ class TestConstruction:
     def test_constructors(self):
         assert MhsSeries.constant(F(2, 3), 5).terms == {(0, ()): F(2, 3)}
         assert MhsSeries.term(4, 2, (3, 1)).terms == {(2, (3, 1)): F(4)}
-        assert MhsSeries.p_power(-2).terms == {(-2, ()): F(1)}
+        assert MhsSeries.term(1, -2, (), None).terms == {(-2, ()): F(1)}
         assert MhsSeries.zero(7).is_zero()
 
     def test_negative_exponents_admitted(self):
@@ -355,7 +355,7 @@ class TestValuation:
     def test_is_weighted_constant(self):
         # a constant is c * p^0 * H(()) with weight 0, so it is weighted
         assert _offsets(MhsSeries.constant(3)) == {0}
-        assert _offsets(MhsSeries.p_power(1)) == {-1}
+        assert _offsets(MhsSeries.term(1, 1, (), None)) == {-1}
 
     def test_is_exact(self):
         assert MhsSeries.constant(1).order is None
@@ -447,6 +447,11 @@ class TestCongruenceStatement:
     def test_modulus_beyond_order_rejected(self):
         with pytest.raises(ValueError):
             CongruenceStatement(S({(1, (1,)): 1}, 3), 4)
+
+    def test_bool_modulus_rejected(self):
+        # a bool modulus would print as "modulus True" in a certificate
+        with pytest.raises(TypeError):
+            CongruenceStatement(MhsSeries.term(1, 1, (1,)), True)
 
     def test_exact_series_any_modulus(self):
         stmt = CongruenceStatement(MhsSeries.term(1, 1, (1,)), 9)
