@@ -10,7 +10,6 @@ from .arith import (
     INFINITY,
     bernoulli,
     binomial,
-    laurent_expand,
     padic_valuation,
     power_sum_poly,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "format_quantity",
     "full_sum",
     "generate_relations",
-    "laurent_expand",
     "padic_valuation",
     "parse_comp",
     "parse_quantity",

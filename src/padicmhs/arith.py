@@ -12,11 +12,7 @@ number-theoretic primitives:
   G_d(x) = sum_{a=0}^{x-1} a^d (Faulhaber's formula).
 * Dense ascending-coefficient polynomials: ``eval_poly`` (Horner),
   ``strip_poly`` (drop trailing zeros), ``int_poly`` (integer coefficients,
-  stripped) and ``poly_sub``.
-* ``LaurentPoly``: the result of ``laurent_expand``, sparse coefficients of
-  a Laurent polynomial in p with an optional truncation order.
-* ``laurent_expand``: the p-adically valid Laurent expansion of a ratio of
-  integer polynomials around p -> infty (formally, around 1/p -> 0).
+  stripped), ``poly_sub`` and ``_poly_divmod`` (exact division over Q).
 * ``padic_valuation``: the p-adic valuation of a rational, with ``INFINITY``
   as the sentinel for 0.
 
@@ -32,12 +28,10 @@ from math import comb
 __all__ = [
     "INFINITY",
     "IntPoly",
-    "LaurentPoly",
     "bernoulli",
     "binomial",
     "eval_poly",
     "int_poly",
-    "laurent_expand",
     "padic_valuation",
     "poly_sub",
     "power_sum_poly",
@@ -135,13 +129,16 @@ def strip_poly(f) -> tuple:
 
 
 def int_poly(coeffs, name: str = "polynomial") -> IntPoly:
-    """Integer coefficient tuple of ``coeffs`` (stripped); ValueError on a non-integer."""
+    """Integer coefficient tuple of ``coeffs`` (stripped).
+
+    Each coefficient must be an int or an integral Fraction; anything else,
+    a bool included, raises ValueError.
+    """
     out = []
     for c in coeffs:
-        c = Fraction(c)
-        if c.denominator != 1:
-            raise ValueError(f"{name} needs integer coefficients, got {c}")
-        out.append(c.numerator)
+        if type(c) is not int and not (type(c) is Fraction and c.denominator == 1):
+            raise ValueError(f"{name} needs integer coefficients, got {c!r}")
+        out.append(int(c))
     return strip_poly(out)
 
 
@@ -153,120 +150,18 @@ def poly_sub(f: IntPoly, g: IntPoly) -> IntPoly:
     )
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in p with Fraction coefficients.
-
-    The value type returned by :func:`laurent_expand`; it holds terms only
-    and has no arithmetic.
-
-    ``order`` is the truncation order: the object stands for the stored
-    terms plus O(p^order).  ``order=None`` means the polynomial is exact.
-    No term with exponent >= order is stored.
-    """
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: dict[int, Fraction] | None = None, order: int | None = None):
-        clean: dict[int, Fraction] = {}
-        for e, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c != 0 and (order is None or e < order):
-                clean[e] = c
-        self.coeffs = clean
-        self.order = order
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.order == other.order
-
-    def __hash__(self):
-        return hash((frozenset(self.coeffs.items()), self.order))
-
-    def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            body = " + ".join(
-                f"{c}*p^{e}" for e, c in sorted(self.coeffs.items())
-            )
-        if self.order is not None:
-            body += f" + O(p^{self.order})"
-        return f"LaurentPoly({body})"
-
-
-def _poly_valuation(coeffs: list[Fraction]) -> int | None:
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            return i
-    return None
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Exact polynomial division: returns (quotient, remainder) over Q."""
-    num = list(num)
+def _poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:
+    """Polynomial division over Q: (quotient, remainder); ``den``'s last coefficient is nonzero."""
+    num = [Fraction(c) for c in num]
     dendeg = len(den) - 1
-    while dendeg >= 0 and den[dendeg] == 0:
-        dendeg -= 1
-    if dendeg < 0:
-        raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(num) - dendeg, 1)
     for i in range(len(num) - 1, dendeg - 1, -1):
-        if num[i] == 0:
-            continue
         f = num[i] / den[dendeg]
-        q[i - dendeg] = f
-        for j in range(dendeg + 1):
-            num[i - dendeg + j] -= f * den[j]
+        if f:
+            q[i - dendeg] = f
+            for j in range(dendeg + 1):
+                num[i - dendeg + j] -= f * den[j]
     return q, num
-
-
-def laurent_expand(
-    num: list[int] | list[Fraction],
-    den: list[int] | list[Fraction],
-    order: int,
-) -> LaurentPoly:
-    """p-adic Laurent expansion of num(p)/den(p), truncated at ``order``.
-
-    Higher powers of p are p-adically small, so the expansion proceeds in
-    ascending powers of p around the lowest-degree term of the denominator:
-    for example 1/(1 - p) = 1 + p + p^2 + ...  Finitely many negative
-    exponents arise when the denominator is divisible by a power of p.  The
-    identity holds for every prime p not dividing the trailing coefficient
-    data (all but finitely many primes).
-
-    When the division is exact the result is an exact Laurent polynomial
-    (order None); otherwise terms with exponent < order are returned and the
-    rest is absorbed into O(p^order).
-    """
-    nco = [Fraction(c) for c in num]
-    dco = [Fraction(c) for c in den]
-    v_den = _poly_valuation(dco)
-    if v_den is None:
-        raise ZeroDivisionError("laurent_expand: zero denominator")
-    v_num = _poly_valuation(nco)
-    if v_num is None:
-        return LaurentPoly({}, None)
-
-    n = nco[v_num:]
-    d = dco[v_den:]
-    shift = v_num - v_den
-
-    q, r = _poly_divmod(list(n), d)
-    if all(c == 0 for c in r):
-        return LaurentPoly({i + shift: c for i, c in enumerate(q) if c != 0}, None)
-
-    # Ascending power series of n/d (d has nonzero constant term) by the
-    # standard coefficient recursion, then shifted by p^shift.
-    nterms = max(order - shift, 0)
-    series: list[Fraction] = []
-    for i in range(nterms):
-        acc = n[i] if i < len(n) else Fraction(0)
-        for j in range(1, min(i, len(d) - 1) + 1):
-            acc -= d[j] * series[i - j]
-        series.append(acc / d[0])
-    coeffs = {i + shift: c for i, c in enumerate(series) if c != 0}
-    return LaurentPoly(coeffs, order)
 
 
 def padic_valuation(q: Fraction | int, p: int):

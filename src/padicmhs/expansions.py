@@ -41,19 +41,26 @@ from typing import Sequence
 
 from .arith import (
     IntPoly,
+    _poly_divmod,
     bernoulli,
     binomial,
     int_poly,
-    laurent_expand,
     poly_sub,
     power_sum_poly,
     strip_poly,
 )
 from .compositions import Comp, _stuffle_cached, check_int, compositions_of, stuffle, weight
-from .powersums import full_sum, poly_sum, signed_mhs, valuation_bound
-from .prover import generate_relations
+from .powersums import (
+    _profile_products,
+    _raise_order,
+    full_sum,
+    poly_sum,
+    signed_mhs,
+    valuation_bound,
+)
+from .prover import _statement_coords, generate_relations
 from .quantities import QuantitySpec, check_quantity
-from .series import MhsSeries, _integer_terms, _over, _rescale, _stuffle_into
+from .series import CongruenceStatement, MhsSeries, decompose_weighted
 
 __all__ = [
     "canonicalize",
@@ -92,13 +99,29 @@ def expand_rational(
 ) -> MhsSeries:
     """Laurent expansion of ``num(p)/den(p)`` as a series in powers of p.
 
-    The result has empty compositions only.  It is exact when the division
-    terminates (for example when ``den`` divides ``num``); otherwise it is
-    truncated at ``order``.
+    ``num`` and ``den`` are integer polynomials.  With the powers of p split
+    off, ``num = p^a N`` and ``den = p^b D``, the result is ``p^(a-b) N``
+    times the series inverse of the unit ``D``: ``1/(1 - p) = 1 + p + ...``
+    for every prime not dividing ``D(0)``.  It has empty compositions only,
+    and is exact when ``D`` divides ``N``, else truncated at ``order``.
     """
-    lp = laurent_expand(list(num), list(den), check_int(order, "order"))
-    terms = {(e, ()): c for e, c in lp.coeffs.items()}
-    return MhsSeries(terms, lp.order)
+    order = check_int(order, "order")
+    n = int_poly(num, "rational numerator")
+    d = int_poly(den, "rational denominator")
+    if not d:
+        raise ZeroDivisionError("expand_rational: zero denominator")
+    if not n:
+        return MhsSeries.zero(None)
+    a, b = (next(i for i, c in enumerate(f) if c) for f in (n, d))
+    n, d, shift = n[a:], d[b:], a - b
+    q, rem = _poly_divmod(n, d)
+    if not any(rem):
+        return MhsSeries({(i + shift, ()): c for i, c in enumerate(q)}, None)
+    M = order - shift
+    if M <= 0:
+        return MhsSeries.zero(order)
+    N, D = (MhsSeries({(i, ()): c for i, c in enumerate(f)}, M) for f in (n, d))
+    return (N * D.invert_unit()).shift(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +143,6 @@ def expand_zeta_p(k: int, order: int) -> MhsSeries:
     check_int(order, "order")
     terms: dict[tuple[int, Comp], Fraction] = {}
     for n in range(k - 1, max(order, k - 1)):
-        if n >= order:
-            break
         sign = -1 if (k + n + 1) % 2 else 1
         c = Fraction(sign, k - 1) * binomial(n - 1, k - 2) * bernoulli(n + 1 - k)
         if c:
@@ -203,21 +224,16 @@ def expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
     * ``r > 2``: the general restricted power-sum expansion.
     """
     check_quantity("hres", (r,))
+    check_int(order, "order")
     if r == 1:
         return MhsSeries.term(1, 0, (1,), None)
-    check_int(order, "order")
     if r == 2:
-        terms: dict[tuple[int, Comp], Fraction] = {}
-        for m in range(0, max(order - 1, 0)):
-            sign = -1 if m % 2 else 1
-            for e, c in enumerate(power_sum_poly(m)):
-                if c == 0:
-                    continue
-                b = m + e
-                if b >= order:
-                    continue
-                key = (b, (m + 1,))
-                terms[key] = terms.get(key, Fraction(0)) + sign * c
+        # each (m, e) gives its own key; the constructor drops zeros and b >= order
+        terms = {
+            (m + e, (m + 1,)): (-1) ** m * c
+            for m in range(max(order - 1, 0))
+            for e, c in enumerate(power_sum_poly(m))
+        }
         return MhsSeries(terms, order)
     return poly_sum((0,) * r + (1,), (1,), True, order)
 
@@ -227,9 +243,7 @@ def expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def expand_sum_poly_mhs(
-    P: Sequence[int | Fraction], s: Comp, order: int | None = None
-) -> MhsSeries:
+def expand_sum_poly_mhs(P: Sequence[int | Fraction], s: Comp) -> MhsSeries:
     """``sum_{k=1}^{p-1} P(k) * H_k(s)`` as an exact MHS combination.
 
     Splitting off the top index, ``H_k(s) = H_{k-1}(s) + k^(-s_1) H_{k-1}(s_2, ...)``,
@@ -239,8 +253,7 @@ def expand_sum_poly_mhs(
 
     two sums with a possibly nonpositive first exponent that
     :func:`signed_mhs` eliminates exactly; for empty ``s`` only the first
-    remains.  The result is exact; ``order`` (if given) truncates it
-    afterwards.
+    remains.  The result is exact.
     """
     P, s = tuple(P), tuple(s)
     check_quantity("sumpoly", (P, s))
@@ -251,8 +264,6 @@ def expand_sum_poly_mhs(
             if s:
                 part = part + signed_mhs((s[0] - j,) + s[1:])
             series = series + part.scale(c)
-    if order is not None:
-        series = series.truncate(check_int(order, "order"))
     return series
 
 
@@ -425,6 +436,7 @@ def expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
     ``2 * sum_n p^n H(1^n)``.
     """
     check_quantity("binp", (a, b, r))
+    check_int(order, "order")
     if r == 0:
         return MhsSeries.constant(binomial(a, b), None)
     return expand_binomial_poly((0,) * r + (a,), (0,) * r + (b,), order)
@@ -450,15 +462,10 @@ def canonicalize(
     if order is None:
         raise ValueError("canonicalize needs a finite truncation order")
     series = series.truncate(check_int(order, "order"))
-    parts: dict[int, dict[Comp, Fraction]] = {}
-    for (b, s), c in series.terms.items():
-        parts.setdefault(weight(s) - b, {})[s] = c
     out: dict[tuple[int, Comp], Fraction] = {}
-    for k in sorted(parts):
-        basis = generate_relations(order + k, cache_dir=cache_dir)
-        for s, c in basis.reduce(parts[k]).items():
-            if weight(s) - k >= order:
-                continue
+    for k, part in decompose_weighted(CongruenceStatement(series, order)).items():
+        basis = generate_relations(part.modulus_power, cache_dir=cache_dir)
+        for s, c in basis.reduce(_statement_coords(part)).items():
             out[(weight(s) - k, s)] = c
     return MhsSeries(out, order)
 
@@ -498,8 +505,7 @@ def expand_apery(order: int, *, cache_dir=None) -> MhsSeries:
                     terms[key] = terms.get(key, Fraction(0)) + Fraction(ca * sign * mult)
                 j += 1
             i += 1
-    raw = MhsSeries({k: v for k, v in terms.items() if v}, order)
-    return canonicalize(raw, order, cache_dir=cache_dir)
+    return canonicalize(MhsSeries(terms, order), order, cache_dir=cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +527,11 @@ def expand_curious(r: int, k: int, order: int, *, cache_dir=None) -> MhsSeries:
       see :func:`_expand_curious_general`.  The result is canonicalized.
     """
     check_quantity("curious", (r, k))
+    order = check_int(order, "order")
     if k == 1:
         return MhsSeries.zero(None)
     if r == 1:
         return MhsSeries.term(factorial(k), -1, (1,) * (k - 1), None)
-    order = check_int(order, "order")
     raw = _expand_curious_general(r, k, order)
     return canonicalize(raw, order, cache_dir=cache_dir)
 
@@ -559,9 +565,8 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
 
     The j-parts have integer coefficients: ``emit`` folds each leaf's
     stuffle products as an int map ``{composition: coefficient}`` and adds
-    it into its profile; the profile products are summed as int numerators
-    over one common denominator, and a Fraction is built once per output
-    term.
+    it into its profile; :func:`~padicmhs.powersums._profile_products` sums
+    the profile products.
     """
     kfact = factorial(k)
     pinned_exp = r - 1  # a_1 = p^(r-1)
@@ -683,20 +688,18 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
 
     a_orders: dict[tuple[int, ...], int] = {}
     for shift, svec in j_sums:
-        a_orders[svec] = max(a_orders.get(svec, order - shift), order - shift)
-    a_parts = {
-        svec: signed_mhs(svec) if r == 2 else poly_sum(a_poly, svec, False, a_order)
-        for svec, a_order in a_orders.items()
-    }
-    # sum of p^shift * j_sum * a_part over the profiles, on int numerators
-    acc: dict = {}
-    den = 1
-    for (shift, svec), j_sum in j_sums.items():
-        j_nums = [((0, s), c) for s, c in j_sum.items() if c]
-        a_nums, a_den = _integer_terms(a_parts[svec].truncate(order - shift)._terms)
-        den = _rescale(acc, den, a_den)
-        _stuffle_into(acc, j_nums, a_nums, shift, order, den // a_den)
-    return MhsSeries._trusted(_over(acc, den), order)
+        _raise_order(a_orders, svec, order - shift)
+    return _profile_products(
+        (
+            (svec, shift, [((0, s), c) for s, c in j_sum.items() if c], 1)
+            for (shift, svec), j_sum in j_sums.items()
+        ),
+        a_orders,
+        lambda svec, a_order: (
+            signed_mhs(svec) if r == 2 else poly_sum(a_poly, svec, False, a_order)
+        ),
+        order,
+    )
 
 
 # ---------------------------------------------------------------------------

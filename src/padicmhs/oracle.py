@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .arith import INFINITY, binomial, eval_poly, padic_valuation
-from .compositions import Comp
+from .compositions import Comp, check_int
 from .quantities import QuantitySpec
 from .series import CongruenceStatement, MhsSeries
 
@@ -62,13 +62,15 @@ def primes_in(lo: int, hi: int) -> list[int]:
 
 
 class PrimeWindow:
-    """An inclusive range of primes used for spot checks (default 11..97)."""
+    """Inclusive prime range lo..hi (ints, lo <= hi) for spot checks (default 11..97)."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: int = 11, hi: int = 97) -> None:
-        self.lo = lo
-        self.hi = hi
+        self.lo = check_int(lo, "prime window lower bound")
+        self.hi = check_int(hi, "prime window upper bound")
+        if lo > hi:
+            raise ValueError(f"prime window needs lo <= hi, got {lo}..{hi}")
 
     def primes(self) -> list[int]:
         return primes_in(self.lo, self.hi)

@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import INFINITY, IntPoly, int_poly, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
@@ -268,9 +268,7 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
     each a-part is computed once at the largest order its leaves need, and
     each profile takes one product; by distributivity the result is the
     same as one product per leaf.  The profile sums are accumulated as int
-    numerators over one running common denominator (rescaled to the lcm
-    when a chain product brings a new one), and so are the profile
-    products; a Fraction is built once per output term.
+    numerators, and :func:`_profile_products` sums the profile products.
     """
     if b < 1 or r < 0:
         raise ValueError(f"block_sum requires b >= 1, r >= 0, got b={b}, r={r}")
@@ -345,26 +343,50 @@ def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsS
                 if order_a <= lb_actual:
                     continue  # the a-part alone pushes the term past the order
                 e_key = tuple(e)
-                a_orders[e_key] = max(a_orders.get(e_key, order_a), order_a)
+                _raise_order(a_orders, e_key, order_a)
                 profile = profiles.setdefault((e_key, p_power), [{}, 1])
                 profile[1] = _add_over(profile[0], profile[1], nums, d, coeff)
 
-    a_parts = {e: block_sum(b, r - 1, e, False, a_order) for e, a_order in a_orders.items()}
-    # sum of p^p_power * chains * a_part over the profiles, on int numerators
+    return _profile_products(
+        (
+            (e, p_power, [(key, n) for key, n in summed.items() if n], chain_den)
+            for (e, p_power), (summed, chain_den) in profiles.items()
+        ),
+        a_orders,
+        lambda e, a_order: block_sum(b, r - 1, e, False, a_order),
+        order,
+    )
+
+
+def _raise_order(a_orders: dict, a_key: tuple, order: int) -> None:
+    """Record that the a-part ``a_key`` is needed to O(p^order); keep the highest."""
+    a_orders[a_key] = max(a_orders.get(a_key, order), order)
+
+
+def _profile_products(
+    profiles: Iterable[tuple], a_orders: dict, a_part: Callable, order: int
+) -> MhsSeries:
+    """Sum of ``p^shift * chains * a_part(a_key)`` over the profiles, to O(p^order).
+
+    ``profiles`` yields ``(a_key, shift, chains, den)``, the summed chains
+    as ``(key, numerator)`` pairs over ``den``.  Each a-part is computed
+    once, as ``a_part(a_key, a_orders[a_key])``.  The products are summed as
+    int numerators over one running common denominator, and a Fraction is
+    built once per output term.  Shared by :func:`block_sum` and the
+    curious-sum expansion.
+    """
+    a_parts = {a_key: a_part(a_key, a_order) for a_key, a_order in a_orders.items()}
     acc: dict = {}
     den = 1
-    for (e, p_power), (summed, chain_den) in profiles.items():
-        chains = [(key, n) for key, n in summed.items() if n]
+    for a_key, shift, chains, chain_den in profiles:
         if not chains:
             continue
-        a_part = a_parts[e]
-        if a_part.order is not None:
-            # chains * a_part is then known to O(p^(order - p_power))
-            a_part = a_part.truncate(order - p_power - min(key[0] for key, _ in chains))
-        a_nums, a_den = _integer_terms(a_part._terms)
+        # a-part terms at or above this order meet no chain term below ``order``
+        a_terms = a_parts[a_key].truncate(order - shift - min(key[0] for key, _ in chains))
+        a_nums, a_den = _integer_terms(a_terms._terms)
         d = chain_den * a_den
         den = _rescale(acc, den, d)
-        _stuffle_into(acc, chains, a_nums, p_power, order, den // d)
+        _stuffle_into(acc, chains, a_nums, shift, order, den // d)
     return MhsSeries._trusted(_over(acc, den), order)
 
 

@@ -364,8 +364,8 @@ def _render_term(ac: Fraction, b: int, s: Comp) -> str:
 
 
 # Int numerators over a common denominator: the ring operations and the
-# powersums/expansions hot loops accumulate these and build Fractions once,
-# per output term (``_over``).
+# powersums hot loops accumulate these and build Fractions once, per output
+# term (``_over``).
 IntTerms = list[tuple[Key, int]]
 
 
@@ -493,6 +493,6 @@ def decompose_weighted(stmt: CongruenceStatement) -> dict[int, CongruenceStateme
     out: dict[int, CongruenceStatement] = {}
     for k in sorted(groups):
         sub_order = None if order is None else order + k
-        sub = MhsSeries(groups[k], sub_order)
+        sub = MhsSeries._trusted(groups[k], sub_order)  # rescaled terms of a normalized series
         out[k] = CongruenceStatement(sub, stmt.modulus_power + k)
     return out

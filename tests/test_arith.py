@@ -1,5 +1,5 @@
 """Exact-arithmetic helpers: Bernoulli numbers, binomials, power-sum
-polynomials, Laurent expansion of rational functions, p-adic valuation.
+polynomials, integer polynomials, p-adic valuation.
 
 Oracle strategy: every table-driven value is recomputed here by an
 independent method (explicit formulas or brute-force sums) rather than
@@ -16,7 +16,7 @@ from padicmhs.arith import (
     bernoulli,
     binomial,
     eval_poly,
-    laurent_expand,
+    int_poly,
     padic_valuation,
     power_sum_poly,
 )
@@ -119,54 +119,11 @@ class TestPowerSumPoly:
             assert power_sum_poly(d)[0] == 0
 
 
-class TestLaurentExpand:
-    def test_geometric(self):
-        got = laurent_expand([F(1)], [F(1), F(-1)], 5)  # 1/(1-p)
-        assert got.order == 5
-        assert got.coeffs == {e: F(1) for e in range(5)}
-
-    def test_exact_monomial(self):
-        got = laurent_expand([F(0), F(0), F(1)], [F(1)], 9)  # p^2
-        assert got.order is None
-        assert got.coeffs == {2: F(1)}
-
-    def test_exact_inverse_monomial(self):
-        got = laurent_expand([F(1)], [F(0), F(1)], 9)  # 1/p
-        assert got.order is None
-        assert got.coeffs == {-1: F(1)}
-
-    def test_exact_division_detected(self):
-        # (1 - p^2)/(1 + p) = 1 - p exactly.
-        got = laurent_expand([F(1), F(0), F(-1)], [F(1), F(1)], 10)
-        assert got.order is None
-        assert got.coeffs == {0: F(1), 1: F(-1)}
-
-    def test_negative_valuation_series(self):
-        # (1)/(p - p^2) = p^(-1) (1 + p + p^2 + ...)
-        got = laurent_expand([F(1)], [F(0), F(1), F(-1)], 3)
-        assert got.order == 3
-        assert got.coeffs == {-1: F(1), 0: F(1), 1: F(1), 2: F(1)}
-
-    def test_agreement_with_evaluation(self):
-        # Series truncated at order N agrees with the exact rational value
-        # modulo p^N for several primes.
-        num = [F(2), F(3)]
-        den = [F(1), F(-1), F(5)]
-        n = 7
-        series = laurent_expand(num, den, n)
-        for p in (3, 5, 7, 11, 13):
-            exact = eval_poly(num, F(p)) / eval_poly(den, F(p))
-            diff = exact - sum(c * F(p) ** e for e, c in series.coeffs.items())
-            assert diff == 0 or padic_valuation(diff, p) >= n, p
-
-    def test_zero_numerator(self):
-        got = laurent_expand([F(0)], [F(1), F(2)], 6)
-        assert got.coeffs == {}
-        assert got.order is None
-
-    def test_denominator_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            laurent_expand([F(1)], [F(0)], 4)
+class TestIntPoly:
+    @pytest.mark.parametrize("coeffs", [(True,), (0, False), (F(1, 2),), (1.0,), ("1",)])
+    def test_refuses_non_integers(self, coeffs):
+        with pytest.raises(ValueError):
+            int_poly(coeffs)
 
 
 class TestPadicValuation:

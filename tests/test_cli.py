@@ -279,6 +279,12 @@ class TestVerifyCommand:
             main(["verify", "H(1) = 0 mod p^2", "--primes", "11-23"])
         assert exc.value.code == 2
 
+    def test_reversed_window_is_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "H(1) = 0 mod p^2", "--primes", "97..11"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_quantity_over_budget_is_refused(self, capsys):
         # hres(9) at p=11 needs 11^9 - 1 summation steps, far over the budget;
         # the series of hres(9) vanishes below p^9, so only the oracle refuses

@@ -7,6 +7,7 @@ the exact-rational oracle at concrete primes.
 
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,75 @@ class TestRational:
             got = eval_series_terms(s, p)
             want = F(1 + 2 * p, 3 + p * p)
             assert (got - want).numerator % p**7 == 0
+
+    def test_inverse_of_one_minus_p(self):
+        s = expand_rational((1,), (1, -1), 5)
+        assert s.order == 5
+        assert s.terms == {(e, ()): F(1) for e in range(5)}
+
+    def test_exact_monomial_numerator(self):
+        s = expand_rational((0, 0, 1), (1,), 9)
+        assert s.order is None
+        assert s.terms == {(2, ()): F(1)}
+
+    def test_exact_inverse_monomial(self):
+        s = expand_rational((1,), (0, 1), 9)
+        assert s.order is None
+        assert s.terms == {(-1, ()): F(1)}
+
+    def test_exact_division_detected(self):
+        # (1 - p^2)/(1 + p) = 1 - p exactly
+        s = expand_rational((1, 0, -1), (1, 1), 10)
+        assert s.order is None
+        assert s.terms == {(0, ()): F(1), (1, ()): F(-1)}
+
+    def test_negative_valuation_series(self):
+        # 1/(p - p^2) = p^(-1) (1 + p + p^2 + ...)
+        s = expand_rational((1,), (0, 1, -1), 3)
+        assert s.order == 3
+        assert s.terms == {(e, ()): F(1) for e in range(-1, 3)}
+        assert s.render() == "p^-1 + 1 + p + p^2 + O(p^3)"
+
+    def test_agreement_with_evaluation(self):
+        # truncated at order n, the series agrees with the exact value mod p^n
+        num, den, n = (2, 3), (1, -1, 5), 7
+        s = expand_rational(num, den, n)
+        for p in (3, 5, 7, 11, 13):
+            diff = F(num[0] + num[1] * p, den[0] + den[1] * p + den[2] * p * p)
+            diff -= eval_series_terms(s, p)
+            assert diff == 0 or padic_valuation(diff, p) >= n, p
+
+    def test_zero_numerator(self):
+        s = expand_rational((0,), (1, 2), 6)
+        assert s.terms == {}
+        assert s.order is None
+
+    def test_denominator_zero_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            expand_rational((1,), (0,), 4)
+
+    def test_order_at_or_below_the_shift_is_empty(self):
+        s = expand_rational((0, 0, 1), (1, 1), 2)  # p^2/(1 + p)
+        assert s.terms == {} and s.order == 2
+
+    @pytest.mark.parametrize("num,den", [((F(1, 2),), (1,)), ((1,), (1, 1.0))])
+    def test_non_integer_coefficients_rejected(self, num, den):
+        with pytest.raises(ValueError):
+            expand_rational(num, den, 3)
+
+    def test_random_grid_against_oracle(self):
+        # integer num/den with a lowest den coefficient prime to the window,
+        # orders -3..9, each checked against the oracle's exact rat value
+        rng = random.Random(20160823)
+        for _ in range(60):
+            num = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 4)))
+            v_den = rng.randint(0, 2)
+            low = rng.choice([c for c in range(-6, 7) if c])
+            rest = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 3)))
+            den = (0,) * v_den + (low,) + rest
+            order = rng.randint(-3, 9)
+            series = expand_rational(num, den, order)
+            assert_numeric((QuantitySpec("rat", (num, den)), series), W_SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +646,40 @@ class TestCanonicalize:
     def test_needs_order(self):
         with pytest.raises(ValueError):
             canonicalize(MhsSeries.term(1, 0, (1,), None))
+
+
+# ---------------------------------------------------------------------------
+# argument checks that no exact shortcut skips
+# ---------------------------------------------------------------------------
+
+
+class TestShortcutArguments:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: expand_binomial_poly((0, True), (0, 1), 3),
+            lambda: expand_rational((True,), (1,), 3),
+            lambda: factorial_ratio([((0, True), 1), ((0, 1), -1)], 3),
+        ],
+        ids=["binpoly", "rational", "factorial_ratio"],
+    )
+    def test_bool_coefficients_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: expand_curious(2, 1, "x"),
+            lambda: expand_curious(1, 3, "x"),
+            lambda: expand_restricted_harmonic(1, None),
+            lambda: expand_binomial_pp(2, 1, 0, "x"),
+        ],
+        ids=["curious-k1", "curious-r1", "hres-r1", "binp-r0"],
+    )
+    def test_order_checked_before_exact_shortcut(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 # ---------------------------------------------------------------------------

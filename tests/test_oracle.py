@@ -55,6 +55,11 @@ class TestPrimes:
         assert primes_in(2, 10) == [2, 3, 5, 7]
         assert primes_in(90, 96) == []
 
+    @pytest.mark.parametrize("lo,hi", [(True, 13), (11, 13.0), (97, 11)])
+    def test_window_bounds_checked(self, lo, hi):
+        with pytest.raises(ValueError):
+            PrimeWindow(lo, hi)
+
     def test_window_defaults(self):
         w = PrimeWindow()
         assert w.lo == 11 and w.hi == 97
