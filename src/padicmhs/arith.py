@@ -12,7 +12,8 @@ number-theoretic primitives:
   G_d(x) = sum_{a=0}^{x-1} a^d (Faulhaber's formula).
 * Dense ascending-coefficient polynomials: ``eval_poly`` (Horner),
   ``strip_poly`` (drop trailing zeros), ``int_poly`` (integer coefficients,
-  stripped), ``poly_sub`` and ``_poly_divmod`` (exact division over Q).
+  stripped), ``poly_sub``, ``poly_mul`` and ``_poly_divmod`` (exact division
+  over Q).
 * ``padic_valuation``: the p-adic valuation of a rational, with ``INFINITY``
   as the sentinel for 0.
 
@@ -33,6 +34,7 @@ __all__ = [
     "eval_poly",
     "int_poly",
     "padic_valuation",
+    "poly_mul",
     "poly_sub",
     "power_sum_poly",
     "strip_poly",
@@ -148,6 +150,15 @@ def poly_sub(f: IntPoly, g: IntPoly) -> IntPoly:
     return strip_poly(
         [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
     )
+
+
+def poly_mul(f, g) -> tuple:
+    """``f * g`` with trailing zeros stripped."""
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return strip_poly(out)
 
 
 def _poly_divmod(num, den) -> tuple[list[Fraction], list[Fraction]]:

@@ -16,16 +16,21 @@ Subcommands:
 
 Expression grammar (ASCII, whitespace-insensitive)::
 
-    statement := expr [ "=" expr "mod" "p" "^" INT ]
+    statement := expr [ "=" expr "mod" "p" "^" SINT ]
     expr      := term (("+" | "-") term)*
-    term      := factor ("*" factor)*
-    factor    := ["+" | "-"] atom
-    atom      := INT [ "/" INT ]          rational literal
+    term      := factor (("*" | "/") factor)*   a / b is a * inv(b)
+    factor    := ("+" | "-") factor | atom
+    atom      := INT [ "/" INT ]          rational literal, except after "/":
+                                          1/2/3 is 1/6 and p/3/4 is p/12
                | "p" [ "^" SINT ]         power of the prime
                | "H" "(" parts ")"        multiple harmonic sum H_{p-1}(s)
                | "inv" "(" expr ")"       inverse of a unit series
                | NAME "(" args ")"        named quantity (binp, apery, ...)
                | "(" expr ")"
+
+The parser lives in :mod:`padicmhs.quantities`, which also lists the
+quantity atoms.  Their polynomial arguments are expressions of this same
+grammar, e.g. ``binpoly(2*p;p)`` or ``rat((p^2-1)/(p+1))``.
 
 ``prove`` and ``verify`` accept either an inline congruence or a path to a
 statement file (one congruence per line, ``#`` comments).  ``prove`` expands
@@ -39,7 +44,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -61,7 +65,7 @@ from .prover import (
     provable_valuation,
     verify_certificate_text,
 )
-from .quantities import QUANTITY_NAMES, parse_quantity
+from .quantities import ExprAst, ExprSyntaxError, parse
 from .series import MhsSeries
 
 __all__ = [
@@ -73,215 +77,6 @@ __all__ = [
     "main",
     "parse",
 ]
-
-KNOWN_QUANTITIES = tuple(sorted(QUANTITY_NAMES))
-
-
-class ExprSyntaxError(ValueError):
-    """Syntax error in an expression, with a character position."""
-
-    def __init__(self, message: str, pos: int) -> None:
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
-
-
-@dataclass(frozen=True)
-class ExprAst:
-    """Expression tree node.
-
-    ``kind`` is one of ``lit`` (payload: Fraction), ``p`` (payload: int
-    exponent), ``H`` (payload: composition), ``quantity`` (payload:
-    QuantitySpec), ``add``/``sub``/``mul`` (two children), ``neg``/``inv``
-    (one child), or ``cong`` (payload: modulus power, children: lhs, rhs).
-    """
-
-    kind: str
-    payload: object = None
-    children: tuple["ExprAst", ...] = ()
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.i = 0
-
-    # -- low-level scanning -------------------------------------------------
-
-    def _ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        self._ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, ch: str) -> None:
-        if not self.take(ch):
-            raise ExprSyntaxError(f"expected {ch!r}", self.i)
-
-    def _int(self) -> int:
-        self._ws()
-        start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        if self.i == start:
-            raise ExprSyntaxError("expected an integer", start)
-        return int(self.text[start : self.i])
-
-    def _signed_int(self) -> int:
-        self._ws()
-        sign = 1
-        if self.take("-"):
-            sign = -1
-        elif self.take("+"):
-            pass
-        return sign * self._int()
-
-    def _name(self) -> str:
-        self._ws()
-        start = self.i
-        while self.i < len(self.text) and (
-            self.text[self.i].isalnum() or self.text[self.i] == "_"
-        ):
-            self.i += 1
-        return self.text[start : self.i]
-
-    def _balanced(self) -> str:
-        """Consume '( ... )' with nesting and return the inner text."""
-        self.expect("(")
-        start = self.i
-        depth = 1
-        while self.i < len(self.text):
-            c = self.text[self.i]
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    inner = self.text[start : self.i]
-                    self.i += 1
-                    return inner
-            self.i += 1
-        raise ExprSyntaxError("unbalanced parenthesis", start - 1)
-
-    # -- grammar -------------------------------------------------------------
-
-    def parse_statement(self) -> ExprAst:
-        lhs = self.parse_expression()
-        if self.peek() == "=":
-            self.i += 1
-            rhs = self.parse_expression()
-            self._ws()
-            pos = self.i
-            if self._name() != "mod":
-                raise ExprSyntaxError("expected 'mod'", pos)
-            self._ws()
-            pos = self.i
-            if self._name() != "p":
-                raise ExprSyntaxError("expected 'p' after 'mod'", pos)
-            self.expect("^")
-            n = self._signed_int()
-            node = ExprAst("cong", n, (lhs, rhs))
-        else:
-            node = lhs
-        self._ws()
-        if self.i != len(self.text):
-            raise ExprSyntaxError("trailing input", self.i)
-        return node
-
-    def parse_expression(self) -> ExprAst:
-        node = self.parse_term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.i += 1
-                node = ExprAst("add", None, (node, self.parse_term()))
-            elif c == "-":
-                self.i += 1
-                node = ExprAst("sub", None, (node, self.parse_term()))
-            else:
-                return node
-
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
-        while self.peek() == "*":
-            self.i += 1
-            node = ExprAst("mul", None, (node, self.parse_factor()))
-        return node
-
-    def parse_factor(self) -> ExprAst:
-        if self.take("-"):
-            return ExprAst("neg", None, (self.parse_factor(),))
-        if self.take("+"):
-            return self.parse_factor()
-        return self.parse_atom()
-
-    def parse_atom(self) -> ExprAst:
-        c = self.peek()
-        pos = self.i
-        if c == "(":
-            self.i += 1
-            node = self.parse_expression()
-            self.expect(")")
-            return node
-        if c.isdigit():
-            num = self._int()
-            save = self.i
-            if self.take("/"):
-                if self.peek().isdigit():
-                    den = self._int()
-                    if den == 0:
-                        raise ExprSyntaxError("division by zero in literal", save)
-                    return ExprAst("lit", Fraction(num, den))
-                self.i = save  # not a rational literal
-            return ExprAst("lit", Fraction(num))
-        name = self._name()
-        if not name:
-            raise ExprSyntaxError("expected an atom", pos)
-        if name == "p":
-            if self.take("^"):
-                return ExprAst("p", self._signed_int())
-            return ExprAst("p", 1)
-        if name == "H":
-            inner = self._balanced()
-            parts = []
-            for piece in inner.split(",") if inner.strip() else []:
-                piece = piece.strip()
-                if not piece.isdigit() or int(piece) < 1:
-                    raise ExprSyntaxError(
-                        f"H parts must be positive integers, got {piece!r}", pos
-                    )
-                parts.append(int(piece))
-            return ExprAst("H", tuple(parts))
-        if name == "inv":
-            self.expect("(")
-            node = self.parse_expression()
-            self.expect(")")
-            return ExprAst("inv", None, (node,))
-        if name in KNOWN_QUANTITIES:
-            inner = self._balanced()
-            try:
-                spec = parse_quantity(name, inner)
-            except ValueError as exc:
-                raise ExprSyntaxError(str(exc), pos) from exc
-            return ExprAst("quantity", spec)
-        raise ExprSyntaxError(
-            f"unknown atom {name!r}; known atoms: p, H, inv, "
-            + ", ".join(KNOWN_QUANTITIES),
-            pos,
-        )
-
-
-def parse(text: str) -> ExprAst:
-    """Parse an expression or congruence statement."""
-    return _Parser(text).parse_statement()
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -403,10 +198,14 @@ def _load_statements(arg: str) -> list[str]:
 
 
 def _parse_window(text: str) -> PrimeWindow:
+    """argparse type: a prime window ``lo..hi`` of integers with lo <= hi."""
     lo, sep, hi = text.partition("..")
     if not sep or not lo.isdigit() or not hi.isdigit():
-        raise ValueError(f"--primes expects 'lo..hi', got {text!r}")
-    return PrimeWindow(int(lo), int(hi))
+        raise argparse.ArgumentTypeError(f"expected 'lo..hi' with integers lo <= hi, got {text!r}")
+    try:
+        return PrimeWindow(int(lo), int(hi))
+    except ValueError as exc:  # lo > hi
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 DEFAULT_ORDER = 8

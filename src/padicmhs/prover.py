@@ -169,6 +169,17 @@ def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, int]:
     return out
 
 
+def _check_prov(prov: object) -> int:
+    """Total weight of ``prov``; ValueError unless it is (s, t, u) with ``t`` nonempty."""
+    if not (isinstance(prov, tuple) and len(prov) == 3):
+        raise ValueError(f"provenance must be an (s, t, u) triple, got {prov!r}")
+    s, t, u = prov
+    check_comp(s, name="provenance component")
+    check_comp(t, allow_empty=False, name="provenance component")
+    check_comp(u, name="provenance component")
+    return weight(s) + weight(t) + weight(u)
+
+
 def _combine(
     combination: Iterable[tuple[Prov, Fraction]], n: int
 ) -> dict[Comp, Fraction]:
@@ -395,11 +406,8 @@ class RelationBasis:
             if idx <= last:
                 raise ValueError("pivot columns must be strictly increasing")
             last = idx
-        for s, t, u in triples:
-            check_comp(s, name="provenance component")
-            check_comp(t, allow_empty=False, name="provenance component")
-            check_comp(u, name="provenance component")
-            if weight(s) + weight(t) + weight(u) >= modulus_power:
+        for prov in triples:
+            if _check_prov(prov) >= modulus_power:
                 raise ValueError("independent triple outside the modulus power")
         pivot_set = set(pivots)
         free = [w for w in self._columns if w not in pivot_set]
@@ -752,8 +760,7 @@ class ProofCertificate:
             raise ValueError("verdict must be 'proved' or 'unproven'")
         combo = tuple((prov, Fraction(mult)) for prov, mult in combination)
         for prov, _ in combo:
-            if not (isinstance(prov, tuple) and len(prov) == 3):
-                raise ValueError("combination entries must be ((s, t, u), multiplier)")
+            _check_prov(prov)
         if verdict == "unproven" and combo:
             raise ValueError("an unproven certificate cannot carry a combination")
         self._target = target
@@ -920,10 +927,21 @@ def replay_certificate(cert: ProofCertificate) -> bool:
     """
     if cert.verdict != "proved":
         return False
-    stmt = cert.target
-    if stmt.modulus_power < 1:
-        return True  # a congruence mod p^0 (or weaker) is vacuous
-    return _combine(cert.combination, stmt.modulus_power) == _statement_coords(stmt)
+    stmt, n = cert.target, cert.target.modulus_power
+    # a congruence mod p^0 (or weaker) is vacuous
+    return n < 1 or _replay_failure(cert.combination, n, _statement_coords(stmt)) is None
+
+
+def _replay_failure(combination, n: int, coords: Mapping[Comp, Fraction]) -> str | None:
+    """Why ``combination`` fails to reproduce ``coords`` at modulus power n, or None.
+
+    The one part check of both replay paths.
+    """
+    if any(_check_prov(prov) >= n for prov, _ in combination):
+        return f"references a relation outside modulus power {n}"
+    if _combine(combination, n) != coords:
+        return "combination does not reproduce its target"
+    return None
 
 
 def dump_certificates(certs: Sequence[ProofCertificate]) -> str:
@@ -1019,12 +1037,7 @@ def verify_certificate_text(text: str) -> tuple[bool, str]:
             return False, f"part {i} has verdict {part['verdict']}"
         if part["modulus"] < 1:
             continue
-        for (s, t, u), _ in part["combo"]:
-            if weight(s) + weight(t) + weight(u) >= part["modulus"]:
-                return False, (
-                    f"part {i} references a relation outside modulus power "
-                    f"{part['modulus']}"
-                )
-        if _combine(part["combo"], part["modulus"]) != part["coords"]:
-            return False, f"part {i} combination does not reproduce its target"
+        failure = _replay_failure(part["combo"], part["modulus"], part["coords"])
+        if failure is not None:
+            return False, f"part {i} {failure}"
     return True, f"replayed {len(parts)} part(s) exactly"

@@ -1,4 +1,4 @@
-"""Named prime-indexed quantities and their text grammar.
+"""Named prime-indexed quantities and the expression grammar that reads them.
 
 A :class:`QuantitySpec` is a symbolic handle for a family of rational
 numbers indexed by a prime ``p`` (a binomial coefficient with prime-power
@@ -10,7 +10,9 @@ cross-checks meaningful.  A spec checks its arguments when it is built
 (:func:`check_quantity`, the one home of the argument rules), so both
 routes trust it and refuse the same inputs.
 
-Atom grammar (shared with the CLI)::
+This module also holds the one parser of the package: :func:`parse` reads
+the CLI's expressions and congruences (grammar in :mod:`padicmhs.cli`), and
+the same parser reads the arguments of the quantity atoms::
 
     binp(a,b[,r])          C(a*p^r, b*p^r), r defaults to 1
     binpoly(f;g)           C(f(p), g(p)) for integer polynomials f, g
@@ -25,25 +27,33 @@ Atom grammar (shared with the CLI)::
     sumpoly(P;s1,...,sk)   sum_{m=1}^{p-1} P(m) * H_m(s1,...,sk)
     half(k)                p^k * H_{(p-1)/2}(k)
     alt(k)                 p^k * sum_{n=1}^{p-1} (-1)^n / n^k
-    rat(f[/g])             f(p)/g(p) for integer polynomials f, g
+    rat(f)                 f(p) for a rational function f of p
 
-Polynomials are written in the variable ``p`` with ``^`` powers and ``*``
-products, e.g. ``p^2-1`` or ``34*p^3-51*p^2+27*p-5``; ``sumpoly``'s first
-argument admits rational coefficients (``1/2*p^2``).
+Integer arguments are written as integers.  A polynomial argument is an
+expression built from numbers, ``p^k`` with k >= 0, ``+ - * /`` and
+parentheses whose denominator is a constant, e.g. ``p^2-1``,
+``34*p^3-51*p^2+27*p-5`` or ``1/2*p^2`` (rational coefficients only in
+``sumpoly``'s P).  ``rat`` takes any such expression, e.g. ``(p^2-1)/(p+1)``
+or ``p^2-1/(p+1)``, read by the usual precedence: ``1/2*p`` is p/2.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Callable, TypeVar
 
+from .arith import poly_mul, poly_sub, strip_poly
 from .compositions import check_comp, check_int
 
 __all__ = [
+    "ExprAst",
+    "ExprSyntaxError",
     "QuantitySpec",
     "Poly",
     "check_quantity",
+    "parse",
     "parse_poly",
     "parse_poly_ratio",
     "format_poly",
@@ -144,139 +154,308 @@ def _check_poly(f: object, what: str, integer: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial text grammar
+# expression grammar
 # ---------------------------------------------------------------------------
 
-_POLY_TOKEN = re.compile(r"\s*(\d+|[p^*/+-])")
+
+class ExprSyntaxError(ValueError):
+    """Syntax error in an expression, with a character position."""
+
+    def __init__(self, message: str, pos: int) -> None:
+        super().__init__(f"{message} (at position {pos})")
+        self.pos = pos
 
 
-def _tokenize_poly(text: str) -> list[str]:
-    out: list[str] = []
-    text = text.strip()
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"polynomial syntax error at position {pos} in {text!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+@dataclass(frozen=True)
+class ExprAst:
+    """Expression tree node.
+
+    ``kind`` is one of ``lit`` (payload: Fraction), ``p`` (payload: int
+    exponent), ``H`` (payload: composition), ``quantity`` (payload:
+    QuantitySpec), ``add``/``sub``/``mul`` (two children), ``neg``/``inv``
+    (one child), or ``cong`` (payload: modulus power, children: lhs, rhs).
+    ``a / b`` is ``mul(a, inv(b))``.
+    """
+
+    kind: str
+    payload: object = None
+    children: tuple["ExprAst", ...] = ()
 
 
-def _add_term(coeffs: dict[int, Fraction], deg: int, c: Fraction) -> None:
-    c = coeffs.get(deg, Fraction(0)) + c
-    if c == 0:
-        coeffs.pop(deg, None)
-    else:
-        coeffs[deg] = c
+class _Parser:
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.i = 0
+
+    # -- low-level scanning -------------------------------------------------
+
+    def _ws(self) -> None:
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self) -> str:
+        self._ws()
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, ch: str) -> None:
+        if not self.take(ch):
+            raise ExprSyntaxError(f"expected {ch!r}", self.i)
+
+    def _int(self, signed: bool = False) -> int:
+        """An integer literal; with ``signed``, a '-' may directly precede its digits."""
+        self._ws()
+        start = self.i
+        if signed and self.text.startswith("-", start):
+            self.i += 1
+        digits = self.i
+        while self.i < len(self.text) and self.text[self.i].isdigit():
+            self.i += 1
+        if self.i == digits:
+            raise ExprSyntaxError("expected an integer", start)
+        return int(self.text[start : self.i])
+
+    def _signed_int(self) -> int:
+        if self.take("-"):
+            return -self._int()
+        self.take("+")
+        return self._int()
+
+    def _name(self) -> str:
+        self._ws()
+        start = self.i
+        while self.i < len(self.text) and (
+            self.text[self.i].isalnum() or self.text[self.i] == "_"
+        ):
+            self.i += 1
+        return self.text[start : self.i]
+
+    def _keyword(self, word: str) -> None:
+        self._ws()
+        pos = self.i
+        if self._name() != word:
+            raise ExprSyntaxError(f"expected {word!r}", pos)
+
+    def _ints(self) -> tuple[int, ...]:
+        """Comma-separated signed integers; none before ')', ';' or the end."""
+        if self.peek() in (")", ";", ""):
+            return ()
+        out = [self._int(signed=True)]
+        while self.take(","):
+            out.append(self._int(signed=True))
+        return tuple(out)
+
+    # -- grammar -------------------------------------------------------------
+
+    def parse_statement(self) -> ExprAst:
+        lhs = self.parse_expression()
+        if self.peek() != "=":
+            return lhs
+        self.i += 1
+        rhs = self.parse_expression()
+        self._keyword("mod")
+        self._keyword("p")
+        self.expect("^")
+        return ExprAst("cong", self._signed_int(), (lhs, rhs))
+
+    def parse_expression(self) -> ExprAst:
+        node = self.parse_term()
+        while True:
+            c = self.peek()
+            if c == "+":
+                self.i += 1
+                node = ExprAst("add", None, (node, self.parse_term()))
+            elif c == "-":
+                self.i += 1
+                node = ExprAst("sub", None, (node, self.parse_term()))
+            else:
+                return node
+
+    def parse_term(self) -> ExprAst:
+        node = self.parse_factor()
+        while True:
+            if self.take("*"):
+                node = ExprAst("mul", None, (node, self.parse_factor()))
+            elif self.take("/"):
+                divisor = self.parse_factor(divisor=True)
+                node = ExprAst("mul", None, (node, ExprAst("inv", None, (divisor,))))
+            else:
+                return node
+
+    def parse_factor(self, divisor: bool = False) -> ExprAst:
+        if self.take("-"):
+            return ExprAst("neg", None, (self.parse_factor(divisor),))
+        if self.take("+"):
+            return self.parse_factor(divisor)
+        return self.parse_atom(divisor)
+
+    def parse_atom(self, divisor: bool = False) -> ExprAst:
+        """One atom; a divisor's integer takes no '/' (``p/3/4`` is p/12)."""
+        c = self.peek()
+        pos = self.i
+        if c == "(":
+            self.i += 1
+            node = self.parse_expression()
+            self.expect(")")
+            return node
+        if c.isdigit():
+            num = self._int()
+            save = self.i
+            if not divisor and self.take("/"):
+                if self.peek().isdigit():
+                    den = self._int()
+                    if den == 0:
+                        raise ExprSyntaxError("division by zero in literal", save)
+                    return ExprAst("lit", Fraction(num, den))
+                self.i = save  # not a rational literal
+            return ExprAst("lit", Fraction(num))
+        name = self._name()
+        if not name:
+            raise ExprSyntaxError("expected an atom", pos)
+        if name == "p":
+            if self.take("^"):
+                return ExprAst("p", self._signed_int())
+            return ExprAst("p", 1)
+        if name not in ("H", "inv") and name not in _PARAMS:
+            raise ExprSyntaxError(
+                f"unknown atom {name!r}; known atoms: p, H, inv, " + ", ".join(sorted(_PARAMS)),
+                pos,
+            )
+        self.expect("(")
+        if name == "inv":
+            node = ExprAst("inv", None, (self.parse_expression(),))
+        elif name == "H":
+            node = ExprAst("H", self._ints())
+            if any(s < 1 for s in node.payload):
+                raise ExprSyntaxError(f"H parts must be positive integers, got {node.payload}", pos)
+        else:
+            args = self.quantity_args(name)
+            try:
+                node = ExprAst("quantity", QuantitySpec(name, args))
+            except ValueError as exc:
+                raise ExprSyntaxError(str(exc), pos) from exc
+        self.expect(")")
+        return node
+
+    def quantity_args(self, name: str) -> tuple:
+        """The argument tuple of the quantity atom ``name``, read up to its ')'."""
+        if name == "rat":
+            return self._poly_arg(ratio=True)
+        if name not in ("binpoly", "psum", "sumpoly"):
+            args = self._ints()
+            if name == "binp" and len(args) == 2:
+                args += (1,)  # binp(a,b) sugar for binp(a,b,1)
+            return args
+        f = self._poly_arg()
+        self.expect(";")
+        if name == "sumpoly":
+            return f, self._ints()
+        g = self._poly_arg()
+        if name == "binpoly":
+            return f, g
+        self.expect(";")
+        exps = self._ints()
+        restricted = self.take(";")
+        if restricted:
+            self._keyword("restricted")
+        return f, g, exps, restricted
+
+    def _poly_arg(self, ratio: bool = False):
+        """A polynomial (constant denominator) as its coefficients, or with
+        ``ratio`` a rational function of p as integer (numerator, denominator)."""
+        self._ws()
+        start = self.i
+        node = self.parse_expression()
+        try:
+            num, den = _fold(node)
+            if ratio:
+                m = lcm(*(c.denominator for c in num + den))
+                return tuple(c * m for c in num), tuple(c * m for c in den)
+            if len(den) > 1:
+                raise ValueError("expected a polynomial in p, got a rational function")
+            return tuple(c / den[0] for c in num)
+        except ValueError as exc:
+            raise ExprSyntaxError(str(exc), start) from exc
+
+
+_ONE: Poly = (Fraction(1),)
+
+
+def _fold(node: ExprAst) -> tuple[Poly, Poly]:
+    """``node`` as a rational function of p: (numerator, denominator) coefficient tuples.
+
+    Numbers, ``p^k`` with k >= 0, ``+ - *`` and ``inv`` (so ``/``) fold; any
+    other node, or an inverse of zero, raises ValueError.  Nothing cancels,
+    so ``(f)/(g)`` folds to exactly (f, g).
+    """
+    kind = node.kind
+    if kind == "lit":
+        return strip_poly((node.payload,)), _ONE
+    if kind == "p" and node.payload >= 0:
+        return (Fraction(0),) * node.payload + _ONE, _ONE
+    if kind not in ("add", "sub", "mul", "neg", "inv"):
+        what = f"p^{node.payload}" if kind == "p" else "H" if kind == "H" else node.payload.name
+        raise ValueError(
+            f"polynomial arguments take numbers, p^k with k >= 0, + - * / and inv, not {what}"
+        )
+    (f, g), *rest = (_fold(child) for child in node.children)
+    if kind == "neg":
+        return poly_sub((), f), g
+    if kind == "inv":
+        if not f:
+            raise ValueError("zero denominator polynomial")
+        return g, f
+    ((h, k),) = rest
+    if kind == "mul":
+        return poly_mul(f, h), poly_mul(g, k)
+    if kind == "add":
+        h = poly_sub((), h)
+    return poly_sub(poly_mul(f, k), poly_mul(h, g)), poly_mul(g, k)
+
+
+_T = TypeVar("_T")
+
+
+def _read_all(text: str, read: Callable[[_Parser], _T]) -> _T:
+    """``read`` run by a parser over ``text``, which it must consume entirely."""
+    parser = _Parser(text)
+    value = read(parser)
+    parser._ws()
+    if parser.i != len(text):
+        raise ExprSyntaxError("trailing input", parser.i)
+    return value
+
+
+def parse(text: str) -> ExprAst:
+    """Parse an expression or congruence statement."""
+    return _read_all(text, _Parser.parse_statement)
+
+
+# ---------------------------------------------------------------------------
+# polynomial and quantity parsing / formatting
+# ---------------------------------------------------------------------------
 
 
 def parse_poly(text: str, *, integer: bool = False) -> Poly:
-    """Parse a polynomial in ``p``, e.g. ``"p^2-1"`` or ``"1/2*p^2+p"``.
+    """Coefficients of a polynomial in ``p``, e.g. ``"p^2-1"`` or ``"(p^2+2*p)/2"``.
 
-    With ``integer=True``, rational coefficients are rejected.
+    The text is an expression with a constant denominator.  With
+    ``integer=True``, rational coefficients are rejected.
     """
-    toks = _tokenize_poly(text)
-    if not toks:
-        raise ValueError("empty polynomial")
-    coeffs: dict[int, Fraction] = {}
-    i = 0
-    first = True
-    while i < len(toks):
-        sign = Fraction(1)
-        if toks[i] in "+-":
-            if toks[i] == "-":
-                sign = Fraction(-1)
-            i += 1
-            if i >= len(toks):
-                raise ValueError(f"dangling sign at end of {text!r}")
-        elif not first:
-            raise ValueError(f"expected '+' or '-' before {toks[i]!r} in {text!r}")
-        first = False
-        # term: number [/ number] [* p [^ exp]]  |  p [^ exp]
-        coeff = Fraction(1)
-        have_coeff = False
-        if i < len(toks) and toks[i].isdigit():
-            coeff = Fraction(int(toks[i]))
-            have_coeff = True
-            i += 1
-            if i + 1 < len(toks) and toks[i] == "/" and toks[i + 1].isdigit():
-                if integer:
-                    raise ValueError(
-                        f"rational coefficient not allowed in integer polynomial {text!r}"
-                    )
-                coeff /= int(toks[i + 1])
-                i += 2
-        deg = 0
-        if i < len(toks) and toks[i] == "*":
-            if not have_coeff:
-                raise ValueError(f"dangling '*' in {text!r}")
-            i += 1
-            if i >= len(toks) or toks[i] != "p":
-                raise ValueError(f"expected 'p' after '*' in {text!r}")
-        if i < len(toks) and toks[i] == "p":
-            i += 1
-            deg = 1
-            if i < len(toks) and toks[i] == "^":
-                i += 1
-                neg = False
-                if i < len(toks) and toks[i] == "-":
-                    neg = True
-                    i += 1
-                if i >= len(toks) or not toks[i].isdigit():
-                    raise ValueError(f"expected integer exponent in {text!r}")
-                deg = int(toks[i])
-                if neg:
-                    raise ValueError(f"negative exponent in polynomial {text!r}")
-                i += 1
-        elif not have_coeff:
-            raise ValueError(f"expected a term at {toks[i]!r} in {text!r}")
-        _add_term(coeffs, deg, sign * coeff)
-    if not coeffs:
-        return ()
-    top = max(coeffs)
-    return tuple(coeffs.get(d, Fraction(0)) for d in range(top + 1))
+    f = _read_all(text, _Parser._poly_arg)
+    if integer and any(c.denominator != 1 for c in f):
+        raise ValueError(f"rational coefficient not allowed in integer polynomial {text!r}")
+    return f
 
 
 def parse_poly_ratio(text: str) -> tuple[Poly, Poly]:
-    """Parse ``f``, ``f/g``, ``(f)/(g)`` with integer polynomials f, g."""
-
-    def strip_parens(s: str) -> str:
-        s = s.strip()
-        while s.startswith("(") and s.endswith(")"):
-            depth = 0
-            for idx, ch in enumerate(s):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0 and idx != len(s) - 1:
-                        return s  # outer parens do not wrap the whole string
-            s = s[1:-1].strip()
-        return s
-
-    # split on a '/' at paren depth zero that is not part of a coefficient;
-    # integer polynomials contain no '/', so any top-level '/' is the divider
-    depth = 0
-    split_at = None
-    for idx, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split_at is not None:
-                raise ValueError(f"multiple '/' in rational function {text!r}")
-            split_at = idx
-    if split_at is None:
-        num, den = text, "1"
-    else:
-        num, den = text[:split_at], text[split_at + 1 :]
-    fnum = parse_poly(strip_parens(num), integer=True)
-    fden = parse_poly(strip_parens(den), integer=True)
-    if not any(fden):
-        raise ValueError("zero denominator polynomial")
-    return fnum, fden
+    """Integer numerator and denominator of a rational function of p, e.g. ``"(2*p-1)/3"``."""
+    return _read_all(text, lambda parser: parser._poly_arg(ratio=True))
 
 
 def format_poly(coeffs: Poly) -> str:
@@ -300,20 +479,6 @@ def format_poly(coeffs: Poly) -> str:
     return "".join(chunks)
 
 
-# ---------------------------------------------------------------------------
-# quantity parsing / formatting
-# ---------------------------------------------------------------------------
-
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """Comma-separated integers; blank text gives ()."""
-    parts = [t.strip() for t in text.split(",")] if text.strip() else []
-    for t in parts:
-        if not re.fullmatch(r"-?\d+", t):
-            raise ValueError(f"expected an integer for {what}, got {t!r}")
-    return tuple(int(t) for t in parts)
-
-
 def parse_quantity(name: str, inner: str) -> QuantitySpec:
     """Turn an atom's name and argument text into a QuantitySpec.
 
@@ -321,37 +486,7 @@ def parse_quantity(name: str, inner: str) -> QuantitySpec:
     """
     if name not in _PARAMS:
         raise ValueError(f"unknown quantity {name!r}")
-    inner = inner.strip()
-    if name == "binpoly":
-        parts = _split_semicolons(inner)
-        if len(parts) != 2:
-            raise ValueError("binpoly takes (f;g)")
-        return QuantitySpec(name, (parse_poly(parts[0]), parse_poly(parts[1])))
-    if name == "sumpoly":
-        parts = _split_semicolons(inner)
-        if len(parts) != 2:
-            raise ValueError("sumpoly takes (P;s1,...,sk)")
-        return QuantitySpec(name, (parse_poly(parts[0]), _parse_ints(parts[1], "sumpoly part")))
-    if name == "psum":
-        parts = _split_semicolons(inner)
-        restricted = False
-        if parts and parts[-1] == "restricted":
-            restricted = True
-            parts = parts[:-1]
-        if len(parts) != 3:
-            raise ValueError("psum takes (f;g;s1,...,sk[;restricted])")
-        f, g = parse_poly(parts[0]), parse_poly(parts[1])
-        return QuantitySpec(name, (f, g, _parse_ints(parts[2], "psum exponent"), restricted))
-    if name == "rat":
-        return QuantitySpec(name, parse_poly_ratio(inner))
-    args = _parse_ints(inner, f"{name} argument")
-    if name == "binp" and len(args) == 2:
-        args += (1,)  # binp(a,b) sugar for binp(a,b,1)
-    return QuantitySpec(name, args)
-
-
-def _split_semicolons(text: str) -> list[str]:
-    return [t for t in (s.strip() for s in text.split(";"))]
+    return QuantitySpec(name, _read_all(inner, lambda parser: parser.quantity_args(name)))
 
 
 def format_quantity(q: QuantitySpec) -> str:

@@ -269,10 +269,10 @@ class MhsSeries:
         return result
 
     def invert_unit(self) -> "MhsSeries":
-        """Inverse of a unit series ``c*(1 + u)`` with ``u`` supported in p-exponents >= 1.
+        """Inverse of a unit series ``c + x``, ``x`` supported in p-exponents >= 1.
 
-        Returns ``c^(-1) * sum_n (-u)^n`` truncated at ``self.order``; the
-        product with ``self`` is ``1 + O(p^order)``.
+        Layer by layer: with ``x_j`` the part of ``x`` at ``p^j``, the part at
+        ``p^b < p^order`` is ``y_0 = 1/c``, ``y_b = -(1/c) sum_j x_j y_(b-j)``.
         """
         c = self.constant_coefficient()
         if c == 0:
@@ -283,26 +283,22 @@ class MhsSeries:
                 "invert_unit: non-constant term with p-exponent <= 0: "
                 f"{sorted(bad)}"
             )
-        u_terms = {key: v / c for key, v in self._terms.items() if key != (0, ())}
         if self._order is None:
-            if u_terms:
+            if len(self._terms) > 1:
                 raise ValueError(
                     "invert_unit: exact series with a non-constant part "
                     "has no finite exact inverse; truncate it first"
                 )
             return MhsSeries.constant(1 / c)
-        N = self._order
-        u = MhsSeries._trusted(u_terms, N)
-        acc = MhsSeries.constant(1, N)
-        power = MhsSeries.constant(1)
-        sign = 1
-        for _ in range(1, max(N, 1)):
-            power = (power * u).truncate(N)
-            if power.is_zero():
-                break
-            sign = -sign
-            acc = acc + power.scale(sign)
-        return acc.scale(1 / c).truncate(N)
+        layers: dict[int, dict[Key, Fraction]] = {}
+        for key, v in self._terms.items():
+            if key[0]:  # all but the constant
+                layers.setdefault(key[0], {})[key] = v
+        x = [(j, MhsSeries._trusted(t, None)) for j, t in layers.items()]
+        y = [MhsSeries.constant(1 / c)]
+        for b in range(1, self._order):  # c != 0, so the order is >= 1
+            y.append(sum((xj * y[b - j] for j, xj in x if j <= b), MhsSeries.zero()).scale(-1 / c))
+        return MhsSeries._trusted({k: v for yb in y for k, v in yb._terms.items()}, self._order)
 
     def truncate(self, N: int) -> "MhsSeries":
         """Weaken to ``O(p^N)``; rejects ``N`` beyond the known order."""

@@ -99,6 +99,24 @@ class TestParse:
         b = eval_series(parse("  12 - 9 * binp( 2 , 1 , 1 ) + 2*binp(3,1,1) "), 4)
         assert a.terms == b.terms and a.order == b.order
 
+    def test_quantity_argument_error_has_one_position(self):
+        # counted in the whole expression: 'q' is the 9th character
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse("binpoly(q;p)")
+        assert exc.value.pos == 8
+        assert str(exc.value).count("position") == 1
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse("1 + rat(p/(p-p))")
+        assert exc.value.pos == 8 and "zero denominator" in str(exc.value)
+
+    def test_division_is_a_term_operator(self):
+        # a / b is a * inv(b); an INT/INT literal stays one lit node
+        ast = parse("p/(1+p)")
+        assert ast.kind == "mul" and ast.children[1].kind == "inv"
+        assert parse("22/7") == ExprAst("lit", Fraction(22, 7))
+        assert eval_series(parse("1/2/3"), 3) == MhsSeries.constant(Fraction(1, 6))
+        assert eval_series(parse("p/3/4"), 3) == MhsSeries.term(Fraction(1, 12), 1, ())
+
     def test_unbalanced_paren(self):
         with pytest.raises(ExprSyntaxError):
             parse("binp(2,1")
@@ -284,6 +302,13 @@ class TestVerifyCommand:
             main(["verify", "H(1) = 0 mod p^2", "--primes", "97..11"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("window", ["97..11", "11-23", "a..b"])
+    def test_window_error_names_the_rule(self, capsys, window):
+        with pytest.raises(SystemExit):
+            main(["verify", "H(1) = 0 mod p^2", "--primes", window])
+        err = capsys.readouterr().err
+        assert "lo <= hi" in err and "invalid _parse_window value" not in err
 
     def test_quantity_over_budget_is_refused(self, capsys):
         # hres(9) at p=11 needs 11^9 - 1 summation steps, far over the budget;

@@ -606,6 +606,19 @@ class TestCertificates:
         with pytest.raises(ValueError):
             ProofCertificate(stmt, [(((1,), (1,), ()), F(1))], "unproven")
 
+    @pytest.mark.parametrize("prov", [(("x",), (1,), ()), ((), (), ()), ((1,), (1,))])
+    def test_certificate_provenance_checked(self, prov):
+        with pytest.raises(ValueError):
+            ProofCertificate(wstmt({(1,): 1}, 2), [(prov, F(1))], "proved")
+
+    def test_relation_outside_modulus_fails_both_replays(self):
+        # weight(s) + weight(t) + weight(u) = 2 is not below the modulus power 2
+        cert = ProofCertificate(wstmt({(1,): 1}, 2), [(((1,), (1,), ()), F(1))], "proved")
+        assert replay_certificate(cert) is False
+        ok, message = verify_certificate_text(dump_certificates([cert]))
+        assert not ok
+        assert message == "part 1 references a relation outside modulus power 2"
+
 
 class TestMonotonicity:
     def test_wc_truncations_all_prove(self, basis_cache):

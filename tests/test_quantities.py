@@ -1,17 +1,21 @@
 """Tests for the quantity-spec grammar: polynomials, ratios, atom parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from padicmhs.arith import eval_poly
+from padicmhs.arith import eval_poly, strip_poly
+from padicmhs.cli import eval_series
 from padicmhs.expansions import expand_quantity
 from padicmhs.oracle import eval_quantity
 from padicmhs.quantities import (
     QUANTITY_NAMES,
+    ExprAst,
     QuantitySpec,
     format_poly,
     format_quantity,
+    parse,
     parse_poly,
     parse_poly_ratio,
     parse_quantity,
@@ -55,9 +59,18 @@ class TestParsePoly:
             with pytest.raises(ValueError):
                 parse_poly(bad)
 
-    def test_implicit_product_leniency(self):
-        # "2p" is accepted as 2*p
-        assert parse_poly("2p") == (F(0), F(2))
+    def test_implicit_product_rejected(self):
+        # a product needs its '*': "2p" is a syntax error, not 2*p
+        with pytest.raises(ValueError):
+            parse_poly("2p")
+
+    def test_products_quotients_and_parentheses(self):
+        assert parse_poly("2*(p+1)") == (F(2), F(2))
+        assert parse_poly("(p^2-1)/2") == (F(-1, 2), F(0), F(1, 2))
+        assert parse_poly("(p+1)*(p-1)") == (F(-1), F(0), F(1))
+        assert parse_poly("p/3/4") == (F(0), F(1, 12))
+        with pytest.raises(ValueError, match="rational function"):
+            parse_poly("p/(p+1)")
 
     def test_eval_poly(self):
         f = parse_poly("p^2-1")
@@ -87,9 +100,15 @@ class TestPolyRatio:
         assert num == (F(-1), F(0), F(1))
         assert den == (F(1), F(1))
 
-    def test_multiple_slashes_rejected(self):
-        with pytest.raises(ValueError):
-            parse_poly_ratio("1/2/3")
+    def test_repeated_slashes_divide(self):
+        # '/' is a left-associative term operator: 1/2/3 is 1/6
+        assert parse_poly_ratio("1/2/3") == ((F(1),), (F(6),))
+        assert parse_poly_ratio("p/2/p") == ((F(0), F(1)), (F(0), F(2)))
+
+    def test_usual_precedence(self):
+        # 1/2*p is p/2, not 1/(2p); p^2-1/(p+1) is p^2 - 1/(p+1)
+        assert parse_poly_ratio("1/2*p") == ((F(0), F(1)), (F(2),))
+        assert parse_poly_ratio("p^2-1/(p+1)") == ((F(-1), F(0), F(1), F(1)), (F(1), F(1)))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
@@ -248,3 +267,152 @@ class TestSpecBoundary:
     def test_invalid_spec_raises_when_built(self, name, args):
         with pytest.raises(ValueError):
             QuantitySpec(name, args)
+
+
+# ---------------------------------------------------------------------------
+# seeded grids: random rational-function texts and random formatted specs
+# ---------------------------------------------------------------------------
+
+GRID_PRIMES = (11, 13, 17, 19, 23, 29, 31)
+
+# binding strength of each binary operator; a negation binds at 3, atoms at 4
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _random_tree(rng, depth):
+    """A random tree: ("p", k), ("lit", c), ("neg", x) or (op, left, right)."""
+    if depth == 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.4:
+            return ("p", rng.randint(0, 3))
+        if roll < 0.8:
+            return ("lit", F(rng.randint(0, 5)))
+        return ("lit", F(rng.randint(1, 5), rng.randint(2, 5)))
+    if rng.random() < 0.1:
+        return ("neg", _random_tree(rng, depth - 1))
+    return (rng.choice("+-*/"), _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _render(node, need=0):
+    """Text of a tree by the usual precedence, parenthesized only where needed."""
+    kind = node[0]
+    if kind == "p":
+        text, prec = ("p" if node[1] == 1 else f"p^{node[1]}"), 4
+    elif kind == "lit":
+        # a literal a/b is read as one number, but binds like a quotient
+        text, prec = str(node[1]), (4 if node[1].denominator == 1 else 2)
+    elif kind == "neg":
+        text, prec = "-" + _render(node[1], 3), 3
+    else:  # left-associative: the right operand binds one level tighter
+        prec = _PREC[kind]
+        text = _render(node[1], prec) + kind + _render(node[2], prec + 1)
+    return f"({text})" if prec < need else text
+
+
+def _value(node, p):
+    """Exact value of a tree at p; ZeroDivisionError when a divisor vanishes."""
+    kind = node[0]
+    if kind == "p":
+        return F(p) ** node[1]
+    if kind == "lit":
+        return node[1]
+    if kind == "neg":
+        return -_value(node[1], p)
+    a, b = _value(node[1], p), _value(node[2], p)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    return a * b if kind == "*" else a / b
+
+
+def _rational_grid(count=200, seed=20261018):
+    """``count`` (text, values at GRID_PRIMES) pairs with no vanishing divisor."""
+    rng = random.Random(seed)
+    grid = []
+    while len(grid) < count:
+        tree = _random_tree(rng, 3)
+        try:
+            values = [_value(tree, p) for p in GRID_PRIMES]
+        except ZeroDivisionError:
+            continue
+        grid.append((_render(tree), values))
+    return grid
+
+
+def _random_poly(rng, rational=False):
+    dens = (1, 2, 3, 7) if rational else (1,)
+    return strip_poly(
+        tuple(F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(0, 4)))
+    )
+
+
+def _random_ints(rng, low, count):
+    return tuple(rng.randint(low, 4) for _ in range(count))
+
+
+def _random_spec(rng):
+    name = rng.choice(QUANTITY_NAMES)
+    if name == "binp":
+        b = rng.randint(0, 5)
+        args = (b + rng.randint(0, 5), b, rng.randint(0, 3))
+    elif name == "binpoly":
+        args = (_random_poly(rng), _random_poly(rng))
+    elif name == "psum":
+        exps = _random_ints(rng, -3, rng.randint(0, 3))
+        args = (_random_poly(rng), _random_poly(rng), exps, rng.random() < 0.5)
+    elif name == "sumpoly":
+        args = (_random_poly(rng, rational=True), _random_ints(rng, 1, rng.randint(0, 3)))
+    elif name == "rat":
+        den = ()
+        while not den:
+            den = _random_poly(rng)
+        args = (_random_poly(rng), den)
+    elif name in ("hres", "curious"):
+        args = _random_ints(rng, 1, 1 if name == "hres" else 2)
+    else:  # apery takes none, zetap/half/alt take k >= 2
+        args = () if name == "apery" else _random_ints(rng, 2, 1)
+    return QuantitySpec(name, args)
+
+
+class TestRationalGrid:
+    """rat(X) for about 200 random texts X of literals, p^k, + - * / and parentheses."""
+
+    def test_rat_matches_independent_evaluation(self):
+        for text, values in _rational_grid():
+            q = parse_quantity("rat", text)
+            assert [eval_quantity(q, p) for p in GRID_PRIMES] == values, text
+
+    def test_rat_expansion_matches_series_evaluation(self):
+        compared = 0
+        for text, _ in _rational_grid():
+            try:
+                direct = eval_series(parse(text), 6)
+            except ValueError:
+                continue  # an inverted subexpression is not a unit
+            assert eval_series(parse(f"rat({text})"), 6).truncate(6) == direct.truncate(6), text
+            compared += 1
+        assert compared >= 100
+
+
+class TestSameSpecGrid:
+    """Formatted specs and polynomials read back to what was formatted."""
+
+    def test_formatted_specs_parse_back(self):
+        rng = random.Random(20261019)
+        seen = set()
+        while len(seen) < 600:  # distinct texts
+            q = _random_spec(rng)
+            text = format_quantity(q)
+            seen.add(text)
+            name, inner = text.split("(", 1)
+            assert parse_quantity(name, inner[:-1]) == q, text
+            assert parse(text) == ExprAst("quantity", q), text
+
+    def test_formatted_polys_parse_back(self):
+        rng = random.Random(20261020)
+        seen = set()
+        while len(seen) < 600:
+            f = _random_poly(rng, rational=True)
+            seen.add(format_poly(f))
+            assert parse_poly(format_poly(f)) == f, format_poly(f)

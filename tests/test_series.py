@@ -666,6 +666,31 @@ class TestTrustedResults:
             top = 6 if a.order is None else a.order
             _assert_normalized(a.truncate(rng.randint(-2, top)))
 
+    def test_layered_inverse_matches_geometric_series(self):
+        # reference: c^(-1) * sum_n (-u)^n with u = x / c, one truncated power at a time
+        def geometric_inverse(a):
+            c, N = a.constant_coefficient(), a.order
+            u = S({k: v / c for k, v in a.terms.items() if k != (0, ())}, N)
+            acc, power, sign = MhsSeries.constant(1, N), MhsSeries.constant(1), 1
+            for _ in range(1, max(N, 1)):
+                power = (power * u).truncate(N)
+                if power.is_zero():
+                    break
+                sign = -sign
+                acc = acc + power.scale(sign)
+            return acc.scale(1 / c).truncate(N)
+
+        rng = random.Random(20261018)
+        for _ in range(200):
+            order = rng.randint(1, 6)
+            terms = _random_series(rng, order, min_exp=1).terms
+            terms[(0, ())] = rng.choice(_COEFFS)
+            unit = S(terms, order)
+            assert unit.invert_unit() == geometric_inverse(unit)
+        for order in (50, 100):
+            unit = S({(0, ()): 1, (1, ()): 1, (2, ()): 1}, order)
+            assert unit.invert_unit() == geometric_inverse(unit)
+
     def test_random_inverses_are_normalized(self):
         rng = random.Random(20261019)
         for _ in range(200):
