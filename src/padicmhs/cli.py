@@ -292,7 +292,14 @@ def cmd_verify(args) -> int:
                 "verify evaluates every atom at each prime, and zetap(k) is a "
                 "p-adic limit with no exact value at a single prime; use prove"
             )
+        # a prime is skipped where a literal is not p-integral or a nonzero
+        # literal divisor (the argument of an inv) is not a p-adic unit
         dens = [node.payload.denominator for node in nodes if node.kind == "lit"]
+        dens += [
+            child.payload.numerator
+            for node in nodes if node.kind == "inv"
+            for child in node.children if child.kind == "lit" and child.payload
+        ]
         lhs, rhs = ast.children
 
         def diff(p):

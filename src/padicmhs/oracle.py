@@ -75,17 +75,6 @@ class PrimeWindow:
     def primes(self) -> list[int]:
         return primes_in(self.lo, self.hi)
 
-    def __iter__(self):
-        return iter(self.primes())
-
-    def __repr__(self) -> str:
-        return f"PrimeWindow({self.lo}..{self.hi})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrimeWindow):
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
 
 # ---------------------------------------------------------------------------
 # exact evaluators

@@ -10,6 +10,11 @@ cross-checks meaningful.  A spec checks its arguments when it is built
 (:func:`check_quantity`, the one home of the argument rules), so both
 routes trust it and refuse the same inputs.
 
+Each quantity is declared once, as a ``_SIGNATURES`` row of argument names
+and kinds that drives checking, reading and formatting; only binp (a >= b,
+``binp(a,b)`` sugar) and rat (a ratio, nonzero denominator) add their own
+rules.  A new quantity is one row plus its expansion and oracle evaluation.
+
 This module also holds the one parser of the package: :func:`parse` reads
 the CLI's expressions and congruences (grammar in :mod:`padicmhs.cli`), and
 the same parser reads the arguments of the quantity atoms::
@@ -29,7 +34,8 @@ the same parser reads the arguments of the quantity atoms::
     alt(k)                 p^k * sum_{n=1}^{p-1} (-1)^n / n^k
     rat(f)                 f(p) for a rational function f of p
 
-Integer arguments are written as integers.  A polynomial argument is an
+A quantity whose arguments are all integers takes one comma list; any
+other separates its arguments by ``;``.  A polynomial argument is an
 expression built from numbers, ``p^k`` with k >= 0, ``+ - * /`` and
 parentheses whose denominator is a constant, e.g. ``p^2-1``,
 ``34*p^3-51*p^2+27*p-5`` or ``1/2*p^2`` (rational coefficients only in
@@ -45,7 +51,7 @@ from math import lcm
 from typing import Callable, TypeVar
 
 from .arith import poly_mul, poly_sub, strip_poly
-from .compositions import check_comp, check_int
+from .compositions import check_int
 
 __all__ = [
     "ExprAst",
@@ -54,8 +60,6 @@ __all__ = [
     "Poly",
     "check_quantity",
     "parse",
-    "parse_poly",
-    "parse_poly_ratio",
     "format_poly",
     "parse_quantity",
     "format_quantity",
@@ -65,22 +69,42 @@ __all__ = [
 # ascending coefficient tuple; () is the zero polynomial
 Poly = tuple[Fraction, ...]
 
-# the argument names of each quantity, in order
-_PARAMS = {
-    "binp": ("a", "b", "r"),
-    "binpoly": ("f", "g"),
+# each quantity's arguments in order, as (name, kind): an int kind is an
+# integer with that lower bound, "ipoly"/"qpoly" a polynomial with integer /
+# rational coefficients, "ints" signed integers, "comp" a composition and
+# "flag" the optional ";restricted"
+_SIGNATURES = {
+    "binp": (("a", 0), ("b", 0), ("r", 0)),
+    "binpoly": (("f", "ipoly"), ("g", "ipoly")),
     "apery": (),
-    "zetap": ("k",),
-    "psum": ("f", "g", "exps", "restricted"),
-    "hres": ("r",),
-    "curious": ("r", "k"),
-    "sumpoly": ("P", "s"),
-    "half": ("k",),
-    "alt": ("k",),
-    "rat": ("num", "den"),
+    "zetap": (("k", 2),),
+    "psum": (("f", "ipoly"), ("g", "ipoly"), ("exps", "ints"), ("restricted", "flag")),
+    "hres": (("r", 1),),
+    "curious": (("r", 1), ("k", 1)),
+    "sumpoly": (("P", "qpoly"), ("s", "comp")),
+    "half": (("k", 2),),
+    "alt": (("k", 2),),
+    "rat": (("num", "ipoly"), ("den", "ipoly")),
 }
 
-QUANTITY_NAMES = tuple(_PARAMS)
+# the element test and description of each tuple kind
+_TUPLE_KINDS = {
+    "ipoly": (lambda c: type(c) is int or type(c) is Fraction and c.denominator == 1,
+              "integer coefficients"),
+    "qpoly": (lambda c: type(c) in (int, Fraction), "rational coefficients"),
+    "ints": (lambda e: type(e) is int, "integers"),
+    "comp": (lambda e: type(e) is int and e >= 1, "positive integers"),
+}
+
+QUANTITY_NAMES = tuple(_SIGNATURES)
+
+# the kinds written as a comma list of integers
+_INT_LISTS = ("ints", "comp")
+
+
+def _all_ints(sig: tuple) -> bool:
+    """Whether a signature has integer arguments only (read as one comma list)."""
+    return all(type(kind) is int for _, kind in sig)
 
 
 @dataclass(frozen=True)
@@ -105,52 +129,29 @@ def check_quantity(name: str, args: tuple) -> None:
     """Raise ValueError unless ``args`` are valid arguments of the quantity ``name``.
 
     The one home of the argument rules, shared by :class:`QuantitySpec` and
-    the public ``expand_*`` functions: integers are ints (not bools); binp
-    needs a >= b >= 0 and r >= 0; zetap, half and alt need k >= 2; hres
-    needs r >= 1; curious needs r, k >= 1; polynomials are tuples of ints
-    or Fractions, with integer coefficients except sumpoly's P; psum's
-    exponents are integers of either sign and ``restricted`` is a bool;
-    sumpoly's composition has positive parts; rat's denominator is nonzero.
+    the public ``expand_*`` functions: each argument is checked by its kind
+    in ``_SIGNATURES`` (integers are ints, not bools; polynomials are tuples
+    of ints or Fractions; the flag is a bool), and binp needs a >= b and
+    rat a nonzero denominator.
     """
-    params = _PARAMS.get(name)
-    if params is None:
+    sig = _SIGNATURES.get(name)
+    if sig is None:
         raise ValueError(f"unknown quantity {name!r}")
-    if not isinstance(args, tuple) or len(args) != len(params):
-        raise ValueError(f"{name} takes ({','.join(params)}), got {args!r}")
-    if name == "binp":
-        a, b, r = (check_int(v, f"binp argument {what}", 0) for what, v in zip(params, args))
-        if a < b:
-            raise ValueError(f"binp requires a >= b >= 0, got {a},{b}")
-    elif name in ("zetap", "half", "alt"):
-        check_int(args[0], f"{name} argument k", 2)
-    elif name in ("hres", "curious"):
-        for what, v in zip(params, args):
-            check_int(v, f"{name} argument {what}", 1)
-    elif name == "sumpoly":
-        _check_poly(args[0], "sumpoly polynomial P", integer=False)
-        check_comp(args[1], name="sumpoly composition")
-    elif name in ("binpoly", "psum", "rat"):  # two integer polynomials first
-        for what, v in zip(params[:2], args):
-            _check_poly(v, f"{name} polynomial {what}", integer=True)
-        if name == "psum":
-            exps, restricted = args[2:]
-            if not isinstance(exps, tuple):
-                raise ValueError(f"psum exponents must be a tuple, got {exps!r}")
-            for e in exps:
-                check_int(e, "psum exponent")
-            if type(restricted) is not bool:
-                raise ValueError(f"psum restricted flag must be a bool, got {restricted!r}")
-        if name == "rat" and not any(args[1]):
-            raise ValueError("rat denominator must be a nonzero polynomial")
-
-
-def _check_poly(f: object, what: str, integer: bool) -> None:
-    if not isinstance(f, tuple) or not all(
-        type(c) is int or (type(c) is Fraction and (c.denominator == 1 or not integer))
-        for c in f
-    ):
-        kind = "integer" if integer else "rational"
-        raise ValueError(f"{what} must be a tuple of {kind} coefficients, got {f!r}")
+    if not isinstance(args, tuple) or len(args) != len(sig):
+        raise ValueError(f"{name} takes ({','.join(what for what, _ in sig)}), got {args!r}")
+    for (what, kind), v in zip(sig, args):
+        label = f"{name} argument {what}"
+        if type(kind) is int:
+            check_int(v, label, kind)
+        elif kind == "flag":
+            if type(v) is not bool:
+                raise ValueError(f"{label} must be a bool, got {v!r}")
+        elif not isinstance(v, tuple) or not all(map(_TUPLE_KINDS[kind][0], v)):
+            raise ValueError(f"{label} must be a tuple of {_TUPLE_KINDS[kind][1]}, got {v!r}")
+    if name == "binp" and args[0] < args[1]:
+        raise ValueError(f"binp requires a >= b >= 0, got {args[0]},{args[1]}")
+    if name == "rat" and not any(args[1]):
+        raise ValueError("rat argument den must be a nonzero polynomial")
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +322,9 @@ class _Parser:
             if self.take("^"):
                 return ExprAst("p", self._signed_int())
             return ExprAst("p", 1)
-        if name not in ("H", "inv") and name not in _PARAMS:
+        if name not in ("H", "inv") and name not in _SIGNATURES:
             raise ExprSyntaxError(
-                f"unknown atom {name!r}; known atoms: p, H, inv, " + ", ".join(sorted(_PARAMS)),
+                f"unknown atom {name!r}; known atoms: p, H, inv, " + ", ".join(sorted(_SIGNATURES)),
                 pos,
             )
         self.expect("(")
@@ -343,27 +344,31 @@ class _Parser:
         return node
 
     def quantity_args(self, name: str) -> tuple:
-        """The argument tuple of the quantity atom ``name``, read up to its ')'."""
+        """The argument tuple of the quantity atom ``name``, read up to its ')'.
+
+        A signature of integers only is one comma list; any other is read
+        as ';'-separated groups, one per argument.
+        """
         if name == "rat":
             return self._poly_arg(ratio=True)
-        if name not in ("binpoly", "psum", "sumpoly"):
+        sig = _SIGNATURES[name]
+        if _all_ints(sig):
             args = self._ints()
             if name == "binp" and len(args) == 2:
                 args += (1,)  # binp(a,b) sugar for binp(a,b,1)
             return args
-        f = self._poly_arg()
-        self.expect(";")
-        if name == "sumpoly":
-            return f, self._ints()
-        g = self._poly_arg()
-        if name == "binpoly":
-            return f, g
-        self.expect(";")
-        exps = self._ints()
-        restricted = self.take(";")
-        if restricted:
-            self._keyword("restricted")
-        return f, g, exps, restricted
+        args = []
+        for i, (what, kind) in enumerate(sig):
+            if kind == "flag":  # present as ';<name>'
+                flag = self.take(";")
+                if flag:
+                    self._keyword(what)
+                args.append(flag)
+            else:
+                if i:
+                    self.expect(";")
+                args.append(self._ints() if kind in _INT_LISTS else self._poly_arg())
+        return tuple(args)
 
     def _poly_arg(self, ratio: bool = False):
         """A polynomial (constant denominator) as its coefficients, or with
@@ -441,23 +446,6 @@ def parse(text: str) -> ExprAst:
 # ---------------------------------------------------------------------------
 
 
-def parse_poly(text: str, *, integer: bool = False) -> Poly:
-    """Coefficients of a polynomial in ``p``, e.g. ``"p^2-1"`` or ``"(p^2+2*p)/2"``.
-
-    The text is an expression with a constant denominator.  With
-    ``integer=True``, rational coefficients are rejected.
-    """
-    f = _read_all(text, _Parser._poly_arg)
-    if integer and any(c.denominator != 1 for c in f):
-        raise ValueError(f"rational coefficient not allowed in integer polynomial {text!r}")
-    return f
-
-
-def parse_poly_ratio(text: str) -> tuple[Poly, Poly]:
-    """Integer numerator and denominator of a rational function of p, e.g. ``"(2*p-1)/3"``."""
-    return _read_all(text, lambda parser: parser._poly_arg(ratio=True))
-
-
 def format_poly(coeffs: Poly) -> str:
     if not any(coeffs):
         return "0"
@@ -484,33 +472,26 @@ def parse_quantity(name: str, inner: str) -> QuantitySpec:
 
     Only the text is checked here; the spec checks its arguments when built.
     """
-    if name not in _PARAMS:
+    if name not in _SIGNATURES:
         raise ValueError(f"unknown quantity {name!r}")
     return QuantitySpec(name, _read_all(inner, lambda parser: parser.quantity_args(name)))
 
 
 def format_quantity(q: QuantitySpec) -> str:
+    """The atom text of ``q``, written by the rule :meth:`_Parser.quantity_args` reads."""
     n, a = q.name, q.args
-    if n == "binp":
-        return f"binp({a[0]},{a[1]},{a[2]})"
-    if n == "binpoly":
-        return f"binpoly({format_poly(a[0])};{format_poly(a[1])})"
-    if n == "apery":
-        return "apery()"
-    if n in ("zetap", "hres", "half", "alt"):
-        return f"{n}({a[0]})"
-    if n == "psum":
-        s = ",".join(str(e) for e in a[2])
-        tail = ";restricted" if a[3] else ""
-        return f"psum({format_poly(a[0])};{format_poly(a[1])};{s}{tail})"
-    if n == "curious":
-        return f"curious({a[0]},{a[1]})"
-    if n == "sumpoly":
-        s = ",".join(str(e) for e in a[1])
-        return f"sumpoly({format_poly(a[0])};{s})"
     if n == "rat":
         num, den = a
         if den == (Fraction(1),):
             return f"rat({format_poly(num)})"
         return f"rat(({format_poly(num)})/({format_poly(den)}))"
-    raise ValueError(f"unknown quantity {n!r}")
+    sig = _SIGNATURES[n]
+    if _all_ints(sig):
+        return f"{n}({','.join(map(str, a))})"
+    parts = []
+    for (what, kind), v in zip(sig, a):
+        if kind != "flag":
+            parts.append(",".join(map(str, v)) if kind in _INT_LISTS else format_poly(v))
+        elif v:
+            parts.append(what)
+    return f"{n}({';'.join(parts)})"

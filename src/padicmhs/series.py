@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .arith import INFINITY
 from .compositions import Comp, _stuffle_cached, check_comp, check_int, format_comp, weight
@@ -166,9 +166,6 @@ class MhsSeries:
         return sorted(
             self._terms.items(), key=lambda kv: (kv[0][0], weight(kv[0][1]), kv[0][1])
         )
-
-    def __iter__(self) -> Iterator[tuple[Key, Fraction]]:
-        return iter(self.sorted_terms())
 
     # -- ring operations ------------------------------------------------
 

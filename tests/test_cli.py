@@ -351,6 +351,21 @@ class TestVerifyCommand:
         assert "skipped (prime divides a coefficient denominator): 13" in out
         assert "    13 " not in out
 
+    def test_literal_divisor_primes_are_skipped(self, capsys):
+        # a literal divisor skips the primes dividing it, like a literal denominator
+        reports = []
+        for stmt in ("1/3*p*H(1) = 0 mod p^1", "p*H(1)/3 = 0 mod p^1", "inv(3)*p*H(1) = 0 mod p^1"):
+            assert main(["verify", stmt, "--primes", "2..7"]) == 0
+            header, report = capsys.readouterr().out.split("\n", 1)
+            assert header == f"verify: {stmt}"
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+        assert "skipped (prime divides a coefficient denominator): 3" in reports[0]
+
+    def test_zero_literal_divisor_is_error(self, capsys):
+        assert main(["verify", "p*H(1)/0 = 0 mod p^1", "--primes", "2..7"]) == 2
+        assert "unit" in capsys.readouterr().err
+
     def test_non_unit_inverse_is_error(self, capsys):
         assert main(["verify", "inv(H(1)) = 0 mod p^1", "--primes", "11..11"]) == 2
         assert "unit" in capsys.readouterr().err

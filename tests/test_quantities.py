@@ -10,121 +10,135 @@ from padicmhs.cli import eval_series
 from padicmhs.expansions import expand_quantity
 from padicmhs.oracle import eval_quantity
 from padicmhs.quantities import (
+    _SIGNATURES,
     QUANTITY_NAMES,
     ExprAst,
     QuantitySpec,
     format_poly,
     format_quantity,
     parse,
-    parse_poly,
-    parse_poly_ratio,
     parse_quantity,
 )
 
 F = Fraction
 
 
+def _poly(text):
+    """The polynomial P that ``sumpoly(text;1)`` reads."""
+    return parse_quantity("sumpoly", f"{text};1").args[0]
+
+
+def _int_poly(text):
+    """The integer polynomial f that ``binpoly(text;0)`` reads."""
+    return parse_quantity("binpoly", f"{text};0").args[0]
+
+
+def _ratio(text):
+    """The integer (numerator, denominator) that ``rat(text)`` reads."""
+    return parse_quantity("rat", text).args
+
+
 class TestParsePoly:
     def test_simple(self):
-        assert parse_poly("p^2-1") == (F(-1), F(0), F(1))
-        assert parse_poly("34") == (F(34),)
-        assert parse_poly("p") == (F(0), F(1))
-        assert parse_poly("2*p") == (F(0), F(2))
-        assert parse_poly("-p^3+2*p") == (F(0), F(2), F(0), F(-1))
+        assert _poly("p^2-1") == (F(-1), F(0), F(1))
+        assert _poly("34") == (F(34),)
+        assert _poly("p") == (F(0), F(1))
+        assert _poly("2*p") == (F(0), F(2))
+        assert _poly("-p^3+2*p") == (F(0), F(2), F(0), F(-1))
 
     def test_large(self):
-        assert parse_poly("34*p^3-51*p^2+27*p-5") == (F(-5), F(27), F(-51), F(34))
+        assert _poly("34*p^3-51*p^2+27*p-5") == (F(-5), F(27), F(-51), F(34))
 
     def test_rational_coefficients(self):
-        assert parse_poly("1/2*p^2+p") == (F(0), F(1), F(1, 2))
-        assert parse_poly("3/4") == (F(3, 4),)
+        assert _poly("1/2*p^2+p") == (F(0), F(1), F(1, 2))
+        assert _poly("3/4") == (F(3, 4),)
 
     def test_integer_mode_rejects_rationals(self):
         with pytest.raises(ValueError):
-            parse_poly("1/2*p", integer=True)
-        assert parse_poly("2*p-1", integer=True) == (F(-1), F(2))
+            _int_poly("1/2*p")
+        assert _int_poly("2*p-1") == (F(-1), F(2))
 
     def test_cancellation_and_zero(self):
-        assert parse_poly("p-p") == ()
-        assert parse_poly("0") == ()
+        assert _poly("p-p") == ()
+        assert _poly("0") == ()
 
     def test_whitespace(self):
-        assert parse_poly(" p^2 - 1 ") == (F(-1), F(0), F(1))
+        assert _poly(" p^2 - 1 ") == (F(-1), F(0), F(1))
 
     def test_repeated_terms_accumulate(self):
-        assert parse_poly("p+p+1") == (F(1), F(2))
+        assert _poly("p+p+1") == (F(1), F(2))
 
     def test_errors(self):
         for bad in ["", "p^-1", "p*", "*p", "p^", "q", "1+", "p^2^3"]:
             with pytest.raises(ValueError):
-                parse_poly(bad)
+                _poly(bad)
 
     def test_implicit_product_rejected(self):
         # a product needs its '*': "2p" is a syntax error, not 2*p
         with pytest.raises(ValueError):
-            parse_poly("2p")
+            _poly("2p")
 
     def test_products_quotients_and_parentheses(self):
-        assert parse_poly("2*(p+1)") == (F(2), F(2))
-        assert parse_poly("(p^2-1)/2") == (F(-1, 2), F(0), F(1, 2))
-        assert parse_poly("(p+1)*(p-1)") == (F(-1), F(0), F(1))
-        assert parse_poly("p/3/4") == (F(0), F(1, 12))
+        assert _poly("2*(p+1)") == (F(2), F(2))
+        assert _poly("(p^2-1)/2") == (F(-1, 2), F(0), F(1, 2))
+        assert _poly("(p+1)*(p-1)") == (F(-1), F(0), F(1))
+        assert _poly("p/3/4") == (F(0), F(1, 12))
         with pytest.raises(ValueError, match="rational function"):
-            parse_poly("p/(p+1)")
+            _poly("p/(p+1)")
 
     def test_eval_poly(self):
-        f = parse_poly("p^2-1")
+        f = _poly("p^2-1")
         assert eval_poly(f, 7) == 48
         assert eval_poly((), 5) == 0
-        assert eval_poly(parse_poly("1/2*p^2+p"), 4) == 12
+        assert eval_poly(_poly("1/2*p^2+p"), 4) == 12
 
 
 class TestPolyRatio:
     def test_plain_polynomial(self):
-        num, den = parse_poly_ratio("p^2")
+        num, den = _ratio("p^2")
         assert num == (F(0), F(0), F(1))
         assert den == (F(1),)
 
     def test_paren_ratio(self):
-        num, den = parse_poly_ratio("(2*p-1)/3")
+        num, den = _ratio("(2*p-1)/3")
         assert num == (F(-1), F(2))
         assert den == (F(3),)
 
     def test_one_over_poly(self):
-        num, den = parse_poly_ratio("1/(1-p)")
+        num, den = _ratio("1/(1-p)")
         assert num == (F(1),)
         assert den == (F(1), F(-1))
 
     def test_both_parenthesized(self):
-        num, den = parse_poly_ratio("(p^2-1)/(p+1)")
+        num, den = _ratio("(p^2-1)/(p+1)")
         assert num == (F(-1), F(0), F(1))
         assert den == (F(1), F(1))
 
     def test_repeated_slashes_divide(self):
         # '/' is a left-associative term operator: 1/2/3 is 1/6
-        assert parse_poly_ratio("1/2/3") == ((F(1),), (F(6),))
-        assert parse_poly_ratio("p/2/p") == ((F(0), F(1)), (F(0), F(2)))
+        assert _ratio("1/2/3") == ((F(1),), (F(6),))
+        assert _ratio("p/2/p") == ((F(0), F(1)), (F(0), F(2)))
 
     def test_usual_precedence(self):
         # 1/2*p is p/2, not 1/(2p); p^2-1/(p+1) is p^2 - 1/(p+1)
-        assert parse_poly_ratio("1/2*p") == ((F(0), F(1)), (F(2),))
-        assert parse_poly_ratio("p^2-1/(p+1)") == ((F(-1), F(0), F(1), F(1)), (F(1), F(1)))
+        assert _ratio("1/2*p") == ((F(0), F(1)), (F(2),))
+        assert _ratio("p^2-1/(p+1)") == ((F(-1), F(0), F(1), F(1)), (F(1), F(1)))
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
-            parse_poly_ratio("p/(p-p)")
+            _ratio("p/(p-p)")
 
 
 class TestFormatPoly:
     def test_round_trip(self):
         for text in ["p^2-1", "34*p^3-51*p^2+27*p-5", "2*p", "7", "-p^2+1", "0"]:
-            coeffs = parse_poly(text)
-            assert parse_poly(format_poly(coeffs)) == coeffs
+            coeffs = _poly(text)
+            assert _poly(format_poly(coeffs)) == coeffs
 
     def test_examples(self):
-        assert format_poly(parse_poly("p^2-1")) == "p^2-1"
+        assert format_poly(_poly("p^2-1")) == "p^2-1"
         assert format_poly(()) == "0"
-        assert format_poly(parse_poly("-p+2")) == "-p+2"
+        assert format_poly(_poly("-p+2")) == "-p+2"
 
 
 class TestParseQuantity:
@@ -267,6 +281,49 @@ class TestSpecBoundary:
     def test_invalid_spec_raises_when_built(self, name, args):
         with pytest.raises(ValueError):
             QuantitySpec(name, args)
+
+
+# for each argument kind, a value of another kind; an int kind gets a bool
+WRONG_KIND = {
+    "ipoly": (F(1, 2),),  # a rational coefficient
+    "qpoly": (0.5,),
+    "ints": (F(1, 2),),
+    "comp": (-1,),  # signed integers
+    "flag": 1,
+}
+
+SIGNATURE_ARGS = [
+    (name, position, what)
+    for name, sig in _SIGNATURES.items()
+    for position, (what, _) in enumerate(sig)
+]
+
+
+class TestSignatures:
+    """Every argument of every quantity is checked by its kind in the table."""
+
+    @pytest.mark.parametrize(
+        "name,position,what", SIGNATURE_ARGS, ids=[f"{n}-{w}" for n, _, w in SIGNATURE_ARGS]
+    )
+    def test_wrong_kind_names_the_argument(self, name, position, what):
+        args = parse_quantity(name, VALID_ATOMS[name]).args
+        kind = _SIGNATURES[name][position][1]
+        wrong = True if type(kind) is int else WRONG_KIND[kind]
+        bad = args[:position] + (wrong,) + args[position + 1 :]
+        with pytest.raises(ValueError, match=f"^{name} argument {what} must be "):
+            QuantitySpec(name, bad)
+
+    def test_every_kind_has_a_wrong_value(self):
+        kinds = {kind for sig in _SIGNATURES.values() for _, kind in sig}
+        assert {k for k in kinds if type(k) is not int} == set(WRONG_KIND)
+
+    def test_parser_error_names_the_argument(self):
+        with pytest.raises(ValueError, match="^sumpoly argument s must be a tuple of positive"):
+            parse("sumpoly(1;0,1)")
+
+    def test_vanishing_rat_denominator_names_the_argument(self):
+        with pytest.raises(ValueError, match="^rat argument den must be a nonzero polynomial"):
+            QuantitySpec("rat", ((F(1),), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -415,4 +472,4 @@ class TestSameSpecGrid:
         while len(seen) < 600:
             f = _random_poly(rng, rational=True)
             seen.add(format_poly(f))
-            assert parse_poly(format_poly(f)) == f, format_poly(f)
+            assert _poly(format_poly(f)) == f, format_poly(f)
