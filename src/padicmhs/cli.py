@@ -65,7 +65,7 @@ from .prover import (
     provable_valuation,
     verify_certificate_text,
 )
-from .quantities import ExprAst, ExprSyntaxError, parse
+from .quantities import ExprAst, ExprSyntaxError, _fold, parse
 from .series import MhsSeries
 
 __all__ = [
@@ -293,13 +293,20 @@ def cmd_verify(args) -> int:
                 "p-adic limit with no exact value at a single prime; use prove"
             )
         # a prime is skipped where a literal is not p-integral or a nonzero
-        # literal divisor (the argument of an inv) is not a p-adic unit
+        # constant divisor (an inv argument with no p, H or quantity) is not
+        # a p-adic unit
         dens = [node.payload.denominator for node in nodes if node.kind == "lit"]
-        dens += [
-            child.payload.numerator
-            for node in nodes if node.kind == "inv"
-            for child in node.children if child.kind == "lit" and child.payload
-        ]
+        for node in nodes:
+            if node.kind == "inv" and all(
+                sub.kind not in ("p", "H", "quantity") for sub in _nodes(node.children[0])
+            ):
+                try:
+                    num, den = _fold(node.children[0])
+                except ValueError:  # an inverse of zero inside; evaluation reports it
+                    continue
+                if num:
+                    value = num[0] / den[0]
+                    dens += [value.numerator, value.denominator]
         lhs, rhs = ast.children
 
         def diff(p):

@@ -89,7 +89,7 @@ Prov = tuple[Comp, Comp, Comp]
 
 _ZERO = Fraction(0)
 
-BASIS_FORMAT_VERSION = 2
+BASIS_FORMAT_VERSION = 3
 CERTIFICATE_FORMAT_VERSION = 1
 
 #: Environment variable overriding the on-disk relation cache directory.
@@ -275,19 +275,19 @@ def _axpy_mod(dst: dict, src: Mapping, c: int, q: int) -> None:
 
 def _echelon(
     vectors: Iterable[Mapping[int, int]], q: int
-) -> tuple[dict[int, dict[int, int]], list[int]]:
+) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """Reduced row echelon form modulo q of integer vectors taken in order.
 
-    Returns ``(rows, independent)``: ``rows`` maps each pivot column to its
-    row (pivot coefficient 1, zero in every other pivot column), and
-    ``independent`` lists the positions of the vectors that raised the rank.
+    Returns ``(rows, raised)``: ``rows`` maps each pivot column to its row
+    (pivot coefficient 1, zero in every other pivot column), and ``raised``
+    maps it to the position of the vector that raised the rank there.
     A row's pivot is its smallest column, so the largest column is a pivot
     exactly when some combination of the vectors is nonzero in that column
     alone.  The span of the relations and the multipliers of a proof (see
     :meth:`RelationBasis.express`) are both read from this one elimination.
     """
     rows: dict[int, dict[int, int]] = {}
-    independent: list[int] = []
+    raised: dict[int, int] = {}
     for k, vec in enumerate(vectors):
         work = {col: c % q for col, c in vec.items() if c % q}
         for piv in [col for col in work if col in rows]:
@@ -302,8 +302,8 @@ def _echelon(
             if c:
                 _axpy_mod(row, work, q - c, q)
         rows[piv] = work
-        independent.append(k)
-    return rows, independent
+        raised[piv] = k
+    return rows, raised
 
 
 def _annihilator_residues(
@@ -314,9 +314,10 @@ def _annihilator_residues(
     For each free column f of the mod-q reduced row echelon form, the
     functional is ``e_f - sum_j a_{j,f} e_{pivot_j}`` (``a_{j,f}`` the entry
     of row j in column f); the residues are keyed ``(f, column)``.  The key
-    ranks q by rank, then pivot columns, then independent vectors.
+    ranks q by rank, then pivot columns, then the vectors that raised the
+    rank at them.
     """
-    rows, independent = _echelon(vectors, q)
+    rows, raised = _echelon(vectors, q)
     pivots = sorted(rows)
     residues: dict[tuple[int, int], int] = {}
     for f in range(ncols):
@@ -326,7 +327,7 @@ def _annihilator_residues(
                 if p > f:
                     break
                 residues[(f, p)] = -rows[p].get(f, 0) % q
-    return (-len(pivots), tuple(pivots), tuple(independent)), residues
+    return (-len(pivots), tuple(pivots), tuple(raised[p] for p in pivots)), residues
 
 
 def _functionals(
@@ -364,15 +365,16 @@ class RelationBasis:
     Over the column order of ``enumerate_compositions(n - 1)``, the span has
     the pivot columns of its reduced row echelon form (RREF) and one free
     column f for each other column.  The basis stores the pivots, the
-    *independent triples* (the (s, t, u) relations that raised the rank, in
-    generation order; they form a basis of the span), and for each free
-    column f the annihilating functional
+    *independent triples* (triple i is the (s, t, u) relation that raised
+    the rank at pivot i; together they form a basis of the span), and for
+    each free column f the annihilating functional
 
         lambda_f = e_f - sum_j a_{j,f} e_{pivot_j},
 
     where ``a_{j,f}`` is the RREF entry of row j in column f.  The
     functionals vanish on every generated relation, so a vector lies in the
-    span exactly when every ``lambda_f`` vanishes on it.
+    span exactly when every ``lambda_f`` vanishes on it.  The basis at any
+    smaller modulus power is a prefix of this one (see :meth:`_prefix`).
     """
 
     __slots__ = (
@@ -441,6 +443,21 @@ class RelationBasis:
     @property
     def columns(self) -> list[Comp]:
         return list(self._columns)
+
+    def _prefix(self, n: int) -> "RelationBasis":
+        """The basis at modulus power ``n <= modulus_power``, with no elimination.
+
+        A relation of total weight >= n has no coordinate of weight < n and
+        an RREF row is zero left of its pivot, so the elimination at n is
+        this one on the columns of weight < n: the pivots of weight < n, the
+        triples that raised the rank at them, and the lambda_f with
+        weight(f) < n, already checked exactly on every relation.
+        """
+        if n == self._modulus:
+            return self
+        r = sum(weight(piv) < n for piv in self._pivots)
+        annihilators = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
+        return RelationBasis(n, self._pivots[:r], self._triples[:r], annihilators)
 
     def _validate_coords(self, coords: Mapping[Comp, Fraction]) -> None:
         for w in coords:
@@ -629,12 +646,14 @@ def _parse_prov(text: str) -> Prov:
 
 # -- generation with caching ----------------------------------------------
 
-_PROCESS_BASES: dict[int, RelationBasis] = {}
+#: The basis at the largest modulus power asked for so far in this process.
+_PROCESS_BASIS: RelationBasis | None = None
 
 
 def clear_relation_cache() -> None:
-    """Forget all in-process bases (on-disk cache files are left alone)."""
-    _PROCESS_BASES.clear()
+    """Forget the in-process basis (the on-disk cache file is left alone)."""
+    global _PROCESS_BASIS
+    _PROCESS_BASIS = None
 
 
 def _resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path:
@@ -648,8 +667,8 @@ def _resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path:
     return base / "padicmhs"
 
 
-def _cache_path(n: int, cache_dir: str | os.PathLike | None) -> Path:
-    return _resolve_cache_dir(cache_dir) / f"relations-n{n}-v{BASIS_FORMAT_VERSION}.txt"
+def _cache_path(cache_dir: str | os.PathLike | None) -> Path:
+    return _resolve_cache_dir(cache_dir) / f"relations-v{BASIS_FORMAT_VERSION}.txt"
 
 
 def _enumerate_triples(n: int) -> Iterator[Prov]:
@@ -678,27 +697,24 @@ def generate_relations(
     identity to weight < n - weight(u), multiplies by ``h_p(u)`` under the
     stuffle product, and finds the span of the resulting integer vectors
     modulo primes, keeping the annihilating functionals only once they
-    vanish exactly on every vector (see :class:`RelationBasis`).  Bases are
-    memoized per process and persisted as versioned text files in
-    ``cache_dir`` (argument, else the PADICMHS_CACHE_DIR environment
-    variable, else a per-user cache directory); unreadable or stale cache
-    files are regenerated.
+    vanish exactly on every vector (see :class:`RelationBasis`).  One basis,
+    at the largest modulus power asked for so far, is kept per process and
+    in one versioned text file in ``cache_dir`` (argument, else the
+    PADICMHS_CACHE_DIR environment variable, else a per-user cache
+    directory); a smaller ``n`` is read off it as a prefix.  A basis is
+    generated only when ``n`` exceeds both, an unreadable or stale file
+    counting as none, and then replaces the file.
     """
+    global _PROCESS_BASIS
     check_int(n, "modulus power n", 1)
-    basis = _PROCESS_BASES.get(n)
-    if basis is not None:
-        return basis
-    path = _cache_path(n, cache_dir)
-    if path.exists():
+    path = _cache_path(cache_dir)
+    if _PROCESS_BASIS is None or _PROCESS_BASIS.modulus_power < n:
         try:
-            basis = RelationBasis.load(path.read_text())
-            if basis.modulus_power != n:
-                raise ValueError("cache file modulus mismatch")
+            _PROCESS_BASIS = RelationBasis.load(path.read_text())
         except (ValueError, OSError):
-            basis = None
-        if basis is not None:
-            _PROCESS_BASES[n] = basis
-            return basis
+            pass
+    if _PROCESS_BASIS is not None and _PROCESS_BASIS.modulus_power >= n:
+        return _PROCESS_BASIS._prefix(n)
 
     columns = enumerate_compositions(n - 1)
     col_index = {w: i for i, w in enumerate(columns)}
@@ -709,7 +725,7 @@ def generate_relations(
         if coords:
             provs.append(prov)
             vectors.append({col_index[w]: c for w, c in coords.items()})
-    (_, pivots, independent), values = _lift(
+    (_, pivots, raised_by), values = _lift(
         lambda q: _annihilator_residues(vectors, len(columns), q),
         lambda values: _annihilates(values, vectors),
     )
@@ -717,13 +733,12 @@ def generate_relations(
         columns[f]: {columns[col]: v for col, v in lam.items()}
         for f, lam in _functionals(values).items()
     }
-    basis = RelationBasis(
+    basis = _PROCESS_BASIS = RelationBasis(
         n,
         [columns[p] for p in pivots],
-        [provs[k] for k in independent],
+        [provs[k] for k in raised_by],
         annihilators,
     )
-    _PROCESS_BASES[n] = basis
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".tmp")
@@ -838,16 +853,16 @@ def prove_mixed(
     Each offset class ``k = weight(s) - b`` is rescaled by ``p^k`` and proved
     as a weighted congruence modulo ``p^(n + k)``, ``n`` being the
     statement's modulus power; the conjunction of the parts implies the
-    input statement.  Returns one certificate per part in ascending offset
-    order (a single trivially proved certificate for the zero statement).
-    The input is proved iff every certificate is.
+    input statement.  The parts are proved from the largest modulus down, so
+    one basis generation serves them all, and returned one certificate per
+    part in ascending offset order (a single trivially proved certificate
+    for the zero statement).  The input is proved iff every certificate is.
     """
     parts = decompose_weighted(stmt)
     if not parts:
         return [ProofCertificate(stmt, (), "proved")]
-    return [
-        prove_weighted(parts[k], cache_dir=cache_dir) for k in sorted(parts)
-    ]
+    certs = {k: prove_weighted(parts[k], cache_dir) for k in sorted(parts, reverse=True)}
+    return [certs[k] for k in sorted(certs)]
 
 
 def all_proved(certs: Iterable[ProofCertificate]) -> bool:

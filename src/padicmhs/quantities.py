@@ -112,7 +112,9 @@ class QuantitySpec:
     """A named prime-indexed quantity with normalized arguments.
 
     Building a spec runs :func:`check_quantity`, so invalid arguments raise
-    ``ValueError`` here and never reach the oracle or the expansions.
+    ``ValueError`` here and never reach the oracle or the expansions, and
+    drops the trailing zero coefficients of its polynomials, so equal
+    quantities are equal specs.
     """
 
     name: str
@@ -120,6 +122,11 @@ class QuantitySpec:
 
     def __post_init__(self) -> None:
         check_quantity(self.name, self.args)
+        args = tuple(
+            strip_poly(v) if kind in ("ipoly", "qpoly") else v
+            for (_, kind), v in zip(_SIGNATURES[self.name], self.args)
+        )
+        object.__setattr__(self, "args", args)
 
     def __str__(self) -> str:
         return format_quantity(self)

@@ -362,6 +362,25 @@ class TestVerifyCommand:
         assert reports[0] == reports[1] == reports[2]
         assert "skipped (prime divides a coefficient denominator): 3" in reports[0]
 
+    def test_constant_divisor_primes_are_skipped(self, capsys):
+        # every constant divisor is folded to its value first, whatever its form
+        reports = []
+        for divisor in ("3", "(-3)", "(1+2)", "(6-3*1)", "-(-3)"):
+            stmt = f"p*H(1)/{divisor} = 0 mod p^1"
+            assert main(["verify", stmt, "--primes", "2..7"]) == 0, stmt
+            reports.append(capsys.readouterr().out.split("\n", 1)[1])
+        assert all(report == reports[0] for report in reports)
+        assert "skipped (prime divides a coefficient denominator): 3" in reports[0]
+
+    def test_constant_divisor_denominator_primes_are_skipped(self, capsys):
+        assert main(["verify", "p*H(1)/(2/3) = 0 mod p^1", "--primes", "2..7"]) == 0
+        assert "skipped (prime divides a coefficient denominator): 2, 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("divisor", ["(1-1)", "(2*3-6)", "inv(0)"])
+    def test_zero_constant_divisor_is_error(self, capsys, divisor):
+        assert main(["verify", f"p*H(1)/{divisor} = 0 mod p^1", "--primes", "2..7"]) == 2
+        assert "unit" in capsys.readouterr().err
+
     def test_zero_literal_divisor_is_error(self, capsys):
         assert main(["verify", "p*H(1)/0 = 0 mod p^1", "--primes", "2..7"]) == 2
         assert "unit" in capsys.readouterr().err

@@ -460,7 +460,7 @@ def memo_table_sizes():
     sizes["powersums._memo"] = len(powersums._memo)
     sizes["arith._power_sum_memo"] = len(arith._power_sum_memo)
     sizes["arith._bernoulli_memo"] = len(arith._bernoulli_memo) - 1  # B_0 is its seed
-    sizes["prover._PROCESS_BASES"] = len(prover._PROCESS_BASES)
+    sizes["prover._PROCESS_BASIS"] = int(prover._PROCESS_BASIS is not None)
     return sizes
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from padicmhs import prover
 from padicmhs.arith import INFINITY, padic_valuation
-from padicmhs.cli import eval_statement, parse
+from padicmhs.cli import eval_statement, main, parse
 from padicmhs.compositions import weight
 from padicmhs.oracle import eval_mhs, primes_in
 from padicmhs.prover import (
@@ -170,7 +170,7 @@ class TestGenerateRelations:
         clear_relation_cache()
         good = generate_relations(3, tmp_path).dump()
         clear_relation_cache()
-        cache_file = next(tmp_path.glob("relations-n3-*.txt"))
+        cache_file = next(tmp_path.glob("relations-*.txt"))
         cache_file.write_text("padicmhs-basis 999\ngarbage\n")
         again = generate_relations(3, tmp_path)
         assert again.dump() == good
@@ -185,6 +185,86 @@ class TestGenerateRelations:
         with pytest.raises(ValueError):
             generate_relations(True, cache_dir=basis_cache)
         assert list(basis_cache.iterdir()) == []
+
+
+CS2 = (
+    "2*sumpoly(p^2;1,1) + sumpoly(p^2;2) = -4/9 + 79/108*p - 13/36*p^2 + 1/6*H(1) mod p^3"
+)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``prover.<name>`` (the function still runs)."""
+    calls, real = [], getattr(prover, name)
+    monkeypatch.setattr(prover, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def cache_state(path) -> dict:
+    return {f.name: (f.read_bytes(), f.stat().st_mtime_ns) for f in path.iterdir()}
+
+
+class TestOneBasis:
+    """One basis, at the largest modulus asked for, serves every smaller one."""
+
+    @pytest.mark.parametrize("top", [8, 9])
+    def test_prefix_equals_cold_generation(self, basis_cache, monkeypatch, top):
+        cold = {}
+        for n in range(1, top):
+            clear_relation_cache()
+            cold[n] = generate_relations(n, basis_cache / f"cold{n}").dump()
+        clear_relation_cache()
+        generate_relations(top, basis_cache / "top")
+        steps = count_calls(monkeypatch, "_annihilator_residues")
+        for n in range(1, top):
+            assert generate_relations(n, basis_cache / "top").dump() == cold[n], n
+        clear_relation_cache()  # the prefixes of the basis read back from its file
+        for n in range(1, top):
+            assert generate_relations(n, basis_cache / "top").dump() == cold[n], n
+        assert steps == []
+
+    def test_cold_prove_generates_once_and_leaves_one_file(
+        self, basis_cache, monkeypatch, capsys
+    ):
+        generations = count_calls(monkeypatch, "_enumerate_triples")
+        assert main(["prove", CS2, "--cache-dir", str(basis_cache)]) == 0
+        moduli = [line.split()[2] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert moduli == ["p^2:", "p^3:", "p^4:"]  # ascending, as before
+        assert len(generations) == 1
+        (path,) = basis_cache.iterdir()
+        assert path.name == f"relations-v{prover.BASIS_FORMAT_VERSION}.txt"
+        assert RelationBasis.load(path.read_text()).modulus_power == 4
+
+    @pytest.mark.parametrize("in_memory", [True, False])
+    def test_smaller_request_writes_nothing(self, basis_cache, monkeypatch, in_memory):
+        generate_relations(6, basis_cache)
+        before = cache_state(basis_cache)
+        if not in_memory:
+            clear_relation_cache()
+        generations = count_calls(monkeypatch, "_enumerate_triples")
+        assert generate_relations(4, basis_cache).modulus_power == 4
+        assert generations == []
+        assert cache_state(basis_cache) == before
+
+    def test_larger_request_replaces_the_file(self, basis_cache):
+        generate_relations(4, basis_cache)
+        clear_relation_cache()
+        generate_relations(6, basis_cache)
+        (path,) = basis_cache.iterdir()
+        assert RelationBasis.load(path.read_text()).modulus_power == 6
+
+    def test_old_cache_files_are_ignored(self, basis_cache, monkeypatch):
+        good = generate_relations(5, basis_cache).dump()
+        clear_relation_cache()
+        old = good.replace(f"padicmhs-basis {prover.BASIS_FORMAT_VERSION}\n", "padicmhs-basis 2\n")
+        (path,) = basis_cache.iterdir()
+        path.write_text(old)  # format 2 under the current name
+        leftover = basis_cache / "relations-n7-v2.txt"  # a per-modulus file of format 2
+        leftover.write_text(old.replace("modulus 5", "modulus 7"))
+        generations = count_calls(monkeypatch, "_enumerate_triples")
+        assert generate_relations(5, basis_cache).dump() == good
+        assert len(generations) == 1
+        assert path.read_text() == good
+        assert leftover.read_text().startswith("padicmhs-basis 2\n")
 
 
 # A basis in the retired format 1 (rows with tracked combinations).

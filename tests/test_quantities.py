@@ -277,6 +277,22 @@ class TestSpecBoundary:
         else:
             eval_quantity(q, 11)
 
+    @pytest.mark.parametrize(
+        "name,args,stripped",
+        [
+            ("sumpoly", ((0,), (1,)), ((), (1,))),
+            ("binpoly", ((0, 2, 0), (0, 1, 0)), ((0, 2), (0, 1))),
+            ("psum", ((-1, 0, 1, 0), (0,), (2, 1), False), ((-1, 0, 1), (), (2, 1), False)),
+            ("rat", ((1, 0), (1, 1, 0)), ((1,), (1, 1))),
+        ],
+    )
+    def test_trailing_zeros_are_dropped_when_built(self, name, args, stripped):
+        # equal quantities are equal specs, so a spec equals its own round trip
+        spec = QuantitySpec(name, args)
+        assert spec.args == stripped
+        assert parse(format_quantity(spec)).payload == spec
+        assert hash(parse(format_quantity(spec)).payload) == hash(spec)
+
     @pytest.mark.parametrize("name,args", INVALID_SPECS)
     def test_invalid_spec_raises_when_built(self, name, args):
         with pytest.raises(ValueError):
