@@ -80,7 +80,7 @@ def clear_caches() -> None:
         compositions._stuffle_cached,
         prover._jarossay_identity,
         oracle.eval_mhs,
-        oracle._lcm_range,
+        oracle._lcm_steps,
     ):
         fn.cache_clear()
     powersums._memo.clear()

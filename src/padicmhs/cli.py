@@ -405,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--work-budget",
         type=_int_at_least(0),
         default=DEFAULT_WORK_BUDGET,
-        help="oracle work budget in summation steps",
+        help="oracle work budget, in the steps of work that eval_quantity charges",
     )
 
     parser = argparse.ArgumentParser(

@@ -7,18 +7,19 @@ that it is used to check.  ``check_numeric`` evaluates a claimed congruence or
 expansion at every prime of a window and reports the achieved p-adic
 valuations against the required one.
 
-Work on potentially huge direct sums (the "curious" compositional sums,
-power sums with p^r-sized bounds) is metered by an explicit budget; when a
-single evaluation would exceed it, the oracle refuses loudly instead of
-silently skipping.
+Work that grows with p (the curious sums, power sums with p^r-sized bounds,
+binomials of p^r-sized arguments, Apery numbers) is metered by an explicit
+budget; when a single evaluation would exceed it, the oracle refuses loudly,
+before it allocates, instead of silently skipping.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .arith import INFINITY, binomial, eval_poly, padic_valuation
 from .compositions import Comp, check_int
@@ -102,11 +103,13 @@ def eval_power_sum(
     Exponents may be arbitrary integers.  With ``restricted_at=p``, indices
     divisible by p are skipped (the S^{(p)} variant).
 
-    A dynamic program over prefixes on integers scaled by one fixed common
-    denominator K = lcm(M+1..N)^P, P the sum of the positive exponents.
-    K times a prefix sum stays divisible by n^e for each positive exponent
-    e still to come, so that step is the exact ``D[j-1] // n**e``; any
-    other exponent multiplies by n^(-e).  One reduction at the end.
+    A dynamic program over prefixes on integers scaled by a denominator
+    that grows with the prefix: before index n joins, the row is multiplied
+    by f_n^P, f_n = lcm(M+1..n) / lcm(M+1..n-1), P the sum of the positive
+    exponents.  K = lcm(M+1..n)^P times a prefix sum stays divisible by n^e
+    for each positive exponent e still to come, so that step is the exact
+    ``D[j-1] // n**e``; any other exponent multiplies by n^(-e).  One
+    reduction at the end.
     """
     if not (N >= M >= 0):
         raise ValueError(f"eval_power_sum requires N >= M >= 0, got N={N}, M={M}")
@@ -114,9 +117,12 @@ def eval_power_sum(
     if k == 0:
         return Fraction(1)
     P = sum(e for e in exps if e > 0)
-    K = _lcm_range(M + 1, N) ** P if P else 1
-    D = [K] + [0] * k
+    grow = dict(zip(*_lcm_steps(M + 1, N))) if P else {}
+    D = [1] + [0] * k  # D[0] is the denominator K
     for n in range(M + 1, N + 1):
+        if n in grow:
+            f = grow[n] ** P
+            D = [d * f for d in D]
         if restricted_at is not None and n % restricted_at == 0:
             continue
         for j in range(k, 0, -1):
@@ -124,39 +130,50 @@ def eval_power_sum(
             if prev:
                 e = exps[k - j]
                 D[j] += prev // n**e if e > 0 else prev * n ** (-e)
-    return Fraction(D[k], K)
+    return Fraction(D[k], D[0])
 
 
 @lru_cache(maxsize=64)
-def _lcm_range(lo: int, hi: int) -> int:
-    """lcm of the integers lo..hi, for lo >= 1 (1 when the range is empty).
+def _lcm_steps(lo: int, hi: int) -> tuple[Sequence[int], Sequence[int]]:
+    """The n in lo..hi (lo >= 1) where f_n = lcm(lo..n) / lcm(lo..n-1) > 1, and those f_n.
 
-    Each prime q <= B = min(sqrt(hi), hi - lo) of a sieve enters with its
-    highest power that has a multiple in the range and is divided out of
-    every n.  A prime above B divides no n twice (B = sqrt(hi)) or no two
-    n (B = hi - lo), so the distinct cofactors left over complete the lcm.
-    Memory grows with the length of the range, not with hi.  Memoized:
-    the evaluators of one run ask for the same few ranges again and again.
+    Each prime q <= B = min(sqrt(hi), hi - lo) of a sieve joins once more at
+    the first n divisible by each of q, q^2, ..., and is divided out of every
+    n.  A prime above B divides no n twice (B = sqrt(hi)) or no two n
+    (B = hi - lo), so each distinct cofactor left over joins at its first n.
+    Memory grows with the length of the range, not with hi.  Memoized: the
+    evaluators of one run ask for the same few ranges again and again.
     """
     if hi < lo:
-        return 1
+        return (), ()
     bound = min(math.isqrt(hi), hi - lo)
     composite = bytearray(bound + 1)
     rest = list(range(lo, hi + 1))
-    factors: set[int] = set()
+    steps: dict[int, int] = {}
     for q in range(2, bound + 1):
         if composite[q]:
             continue
         composite[q * q :: q] = b"\1" * len(range(q * q, bound + 1, q))
-        f = 1
-        while hi // (f * q) * (f * q) >= lo:  # a multiple of f*q is in range
+        f = q
+        while (i := -lo % f) < len(rest):  # the first multiple of f in range
+            steps[lo + i] = steps.get(lo + i, 1) * q
+            for j in range(i, len(rest), f):
+                rest[j] //= q
             f *= q
-        factors.add(f)
-        for i in range(-lo % q, len(rest), q):
-            while rest[i] % q == 0:
-                rest[i] //= q
-    factors.update(rest)
-    return math.prod(factors)
+    # each distinct cofactor with its first n: written from hi down, the earliest wins
+    for c, n in dict(zip(reversed(rest), range(hi, lo - 1, -1))).items():
+        if c > 1:
+            steps[n] = steps.get(n, 1) * c
+
+    def pack(v):  # 8 bytes a number while hi fits (f_n divides n), as the memo keeps them
+        return memoryview(struct.pack(f"{len(v)}q", *v)).cast("q") if hi < 1 << 63 else list(v)
+
+    return pack(steps), pack(steps.values())
+
+
+def _lcm_range(lo: int, hi: int) -> int:
+    """lcm of the integers lo..hi, for lo >= 1 (1 when the range is empty)."""
+    return math.prod(_lcm_steps(lo, hi)[1])
 
 
 def eval_polylog_sum(
@@ -191,22 +208,28 @@ def eval_quantity(
 ) -> Fraction:
     """Exact value of a named quantity at the prime p, by direct computation.
 
-    Never routes through the symbolic series expansions it is used to
-    verify, and trusts ``q``, which checked its arguments when it was
-    built.  Raises :class:`WorkBudgetExceeded` when the direct computation
-    would exceed ``work_budget`` elementary summation steps, and
+    Never routes through the symbolic series expansions it is used to verify,
+    and trusts ``q``, which checked its arguments when it was built.  Raises
     ``ValueError`` for quantities with no single-prime rational value
-    (``zetap``).
+    (``zetap``), and :class:`WorkBudgetExceeded`, before any big allocation,
+    when a charge exceeds ``work_budget``: binp costs a*p^r, binpoly the larger
+    of |f(p)| and g(p), apery p (the sizes of the integers they multiply), psum
+    (N - M) times its depth, hres p^r - 1 and curious (k-1)(p^r - 1) summation
+    steps.  sumpoly, half and alt sum fewer than p terms per power sum and are
+    not charged.
     """
     name, args = q.name, q.args
     if name == "binp":
         a, b, r = args
+        _charge(a * p**r, work_budget, q)
         return Fraction(math.comb(a * p**r, b * p**r))
     if name == "binpoly":
-        f, g = args
         # integer polynomials (the spec checked them), so the values are integers
-        return binomial(eval_poly(f, p).numerator, eval_poly(g, p).numerator)
+        n, m = (eval_poly(f, p).numerator for f in args)
+        _charge(max(abs(n), m), work_budget, q)
+        return binomial(n, m)
     if name == "apery":
+        _charge(p, work_budget, q)
         return Fraction(apery_number(p - 1))
     if name == "zetap":
         raise ValueError(
@@ -228,14 +251,22 @@ def eval_quantity(
         r, k = args
         return _eval_curious(r, k, p, work_budget)
     if name == "sumpoly":
+        # sum_m m^i H_m(s) = S_{p-1,0}((-i, s)) + S_{p-1,0}((s_1 - i, s_2, ..)), n_1 < m or = m
         P, s = args
-        return _eval_sumpoly(P, s, p)
+        total = Fraction(0)
+        for i, c in enumerate(P):
+            if c:
+                chains = [(-i, *s), (s[0] - i, *s[1:])] if s else [(-i,)]
+                total += c * sum(eval_power_sum(p - 1, 0, e) for e in chains)
+        return total
     if name == "half":
         (k,) = args
         return Fraction(p) ** k * eval_mhs((p - 1) // 2, (k,))
     if name == "alt":
         (k,) = args
-        return Fraction(p) ** k * eval_polylog_sum(p - 1, (k,), (Fraction(-1),))
+        # sum (-1)^n / n^k is twice the even n, 2^(-k) H_{(p-1)/2}(k), minus H_{p-1}(k)
+        half, full = (eval_power_sum(N, 0, (k,)) for N in ((p - 1) // 2, p - 1))
+        return Fraction(p) ** k * (Fraction(2, 2**k) * half - full)
     if name == "rat":
         num, den = args
         d = eval_poly(den, p)
@@ -248,20 +279,8 @@ def eval_quantity(
 def _charge(cost: int, budget: int, q: QuantitySpec) -> None:
     if cost > budget:
         raise WorkBudgetExceeded(
-            f"evaluating {q} needs ~{cost} summation steps, over the budget of {budget}"
+            f"evaluating {q} needs ~{cost} steps of work, over the budget of {budget}"
         )
-
-
-def _eval_sumpoly(P: tuple[Fraction, ...], s: Comp, p: int) -> Fraction:
-    """sum_{m=1}^{p-1} P(m) * H_m(s), sharing one MHS dynamic program."""
-    k = len(s)
-    D = [Fraction(1)] + [Fraction(0)] * k
-    total = Fraction(0)
-    for m in range(1, p):
-        for j in range(min(k, m), 0, -1):
-            D[j] += D[j - 1] * Fraction(1, m ** s[k - j])
-        total += eval_poly(P, m) * D[k]
-    return total
 
 
 def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
@@ -293,8 +312,9 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     and Q_{M-1} both carry the factor z; with it divided out, inner terms
     need [z^(k-2)] and end terms [z^(k-1)], so P and Q are kept mod z^k and
     T mod z^(k-1).  P is held as the integer prod c_j times a polynomial
-    with small coefficients, and the products of linear factors n + z are
-    product trees with sequential leaves (``_rising``).
+    with small coefficients, each leaf's product of p linear factors n + z
+    is built one factor at a time (``_rising``), and every product of two
+    polynomials is a Karatsuba short product (``_poly_mul``).
 
     The work is O(log M) levels of multiplications of integers of up to
     about N log2(N) bits.  k! X / D is divided exactly onto N K, K =
@@ -310,6 +330,7 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     top = p**r
     _charge(L * (top - 1), budget, QuantitySpec("curious", (r, k)))
     M = top // p
+    den = top * _lcm_range(1, top - 1) ** L
 
     def leaf(j: int) -> tuple[int, list[int], list[int], list[int]]:
         lo, hi = top - p * (j + 1), top - p * j
@@ -326,16 +347,17 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
         T = [x + cL * y for x, y in zip(_poly_mul(TL, QR, L), _poly_mul(aL, TR, L))]
         return cL * cR, _poly_mul(aL, aR, k), _poly_mul(QL, QR, k), T
 
-    # the root merge, reduced to the two coefficients it needs
+    # the root merge, reduced to the two coefficients it needs:
+    # X = [z^L] (QL + z (TL - QL)) QR + cL ([z^(L-1)] aL TR + cR [z^L] aL aR)
     one = [1] + [0] * L
     cL, aL, QL, TL = split(0, M // 2) if M > 1 else (1, one, one, [0] * L)
     cR, aR, QR, TR = split(M // 2, M)
-    X = sum((TL[i] - QL[i]) * QR[L - 1 - i] for i in range(L))
-    X += cL * sum(aL[i] * TR[L - 1 - i] for i in range(L))
-    X += sum(QL[i] * QR[L - i] for i in range(k))
-    X += cL * cR * sum(aL[i] * aR[L - i] for i in range(k))
-    den = top * _lcm_range(1, top - 1) ** L
-    D = p**M * math.factorial(M) * math.factorial(top)
+    U = QL[:1] + [QL[i] + TL[i - 1] - QL[i - 1] for i in range(1, k)]
+    X = sum(U[i] * QR[L - i] for i in range(k)) + cL * (
+        sum(aL[i] * TR[L - 1 - i] for i in range(L))
+        + cR * sum(aL[i] * aR[L - i] for i in range(k))
+    )
+    D = p**M * math.factorial(M) * cL * cR  # cL cR = prod c_j = N!
     num, rem = divmod(math.factorial(k) * X * den, D)
     if rem:
         raise ArithmeticError(f"curious({r},{k}) at p={p}: inexact division onto N*K")
@@ -343,15 +365,20 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
 
 
 def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    """The first n coefficients of a*b (coefficient lists of length >= n)."""
-    return [sum(a[i] * b[t - i] for i in range(t + 1)) for t in range(n)]
+    """The first n coefficients of a*b (coefficient lists of length >= n), as a
+    Karatsuba short product: a_i b_j + a_j b_i = (a_i + a_j)(b_i + b_j) - a_i b_i
+    - a_j b_j, so n = 3 takes 5 multiplications and n = 4 takes 8, not 6 and 10."""
+    d = [a[i] * b[i] for i in range(n)]
+    return [
+        sum((a[i] + a[t - i]) * (b[i] + b[t - i]) - d[i] - d[t - i] for i in range((t + 1) // 2))
+        + (d[t // 2] if t % 2 == 0 else 0)
+        for t in range(n)
+    ]
 
 
 def _rising(lo: int, hi: int, n: int) -> list[int]:
-    """prod_{lo <= m < hi} (m + z) mod z^n: a product tree, 32-factor leaves."""
-    if hi - lo > 32:
-        mid = (lo + hi) // 2
-        return _poly_mul(_rising(lo, mid, n), _rising(mid, hi, n), n)
+    """prod_{lo <= m < hi} (m + z) mod z^n, one factor at a time: at a leaf's
+    p factors, small-integer steps beat a product tree of polynomial products."""
     c = [1] + [0] * (n - 1)
     for m in range(lo, hi):
         for i in range(n - 1, 0, -1):

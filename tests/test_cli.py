@@ -2,6 +2,7 @@
 subcommand behavior, exit codes, and the render/parse round trip."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "REFUSED" in out and "summary: FAIL" in out
         assert "inf" not in out
+
+    def test_binomial_over_budget_is_refused_at_once(self, capsys):
+        # binp(2,1,4) at p=97 is C(2*97^4, 97^4), charged 2*97^4 > 10^8
+        t0 = time.perf_counter()
+        assert main(["verify", "binp(2,1,4) = 0 mod p^1", "--primes", "97..97"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr().out
+        assert "refused  REFUSED" in out and "summary: FAIL" in out
 
     def test_curious_congruence_passes(self, capsys):
         stmt = "curious(3,3) = -2*p^2*H(2,1) + 2*p^4*H(4,1) mod p^6"

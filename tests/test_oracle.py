@@ -21,6 +21,7 @@ from padicmhs.oracle import (
     WorkBudgetExceeded,
     _eval_curious,
     _lcm_range,
+    _lcm_steps,
     apery_number,
     check_numeric,
     eval_mhs,
@@ -30,7 +31,7 @@ from padicmhs.oracle import (
     eval_series_terms,
     primes_in,
 )
-from padicmhs.quantities import parse_quantity
+from padicmhs.quantities import QuantitySpec, parse_quantity
 from padicmhs.series import CongruenceStatement, MhsSeries
 
 F = Fraction
@@ -495,7 +496,8 @@ class TestRefusalBeforeAllocation:
     """An over-budget evaluation is refused before its denominator is built."""
 
     @pytest.mark.parametrize(
-        "name,args", [("curious", "5,7"), ("psum", "p^5;0;2,1"), ("hres", "6")]
+        "name,args",
+        [("curious", "5,7"), ("psum", "p^5;0;2,1"), ("hres", "6"), ("binp", "2,1,4")],
     )
     def test_refused_at_once(self, name, args):
         t0 = time.perf_counter()
@@ -510,6 +512,100 @@ class TestRefusalBeforeAllocation:
         N = 97**9
         assert eval_quantity(q, 97) == F(N - 1, N)
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestGrowingDenominator:
+    """The power-sum DP whose denominator grows with the prefix, and the
+    quantities it serves, against pinned values and Fraction references."""
+
+    # SHA-256 of hex(numerator), hex(denominator) at p = 61, as the DP on the
+    # fixed denominator lcm(M+1..N)^P and the Fraction sumpoly loop computed them
+    PINNED = {
+        ("psum", "p^2-1;0;2,1"): (
+            "9fb66a02d0f7f7061e7a393a9b8514ac765c9bf58cf688d2a96f5659526c34e5",
+            "199199d29b97afe048e418698a46956430077b28607fab018c62681b4c44e341",
+        ),
+        ("hres", "2"): (
+            "7fef54d42b6d010ba85facdfa074eff9161638590fccd0f3e1ec353d06bc640e",
+            "a881c7244529a0f23f5d28c029fd3b077ce5352bc6d291657c91e4c94c8f0219",
+        ),
+        ("sumpoly", "p^2;1,1"): (
+            "c2ff329f47c7a8f37edb3e776e451a302c3e24081bcad8a4b0e9a749942b8b28",
+            "5dedc4560125aec9e786bc6f7f06e080bae4bbe4b78993f079ab4e4420204f43",
+        ),
+    }
+
+    @pytest.mark.parametrize("name,args", sorted(PINNED))
+    def test_pinned_digests(self, name, args):
+        value = eval_quantity(parse_quantity(name, args), 61)
+        digests = tuple(
+            hashlib.sha256(hex(n).encode()).hexdigest()
+            for n in (value.numerator, value.denominator)
+        )
+        assert digests == self.PINNED[(name, args)]
+
+    def test_lcm_steps_are_the_ratios(self):
+        for lo in range(1, 30):
+            for hi in range(lo - 1, 80):
+                ratios = {
+                    n: math.lcm(*range(lo, n + 1)) // math.lcm(*range(lo, n))
+                    for n in range(lo, hi + 1)
+                }
+                ns, fs = _lcm_steps(lo, hi)
+                assert dict(zip(ns, fs)) == {n: f for n, f in ratios.items() if f > 1}, (lo, hi)
+
+    def test_power_sums_with_prime_powers_mid_range(self):
+        rng = random.Random(20261019)
+        for _ in range(24):
+            M = rng.randint(1, 200)
+            N = rng.randint(M, 2000)
+            exps = tuple(rng.randint(-1, 3) for _ in range(rng.randint(1, 2)))
+            for restricted_at in (None, rng.choice([2, 3, 5, 7])):
+                assert eval_power_sum(N, M, exps, restricted_at) == power_sum_reference(
+                    N, M, exps, restricted_at
+                ), (N, M, exps, restricted_at)
+
+    def test_sumpoly_against_double_sum(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            p = rng.choice(primes_in(2, 31))
+            s = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+            P = tuple(F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(1, 4)))
+            expected = sum(
+                (
+                    sum((c * m**i for i, c in enumerate(P)), F(0)) * power_sum_reference(m, 0, s)
+                    for m in range(1, p)
+                ),
+                F(0),
+            )
+            assert eval_quantity(QuantitySpec("sumpoly", (P, s)), p) == expected, (p, P, s)
+
+    def test_alt_is_the_alternating_sum(self):
+        for p in primes_in(2, 61):
+            for k in range(2, 6):
+                expected = F(p) ** k * eval_polylog_sum(p - 1, (k,), (-1,))
+                assert eval_quantity(parse_quantity("alt", str(k)), p) == expected, (p, k)
+
+
+class TestBudgetCharges:
+    """binp, binpoly and apery are charged by the size of what they multiply."""
+
+    @pytest.mark.parametrize(
+        "name,args,p,cost",
+        [
+            ("binp", "2,1,2", 5, 50),
+            ("binp", "3,1", 7, 21),
+            ("binpoly", "p^2;p", 5, 25),
+            ("binpoly", "-p;3", 7, 7),
+            ("binpoly", "p;2*p", 3, 6),
+            ("apery", "", 11, 11),
+        ],
+    )
+    def test_charge_boundary(self, name, args, p, cost):
+        q = parse_quantity(name, args)
+        assert eval_quantity(q, p, work_budget=cost) == eval_quantity(q, p)
+        with pytest.raises(WorkBudgetExceeded):
+            eval_quantity(q, p, work_budget=cost - 1)
 
 
 class TestEvalSeriesTerms:

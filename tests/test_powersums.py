@@ -454,7 +454,7 @@ def memo_table_sizes():
         "compositions._stuffle_cached": compositions._stuffle_cached,
         "prover._jarossay_identity": prover._jarossay_identity,
         "oracle.eval_mhs": oracle.eval_mhs,
-        "oracle._lcm_range": oracle._lcm_range,
+        "oracle._lcm_steps": oracle._lcm_steps,
     }
     sizes = {name: fn.cache_info().currsize for name, fn in lru_tables.items()}
     sizes["powersums._memo"] = len(powersums._memo)
