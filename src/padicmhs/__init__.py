@@ -22,7 +22,6 @@ from .compositions import (
     weight,
 )
 from .expansions import (
-    canonicalize,
     expand_alternating,
     expand_apery,
     expand_binomial_poly,
@@ -53,6 +52,7 @@ from .powersums import full_sum, poly_sum, valuation_bound
 from .prover import (
     ProofCertificate,
     RelationBasis,
+    canonicalize,
     dump_certificates,
     generate_relations,
     provable_valuation,

@@ -4,8 +4,8 @@ Subcommands:
 
 * ``expand``  — evaluate an expression in the truncated series algebra and
   print its canonical rendering;
-* ``valuation`` — print a proved lower bound for the p-adic valuation of an
-  expression (the working order when the series is identically zero);
+* ``valuation`` — print the lowest p-power of an expression's canonical
+  form, proved once (the working order when the series is identically zero);
 * ``prove`` — decide a congruence by exact reduction against generated
   double-shuffle relations; emits a replayable certificate; exit code 0
   when proved, 1 when not, 2 on errors;
@@ -42,8 +42,10 @@ with the oracle.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import types
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -59,6 +61,7 @@ from .oracle import (
     eval_quantity,
 )
 from .prover import (
+    all_proved,
     dump_certificates,
     generate_relations,
     prove_supercongruence,
@@ -243,29 +246,24 @@ def cmd_valuation(args) -> int:
     order = DEFAULT_ORDER if args.order is None else args.order
     series = eval_series(ast, order, args.cache_dir)
     v = provable_valuation(series, cache_dir=args.cache_dir)
-    if v is INFINITY:
-        # identically-zero (or indistinguishable-from-zero) series: provable
-        # to the full working order
-        print(order if series.order is None else series.order)
-    else:
-        print(v)
+    # an exact zero series is provable to the full working order
+    print(order if v is INFINITY else v)
     return 0
 
 
 def cmd_prove(args) -> int:
     statements = _load_statements(args.congruence)
-    all_proved = True
+    every_proved = True
     dumps: list[str] = []
     for text in statements:
         lhs, rhs, n = eval_statement(parse(text), args.cache_dir, args.order)
         certs = prove_supercongruence(lhs, rhs, n, cache_dir=args.cache_dir)
-        proved = bool(certs) and all(c.proved for c in certs)
-        all_proved = all_proved and proved
+        proved = all_proved(certs)
+        every_proved = every_proved and proved
         print(f"{'PROVED' if proved else 'UNPROVEN'}: {text}")
         for cert in certs:
-            state = cert.verdict
             print(
-                f"  part modulus p^{cert.target.modulus_power}: {state}"
+                f"  part modulus p^{cert.target.modulus_power}: {cert.verdict}"
                 f" ({len(cert.combination)} relation(s))"
             )
         if proved:
@@ -276,7 +274,7 @@ def cmd_prove(args) -> int:
         print(f"certificates written to {args.dump}")
     elif dumps and args.show_certificates:
         print("".join(dumps), end="")
-    return 0 if all_proved else 1
+    return 0 if every_proved else 1
 
 
 def cmd_verify(args) -> int:
@@ -466,14 +464,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _quietly(stream, method: str, *args) -> None:
+    """``stream.<method>(*args)``, dropped when the reader has left the pipe
+    early (``| head``); the descriptor then points at os.devnull, so later
+    output and the flush at interpreter exit are dropped too."""
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        getattr(stream, method)(*args)
+    except BrokenPipeError:
+        with contextlib.suppress(OSError, ValueError):  # no descriptor in memory
+            fd, null = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    # a closed stdout ends the output, not the command, which returns its own code
+    stdout = sys.stdout
+    quiet = types.SimpleNamespace(write=lambda text: _quietly(stdout, "write", text))
+    with contextlib.redirect_stdout(quiet):
+        try:
+            code = args.func(args)
+            _quietly(stdout, "flush")  # a block-buffered pipe may break only here
+            return code
+        except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,11 +26,10 @@ Conventions:
   the dropped tail has p-adic valuation at least the stamped order;
 * all arithmetic is exact rational.
 
-:func:`canonicalize` rewrites a truncated series into its canonical
-residual modulo the span of generated double-shuffle relations, offset
-part by offset part, without changing its value modulo ``p^order``.
-:func:`expand_quantity` dispatches a parsed quantity description to the
-matching expansion.
+The Apery and curious expansions are put into canonical form by
+:func:`padicmhs.prover.canonicalize` (re-exported here), which reduces them
+modulo the relation span.  :func:`expand_quantity` dispatches a parsed
+quantity description to the matching expansion.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .arith import (
     power_sum_poly,
     strip_poly,
 )
-from .compositions import Comp, _stuffle_cached, check_int, compositions_of, stuffle, weight
+from .compositions import Comp, _stuffle_cached, check_int, compositions_of, stuffle
 from .powersums import (
     _profile_products,
     _raise_order,
@@ -58,9 +57,9 @@ from .powersums import (
     signed_mhs,
     valuation_bound,
 )
-from .prover import _statement_coords, generate_relations
+from .prover import canonicalize
 from .quantities import QuantitySpec, check_quantity
-from .series import CongruenceStatement, MhsSeries, decompose_weighted
+from .series import MhsSeries
 
 __all__ = [
     "canonicalize",
@@ -440,34 +439,6 @@ def expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
     if r == 0:
         return MhsSeries.constant(binomial(a, b), None)
     return expand_binomial_poly((0,) * r + (a,), (0,) * r + (b,), order)
-
-
-# ---------------------------------------------------------------------------
-# canonical forms modulo the relation span
-# ---------------------------------------------------------------------------
-
-
-def canonicalize(
-    series: MhsSeries, order: int | None = None, *, cache_dir=None
-) -> MhsSeries:
-    """Reduce each offset part of ``series`` modulo the relation span.
-
-    The output is congruent to the input modulo ``p^order`` and is
-    supported, within each offset part, on the non-pivot coordinates of
-    the reduced-row-echelon relation basis at that part's modulus.
-    Constants (empty compositions) pass through unchanged.
-    """
-    if order is None:
-        order = series.order
-    if order is None:
-        raise ValueError("canonicalize needs a finite truncation order")
-    series = series.truncate(check_int(order, "order"))
-    out: dict[tuple[int, Comp], Fraction] = {}
-    for k, part in decompose_weighted(CongruenceStatement(series, order)).items():
-        basis = generate_relations(part.modulus_power, cache_dir=cache_dir)
-        for s, c in basis.reduce(_statement_coords(part)).items():
-            out[(weight(s) - k, s)] = c
-    return MhsSeries(out, order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ family of p-adically convergent identities, and decides whether a candidate
 congruence lies in their Q-linear span.  Successful decisions are recorded
 as :class:`ProofCertificate` objects naming the generating identities and
 their multipliers, so a proof can be replayed later by pure arithmetic with
-no linear algebra.
+no linear algebra.  Reducing a series modulo the span gives its canonical
+form (:func:`canonicalize`), whose lowest p-power is the provable valuation.
 
 The span is found modulo primes and lifted; modular arithmetic only
 proposes, and exact checks decide:
@@ -73,6 +74,7 @@ __all__ = [
     "ProofCertificate",
     "RelationBasis",
     "all_proved",
+    "canonicalize",
     "clear_relation_cache",
     "dump_certificates",
     "generate_relations",
@@ -95,7 +97,7 @@ CERTIFICATE_FORMAT_VERSION = 1
 #: Environment variable overriding the on-disk relation cache directory.
 CACHE_ENV_VAR = "PADICMHS_CACHE_DIR"
 
-#: Upper bound on the upward scan used for exact series in
+#: Upper bound on the orders tried for an exact series in
 #: :func:`provable_valuation` (a loud stop instead of a silent hang).
 EXACT_SCAN_LIMIT = 64
 
@@ -894,40 +896,66 @@ def prove_supercongruence(
     return prove_mixed(CongruenceStatement(diff, n), cache_dir=cache_dir)
 
 
+def canonicalize(
+    series: MhsSeries, order: int | None = None, *, cache_dir=None
+) -> MhsSeries:
+    """Reduce each offset part of ``series`` modulo the relation span.
+
+    The output is congruent to the input modulo ``p^order`` (default: the
+    series order): each offset part becomes its ``lambda_f`` values, one per
+    free column f of the basis at the part's modulus, reduced from the
+    largest modulus down so that one generation serves every part.
+    Constants pass through unchanged.
+    """
+    if order is None:
+        order = series.order
+    if order is None:
+        raise ValueError("canonicalize needs a finite truncation order")
+    series = series.truncate(check_int(order, "order"))
+    parts = decompose_weighted(CongruenceStatement(series, order))
+    out: dict[tuple[int, Comp], Fraction] = {}
+    for k in sorted(parts, reverse=True):
+        basis = generate_relations(parts[k].modulus_power, cache_dir)
+        for s, c in basis.reduce(_statement_coords(parts[k])).items():
+            out[(weight(s) - k, s)] = c
+    return MhsSeries(out, order)
+
+
 def provable_valuation(
     series: MhsSeries, cache_dir: str | os.PathLike | None = None
 ):
     """Largest n <= series.order such that the series provably vanishes mod p^n.
 
-    Scans downward from the series order and returns the first power with a
-    full per-offset proof (0 when even mod p is out of reach).  The exact
-    zero series has no finite bound and returns INFINITY; an exact monomial
-    ``c * p^k`` returns ``max(k, 0)`` directly; other exact series start at
-    their guaranteed valuation (``H_{p-1}`` values are p-integral) and are
-    scanned upward, at most EXACT_SCAN_LIMIT steps, until the first failure.
+    Each ``lambda_f`` involves only columns of weight <= weight(f) and the
+    basis at a smaller modulus is a prefix, so the series lies in the span
+    mod p^n exactly when its canonical form (:func:`canonicalize`) has no
+    term below p^n: the answer is the form's lowest p-power (0 if negative).
+    The exact zero series returns INFINITY; other exact series are
+    canonicalized one order at a time upward from their guaranteed valuation,
+    at most EXACT_SCAN_LIMIT times, until a form keeps a term.  The answer is
+    proved once by :func:`prove_mixed`; a failed proof raises RuntimeError.
     """
-    order = series.order
-    if order is None:
-        if series.is_zero():
-            return INFINITY
-        if len(series.terms) == 1:
-            ((b, s),) = series.terms
-            if not s:
-                return max(b, 0)
+    if series.order is not None:
+        form = canonicalize(series, series.order, cache_dir=cache_dir)
+    elif series.is_zero():
+        return INFINITY
+    else:
         start = max(series.min_valuation(), 0)
-        for n in range(start + 1, start + EXACT_SCAN_LIMIT + 1):
-            stmt = CongruenceStatement(series, n)
-            if not all_proved(prove_mixed(stmt, cache_dir=cache_dir)):
-                return n - 1
-        raise RuntimeError(
-            "provable valuation of an exact series exceeded "
-            f"{start + EXACT_SCAN_LIMIT}"
-        )
-    for n in range(order, 0, -1):
-        stmt = CongruenceStatement(series.truncate(n), n)
-        if all_proved(prove_mixed(stmt, cache_dir=cache_dir)):
-            return n
-    return 0
+        for order in range(start + 1, start + EXACT_SCAN_LIMIT + 1):
+            form = canonicalize(series, order, cache_dir=cache_dir)
+            if not form.is_zero():
+                break
+        else:
+            raise RuntimeError(
+                "provable valuation of an exact series exceeded "
+                f"{start + EXACT_SCAN_LIMIT}"
+            )
+    v = max(form.min_valuation(), 0)
+    if v:  # a congruence mod p^0 is vacuous
+        stmt = CongruenceStatement(series.truncate(v), v)
+        if not all_proved(prove_mixed(stmt, cache_dir=cache_dir)):
+            raise RuntimeError(f"canonical-form valuation {v} failed its proof")
+    return v
 
 
 # -- certificate serialization and replay ----------------------------------

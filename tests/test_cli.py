@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line front end: grammar, evaluation,
 subcommand behavior, exit codes, and the render/parse round trip."""
 
+import io
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -613,6 +615,22 @@ class TestIdentitiesCommand:
     def test_dump_to_stdout(self, capsys):
         assert main(["identities", "--modulus", "2"]) == 0
         assert "padicmhs-basis" in capsys.readouterr().out
+
+    def test_closed_stdout_is_not_an_error(self, tmp_path, capsys, monkeypatch):
+        # the reader of a pipe has gone, as with `padicmhs identities ... | head -1`
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        argv = ["identities", "--modulus", "3", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_dump_into_missing_directory_is_exit_2(self, tmp_path, capsys):
+        dump = tmp_path / "missing" / "basis.txt"
+        assert main(["identities", "--modulus", "2", "--dump", str(dump)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
 
 class TestVersion:

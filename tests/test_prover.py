@@ -1,6 +1,7 @@
 """Tests for relation generation, membership proofs, and certificates."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from padicmhs import prover
 from padicmhs.arith import INFINITY, padic_valuation
 from padicmhs.cli import eval_statement, main, parse
-from padicmhs.compositions import weight
+from padicmhs.compositions import enumerate_compositions, weight
 from padicmhs.oracle import eval_mhs, primes_in
 from padicmhs.prover import (
     ProofCertificate,
@@ -234,6 +235,13 @@ class TestOneBasis:
         assert path.name == f"relations-v{prover.BASIS_FORMAT_VERSION}.txt"
         assert RelationBasis.load(path.read_text()).modulus_power == 4
 
+    def test_cold_canonical_expansion_generates_once(self, basis_cache, monkeypatch):
+        # the parts of curious(2,3) at order 6 reach moduli 6, 7 and 8
+        generations = count_calls(monkeypatch, "_enumerate_triples")
+        argv = ["expand", "curious(2,3)", "--order", "6", "--cache-dir", str(basis_cache)]
+        assert main(argv) == 0
+        assert generations == [(8,)]
+
     @pytest.mark.parametrize("in_memory", [True, False])
     def test_smaller_request_writes_nothing(self, basis_cache, monkeypatch, in_memory):
         generate_relations(6, basis_cache)
@@ -280,6 +288,16 @@ end basis
 """
 
 CB = "12 - 9*binp(2,1,1) + 2*binp(3,1,1) = 24*p^3*H(3) mod p^6"
+
+#: Terms of a series with parts at offsets 0 and 1 that vanishes mod p^4.
+MIXED_BUNDLE = {
+    (0, (1,)): F(1),
+    (1, (1,)): F(-2),
+    (1, (2,)): F(1),
+    (1, (1, 1)): F(2),
+    (2, (2, 1)): F(1, 3),
+    (3, (2, 1)): F(-2, 3),
+}
 
 
 def proof_dump(text: str, cache_dir, order=None) -> str:
@@ -590,7 +608,79 @@ class TestProveSupercongruence:
             prove_supercongruence(MhsSeries.zero(None), MhsSeries.zero(None), 0)
 
 
+def seeded_series(rng: random.Random, exact: bool) -> MhsSeries:
+    """Relation vectors at offsets -1..2 plus a perturbation (constants included)."""
+    order = None if exact else rng.randint(0, 6)
+    top = 4 if exact else 6  # the moduli reached stay within p^8
+    terms: dict = {}
+    for _ in range(rng.randint(0, 3)):
+        k, m = rng.randint(-1, 2), rng.randint(2, top)
+        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        for w, a in _relation_coords(*rng.choice(list(_enumerate_triples(m))), m).items():
+            terms[(weight(w) - k, w)] = terms.get((weight(w) - k, w), 0) + c * a
+    if exact or rng.random() < 0.8:
+        key = (rng.randint(-1, top - 2), rng.choice(enumerate_compositions(3)))
+        terms[key] = terms.get(key, 0) + rng.randint(1, 5)
+    return MhsSeries({key: c for key, c in terms.items() if c}, order)
+
+
+def proof_scan_valuation(series: MhsSeries, cache_dir) -> int:
+    """The largest n <= order whose statement proves part by part; for an
+    exact series, the last n before the first failure scanning upward."""
+    if series.order is not None:
+        return max(
+            n
+            for n in range(series.order + 1)
+            if n == 0
+            or all_proved(prove_mixed(CongruenceStatement(series.truncate(n), n), cache_dir))
+        )
+    n = max(series.min_valuation(), 0)
+    while all_proved(prove_mixed(CongruenceStatement(series, n + 1), cache_dir)):
+        n += 1
+    return n
+
+
 class TestProvableValuation:
+    def test_matches_proof_scan(self, basis_cache):
+        rng = random.Random(18)
+        answers = []
+        for i in range(60):
+            series = seeded_series(rng, exact=i % 3 == 0)
+            v = provable_valuation(series, basis_cache)
+            assert v == proof_scan_valuation(series, basis_cache), series.render()
+            answers.append(v)
+        assert len(set(answers)) >= 5
+
+    @pytest.mark.parametrize(
+        "terms,order,answer,orders,moduli",
+        [
+            # MIXED_BUNDLE, proved mod p^4, plus p^4, which is not
+            (MIXED_BUNDLE | {(4, ()): F(1)}, 5, 4, [5], [5, 4]),
+            # exact: the first form that keeps a term is at order 4
+            ({(1, (1,)): F(1)}, None, 3, [2, 3, 4], [3]),
+        ],
+    )
+    def test_express_runs_only_at_the_answer(
+        self, basis_cache, monkeypatch, terms, order, answer, orders, moduli
+    ):
+        forms, expressed, express = [], [], RelationBasis.express
+
+        def spy(basis, coords):
+            expressed.append(basis.modulus_power)
+            return express(basis, coords)
+
+        def spy_canonicalize(series, order, **kwargs):
+            forms.append(order)
+            return canonicalize(series, order, **kwargs)
+
+        monkeypatch.setattr(RelationBasis, "express", spy)
+        canonicalize = prover.canonicalize
+        monkeypatch.setattr(prover, "canonicalize", spy_canonicalize)
+        series = MhsSeries(terms, order)
+        assert provable_valuation(series, basis_cache) == answer
+        assert forms == orders
+        assert expressed == moduli
+
     def test_zero_series_with_order(self, basis_cache):
         assert provable_valuation(MhsSeries.zero(5), basis_cache) == 5
 
@@ -640,17 +730,7 @@ class TestCertificates:
         assert len(entries) == len(cert.combination) > 0
 
     def test_mixed_bundle_roundtrip(self, basis_cache):
-        series = MhsSeries(
-            {
-                (0, (1,)): F(1),
-                (1, (1,)): F(-2),
-                (1, (2,)): F(1),
-                (1, (1, 1)): F(2),
-                (2, (2, 1)): F(1, 3),
-                (3, (2, 1)): F(-2, 3),
-            },
-            4,
-        )
+        series = MhsSeries(MIXED_BUNDLE, 4)
         certs = prove_mixed(CongruenceStatement(series, 4), cache_dir=basis_cache)
         ok, message = verify_certificate_text(dump_certificates(certs))
         assert ok, message
