@@ -2,10 +2,12 @@
 
 Everything here computes exact rational values by *direct* summation,
 binomial arithmetic or, for the curious sums, a generating-function identity
-evaluated by binary splitting — never through the symbolic series expansions
-that it is used to check.  ``check_numeric`` evaluates a claimed congruence or
-expansion at every prime of a window and reports the achieved p-adic
-valuations against the required one.
+— never through the symbolic series expansions that it is used to check.
+With k = 2 or 3 parts that identity is an elementary symmetric function of
+the harmonic sums over the nonzero residue classes mod p; with more parts it
+is evaluated by binary splitting.  ``check_numeric`` evaluates a claimed
+congruence or expansion at every prime of a window and reports the achieved
+p-adic valuations against the required one.
 
 Work that grows with p (the curious sums, power sums with p^r-sized bounds,
 binomials of p^r-sized arguments, Apery numbers) is metered by an explicit
@@ -287,7 +289,24 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     """C_{r,k,p} = sum of 1/(n_1*...*n_k) over n_1+...+n_k = p^r, p | no n_i.
 
     With N = p^r, M = p^(r-1) and f(x) = sum over p not dividing n of
-    x^n/n = -log(1-x) + log(1-x^p)/p, C is [x^N] f^k, that is
+    x^n/n, C is [x^N] f^k.  As x f' = sum over p not dividing n of x^n,
+    comparing [x^m] in x (f^j)' = j f^(j-1) x f' gives
+
+        m [x^m] f^j = j * sum over a < m, p not dividing m - a, of [x^a] f^(j-1).
+
+    Applied twice with p | N, and with P_s the sum of 1/n over the n < N
+    with n = s mod p, it gives C_{r,2} = (2/N) e_1(P) and C_{r,3} =
+    (6/N) e_2(P): the k = 3 sum runs over N > m > a >= 1 with m and a in
+    two different nonzero classes, and a pair of classes {s, s'} meets each
+    element of class s times class s' once, in one order or the other.  So
+    for k <= 3 each class is summed once by binary splitting over its M
+    terms (``_class_sum``) and divided exactly onto W = lcm(1..N-1): with
+    X_s = W P_s, C_2 = 2 sum X_s / (N W) and C_3 = 3 ((sum X_s)^2 - sum
+    X_s^2) / (N W^2), on integers about the size of W.
+
+    For k >= 4 a chain N > m_1 > m_2 > m_3 may have a middle index divisible
+    by p, or m_1 = m_3 mod p, so there is no such product form, and with
+    f(x) = -log(1-x) + log(1-x^p)/p, C = [x^N] f^k is
 
         C = k! [x^N z^k] exp(z f) = k! [x^N z^k] (1-x)^(-z) (1-x^p)^(z/p)
           = k! [z^k] sum_{m=0}^{M} G_m(z) F_{N-pm}(z),
@@ -330,6 +349,19 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     top = p**r
     _charge(L * (top - 1), budget, QuantitySpec("curious", (r, k)))
     M = top // p
+    if k <= 3:
+        W = _lcm_range(1, top - 1)
+        X = []
+        for s in range(1, p):
+            num, den = _class_sum(s, p, 0, M)
+            x, rem = divmod(W * num, den)
+            if rem:
+                raise ArithmeticError(f"curious({r},{k}) at p={p}: inexact division onto W")
+            X.append(x)
+        S = sum(X)
+        if k == 2:
+            return Fraction(2 * S, top * W)
+        return Fraction(3 * (S * S - sum(x * x for x in X)), top * W * W)
     den = top * _lcm_range(1, top - 1) ** L
 
     def leaf(j: int) -> tuple[int, list[int], list[int], list[int]]:
@@ -362,6 +394,17 @@ def _eval_curious(r: int, k: int, p: int, budget: int) -> Fraction:
     if rem:
         raise ArithmeticError(f"curious({r},{k}) at p={p}: inexact division onto N*K")
     return Fraction(num, den)
+
+
+def _class_sum(s: int, p: int, lo: int, hi: int) -> tuple[int, int]:
+    """Numerator and denominator of the sum of 1/(s + p j) over lo <= j < hi,
+    by binary splitting; the denominator is the product of the terms."""
+    if hi - lo == 1:
+        return 1, s + p * lo
+    mid = (lo + hi) // 2
+    a, b = _class_sum(s, p, lo, mid)
+    c, d = _class_sum(s, p, mid, hi)
+    return a * d + c * b, b * d
 
 
 def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:

@@ -97,9 +97,8 @@ CERTIFICATE_FORMAT_VERSION = 1
 #: Environment variable overriding the on-disk relation cache directory.
 CACHE_ENV_VAR = "PADICMHS_CACHE_DIR"
 
-#: Upper bound on the orders tried for an exact series in
-#: :func:`provable_valuation` (a loud stop instead of a silent hang).
-EXACT_SCAN_LIMIT = 64
+#: The largest modulus power a basis is generated for (p^11 takes 15-28 s).
+MAX_MODULUS_POWER = 11
 
 
 # -- small helpers --------------------------------------------------------
@@ -705,10 +704,15 @@ def generate_relations(
     PADICMHS_CACHE_DIR environment variable, else a per-user cache
     directory); a smaller ``n`` is read off it as a prefix.  A basis is
     generated only when ``n`` exceeds both, an unreadable or stale file
-    counting as none, and then replaces the file.
+    counting as none, and then replaces the file.  Refuses n above
+    MAX_MODULUS_POWER.
     """
     global _PROCESS_BASIS
     check_int(n, "modulus power n", 1)
+    if n > MAX_MODULUS_POWER:
+        raise ValueError(
+            f"relation basis at modulus p^{n} is beyond the largest, p^{MAX_MODULUS_POWER}"
+        )
     path = _cache_path(cache_dir)
     if _PROCESS_BASIS is None or _PROCESS_BASIS.modulus_power < n:
         try:
@@ -831,7 +835,8 @@ def prove_weighted(
     """Decide a weighted congruence by exact membership in the relation span.
 
     The zero statement (and any statement whose terms all have weight >= the
-    modulus power) is proved with an empty combination.  Everything else is
+    modulus power) is proved with an empty combination, and one with a
+    constant is unproven (no relation has weight 0).  Everything else is
     tested against :func:`generate_relations` at the statement's modulus
     power; the verdict is "proved" exactly when the coordinate vector is a
     Q-linear combination of generated relations.
@@ -839,6 +844,8 @@ def prove_weighted(
     coords = _statement_coords(stmt)
     if not coords:
         return ProofCertificate(stmt, (), "proved")
+    if () in coords:
+        return ProofCertificate(stmt, (), "unproven")
     combo = generate_relations(stmt.modulus_power, cache_dir).express(coords)
     if combo is None:
         return ProofCertificate(stmt, (), "unproven")
@@ -905,7 +912,7 @@ def canonicalize(
     series order): each offset part becomes its ``lambda_f`` values, one per
     free column f of the basis at the part's modulus, reduced from the
     largest modulus down so that one generation serves every part.
-    Constants pass through unchanged.
+    Constants pass through unchanged, with no basis.
     """
     if order is None:
         order = series.order
@@ -915,8 +922,11 @@ def canonicalize(
     parts = decompose_weighted(CongruenceStatement(series, order))
     out: dict[tuple[int, Comp], Fraction] = {}
     for k in sorted(parts, reverse=True):
-        basis = generate_relations(parts[k].modulus_power, cache_dir)
-        for s, c in basis.reduce(_statement_coords(parts[k])).items():
+        coords = _statement_coords(parts[k])
+        reduced = {(): coords.pop(())} if () in coords else {}
+        if coords:
+            reduced.update(generate_relations(parts[k].modulus_power, cache_dir).reduce(coords))
+        for s, c in reduced.items():
             out[(weight(s) - k, s)] = c
     return MhsSeries(out, order)
 
@@ -931,8 +941,8 @@ def provable_valuation(
     mod p^n exactly when its canonical form (:func:`canonicalize`) has no
     term below p^n: the answer is the form's lowest p-power (0 if negative).
     The exact zero series returns INFINITY; other exact series are
-    canonicalized one order at a time upward from their guaranteed valuation,
-    at most EXACT_SCAN_LIMIT times, until a form keeps a term.  The answer is
+    canonicalized one order at a time upward from their guaranteed valuation
+    until a form keeps a term or the basis is refused.  The answer is
     proved once by :func:`prove_mixed`; a failed proof raises RuntimeError.
     """
     if series.order is not None:
@@ -940,16 +950,12 @@ def provable_valuation(
     elif series.is_zero():
         return INFINITY
     else:
-        start = max(series.min_valuation(), 0)
-        for order in range(start + 1, start + EXACT_SCAN_LIMIT + 1):
+        order = max(series.min_valuation(), 0)
+        while True:
+            order += 1
             form = canonicalize(series, order, cache_dir=cache_dir)
             if not form.is_zero():
                 break
-        else:
-            raise RuntimeError(
-                "provable valuation of an exact series exceeded "
-                f"{start + EXACT_SCAN_LIMIT}"
-            )
     v = max(form.min_valuation(), 0)
     if v:  # a congruence mod p^0 is vacuous
         stmt = CongruenceStatement(series.truncate(v), v)

@@ -446,6 +446,24 @@ class TestBadInputs:
         assert captured.out == ""
         assert captured.err == "error: rat denominator vanishes at p=11\n"
 
+    @pytest.mark.parametrize(
+        "argv,modulus",
+        [
+            # a weight-14 term at p-exponent 0 is a part modulo p^15
+            (["valuation", "H(7,7)"], 15),
+            (["prove", "H(7,7) = 0 mod p^1"], 15),
+            (["expand", "curious(2,3)", "--order", "12"], 14),
+        ],
+    )
+    def test_basis_above_the_cap_is_refused_at_once(self, tmp_path, capsys, argv, modulus):
+        t0 = time.perf_counter()
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"modulus p^{modulus} " in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_order_zero_accepted(self, capsys):
         assert main(["expand", "H(1)", "--order", "0"]) == 0
 

@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
+from padicmhs import oracle
 from padicmhs.arith import INFINITY, padic_valuation
 from padicmhs.compositions import enumerate_compositions, stuffle
 from padicmhs.oracle import (
@@ -387,7 +388,8 @@ def curious_chain_reference(r, k, p):
 
 
 class TestCuriousBinarySplitting:
-    """The binary-splitting curious sum against the chain DP and pinned values."""
+    """The curious sum (residue classes for k <= 3, binary splitting above)
+    against the chain DP and pinned values."""
 
     MODULI = (
         [(2, p) for p in primes_in(2, 31)] + [(3, p) for p in primes_in(2, 11)] + [(4, 5), (5, 3)]
@@ -414,6 +416,10 @@ class TestCuriousBinarySplitting:
             "998574b5ec95039bf348a2e041abc9ba9c747535bef53b14788f582242d55e04",
             "ffc8e2ef8d3871b81e97bdee9a4ceabce33303b5e2f5d2ed5cda5038f4da4eb6",
         ),
+        (2, 3, 61): (
+            "107a0151487c28fcae12b1e0de35bdbc4e27df1b12ed5f1ebf6292f850ffa53d",
+            "07467a4857f0432b7a7be8d4f40fcfbdb4d63f46a5f0dcfe70a37f0d3cbaeb7f",
+        ),
     }
 
     @pytest.mark.parametrize("r,k,p", sorted(PINNED))
@@ -424,6 +430,16 @@ class TestCuriousBinarySplitting:
             for n in (value.numerator, value.denominator)
         )
         assert digests == self.PINNED[(r, k, p)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_residue_classes_need_no_splitting_helper(self, monkeypatch, k):
+        def refuse(*args):
+            raise AssertionError("a k >= 4 binary-splitting helper ran")
+
+        monkeypatch.setattr(oracle, "_rising", refuse)
+        monkeypatch.setattr(oracle, "_poly_mul", refuse)
+        for r, p in [(1, 2), (3, 2), (1, 7), (2, 5), (3, 3)]:
+            assert _eval_curious(r, k, p, DEFAULT_WORK_BUDGET) == curious_brute(r, k, p), (r, p)
 
     @pytest.mark.parametrize("r,k,p", [(2, 3, 5), (2, 4, 7), (3, 2, 3)])
     def test_budget_boundary(self, r, k, p):

@@ -187,6 +187,13 @@ class TestGenerateRelations:
             generate_relations(True, cache_dir=basis_cache)
         assert list(basis_cache.iterdir()) == []
 
+    def test_refuses_above_the_cap_and_writes_nothing(self, basis_cache, monkeypatch):
+        generations = count_calls(monkeypatch, "_enumerate_triples")
+        with pytest.raises(ValueError, match=r"modulus p\^12 .* p\^11$"):
+            generate_relations(prover.MAX_MODULUS_POWER + 1, basis_cache)
+        assert generations == []
+        assert list(basis_cache.iterdir()) == []
+
 
 CS2 = (
     "2*sumpoly(p^2;1,1) + sumpoly(p^2;2) = -4/9 + 79/108*p - 13/36*p^2 + 1/6*H(1) mod p^3"
@@ -697,9 +704,29 @@ class TestProvableValuation:
 
     @pytest.mark.parametrize("k,expected", [(100, 100), (2, 2), (0, 0), (-2, 0)])
     def test_exact_monomial_needs_no_scan(self, k, expected):
-        # c * p^k has valuation k; the upward scan would stop at 64
+        # c * p^k has valuation k, read off its constant part at the first order
         series = MhsSeries({(k, ()): F(-7, 3)}, None)
         assert provable_valuation(series) == expected
+
+    @pytest.mark.parametrize(
+        "argv,code,out",
+        [
+            (["valuation", "p^100"], 0, "100\n"),
+            (
+                ["prove", "1 = 0 mod p^2"],
+                1,
+                "UNPROVEN: 1 = 0 mod p^2\n  part modulus p^2: unproven (0 relation(s))\n",
+            ),
+        ],
+    )
+    def test_constant_part_needs_no_basis(
+        self, basis_cache, monkeypatch, capsys, argv, code, out
+    ):
+        # no relation has a coordinate at the empty composition
+        calls = count_calls(monkeypatch, "generate_relations")
+        assert main(argv + ["--cache-dir", str(basis_cache)]) == code
+        assert capsys.readouterr().out == out
+        assert calls == []
 
     def test_wc_series(self, basis_cache):
         terms = {(k, (1,) * k): F(6 * 2**k - 18) for k in range(1, 6)}
