@@ -43,7 +43,6 @@ from .oracle import (
     WorkBudgetExceeded,
     check_numeric,
     eval_mhs,
-    eval_polylog_sum,
     eval_quantity,
     eval_series_terms,
     primes_in,
@@ -110,7 +109,6 @@ __all__ = [
     "dump_certificates",
     "enumerate_compositions",
     "eval_mhs",
-    "eval_polylog_sum",
     "eval_quantity",
     "eval_series_terms",
     "expand_alternating",

@@ -263,7 +263,7 @@ def cmd_prove(args) -> int:
         print(f"{'PROVED' if proved else 'UNPROVEN'}: {text}")
         for cert in certs:
             print(
-                f"  part modulus p^{cert.target.modulus_power}: {cert.verdict}"
+                f"  part modulus p^{cert.modulus_power}: {cert.verdict}"
                 f" ({len(cert.combination)} relation(s))"
             )
         if proved:

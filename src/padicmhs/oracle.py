@@ -36,7 +36,6 @@ __all__ = [
     "primes_in",
     "eval_mhs",
     "eval_power_sum",
-    "eval_polylog_sum",
     "eval_quantity",
     "eval_series_terms",
     "apery_number",
@@ -176,28 +175,6 @@ def _lcm_steps(lo: int, hi: int) -> tuple[Sequence[int], Sequence[int]]:
 def _lcm_range(lo: int, hi: int) -> int:
     """lcm of the integers lo..hi, for lo >= 1 (1 when the range is empty)."""
     return math.prod(_lcm_steps(lo, hi)[1])
-
-
-def eval_polylog_sum(
-    N: int, exps: tuple[int, ...], zs: tuple[Union[int, Fraction], ...]
-) -> Fraction:
-    """sum over N >= n_1 > ... > n_k >= 1 of prod z_i^(n_i) / n_i^(s_i)."""
-    if len(exps) != len(zs):
-        raise ValueError("eval_polylog_sum: exps and zs must have equal length")
-    k = len(exps)
-    if k == 0:
-        return Fraction(1)
-    zs = tuple(Fraction(z) for z in zs)
-    D = [Fraction(1)] + [Fraction(0)] * k
-    zpow = [Fraction(1)] * k  # zpow[i] = zs[i] ** n, updated per n
-    for n in range(1, N + 1):
-        for i in range(k):
-            zpow[i] *= zs[i]
-        for j in range(min(k, n), 0, -1):
-            if D[j - 1]:
-                i = k - j
-                D[j] += D[j - 1] * zpow[i] * Fraction(1, n ** exps[i])
-    return D[k]
 
 
 def apery_number(n: int) -> int:

@@ -14,9 +14,8 @@ to ``p``.  The reduction chain:
 * :func:`poly_sum` (upper bound ``f(p)``, lower bound zero) peels the leading
   monomial ``a*x^r`` of ``f`` and splits ``[1, f(p)]`` into ``[1, a*p^r]``
   plus or minus a remainder interval of smaller degree, which is expanded
-  geometrically; recursion is on the degree;
-* :func:`top_sum` (upper bound ``b*p^r``) splits ``[1, b*p^r]`` into ``b``
-  consecutive blocks of length ``p^r``;
+  geometrically; recursion is on the degree.  A monomial bound ``a*p^r``
+  splits ``[1, a*p^r]`` into ``a`` consecutive blocks of length ``p^r``;
 * :func:`block_sum` (one block) substitutes ``n = a*p - j``: the ``a``-chains
   are a block sum one level down, the ``j``-chains are ascending chains in
   ``[0, p-1]`` grouped by runs of equal ``a``'s (independent runs multiply
@@ -38,12 +37,12 @@ floors set the orders of a chain split: to know a product ``X * Y`` to
 and never below its own floor.  Below its floor a factor is zero, and a zero
 series stamped with a lower order would understate the product's order.
 
-:func:`block_sum`, :func:`top_sum`, :func:`poly_sum` and :func:`full_sum`
-share one memo keyed by the sum without its order.  It keeps each sum at
-the highest order computed so far and serves a lower order by truncation:
-below that order the terms are the same whichever higher order the sum was
-computed at.  An exact result is served only at the order it was computed
-for.  :func:`padicmhs.clear_caches` empties it.
+:func:`block_sum`, :func:`poly_sum` and :func:`full_sum` share one memo
+keyed by the sum without its order.  It keeps each sum at the highest
+order computed so far and serves a lower order by truncation: below that
+order the terms are the same whichever higher order the sum was computed
+at.  An exact result is served only at the order it was computed for.
+:func:`padicmhs.clear_caches` empties it.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .series import (
 __all__ = [
     "signed_mhs",
     "block_sum",
-    "top_sum",
     "poly_sum",
     "full_sum",
     "positive_exponent_sum",
@@ -391,42 +389,6 @@ def _profile_products(
 
 
 # ---------------------------------------------------------------------------
-# S_{b p^r, 0} by splitting into b blocks
-# ---------------------------------------------------------------------------
-
-
-def top_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
-    """MhsSeries for S_{b p^r, 0}(exps) (restricted: S^{(p)}) to O(p^order).
-
-    Chains over [1, b*p^r] split at the block boundary (b-1)*p^r:
-
-        S_{b p^r, 0}(s) = sum_i S_{b p^r, (b-1) p^r}(s_1..s_i)
-                                 * S_{(b-1) p^r, 0}(s_{i+1}..s_k).
-    """
-    if b < 0 or r < 0:
-        raise ValueError(f"top_sum requires b >= 0, r >= 0, got b={b}, r={r}")
-    if not exps:
-        return _ONE
-    if b == 0:
-        return _ZERO
-    if r == 0:
-        return _exact_constant(_const_chain_sum(b, exps))
-    return _memoized(
-        ("top", b, r, exps, restricted), order, lambda: _top_sum(b, r, exps, restricted, order)
-    )
-
-
-def _top_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
-    acc = MhsSeries._trusted({}, order)
-    for i in range(len(exps) + 1):
-        pref, suf = exps[:i], exps[i:]
-        o_pref, o_suf = _split_orders(order, restricted, pref, r, suf, r)
-        block = block_sum(b, r, pref, restricted, o_pref)
-        acc = acc + block * top_sum(b - 1, r, suf, restricted, o_suf)
-    return acc.truncate(order)
-
-
-# ---------------------------------------------------------------------------
 # S_{f(p), 0} for a general polynomial bound
 # ---------------------------------------------------------------------------
 
@@ -435,7 +397,13 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
 
     ``f`` is an ascending-coefficient integer polynomial.  A constant bound
     is summed directly.  Otherwise write f = a*x^r + g with deg g < r; the
-    leading coefficient a must be positive.  When g is eventually positive,
+    leading coefficient a must be positive.  When g is zero, chains over
+    [1, a*p^r] split at the block boundary (a-1)*p^r:
+
+        S_{a p^r, 0}(s) = sum_i S_{a p^r, (a-1) p^r}(s_1..s_i)
+                                 * S_{(a-1) p^r, 0}(s_{i+1}..s_k),
+
+    the first factor a :func:`block_sum`.  When g is eventually positive,
     chains over [1, f(p)] split at a*p^r, and the part above a*p^r is
     expanded geometrically around a*p^r into sums bounded by g.  When g is
     eventually negative (f = a*x^r - h), chains over [1, a*p^r] split at
@@ -461,9 +429,17 @@ def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries
     r = len(f) - 1
     a = f[-1]
     rest = strip_poly(f[:-1])
+    lead = (0,) * r + (a,)
 
     if not rest:
-        return top_sum(a, r, exps, restricted, order)
+        below = (0,) * r + (a - 1,)
+        acc = MhsSeries._trusted({}, order)
+        for i in range(len(exps) + 1):
+            pref, suf = exps[:i], exps[i:]
+            o_pref, o_suf = _split_orders(order, restricted, pref, r, suf, r)
+            block = block_sum(a, r, pref, restricted, o_pref)
+            acc = acc + block * poly_sum(below, suf, restricted, o_suf)
+        return acc.truncate(order)
     if rest[-1] > 0:
         # f = a*x^r + g with g eventually positive: split chains at a*p^r
         acc = MhsSeries._trusted({}, order)
@@ -471,14 +447,14 @@ def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries
             pref, suf = exps[:i], exps[i:]
             o_pref, o_suf = _split_orders(order, restricted, pref, len(rest) - 1, suf, r)
             upper = _geometric_tail(a, r, rest, pref, restricted, o_pref, minus=False)
-            acc = acc + upper * top_sum(a, r, suf, restricted, o_suf)
+            acc = acc + upper * poly_sum(lead, suf, restricted, o_suf)
         return acc.truncate(order)
     # f = a*x^r - h with h eventually positive: split chains over
     # [1, a*p^r] at f(p) and move the strip (f(p), a*p^r] to the left:
     # S_{f,0}(s) = S_{a p^r,0}(s) - sum_{i>=1} S_{a p^r, f}(s_1..s_i)
     #                                          * S_{f,0}(s_{i+1}..s_k)
     h = tuple(-c for c in rest)
-    acc = top_sum(a, r, exps, restricted, order)
+    acc = poly_sum(lead, exps, restricted, order)
     for i in range(1, len(exps) + 1):
         pref, suf = exps[:i], exps[i:]
         o_pref, o_suf = _split_orders(order, restricted, pref, r, suf, r)

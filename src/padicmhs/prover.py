@@ -5,11 +5,13 @@ weighted multiple harmonic sums ``h_p(s) = p^weight(s) * H_{p-1}(s)``
 vanishes modulo ``p^n`` for all but finitely many primes ``p``.  This module
 generates a stock of such congruences by truncating Jarossay's double-shuffle
 family of p-adically convergent identities, and decides whether a candidate
-congruence lies in their Q-linear span.  Successful decisions are recorded
-as :class:`ProofCertificate` objects naming the generating identities and
-their multipliers, so a proof can be replayed later by pure arithmetic with
-no linear algebra.  Reducing a series modulo the span gives its canonical
-form (:func:`canonicalize`), whose lowest p-power is the provable valuation.
+congruence lies in their Q-linear span.  Each decision is one
+:class:`ProofCertificate` record, the same in memory and in the dumped
+text, naming the generating identities and their multipliers, so a proof
+replays later by integer arithmetic with no linear algebra
+(:func:`replay_certificate`).  Reducing a series modulo the span gives its
+canonical form (:func:`canonicalize`), whose lowest p-power is the
+provable valuation.
 
 The span is found modulo primes and lifted; modular arithmetic only
 proposes, and exact checks decide:
@@ -47,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -97,7 +100,8 @@ CERTIFICATE_FORMAT_VERSION = 1
 #: Environment variable overriding the on-disk relation cache directory.
 CACHE_ENV_VAR = "PADICMHS_CACHE_DIR"
 
-#: The largest modulus power a basis is generated for (p^11 takes 15-28 s).
+#: The largest modulus power a basis is generated for (p^11 takes 15-28 s);
+#: a larger basis already in the process or the cache file is still served.
 MAX_MODULUS_POWER = 11
 
 
@@ -107,18 +111,6 @@ MAX_MODULUS_POWER = 11
 def _col_key(w: Comp) -> tuple:
     """Sort key reproducing the enumerate_compositions column order."""
     return (weight(w), w)
-
-
-def _axpy(dst: dict, src: Mapping, c: Fraction) -> None:
-    """In-place ``dst += c * src`` over sparse mappings, dropping zeros."""
-    if c == 0:
-        return
-    for k, v in src.items():
-        nv = dst.get(k, _ZERO) + c * v
-        if nv:
-            dst[k] = nv
-        else:
-            dst.pop(k, None)
 
 
 # -- relation construction ------------------------------------------------
@@ -182,13 +174,21 @@ def _check_prov(prov: object) -> int:
 
 
 def _combine(
-    combination: Iterable[tuple[Prov, Fraction]], n: int
+    combination: Sequence[tuple[Prov, Fraction]], n: int
 ) -> dict[Comp, Fraction]:
-    """Exact sum of ``multiplier * relation(s, t, u)`` at modulus power n."""
-    acc: dict[Comp, Fraction] = {}
-    for (s, t, u), mult in combination:
-        _axpy(acc, _relation_coords(s, t, u, n), mult)
-    return acc
+    """Exact sum of ``multiplier * relation(s, t, u)`` at modulus power n.
+
+    The multipliers are scaled to one common denominator, so the integer
+    relation vectors are summed as integers and each nonzero coordinate
+    becomes one Fraction at the end.
+    """
+    den = math.lcm(*(mult.denominator for _, mult in combination))
+    acc: dict[Comp, int] = {}
+    for prov, mult in combination:
+        scale = mult.numerator * (den // mult.denominator)
+        for w, c in _relation_coords(*prov, n).items():
+            acc[w] = acc.get(w, 0) + scale * c
+    return {w: Fraction(c, den) for w, c in acc.items() if c}
 
 
 # -- modular arithmetic ----------------------------------------------------
@@ -552,7 +552,7 @@ class RelationBasis:
         return self._triple_rows
 
     def _replays(self, values: Mapping[int, Fraction], target: Mapping) -> bool:
-        combination = ((self._triples[k], mult) for k, mult in values.items())
+        combination = [(self._triples[k], mult) for k, mult in values.items()]
         return _combine(combination, self._modulus) == target
 
     # -- serialization ----------------------------------------------------
@@ -704,15 +704,11 @@ def generate_relations(
     PADICMHS_CACHE_DIR environment variable, else a per-user cache
     directory); a smaller ``n`` is read off it as a prefix.  A basis is
     generated only when ``n`` exceeds both, an unreadable or stale file
-    counting as none, and then replaces the file.  Refuses n above
-    MAX_MODULUS_POWER.
+    counting as none, and then replaces the file.  Refuses to generate a
+    basis above MAX_MODULUS_POWER; a larger one already held is served.
     """
     global _PROCESS_BASIS
     check_int(n, "modulus power n", 1)
-    if n > MAX_MODULUS_POWER:
-        raise ValueError(
-            f"relation basis at modulus p^{n} is beyond the largest, p^{MAX_MODULUS_POWER}"
-        )
     path = _cache_path(cache_dir)
     if _PROCESS_BASIS is None or _PROCESS_BASIS.modulus_power < n:
         try:
@@ -721,6 +717,10 @@ def generate_relations(
             pass
     if _PROCESS_BASIS is not None and _PROCESS_BASIS.modulus_power >= n:
         return _PROCESS_BASIS._prefix(n)
+    if n > MAX_MODULUS_POWER:
+        raise ValueError(
+            f"relation basis at modulus p^{n} is beyond the largest, p^{MAX_MODULUS_POWER}"
+        )
 
     columns = enumerate_compositions(n - 1)
     col_index = {w: i for i, w in enumerate(columns)}
@@ -758,75 +758,53 @@ def generate_relations(
 # -- proof search ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ProofCertificate:
-    """Outcome of a span-membership decision for one weighted congruence.
+    """One certificate part: the outcome of a span-membership decision.
 
-    When ``verdict`` is "proved", summing ``multiplier * relation(s, t, u)``
-    over the combination (each relation regenerated at the target's modulus
-    power from its provenance alone) reproduces the target's coordinate
-    vector exactly; :func:`replay_certificate` performs that check.
+    The fields are those of a part of the dumped text, which
+    :func:`dump_certificates` writes and :func:`verify_certificate_text`
+    reads back into equal records.  ``coords`` is the target coordinate
+    vector, given as a mapping or as pairs and kept as ``(composition,
+    coefficient)`` pairs in column order; ``statement`` is the rendered
+    statement, for the reader only.  When
+    ``verdict`` is "proved", summing ``multiplier * relation(s, t, u)`` over
+    the combination (each relation regenerated at ``modulus_power`` from its
+    provenance alone) reproduces ``coords`` exactly, as
+    :func:`replay_certificate` checks.
     """
 
-    __slots__ = ("_target", "_combination", "_verdict")
+    modulus_power: int
+    verdict: str
+    statement: str
+    coords: tuple[tuple[Comp, Fraction], ...]
+    combination: tuple[tuple[Prov, Fraction], ...] = ()
 
-    def __init__(
-        self,
-        target: CongruenceStatement,
-        combination: Iterable[tuple[Prov, Fraction]],
-        verdict: str,
-    ) -> None:
-        if not isinstance(target, CongruenceStatement):
-            raise TypeError("target must be a CongruenceStatement")
-        if verdict not in ("proved", "unproven"):
-            raise ValueError("verdict must be 'proved' or 'unproven'")
-        combo = tuple((prov, Fraction(mult)) for prov, mult in combination)
+    def __post_init__(self) -> None:
+        if self.verdict not in ("proved", "unproven"):
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+        coords = sorted(dict(self.coords).items(), key=lambda it: _col_key(it[0]))
+        combo = tuple((prov, Fraction(mult)) for prov, mult in self.combination)
         for prov, _ in combo:
             _check_prov(prov)
-        if verdict == "unproven" and combo:
+        if self.verdict == "unproven" and combo:
             raise ValueError("an unproven certificate cannot carry a combination")
-        self._target = target
-        self._combination = combo
-        self._verdict = verdict
-
-    @property
-    def target(self) -> CongruenceStatement:
-        return self._target
-
-    @property
-    def combination(self) -> tuple[tuple[Prov, Fraction], ...]:
-        return self._combination
-
-    @property
-    def verdict(self) -> str:
-        return self._verdict
-
-    @property
-    def proved(self) -> bool:
-        return self._verdict == "proved"
-
-    def __repr__(self) -> str:
-        return (
-            f"<ProofCertificate {self._verdict} "
-            f"mod p^{self._target.modulus_power} "
-            f"({len(self._combination)} relations)>"
-        )
+        object.__setattr__(self, "coords", tuple((w, Fraction(c)) for w, c in coords))
+        object.__setattr__(self, "combination", combo)
 
 
 def _statement_coords(stmt: CongruenceStatement) -> dict[Comp, Fraction]:
     """Coordinate vector of a weighted statement over compositions.
 
-    Terms of weight >= the modulus power are dropped: each such ``h_p(w)``
-    has p-adic valuation >= weight(w) on its own, so it is zero modulo the
-    statement's power and does not affect provability.
+    Each composition has one term, at p-exponent its weight.  Terms of
+    weight >= the modulus power are dropped: each such ``h_p(w)`` has p-adic
+    valuation >= weight(w) on its own, so it is zero modulo the statement's
+    power and does not affect provability.
     """
     if stmt.kind != "weighted":
         raise ValueError(f"expected a weighted statement, got kind {stmt.kind!r}")
     n = stmt.modulus_power
-    out: dict[Comp, Fraction] = {}
-    for (b, s), c in stmt.lhs_minus_rhs.terms.items():
-        if weight(s) < n:
-            out[s] = out.get(s, _ZERO) + c
-    return {w: c for w, c in out.items() if c != 0}
+    return {s: c for (_, s), c in stmt.lhs_minus_rhs.terms.items() if weight(s) < n}
 
 
 def prove_weighted(
@@ -842,15 +820,15 @@ def prove_weighted(
     Q-linear combination of generated relations.
     """
     coords = _statement_coords(stmt)
-    if not coords:
-        return ProofCertificate(stmt, (), "proved")
+    n = stmt.modulus_power
+    statement = f"{stmt.lhs_minus_rhs.render()} = 0 mod p^{n}"
     if () in coords:
-        return ProofCertificate(stmt, (), "unproven")
-    combo = generate_relations(stmt.modulus_power, cache_dir).express(coords)
+        combo = None
+    else:
+        combo = generate_relations(n, cache_dir).express(coords) if coords else {}
     if combo is None:
-        return ProofCertificate(stmt, (), "unproven")
-    combination = sorted(combo.items(), key=lambda it: it[0])
-    return ProofCertificate(stmt, combination, "proved")
+        return ProofCertificate(n, "unproven", statement, coords)
+    return ProofCertificate(n, "proved", statement, coords, sorted(combo.items()))
 
 
 def prove_mixed(
@@ -867,9 +845,7 @@ def prove_mixed(
     part in ascending offset order (a single trivially proved certificate
     for the zero statement).  The input is proved iff every certificate is.
     """
-    parts = decompose_weighted(stmt)
-    if not parts:
-        return [ProofCertificate(stmt, (), "proved")]
+    parts = decompose_weighted(stmt) or {0: stmt}
     certs = {k: prove_weighted(parts[k], cache_dir) for k in sorted(parts, reverse=True)}
     return [certs[k] for k in sorted(certs)]
 
@@ -971,58 +947,45 @@ def replay_certificate(cert: ProofCertificate) -> bool:
     """Re-derive a proved certificate by pure arithmetic (no elimination).
 
     Regenerates every referenced relation from its (s, t, u) provenance at
-    the target's modulus power, sums the exact combination, and compares it
-    with the target's coordinate vector.  Unproven certificates never replay.
+    the part's modulus power, sums the exact combination (see
+    :func:`_combine`), and compares it with the target coordinates.  A part
+    with modulus power < 1 is vacuously true; unproven parts never replay.
     """
-    if cert.verdict != "proved":
+    if _refusal(cert) is not None:
         return False
-    stmt, n = cert.target, cert.target.modulus_power
-    # a congruence mod p^0 (or weaker) is vacuous
-    return n < 1 or _replay_failure(cert.combination, n, _statement_coords(stmt)) is None
+    n = cert.modulus_power
+    return n < 1 or _combine(cert.combination, n) == dict(cert.coords)
 
 
-def _replay_failure(combination, n: int, coords: Mapping[Comp, Fraction]) -> str | None:
-    """Why ``combination`` fails to reproduce ``coords`` at modulus power n, or None.
-
-    The one part check of both replay paths.
-    """
-    if any(_check_prov(prov) >= n for prov, _ in combination):
+def _refusal(cert: ProofCertificate) -> str | None:
+    """Why ``cert`` fails before its combination is summed, or None."""
+    n = cert.modulus_power
+    if cert.verdict != "proved":
+        return f"has verdict {cert.verdict}"
+    if n >= 1 and any(_check_prov(prov) >= n for prov, _ in cert.combination):
         return f"references a relation outside modulus power {n}"
-    if _combine(combination, n) != coords:
-        return "combination does not reproduce its target"
     return None
 
 
 def dump_certificates(certs: Sequence[ProofCertificate]) -> str:
-    """Plain-text, machine-replayable form of a list of certificates.
+    """Plain-text, machine-replayable form of a list of certificate parts.
 
-    One part per certificate; each part states its modulus power, verdict,
-    the rendered statement, the target coordinate vector, and one line per
-    combination entry in the form ``<multiplier> * R[s=(..);t=(..);u=(..)]``.
+    Each part states its modulus power, verdict, the rendered statement,
+    the target coordinate vector, and one line per combination entry in the
+    form ``<multiplier> * R[s=(..);t=(..);u=(..)]``.
     """
-    lines = [
-        f"padicmhs-certificate {CERTIFICATE_FORMAT_VERSION}",
-        f"parts {len(certs)}",
-    ]
+    lines = [f"padicmhs-certificate {CERTIFICATE_FORMAT_VERSION}", f"parts {len(certs)}"]
     for i, cert in enumerate(certs, 1):
-        stmt = cert.target
-        lines.append(f"part {i}")
-        lines.append(f"modulus {stmt.modulus_power}")
-        lines.append(f"verdict {cert.verdict}")
-        lines.append(
-            f"statement {stmt.lhs_minus_rhs.render()} = 0 mod p^{stmt.modulus_power}"
-        )
-        coords = (
-            sorted(_statement_coords(stmt).items(), key=lambda it: _col_key(it[0]))
-            if stmt.modulus_power >= 1
-            else []
-        )
-        lines.append(f"coords {len(coords)}")
-        for w, c in coords:
-            lines.append(f"c {format_comp(w)} {c}")
+        lines += [
+            f"part {i}",
+            f"modulus {cert.modulus_power}",
+            f"verdict {cert.verdict}",
+            f"statement {cert.statement}",
+            f"coords {len(cert.coords)}",
+        ]
+        lines += [f"c {format_comp(w)} {c}" for w, c in cert.coords]
         lines.append(f"combination {len(cert.combination)}")
-        for prov, mult in cert.combination:
-            lines.append(f"{mult} * R{_format_prov(prov)}")
+        lines += [f"{mult} * R{_format_prov(prov)}" for prov, mult in cert.combination]
         lines.append("end part")
     lines.append("end certificate")
     return "\n".join(lines) + "\n"
@@ -1031,62 +994,51 @@ def dump_certificates(certs: Sequence[ProofCertificate]) -> str:
 _COMBO_LINE = re.compile(r"(-?\d+(?:/\d+)?)\s*\*\s*R" + _PROV_PATTERN)
 
 
-def _parse_certificate_parts(text: str) -> list[dict]:
+def _parse_certificates(text: str) -> list[ProofCertificate]:
+    """Inverse of :func:`dump_certificates`; raises ValueError on malformed input."""
     expect = _line_reader(text, "certificate")
     version = expect("padicmhs-certificate")
     if version != str(CERTIFICATE_FORMAT_VERSION):
         raise ValueError(f"unsupported certificate format version {version!r}")
-    nparts = int(expect("parts"))
-    parts: list[dict] = []
-    for i in range(1, nparts + 1):
+    certs = []
+    for i in range(1, int(expect("parts")) + 1):
         if expect("part") != str(i):
             raise ValueError(f"certificate parts out of order at part {i}")
         modulus = int(expect("modulus"))
         verdict = expect("verdict")
-        if verdict not in ("proved", "unproven"):
-            raise ValueError(f"unknown verdict {verdict!r}")
-        expect("statement")  # informational; not machine-checked
-        ncoords = int(expect("coords"))
-        coords: dict[Comp, Fraction] = {}
-        for _ in range(ncoords):
-            body = expect("c ")
-            field, _, value = body.rpartition(" ")
-            coords[parse_comp(field)] = Fraction(value)
-        ncombo = int(expect("combination"))
-        combo: list[tuple[Prov, Fraction]] = []
-        for _ in range(ncombo):
+        statement = expect("statement")
+        coords = []
+        for _ in range(int(expect("coords"))):
+            field, _, value = expect("c ").rpartition(" ")
+            coords.append((parse_comp(field), Fraction(value)))
+        combination = []
+        for _ in range(int(expect("combination"))):
             line = expect(inside="a combination")
             m = _COMBO_LINE.fullmatch(line)
             if m is None:
                 raise ValueError(f"malformed combination entry: {line!r}")
             prov = tuple(map(parse_comp, m.group(2, 3, 4)))
-            combo.append((prov, Fraction(m.group(1))))
+            combination.append((prov, Fraction(m.group(1))))
         if expect("end part") != "":
             raise ValueError(f"missing 'end part' after part {i}")
-        parts.append(
-            {"modulus": modulus, "verdict": verdict, "coords": coords, "combo": combo}
-        )
+        certs.append(ProofCertificate(modulus, verdict, statement, coords, combination))
     if expect("end certificate") != "":
         raise ValueError("trailing content after 'end certificate'")
-    return parts
+    return certs
 
 
 def verify_certificate_text(text: str) -> tuple[bool, str]:
     """Replay a dumped certificate arithmetically.
 
     Returns (ok, message).  Raises ValueError when the text is malformed.
-    For every part: the verdict must be "proved", and the stated combination,
-    with each relation regenerated from its provenance at the part's modulus
-    power, must reproduce the stated target coordinates exactly.  Parts with
-    modulus power < 1 are vacuously true.
+    The text is read back into :class:`ProofCertificate` records, and every
+    part must pass :func:`replay_certificate`: its verdict is "proved", and
+    its combination, with each relation regenerated from its provenance at
+    the part's modulus power, reproduces its target coordinates exactly.
     """
-    parts = _parse_certificate_parts(text)
-    for i, part in enumerate(parts, 1):
-        if part["verdict"] != "proved":
-            return False, f"part {i} has verdict {part['verdict']}"
-        if part["modulus"] < 1:
-            continue
-        failure = _replay_failure(part["combo"], part["modulus"], part["coords"])
-        if failure is not None:
-            return False, f"part {i} {failure}"
-    return True, f"replayed {len(parts)} part(s) exactly"
+    certs = _parse_certificates(text)
+    for i, cert in enumerate(certs, 1):
+        if not replay_certificate(cert):
+            reason = _refusal(cert) or "combination does not reproduce its target"
+            return False, f"part {i} {reason}"
+    return True, f"replayed {len(certs)} part(s) exactly"

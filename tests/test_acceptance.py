@@ -21,7 +21,6 @@ from padicmhs.oracle import (
     apery_number,
     check_numeric,
     eval_mhs,
-    eval_polylog_sum,
     eval_quantity,
     eval_series_terms,
     primes_in,
@@ -37,6 +36,7 @@ from padicmhs.prover import (
 )
 from padicmhs.quantities import parse_quantity
 from padicmhs.series import CongruenceStatement, decompose_weighted
+from reference_sums import eval_polylog_sum
 
 # ---------------------------------------------------------------------------
 # shared fixtures and helpers

@@ -26,7 +26,6 @@ from padicmhs.oracle import (
     apery_number,
     check_numeric,
     eval_mhs,
-    eval_polylog_sum,
     eval_power_sum,
     eval_quantity,
     eval_series_terms,
@@ -34,6 +33,7 @@ from padicmhs.oracle import (
 )
 from padicmhs.quantities import QuantitySpec, parse_quantity
 from padicmhs.series import CongruenceStatement, MhsSeries
+from reference_sums import eval_polylog_sum
 
 F = Fraction
 

@@ -30,7 +30,6 @@ from padicmhs.powersums import (
     poly_sum,
     positive_exponent_sum,
     signed_mhs,
-    top_sum,
     valuation_bound,
 )
 from padicmhs.quantities import parse_quantity
@@ -151,6 +150,8 @@ class TestBlockSum:
 
 
 class TestTopSum:
+    """poly_sum with a monomial bound b*p^r, summed block by block."""
+
     @pytest.mark.parametrize(
         "b,r,exps,restricted",
         [
@@ -164,7 +165,7 @@ class TestTopSum:
     )
     def test_against_direct_summation(self, b, r, exps, restricted):
         order = 5
-        series = top_sum(b, r, exps, restricted, order)
+        series = poly_sum((0,) * r + (b,), exps, restricted, order)
         assert_series_matches(
             series,
             lambda p: eval_power_sum(
@@ -174,10 +175,10 @@ class TestTopSum:
         )
 
     def test_empty_exps_is_one(self):
-        assert top_sum(5, 3, (), True, 4) == MhsSeries.constant(1)
+        assert poly_sum((0, 0, 0, 5), (), True, 4) == MhsSeries.constant(1)
 
     def test_zero_blocks(self):
-        assert top_sum(0, 1, (1,), False, 4) == MhsSeries.zero()
+        assert poly_sum((0, 0), (1,), False, 4) == MhsSeries.zero()
 
 
 class TestPolySum:
@@ -327,7 +328,7 @@ PINNED_DIGESTS = [
     (full_sum, ((0, 0, 1), (), (1, 1, 1), True, 6), "10b9e721ad38873a"),
     (full_sum, ((-1, 0, 1), (), (1, -1, 2), False, 6), "01f0fb862f7fd0e6"),
     (block_sum, (2, 2, (1, 2), False, 6), "74269570354bec6f"),
-    (top_sum, (3, 2, (2, 1, 1), True, 5), "0e21d512a0946a08"),
+    (poly_sum, ((0, 0, 3), (2, 1, 1), True, 5), "0e21d512a0946a08"),
     (_expand_curious_general, (3, 4, 5), "07ca0a1f6798bfd6"),
 ]
 
@@ -347,7 +348,7 @@ class TestOrderMemo:
         [
             (block_sum, (2, 2, (1, 2), False)),
             (block_sum, (1, 3, (1, 1), False)),
-            (top_sum, (2, 2, (2, 1), True)),
+            (poly_sum, ((0, 0, 2), (2, 1), True)),
             (poly_sum, ((-1, 0, 1), (2, 1), False)),
             (poly_sum, ((1, 0, 1), (1, 2), False)),
             (full_sum, ((0, 1, 2), (0, 1), (2, 1), False)),

@@ -1,5 +1,6 @@
 """Tests for relation generation, membership proofs, and certificates."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -193,6 +194,17 @@ class TestGenerateRelations:
             generate_relations(prover.MAX_MODULUS_POWER + 1, basis_cache)
         assert generations == []
         assert list(basis_cache.iterdir()) == []
+
+    def test_basis_above_the_cap_is_served_from_the_file(self, basis_cache, monkeypatch):
+        generate_relations(9, basis_cache)
+        clear_relation_cache()
+        monkeypatch.setattr(prover, "MAX_MODULUS_POWER", 8)
+        generations = count_calls(monkeypatch, "_enumerate_triples")
+        assert generate_relations(9, basis_cache).modulus_power == 9
+        assert generations == []
+        with pytest.raises(ValueError, match=r"modulus p\^10 .* p\^8$"):
+            generate_relations(10, basis_cache)
+        assert generations == []
 
 
 CS2 = (
@@ -566,7 +578,7 @@ class TestProveMixed:
         assert all_proved(certs)
         for cert in certs:
             assert replay_certificate(cert)
-        moduli = sorted(c.target.modulus_power for c in certs)
+        moduli = sorted(c.modulus_power for c in certs)
         assert moduli == [4, 5]
 
     def test_zero_statement(self, basis_cache):
@@ -579,7 +591,7 @@ class TestProveMixed:
         series = MhsSeries({(5, (1,)): F(7)}, None)  # p^5 H(1), exact
         certs = prove_mixed(CongruenceStatement(series, 4), cache_dir=basis_cache)
         assert len(certs) == 1
-        assert certs[0].target.modulus_power == 0
+        assert certs[0].modulus_power == 0
         assert all_proved(certs)
         assert replay_certificate(certs[0])
 
@@ -765,7 +777,7 @@ class TestCertificates:
     def test_tampered_certificate_fails(self, basis_cache):
         cert = prove_weighted(wstmt({(1,): 1, (1, 1): 1}, 3), basis_cache)
         (prov0, mult0), *rest = cert.combination
-        bad = ProofCertificate(cert.target, [(prov0, mult0 + 1)] + rest, "proved")
+        bad = dataclasses.replace(cert, combination=[(prov0, mult0 + 1)] + rest)
         assert not replay_certificate(bad)
         ok, message = verify_certificate_text(dump_certificates([bad]))
         assert not ok
@@ -786,21 +798,50 @@ class TestCertificates:
         with pytest.raises(ValueError):
             verify_certificate_text("not a certificate at all\n")
 
+    @staticmethod
+    def h1_part(verdict, combination=()):
+        """A part for h_p(1) == 0 mod p^2 with the given verdict and combination."""
+        return ProofCertificate(2, verdict, "p * H(1) = 0 mod p^2", {(1,): 1}, combination)
+
     def test_certificate_validation(self):
-        stmt = wstmt({(1,): 1}, 2)
+        with pytest.raises(ValueError, match="unknown verdict 'maybe'"):
+            self.h1_part("maybe")
         with pytest.raises(ValueError):
-            ProofCertificate(stmt, (), "maybe")
-        with pytest.raises(ValueError):
-            ProofCertificate(stmt, [(((1,), (1,), ()), F(1))], "unproven")
+            self.h1_part("unproven", [(((1,), (1,), ()), F(1))])
 
     @pytest.mark.parametrize("prov", [(("x",), (1,), ()), ((), (), ()), ((1,), (1,))])
     def test_certificate_provenance_checked(self, prov):
         with pytest.raises(ValueError):
-            ProofCertificate(wstmt({(1,): 1}, 2), [(prov, F(1))], "proved")
+            self.h1_part("proved", [(prov, F(1))])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p*H(1) + p^2*H(1,1) = 0 mod p^3",  # one proved part
+            "H(1) = 0 mod p^3",  # one unproven part
+            "1 + H(1) - H(1) = 1 mod p^2",  # the zero statement
+            CS2,  # three proved parts
+        ],
+        ids=["proved", "unproven", "zero", "cs2"],
+    )
+    def test_dump_parses_back_into_equal_records(self, basis_cache, text):
+        lhs, rhs, n = eval_statement(parse(text), basis_cache, None)
+        certs = prove_supercongruence(lhs, rhs, n, cache_dir=basis_cache)
+        text = dump_certificates(certs)
+        parsed = prover._parse_certificates(text)
+        assert parsed == certs
+        assert dump_certificates(parsed) == text
+        assert [replay_certificate(c) for c in parsed] == [c.verdict == "proved" for c in certs]
+
+    def test_unproven_part_with_combination_is_malformed(self, basis_cache):
+        cert = prove_weighted(wstmt({(1,): 1, (1, 1): 1}, 3), basis_cache)
+        text = dump_certificates([cert]).replace("verdict proved", "verdict unproven")
+        with pytest.raises(ValueError, match="cannot carry a combination"):
+            verify_certificate_text(text)
 
     def test_relation_outside_modulus_fails_both_replays(self):
         # weight(s) + weight(t) + weight(u) = 2 is not below the modulus power 2
-        cert = ProofCertificate(wstmt({(1,): 1}, 2), [(((1,), (1,), ()), F(1))], "proved")
+        cert = self.h1_part("proved", [(((1,), (1,), ()), F(1))])
         assert replay_certificate(cert) is False
         ok, message = verify_certificate_text(dump_certificates([cert]))
         assert not ok
