@@ -62,7 +62,7 @@ from .prover import (
     verify_certificate_text,
 )
 from .quantities import QuantitySpec, format_quantity, parse_quantity
-from .series import CongruenceStatement, MhsSeries
+from .series import MhsSeries
 from . import arith, compositions, oracle, powersums, prover
 
 
@@ -91,7 +91,6 @@ def clear_caches() -> None:
 
 __all__ = [
     "INFINITY",
-    "CongruenceStatement",
     "DEFAULT_WORK_BUDGET",
     "MhsSeries",
     "NumericReport",

@@ -254,7 +254,7 @@ def cmd_valuation(args) -> int:
 def cmd_prove(args) -> int:
     statements = _load_statements(args.congruence)
     every_proved = True
-    dumps: list[str] = []
+    parts = []  # the certificate parts of every proved statement
     for text in statements:
         lhs, rhs, n = eval_statement(parse(text), args.cache_dir, args.order)
         certs = prove_supercongruence(lhs, rhs, n, cache_dir=args.cache_dir)
@@ -267,13 +267,14 @@ def cmd_prove(args) -> int:
                 f" ({len(cert.combination)} relation(s))"
             )
         if proved:
-            dumps.append(dump_certificates(certs))
+            parts += certs
+    dump = dump_certificates(parts) if parts else ""
     if args.dump:
         with open(args.dump, "w", encoding="ascii") as fh:
-            fh.write("".join(dumps))
+            fh.write(dump)
         print(f"certificates written to {args.dump}")
-    elif dumps and args.show_certificates:
-        print("".join(dumps), end="")
+    elif dump and args.show_certificates:
+        print(dump, end="")
     return 0 if every_proved else 1
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 from .arith import INFINITY, binomial, eval_poly, padic_valuation
 from .compositions import Comp, check_int
 from .quantities import QuantitySpec
-from .series import CongruenceStatement, MhsSeries
+from .series import MhsSeries
 
 __all__ = [
     "DEFAULT_WORK_BUDGET",
@@ -102,7 +102,8 @@ def eval_power_sum(
     """S_{N,M}(exps): sum over N >= n_1 > ... > n_k >= M+1 of prod n_i^(-e_i).
 
     Exponents may be arbitrary integers.  With ``restricted_at=p``, indices
-    divisible by p are skipped (the S^{(p)} variant).
+    divisible by p are skipped (the S^{(p)} variant).  A range with N < M is
+    empty, as in the expansion layer: the sum is 0 (1 for no exponents).
 
     A dynamic program over prefixes on integers scaled by a denominator
     that grows with the prefix: before index n joins, the row is multiplied
@@ -112,8 +113,8 @@ def eval_power_sum(
     ``D[j-1] // n**e``; any other exponent multiplies by n^(-e).  One
     reduction at the end.
     """
-    if not (N >= M >= 0):
-        raise ValueError(f"eval_power_sum requires N >= M >= 0, got N={N}, M={M}")
+    if M < 0:
+        raise ValueError(f"eval_power_sum requires M >= 0, got M={M}")
     k = len(exps)
     if k == 0:
         return Fraction(1)
@@ -480,11 +481,7 @@ class NumericReport:
         return f"<NumericReport {'PASS' if self.passed else 'FAIL'} {len(self.records)} primes>"
 
 
-Subject = Union[
-    CongruenceStatement,
-    tuple[QuantitySpec, MhsSeries],
-    Callable[[int], Optional[Fraction]],
-]
+Subject = Union[tuple[QuantitySpec, MhsSeries], Callable[[int], Optional[Fraction]]]
 
 
 def _series_denominator_primes(series: MhsSeries, primes: list[int]) -> set[int]:
@@ -502,27 +499,19 @@ def check_numeric(
 
     ``subject`` may be:
 
-    - a ``CongruenceStatement``: checks v_p(value of lhs_minus_rhs) >=
-      modulus_power;
     - a ``(QuantitySpec, MhsSeries)`` pair: checks v_p(quantity - series
       terms) >= series.order (or >= ``required`` when given; an exact series
       requires an exactly zero difference);
     - a callable ``p -> Fraction`` difference, with ``required`` mandatory;
       it returns None at a prime where the claim is not p-integral.
 
-    Such primes are skipped and listed in the report; for the first two
-    forms they are the primes dividing a coefficient denominator of the
-    series.
+    Such primes are skipped and listed in the report; for the pair they
+    are the primes dividing a coefficient denominator of the series.
     """
     primes = (window or PrimeWindow()).primes()
     skipped: list[int] = []
 
-    if isinstance(subject, CongruenceStatement):
-        series = subject.lhs_minus_rhs
-        req = subject.modulus_power if required is None else required
-        diff = lambda p: eval_series_terms(series, p)  # noqa: E731
-        bad = _series_denominator_primes(series, primes)
-    elif isinstance(subject, tuple):
+    if isinstance(subject, tuple):
         qspec, series = subject
         if required is not None:
             req = required

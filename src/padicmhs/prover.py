@@ -5,13 +5,15 @@ weighted multiple harmonic sums ``h_p(s) = p^weight(s) * H_{p-1}(s)``
 vanishes modulo ``p^n`` for all but finitely many primes ``p``.  This module
 generates a stock of such congruences by truncating Jarossay's double-shuffle
 family of p-adically convergent identities, and decides whether a candidate
-congruence lies in their Q-linear span.  Each decision is one
-:class:`ProofCertificate` record, the same in memory and in the dumped
-text, naming the generating identities and their multipliers, so a proof
-replays later by integer arithmetic with no linear algebra
-(:func:`replay_certificate`).  Reducing a series modulo the span gives its
-canonical form (:func:`canonicalize`), whose lowest p-power is the
-provable valuation.
+congruence lies in their Q-linear span.  A congruence on any series,
+given as the series and a modulus power, is first split into weighted
+parts, one per offset ``weight(s) - b`` (:func:`prove_mixed`).  Each
+decision is one :class:`ProofCertificate` record, the same in memory and
+in the dumped text, naming the generating identities and their
+multipliers, so a proof replays later by integer arithmetic with no linear
+algebra (:func:`replay_certificate`).  Reducing a series modulo the span
+gives its canonical form (:func:`canonicalize`), whose lowest p-power is
+the provable valuation.
 
 The span is found modulo primes and lifted; modular arithmetic only
 proposes, and exact checks decide:
@@ -68,7 +70,7 @@ from .compositions import (
     stuffle,
     weight,
 )
-from .series import CongruenceStatement, MhsSeries, decompose_weighted
+from .series import MhsSeries
 
 __all__ = [
     "BASIS_FORMAT_VERSION",
@@ -601,8 +603,7 @@ class RelationBasis:
                 if tag != "a":
                     raise ValueError(f"unexpected line in annihilator: {line!r}")
                 lam[parse_comp(field)] = Fraction(value)
-        if expect("end basis") != "":
-            raise ValueError("trailing content after 'end basis'")
+        expect("end basis")
         return cls(modulus, pivots, triples, annihilators)
 
 
@@ -612,8 +613,11 @@ def _line_reader(text: str, kind: str) -> Callable[..., str]:
     ``read(prefix)`` returns the next line without ``prefix``; it raises
     ValueError when that line lacks the prefix or the text has ended, and
     ``read(inside=block)`` names the open block in the end-of-text message.
+    ``read(f"end {kind}")`` reads the last line: anything after the marker,
+    on its line or below it, is a ValueError too.
     """
     lines = iter([ln.strip() for ln in text.splitlines() if ln.strip()])
+    end = f"end {kind}"
 
     def read(prefix: str = "", inside: str = "") -> str:
         line = next(lines, None)
@@ -625,7 +629,10 @@ def _line_reader(text: str, kind: str) -> Callable[..., str]:
             )
         if not line.startswith(prefix):
             raise ValueError(f"expected {prefix!r}, got {line!r}")
-        return line[len(prefix):].strip()
+        rest = line[len(prefix):].strip()
+        if prefix == end and (rest or next(lines, None) is not None):
+            raise ValueError(f"trailing content after {prefix!r}")
+        return rest
 
     return read
 
@@ -793,35 +800,68 @@ class ProofCertificate:
         object.__setattr__(self, "combination", combo)
 
 
-def _statement_coords(stmt: CongruenceStatement) -> dict[Comp, Fraction]:
-    """Coordinate vector of a weighted statement over compositions.
+def _check_congruence(series: MhsSeries, n: int) -> None:
+    """Refuse ``series == 0 mod p^n`` unless it is a congruence the series can state.
 
-    Each composition has one term, at p-exponent its weight.  Terms of
-    weight >= the modulus power are dropped: each such ``h_p(w)`` has p-adic
-    valuation >= weight(w) on its own, so it is zero modulo the statement's
-    power and does not affect provability.
+    The modulus power is an int and not a bool (which would print as
+    "modulus True" in a certificate), and a series known only to O(p^N)
+    says nothing modulo p^n for n > N.
     """
-    if stmt.kind != "weighted":
-        raise ValueError(f"expected a weighted statement, got kind {stmt.kind!r}")
-    n = stmt.modulus_power
-    return {s: c for (_, s), c in stmt.lhs_minus_rhs.terms.items() if weight(s) < n}
+    if not isinstance(series, MhsSeries):
+        raise TypeError("series must be an MhsSeries")
+    check_int(n, "modulus power n")
+    if series.order is not None and n > series.order:
+        raise ValueError(
+            f"congruence mod p^{n} is not expressible from a series "
+            f"known only to O(p^{series.order})"
+        )
+
+
+def _offset_parts(series: MhsSeries, n: int) -> dict[int, MhsSeries]:
+    """Split ``series == 0 mod p^n`` into weighted parts, one per offset.
+
+    The terms with offset ``k = weight(s) - b`` are rescaled by ``p^k``,
+    which makes every one of them weighted, and part k is asserted modulo
+    ``p^(n+k)``.  The parts together imply the input: multiplying each by
+    ``p^(-k)`` and summing gives back its terms.  The zero series has none.
+    """
+    _check_congruence(series, n)
+    groups: dict[int, dict[tuple[int, Comp], Fraction]] = {}
+    for (b, s), c in series.terms.items():
+        k = weight(s) - b
+        groups.setdefault(k, {})[(b + k, s)] = c
+    order = series.order
+    return {  # rescaled terms of a normalized series
+        k: MhsSeries._trusted(terms, None if order is None else order + k)
+        for k, terms in groups.items()
+    }
 
 
 def prove_weighted(
-    stmt: CongruenceStatement, cache_dir: str | os.PathLike | None = None
+    part: MhsSeries, n: int, cache_dir: str | os.PathLike | None = None
 ) -> ProofCertificate:
-    """Decide a weighted congruence by exact membership in the relation span.
+    """Decide the weighted congruence ``part == 0 mod p^n`` by span membership.
 
-    The zero statement (and any statement whose terms all have weight >= the
-    modulus power) is proved with an empty combination, and one with a
-    constant is unproven (no relation has weight 0).  Everything else is
-    tested against :func:`generate_relations` at the statement's modulus
-    power; the verdict is "proved" exactly when the coordinate vector is a
-    Q-linear combination of generated relations.
+    Every term of ``part`` must be weighted, its p-exponent the weight of
+    its composition.  The coordinate vector keeps the compositions of
+    weight < n: any other ``h_p(w)`` has valuation >= weight(w) >= n on its
+    own, so it does not affect provability.  The zero vector is proved with
+    an empty combination, and one with a constant is unproven (no relation
+    has weight 0).  Everything else is tested against
+    :func:`generate_relations` at modulus power n; the verdict is "proved"
+    exactly when the vector is a Q-linear combination of generated relations.
     """
-    coords = _statement_coords(stmt)
-    n = stmt.modulus_power
-    statement = f"{stmt.lhs_minus_rhs.render()} = 0 mod p^{n}"
+    _check_congruence(part, n)
+    coords: dict[Comp, Fraction] = {}
+    for (b, s), c in part.terms.items():
+        if b != weight(s):
+            raise ValueError(
+                f"expected a weighted series, but p^{b} * H{format_comp(s)} "
+                f"has weight {weight(s)}"
+            )
+        if b < n:
+            coords[s] = c
+    statement = f"{part.render()} = 0 mod p^{n}"
     if () in coords:
         combo = None
     else:
@@ -832,21 +872,17 @@ def prove_weighted(
 
 
 def prove_mixed(
-    stmt: CongruenceStatement,
-    cache_dir: str | os.PathLike | None = None,
+    series: MhsSeries, n: int, cache_dir: str | os.PathLike | None = None
 ) -> list[ProofCertificate]:
-    """Prove a statement by per-offset decomposition into weighted parts.
+    """Prove ``series == 0 mod p^n`` by its weighted parts (:func:`_offset_parts`).
 
-    Each offset class ``k = weight(s) - b`` is rescaled by ``p^k`` and proved
-    as a weighted congruence modulo ``p^(n + k)``, ``n`` being the
-    statement's modulus power; the conjunction of the parts implies the
-    input statement.  The parts are proved from the largest modulus down, so
-    one basis generation serves them all, and returned one certificate per
-    part in ascending offset order (a single trivially proved certificate
-    for the zero statement).  The input is proved iff every certificate is.
+    The parts are proved from the largest modulus down, so one basis
+    generation serves them all, and returned one certificate per part in
+    ascending offset order (a single trivially proved certificate for the
+    zero series).  The input is proved iff every certificate is.
     """
-    parts = decompose_weighted(stmt) or {0: stmt}
-    certs = {k: prove_weighted(parts[k], cache_dir) for k in sorted(parts, reverse=True)}
+    parts = _offset_parts(series, n) or {0: series}
+    certs = {k: prove_weighted(parts[k], n + k, cache_dir) for k in sorted(parts, reverse=True)}
     return [certs[k] for k in sorted(certs)]
 
 
@@ -875,8 +911,7 @@ def prove_supercongruence(
             raise ValueError(
                 f"{name} is only known to O(p^{side.order}), cannot assert mod p^{n}"
             )
-    diff = (lhs - rhs).truncate(n)
-    return prove_mixed(CongruenceStatement(diff, n), cache_dir=cache_dir)
+    return prove_mixed((lhs - rhs).truncate(n), n, cache_dir)
 
 
 def canonicalize(
@@ -894,14 +929,14 @@ def canonicalize(
         order = series.order
     if order is None:
         raise ValueError("canonicalize needs a finite truncation order")
-    series = series.truncate(check_int(order, "order"))
-    parts = decompose_weighted(CongruenceStatement(series, order))
+    parts = _offset_parts(series.truncate(check_int(order, "order")), order)
     out: dict[tuple[int, Comp], Fraction] = {}
     for k in sorted(parts, reverse=True):
-        coords = _statement_coords(parts[k])
+        # the truncation leaves every composition of part k below weight order + k
+        coords = {s: c for (_, s), c in parts[k].terms.items()}
         reduced = {(): coords.pop(())} if () in coords else {}
         if coords:
-            reduced.update(generate_relations(parts[k].modulus_power, cache_dir).reduce(coords))
+            reduced.update(generate_relations(order + k, cache_dir).reduce(coords))
         for s, c in reduced.items():
             out[(weight(s) - k, s)] = c
     return MhsSeries(out, order)
@@ -934,8 +969,7 @@ def provable_valuation(
                 break
     v = max(form.min_valuation(), 0)
     if v:  # a congruence mod p^0 is vacuous
-        stmt = CongruenceStatement(series.truncate(v), v)
-        if not all_proved(prove_mixed(stmt, cache_dir=cache_dir)):
+        if not all_proved(prove_mixed(series.truncate(v), v, cache_dir)):
             raise RuntimeError(f"canonical-form valuation {v} failed its proof")
     return v
 
@@ -1022,8 +1056,7 @@ def _parse_certificates(text: str) -> list[ProofCertificate]:
         if expect("end part") != "":
             raise ValueError(f"missing 'end part' after part {i}")
         certs.append(ProofCertificate(modulus, verdict, statement, coords, combination))
-    if expect("end certificate") != "":
-        raise ValueError("trailing content after 'end certificate'")
+    expect("end certificate")
     return certs
 
 

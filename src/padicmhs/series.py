@@ -10,11 +10,11 @@ denotes its value on the nose (e.g. the expansion of a rational function of
 ``p`` whose denominator divides a power of ``p``).  An exact series renders
 without an ``O(p^N)`` tail.
 
-A :class:`CongruenceStatement` asserts that a series vanishes modulo
-``p^n`` for all but finitely many primes.  ``decompose_weighted`` splits
-such a statement into per-offset *weighted* statements (every term of a
-weighted statement has ``p``-exponent equal to the weight of its
-composition), whose conjunction implies the original statement.
+A congruence is a series and a modulus power ``n``: it asserts that the
+series vanishes modulo ``p^n`` for all but finitely many primes.  The prover
+(:mod:`padicmhs.prover`) takes the pair as it is and splits it into
+*weighted* parts, in which every term's p-exponent equals the weight of its
+composition.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from typing import Iterable, Mapping, Union
 from .arith import INFINITY
 from .compositions import Comp, _stuffle_cached, check_comp, check_int, format_comp, weight
 
-__all__ = [
-    "MhsSeries",
-    "CongruenceStatement",
-    "decompose_weighted",
-]
+__all__ = ["MhsSeries"]
 
 Order = Union[int, None]
 Key = tuple[int, Comp]  # (p_exponent, composition)
@@ -408,84 +404,3 @@ def _stuffle_into(
 def _over(nums: dict[Key, int], d: int) -> dict[Key, Fraction]:
     """The nonzero ``n / d`` of an int numerator map, as Fractions."""
     return {key: Fraction(n, d) for key, n in nums.items() if n}
-
-
-# -- congruence statements ----------------------------------------------
-
-
-class CongruenceStatement:
-    """Assertion that a series vanishes mod ``p^n`` for all but finitely many p.
-
-    ``kind`` classifies the statement by the offsets ``weight(s) - b`` of its
-    terms: ``weighted`` (all zero), ``mixed`` (all non-negative), or
-    ``general`` (some negative).  The empty statement is trivially true and
-    classified as weighted.
-    """
-
-    __slots__ = ("_series", "_modulus")
-
-    def __init__(self, lhs_minus_rhs: MhsSeries, modulus_power: int) -> None:
-        if not isinstance(lhs_minus_rhs, MhsSeries):
-            raise TypeError("lhs_minus_rhs must be an MhsSeries")
-        if type(modulus_power) is not int:
-            raise TypeError(f"modulus_power must be an int, got {modulus_power!r}")
-        order = lhs_minus_rhs.order
-        if order is not None and modulus_power > order:
-            raise ValueError(
-                f"congruence mod p^{modulus_power} is not expressible from a series "
-                f"known only to O(p^{order})"
-            )
-        self._series = lhs_minus_rhs
-        self._modulus = modulus_power
-
-    @property
-    def lhs_minus_rhs(self) -> MhsSeries:
-        return self._series
-
-    @property
-    def modulus_power(self) -> int:
-        return self._modulus
-
-    @property
-    def kind(self) -> str:
-        offsets = [weight(s) - b for (b, s) in self._series.terms]
-        if all(k == 0 for k in offsets):
-            return "weighted"
-        if all(k >= 0 for k in offsets):
-            return "mixed"
-        return "general"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CongruenceStatement):
-            return NotImplemented
-        return self._modulus == other._modulus and self._series == other._series
-
-    def __hash__(self) -> int:
-        return hash((self._series, self._modulus))
-
-    def __repr__(self) -> str:
-        return (
-            f"<CongruenceStatement {self._series.render()} = 0 "
-            f"mod p^{self._modulus} [{self.kind}]>"
-        )
-
-
-def decompose_weighted(stmt: CongruenceStatement) -> dict[int, CongruenceStatement]:
-    """Split a statement into weighted statements, one per offset.
-
-    Terms with offset ``k = weight(s) - b`` are rescaled by ``p^k`` (making
-    every term weighted) and asserted modulo ``p^(n+k)``.  The conjunction of
-    the outputs implies the input; multiplying each output by ``p^(-k)`` and
-    summing reproduces the input's term multiset exactly.
-    """
-    groups: dict[int, dict[Key, Fraction]] = {}
-    for (b, s), c in stmt.lhs_minus_rhs.terms.items():
-        k = weight(s) - b
-        groups.setdefault(k, {})[(b + k, s)] = c
-    order = stmt.lhs_minus_rhs.order
-    out: dict[int, CongruenceStatement] = {}
-    for k in sorted(groups):
-        sub_order = None if order is None else order + k
-        sub = MhsSeries._trusted(groups[k], sub_order)  # rescaled terms of a normalized series
-        out[k] = CongruenceStatement(sub, stmt.modulus_power + k)
-    return out

@@ -27,6 +27,7 @@ from padicmhs.oracle import (
     PrimeWindow,
 )
 from padicmhs.prover import (
+    _offset_parts,
     _relation_coords,
     generate_relations,
     prove_supercongruence,
@@ -35,7 +36,6 @@ from padicmhs.prover import (
     verify_certificate_text,
 )
 from padicmhs.quantities import parse_quantity
-from padicmhs.series import CongruenceStatement, decompose_weighted
 from reference_sums import eval_polylog_sum
 
 # ---------------------------------------------------------------------------
@@ -287,14 +287,14 @@ def test_criterion_7_restricted_double_harmonic():
     # skipping parts whose relation basis is beyond a feasible modulus
     FEASIBLE_MODULUS = 9
     lhs_s, rhs_s, n = eval_statement(parse(CR3), cache_dir=CACHE["dir"])
-    parts = decompose_weighted(CongruenceStatement((lhs_s - rhs_s).truncate(n), n))
+    parts = _offset_parts((lhs_s - rhs_s).truncate(n), n)
     verdicts = []
     for k in sorted(parts):
-        m = parts[k].modulus_power
+        m = n + k
         if m > FEASIBLE_MODULUS:
             verdicts.append(f"offset {k} (mod p^{m}): skipped, basis beyond p^{FEASIBLE_MODULUS}")
             continue
-        cert = prove_weighted(parts[k], cache_dir=CACHE["dir"])
+        cert = prove_weighted(parts[k], m, cache_dir=CACHE["dir"])
         verdicts.append(f"offset {k} (mod p^{m}): {cert.verdict}")
     symbolic_verdict = "; ".join(verdicts)
 

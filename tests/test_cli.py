@@ -609,6 +609,41 @@ class TestCertificateCommands:
         path.write_text("garbage\n", encoding="ascii")
         assert main(["verify-certificate", str(path)]) == 2
 
+    def _two_statement_dump(self, tmp_path, capsys) -> str:
+        statements = tmp_path / "two.txt"
+        statements.write_text(
+            "p*H(1) + p^2*H(1,1) = 0 mod p^3\nH(1) = 0 mod p^1\n", encoding="ascii"
+        )
+        cert = tmp_path / "two.cert"
+        assert main(["prove", str(statements), "--dump", str(cert)]) == 0
+        capsys.readouterr()
+        return cert.read_text(encoding="ascii")
+
+    def test_one_certificate_holds_every_proved_statement(self, tmp_path, capsys):
+        text = self._two_statement_dump(tmp_path, capsys)
+        assert text.count("padicmhs-certificate") == 1
+        assert main(["verify-certificate", str(tmp_path / "two.cert")]) == 0
+        assert capsys.readouterr().out == "replayed 2 part(s) exactly\n"
+
+    def test_tampered_second_statement_rejected(self, tmp_path, capsys):
+        lines = self._two_statement_dump(tmp_path, capsys).splitlines(keepends=True)
+        start = lines.index("part 2\n")
+        i = next(i for i in range(start, len(lines)) if " * R[" in lines[i])
+        mult, rest = lines[i].split(" * R", 1)
+        lines[i] = f"{Fraction(mult) * 7} * R{rest}"
+        bad = tmp_path / "bad.cert"
+        bad.write_text("".join(lines), encoding="ascii")
+        assert main(["verify-certificate", str(bad)]) == 1
+        assert capsys.readouterr().out == "part 2 combination does not reproduce its target\n"
+
+    @pytest.mark.parametrize("tail", ["junk\n", "copy"], ids=["line", "second-certificate"])
+    def test_content_after_the_certificate_is_error(self, tmp_path, capsys, tail):
+        text = self._two_statement_dump(tmp_path, capsys)
+        path = tmp_path / "tailed.cert"
+        path.write_text(text + (text if tail == "copy" else tail), encoding="ascii")
+        assert main(["verify-certificate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: trailing content after 'end certificate'\n"
+
     def test_show_certificates_prints_dump(self, capsys):
         assert main(
             ["prove", "p*H(1) + p^2*H(1,1) = 0 mod p^3", "--show-certificates"]

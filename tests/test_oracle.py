@@ -32,10 +32,13 @@ from padicmhs.oracle import (
     primes_in,
 )
 from padicmhs.quantities import QuantitySpec, parse_quantity
-from padicmhs.series import CongruenceStatement, MhsSeries
+from padicmhs.series import MhsSeries
 from reference_sums import eval_polylog_sum
 
 F = Fraction
+
+#: The quantity 0: ``(ZERO, series)`` checks that the series vanishes.
+ZERO = parse_quantity("rat", "0")
 
 
 def mhs_brute(N, s):
@@ -137,9 +140,18 @@ class TestEvalPowerSum:
     def test_empty_range(self):
         assert eval_power_sum(3, 3, (1,)) == 0
 
+    def test_range_ending_below_its_start_is_empty(self):
+        # psum(p-1;p;1,2) at p: no index in p+1..p-1, as its expansion 0 says
+        assert eval_power_sum(10, 11, (1, 2)) == 0
+        assert eval_power_sum(10, 11, (1,), restricted_at=11) == 0
+        assert eval_power_sum(2, 3, ()) == 1
+        q = parse_quantity("psum", "p-1;p;1,2")
+        report = check_numeric((q, MhsSeries.zero(2)), PrimeWindow(11, 13))
+        assert report.passed and [got for (_p, _r, got) in report.records] == [INFINITY] * 2
+
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            eval_power_sum(2, 3, (1,))
+        with pytest.raises(ValueError, match="M >= 0"):
+            eval_power_sum(2, -1, (1,))
 
     def test_brute_force_cross_check(self):
         # S_{N,M}(s): descending chains in [M+1, N]
@@ -654,10 +666,8 @@ class TestCheckNumeric:
         assert len(report.records) == 22
 
     def test_wolstenholme_statement(self):
-        stmt = CongruenceStatement(
-            MhsSeries({(1, (1,)): 1, (2, (1, 1)): 1}, 3), 3
-        )
-        report = check_numeric(stmt, PrimeWindow(5, 97))
+        series = MhsSeries({(1, (1,)): 1, (2, (1, 1)): 1}, 3)
+        report = check_numeric((ZERO, series), PrimeWindow(5, 97))
         assert report.passed
 
     def test_negative_control_fails_everywhere(self):
@@ -693,8 +703,8 @@ class TestCheckNumeric:
         assert report.passed
 
     def test_denominator_primes_skipped(self):
-        stmt = CongruenceStatement(MhsSeries({(1, (1,)): F(1, 11)}, 2), 1)
-        report = check_numeric(stmt, PrimeWindow(11, 31))
+        series = MhsSeries({(1, (1,)): F(1, 11)}, 2)
+        report = check_numeric((ZERO, series), PrimeWindow(11, 31), required=1)
         assert 11 in report.skipped
         assert all(p != 11 for (p, _r, _g) in report.records)
 
@@ -707,8 +717,7 @@ class TestCheckNumeric:
                 return super().primes()
 
         terms = {(1, (1,)): F(1, 11), (1, (2,)): F(1, 13), (2, (1, 1)): 1, (2, (3,)): 1}
-        stmt = CongruenceStatement(MhsSeries(terms, 2), 1)
-        report = check_numeric(stmt, CountingWindow(11, 31))
+        report = check_numeric((ZERO, MhsSeries(terms, 2)), CountingWindow(11, 31), required=1)
         assert calls == [1]
         assert report.skipped == [11, 13]
 
@@ -725,10 +734,8 @@ class TestCheckNumeric:
         ]
 
     def test_machine_line_format(self):
-        stmt = CongruenceStatement(
-            MhsSeries({(1, (1,)): 1, (2, (1, 1)): 1}, 3), 3
-        )
-        report = check_numeric(stmt, PrimeWindow(11, 13))
+        series = MhsSeries({(1, (1,)): 1, (2, (1, 1)): 1}, 3)
+        report = check_numeric((ZERO, series), PrimeWindow(11, 13))
         lines = report.render().splitlines()
         assert len(lines) == 5
         assert lines[2].split()[:2] == ["11", "3"]
@@ -736,8 +743,7 @@ class TestCheckNumeric:
         assert lines[4] == "summary: PASS"
 
     def test_render_table(self):
-        stmt = CongruenceStatement(MhsSeries({(1, (1,)): 1}, 2), 2)
-        text = check_numeric(stmt, PrimeWindow(11, 13)).render()
+        text = check_numeric((ZERO, MhsSeries({(1, (1,)): 1}, 2)), PrimeWindow(11, 13)).render()
         assert "prime" in text and "required" in text and "verdict" in text
         assert "summary: PASS" in text
 

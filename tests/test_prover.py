@@ -10,7 +10,7 @@ import pytest
 from padicmhs import prover
 from padicmhs.arith import INFINITY, padic_valuation
 from padicmhs.cli import eval_statement, main, parse
-from padicmhs.compositions import enumerate_compositions, weight
+from padicmhs.compositions import enumerate_compositions, format_comp, weight
 from padicmhs.oracle import eval_mhs, primes_in
 from padicmhs.prover import (
     ProofCertificate,
@@ -28,7 +28,7 @@ from padicmhs.prover import (
     replay_certificate,
     verify_certificate_text,
 )
-from padicmhs.series import CongruenceStatement, MhsSeries
+from padicmhs.series import MhsSeries
 
 F = Fraction
 
@@ -36,10 +36,9 @@ PRIMES_SMALL = primes_in(11, 41)
 PRIMES_WINDOW = primes_in(11, 97)
 
 
-def wstmt(coeffs: dict, n: int) -> CongruenceStatement:
-    """Weighted statement sum of c * h_p(s) == 0 (mod p^n)."""
-    terms = {(weight(s), s): F(c) for s, c in coeffs.items() if weight(s) < n}
-    return CongruenceStatement(MhsSeries(terms, n), n)
+def wpart(coeffs: dict, n: int) -> MhsSeries:
+    """The weighted series sum of c * h_p(s) + O(p^n)."""
+    return MhsSeries({(weight(s), s): F(c) for s, c in coeffs.items()}, n)
 
 
 def coords_value(coords: dict, p: int) -> Fraction:
@@ -176,6 +175,18 @@ class TestGenerateRelations:
         cache_file.write_text("padicmhs-basis 999\ngarbage\n")
         again = generate_relations(3, tmp_path)
         assert again.dump() == good
+        assert cache_file.read_text() == good  # rewritten
+        clear_relation_cache()
+
+    def test_junk_after_end_basis_regenerates(self, tmp_path):
+        clear_relation_cache()
+        good = generate_relations(3, tmp_path).dump()
+        clear_relation_cache()
+        with pytest.raises(ValueError, match="trailing content after 'end basis'"):
+            RelationBasis.load(good + "junk\n")
+        cache_file = next(tmp_path.glob("relations-*.txt"))
+        cache_file.write_text(good + "junk\n")
+        assert generate_relations(3, tmp_path).dump() == good
         assert cache_file.read_text() == good  # rewritten
         clear_relation_cache()
 
@@ -337,6 +348,14 @@ class TestModularLift:
         basis = generate_relations(n, basis_cache)
         assert (basis.rank, len(basis.columns)) == (rank, columns)
 
+    def test_free_columns_pinned_at_n9(self, basis_cache):
+        # d_(w-3) free columns at each weight w = 3..8 (1, 0, 1, 1, 1, 2), and ()
+        basis = generate_relations(9, basis_cache)
+        pivots = set(basis.pivots)
+        free = [format_comp(w) for w in basis.columns if w not in pivots]
+        assert free == ["()", "(2,1)", "(4,1)", "(4,1,1)", "(6,1)", "(5,2,1)", "(6,1,1)"]
+        assert (basis.rank, len(basis.columns)) == (249, 256)
+
     def test_annihilators_vanish_on_every_relation(self, basis_cache):
         # reduce(x) lists lambda_f(x) for every free column f, so an empty
         # reduction means every annihilator vanishes exactly on x
@@ -468,60 +487,66 @@ class TestPinnedCertificates:
 
 class TestProveWeighted:
     def test_h1_mod_p2(self, basis_cache):
-        cert = prove_weighted(wstmt({(1,): 1}, 2), basis_cache)
+        cert = prove_weighted(wpart({(1,): 1}, 2), 2, basis_cache)
         assert cert.verdict == "proved"
         assert replay_certificate(cert)
 
     def test_h1_mod_p4_unproven(self, basis_cache):
-        cert = prove_weighted(wstmt({(1,): 1}, 4), basis_cache)
+        cert = prove_weighted(wpart({(1,): 1}, 4), 4, basis_cache)
         assert cert.verdict == "unproven"
         assert cert.combination == ()
         assert not replay_certificate(cert)
 
     def test_h11_mod_p3(self, basis_cache):
-        cert = prove_weighted(wstmt({(1, 1): 1}, 3), basis_cache)
+        cert = prove_weighted(wpart({(1, 1): 1}, 3), 3, basis_cache)
         assert cert.verdict == "proved"
         assert replay_certificate(cert)
 
     def test_wolstenholme_pair_mod_p3(self, basis_cache):
-        stmt = wstmt({(1,): 1, (1, 1): 1}, 3)
         assert_coords_vanish({(1,): F(1), (1, 1): F(1)}, 3, PRIMES_SMALL)
-        cert = prove_weighted(stmt, basis_cache)
+        cert = prove_weighted(wpart({(1,): 1, (1, 1): 1}, 3), 3, basis_cache)
         assert cert.verdict == "proved"
         assert replay_certificate(cert)
 
     def test_strengthened_weight3_mod_p4(self, basis_cache):
-        cert = prove_weighted(wstmt({(1, 1): 3, (2, 1): 1}, 4), basis_cache)
+        cert = prove_weighted(wpart({(1, 1): 3, (2, 1): 1}, 4), 4, basis_cache)
         assert cert.verdict == "proved"
         assert replay_certificate(cert)
 
     def test_zero_statement(self, basis_cache):
-        cert = prove_weighted(wstmt({}, 5), basis_cache)
+        cert = prove_weighted(wpart({}, 5), 5, basis_cache)
         assert cert.verdict == "proved"
         assert cert.combination == ()
         assert replay_certificate(cert)
 
     def test_high_weight_terms_trivial(self, basis_cache):
         # h(3) mod p^2 drops to the zero vector: valuation >= weight is free
-        cert = prove_weighted(wstmt({(3,): 5}, 2), basis_cache)
+        cert = prove_weighted(wpart({(3,): 5}, 2), 2, basis_cache)
         assert cert.verdict == "proved"
         assert cert.combination == ()
 
     def test_rejects_non_weighted(self, basis_cache):
-        stmt = CongruenceStatement(MhsSeries({(2, (1,)): F(1)}, 3), 3)
-        with pytest.raises(ValueError):
-            prove_weighted(stmt, basis_cache)
+        # its compositions would otherwise be read as coordinates
+        with pytest.raises(ValueError, match="expected a weighted series"):
+            prove_weighted(MhsSeries({(2, (1,)): F(1)}, 3), 3, basis_cache)
+
+    def test_rejects_modulus_above_order_or_not_an_int(self, basis_cache):
+        part = wpart({(1,): 1}, 3)
+        with pytest.raises(ValueError, match="known only to O\\(p\\^3\\)"):
+            prove_weighted(part, 4, basis_cache)
+        for n in (True, 2.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                prove_weighted(part, n, basis_cache)
 
     def test_constant_statement_unproven(self, basis_cache):
-        stmt = CongruenceStatement(MhsSeries.constant(1, 3), 3)
-        cert = prove_weighted(stmt, basis_cache)
+        cert = prove_weighted(MhsSeries.constant(1, 3), 3, basis_cache)
         assert cert.verdict == "unproven"
 
     def test_wc_statement_mod_p6(self, basis_cache):
         coeffs = {(1,) * k: 6 * 2**k - 18 for k in range(1, 6)}
         coeffs[(3,)] = -24
         assert_coords_vanish({s: F(c) for s, c in coeffs.items()}, 6, primes_in(11, 31))
-        cert = prove_weighted(wstmt(coeffs, 6), basis_cache)
+        cert = prove_weighted(wpart(coeffs, 6), 6, basis_cache)
         assert cert.verdict == "proved"
         assert replay_certificate(cert)
 
@@ -532,7 +557,7 @@ class TestProveWeighted:
         w3 = {(3,): F(1, 3)}
         for coords, n in ((w1, 6), (w2, 5), (w3, 4)):
             assert_coords_vanish(coords, n, PRIMES_SMALL)
-            cert = prove_weighted(wstmt(coords, n), basis_cache)
+            cert = prove_weighted(wpart(coords, n), n, basis_cache)
             assert cert.verdict == "proved", (coords, n)
             assert replay_certificate(cert)
 
@@ -542,7 +567,7 @@ class TestProveWeighted:
         p2 = {(1,): F(-2), (2, 1): F(-2, 3)}
         for coords, n in ((p1, 5), (p2, 4)):
             assert_coords_vanish(coords, n, PRIMES_SMALL)
-            cert = prove_weighted(wstmt(coords, n), basis_cache)
+            cert = prove_weighted(wpart(coords, n), n, basis_cache)
             assert cert.verdict == "proved", (coords, n)
             assert replay_certificate(cert)
 
@@ -557,9 +582,9 @@ class TestProveWeighted:
 
 
 class TestProveMixed:
-    def _cs1_statement(self, n: int = 4) -> CongruenceStatement:
+    def _cs1_series(self, n: int = 4) -> MhsSeries:
         # (1-2p)H(1) + pH(2) + 2pH(1,1) + (1/3)p^2 H(2,1) - (2/3)p^3 H(2,1)
-        series = MhsSeries(
+        return MhsSeries(
             {
                 (0, (1,)): F(1),
                 (1, (1,)): F(-2),
@@ -570,10 +595,9 @@ class TestProveMixed:
             },
             n,
         )
-        return CongruenceStatement(series, n)
 
     def test_cs1_mixed_proof(self, basis_cache):
-        certs = prove_mixed(self._cs1_statement(), cache_dir=basis_cache)
+        certs = prove_mixed(self._cs1_series(), 4, basis_cache)
         assert len(certs) == 2  # offsets 0 and 1
         assert all_proved(certs)
         for cert in certs:
@@ -582,30 +606,28 @@ class TestProveMixed:
         assert moduli == [4, 5]
 
     def test_zero_statement(self, basis_cache):
-        stmt = CongruenceStatement(MhsSeries.zero(4), 4)
-        certs = prove_mixed(stmt, cache_dir=basis_cache)
+        certs = prove_mixed(MhsSeries.zero(4), 4, basis_cache)
         assert len(certs) == 1
         assert all_proved(certs)
 
     def test_negative_offset_trivial_part(self, basis_cache):
         series = MhsSeries({(5, (1,)): F(7)}, None)  # p^5 H(1), exact
-        certs = prove_mixed(CongruenceStatement(series, 4), cache_dir=basis_cache)
+        certs = prove_mixed(series, 4, basis_cache)
         assert len(certs) == 1
         assert certs[0].modulus_power == 0
         assert all_proved(certs)
         assert replay_certificate(certs[0])
 
     def test_weaken_with_n_argument(self, basis_cache):
-        stmt = self._cs1_statement()
-        certs = prove_mixed(CongruenceStatement(stmt.lhs_minus_rhs, 2), cache_dir=basis_cache)
+        certs = prove_mixed(self._cs1_series(), 2, basis_cache)
         assert all_proved(certs)
 
     def test_mixed_statement_kind_accepted(self, basis_cache):
-        # mixed kind: one weighted term plus one strictly positive offset
+        # a zero coefficient at offset 1 leaves one weighted term, one part
         series = MhsSeries({(1, (1,)): F(1), (0, (1,)): F(0)}, 2)
-        stmt = CongruenceStatement(series, 2)
-        assert stmt.kind == "weighted"
-        assert all_proved(prove_mixed(stmt, cache_dir=basis_cache))
+        certs = prove_mixed(series, 2, basis_cache)
+        assert [c.modulus_power for c in certs] == [2]
+        assert all_proved(certs)
 
 
 class TestProveSupercongruence:
@@ -651,10 +673,10 @@ def proof_scan_valuation(series: MhsSeries, cache_dir) -> int:
             n
             for n in range(series.order + 1)
             if n == 0
-            or all_proved(prove_mixed(CongruenceStatement(series.truncate(n), n), cache_dir))
+            or all_proved(prove_mixed(series.truncate(n), n, cache_dir))
         )
     n = max(series.min_valuation(), 0)
-    while all_proved(prove_mixed(CongruenceStatement(series, n + 1), cache_dir)):
+    while all_proved(prove_mixed(series, n + 1, cache_dir)):
         n += 1
     return n
 
@@ -750,14 +772,14 @@ class TestProvableValuation:
 class TestCertificates:
     def test_dump_and_verify_roundtrip(self, basis_cache):
         coeffs = {(1,): 1, (1, 1): 1}
-        cert = prove_weighted(wstmt(coeffs, 3), basis_cache)
+        cert = prove_weighted(wpart(coeffs, 3), 3, basis_cache)
         text = dump_certificates([cert])
         ok, message = verify_certificate_text(text)
         assert ok, message
         assert "part(s) exactly" in message
 
     def test_combination_line_shape(self, basis_cache):
-        cert = prove_weighted(wstmt({(1,): 1, (1, 1): 1}, 3), basis_cache)
+        cert = prove_weighted(wpart({(1,): 1, (1, 1): 1}, 3), 3, basis_cache)
         text = dump_certificates([cert])
         import re
 
@@ -770,12 +792,12 @@ class TestCertificates:
 
     def test_mixed_bundle_roundtrip(self, basis_cache):
         series = MhsSeries(MIXED_BUNDLE, 4)
-        certs = prove_mixed(CongruenceStatement(series, 4), cache_dir=basis_cache)
+        certs = prove_mixed(series, 4, basis_cache)
         ok, message = verify_certificate_text(dump_certificates(certs))
         assert ok, message
 
     def test_tampered_certificate_fails(self, basis_cache):
-        cert = prove_weighted(wstmt({(1,): 1, (1, 1): 1}, 3), basis_cache)
+        cert = prove_weighted(wpart({(1,): 1, (1, 1): 1}, 3), 3, basis_cache)
         (prov0, mult0), *rest = cert.combination
         bad = dataclasses.replace(cert, combination=[(prov0, mult0 + 1)] + rest)
         assert not replay_certificate(bad)
@@ -784,7 +806,7 @@ class TestCertificates:
         assert "does not reproduce" in message
 
     def test_unproven_certificate_rejected(self, basis_cache):
-        cert = prove_weighted(wstmt({(1,): 1}, 4), basis_cache)
+        cert = prove_weighted(wpart({(1,): 1}, 4), 4, basis_cache)
         assert cert.verdict == "unproven"
         ok, message = verify_certificate_text(dump_certificates([cert]))
         assert not ok
@@ -834,7 +856,7 @@ class TestCertificates:
         assert [replay_certificate(c) for c in parsed] == [c.verdict == "proved" for c in certs]
 
     def test_unproven_part_with_combination_is_malformed(self, basis_cache):
-        cert = prove_weighted(wstmt({(1,): 1, (1, 1): 1}, 3), basis_cache)
+        cert = prove_weighted(wpart({(1,): 1, (1, 1): 1}, 3), 3, basis_cache)
         text = dump_certificates([cert]).replace("verdict proved", "verdict unproven")
         with pytest.raises(ValueError, match="cannot carry a combination"):
             verify_certificate_text(text)
@@ -854,5 +876,4 @@ class TestMonotonicity:
         terms[(3, (3,))] = F(-24)
         series = MhsSeries(terms, 6)
         for m in range(1, 7):
-            stmt = CongruenceStatement(series.truncate(m), m)
-            assert all_proved(prove_mixed(stmt, cache_dir=basis_cache)), m
+            assert all_proved(prove_mixed(series.truncate(m), m, basis_cache)), m

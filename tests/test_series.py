@@ -1,5 +1,5 @@
 """Tests for the MHS-series algebra: arithmetic, truncation, inversion,
-congruence statements, and weighted decomposition."""
+congruences as a series and a modulus, and their split into weighted parts."""
 
 import random
 from fractions import Fraction
@@ -8,11 +8,8 @@ import pytest
 
 from padicmhs.arith import INFINITY
 from padicmhs.compositions import stuffle, weight
-from padicmhs.series import (
-    CongruenceStatement,
-    MhsSeries,
-    decompose_weighted,
-)
+from padicmhs.prover import _offset_parts, prove_mixed, prove_weighted
+from padicmhs.series import MhsSeries
 
 F = Fraction
 
@@ -424,51 +421,42 @@ def weighted_series(coeffs, order):
 
 
 class TestCongruenceStatement:
-    def test_weighted_kind(self):
-        stmt = CongruenceStatement(
-            weighted_series({(1,): 1, (1, 1): 1}, 3), 3
-        )
-        assert stmt.kind == "weighted"
-
-    def test_mixed_kind(self):
-        # offsets 0 and 1 (a term with b < |s|)
-        a = S({(0, (1,)): 3, (1, (1,)): -2, (2, (2, 1)): F(1, 3)}, 4)
-        assert CongruenceStatement(a, 4).kind == "mixed"
-
-    def test_general_kind(self):
-        # a term with b > |s| (negative offset), e.g. a constant times p
-        a = S({(1, ()): 1, (1, (1,)): 1}, 3)
-        assert CongruenceStatement(a, 3).kind == "general"
+    """A congruence is a series and a modulus power, checked where the prover takes them."""
 
     def test_empty_statement_accepted(self):
-        stmt = CongruenceStatement(MhsSeries.zero(5), 5)
-        assert stmt.kind == "weighted"
+        certs = prove_mixed(MhsSeries.zero(5), 5)
+        assert [(c.modulus_power, c.verdict) for c in certs] == [(5, "proved")]
 
     def test_modulus_beyond_order_rejected(self):
-        with pytest.raises(ValueError):
-            CongruenceStatement(S({(1, (1,)): 1}, 3), 4)
+        # a series known only to O(p^3) cannot prove a claim mod p^4
+        with pytest.raises(ValueError, match="known only to O"):
+            prove_mixed(S({(1, (1,)): 1}, 3), 4)
 
     def test_bool_modulus_rejected(self):
         # a bool modulus would print as "modulus True" in a certificate
-        with pytest.raises(TypeError):
-            CongruenceStatement(MhsSeries.term(1, 1, (1,)), True)
+        series = MhsSeries.term(1, 1, (1,))
+        for prove in (prove_mixed, prove_weighted):
+            with pytest.raises(ValueError, match="must be an integer, got True"):
+                prove(series, True)
 
     def test_exact_series_any_modulus(self):
-        stmt = CongruenceStatement(MhsSeries.term(1, 1, (1,)), 9)
-        assert stmt.modulus_power == 9
+        # h_p(9) vanishes mod p^9 on its own weight: no relation basis needed
+        certs = prove_mixed(MhsSeries.term(1, 9, (9,)), 9)
+        assert [(c.modulus_power, c.verdict) for c in certs] == [(9, "proved")]
 
     def test_negative_modulus_allowed(self):
-        stmt = CongruenceStatement(MhsSeries.zero(0), -1)
-        assert stmt.kind == "weighted"
+        certs = prove_mixed(MhsSeries.zero(0), -1)
+        assert [(c.modulus_power, c.verdict) for c in certs] == [(-1, "proved")]
 
 
 class TestDecomposeWeighted:
+    """The prover's split into weighted parts: part k is asserted mod p^(n+k)."""
+
     def test_weighted_input_single_group(self):
-        stmt = CongruenceStatement(weighted_series({(1, 1): 1}, 3), 3)
-        out = decompose_weighted(stmt)
+        series = weighted_series({(1, 1): 1}, 3)
+        out = _offset_parts(series, 3)
         assert set(out) == {0}
-        assert out[0].lhs_minus_rhs == stmt.lhs_minus_rhs
-        assert out[0].modulus_power == 3
+        assert out[0] == series
 
     def test_mixed_two_offsets(self):
         # offset-1 part 3h(1)+h(2)+2h(1,1)+(1/3)h(2,1) mod p^5 and
@@ -484,21 +472,21 @@ class TestDecomposeWeighted:
             },
             4,
         )
-        out = decompose_weighted(CongruenceStatement(a, 4))
+        out = _offset_parts(a, 4)
         assert set(out) == {0, 1}
-        assert out[0].modulus_power == 4
-        assert out[0].lhs_minus_rhs.terms == {
+        assert out[0].order == 4
+        assert out[0].terms == {
             (1, (1,)): F(-2),
             (3, (2, 1)): F(-2, 3),
         }
-        assert out[1].modulus_power == 5
-        assert out[1].lhs_minus_rhs.terms == {
+        assert out[1].order == 5
+        assert out[1].terms == {
             (1, (1,)): F(3),
             (2, (2,)): F(1),
             (2, (1, 1)): F(2),
             (3, (2, 1)): F(1, 3),
         }
-        assert all(st.kind == "weighted" for st in out.values())
+        assert all(b == weight(s) for part in out.values() for (b, s) in part.terms)
 
     def test_general_negative_offsets(self):
         # weighted parts mod p^6 (k=0), p^5 (k=-1), p^4 (k=-2)
@@ -519,27 +507,25 @@ class TestDecomposeWeighted:
             },
             6,
         )
-        out = decompose_weighted(CongruenceStatement(a, 6))
+        out = _offset_parts(a, 6)
         assert set(out) == {-2, -1, 0}
-        assert out[0].modulus_power == 6
-        assert out[-1].modulus_power == 5
-        assert out[-2].modulus_power == 4
-        assert out[-1].lhs_minus_rhs.terms == {
+        assert [out[k].order for k in (0, -1, -2)] == [6, 5, 4]
+        assert out[-1].terms == {
             (1, (1,)): F(-1),
             (2, (2,)): F(-1, 2),
             (3, (3,)): F(-1, 2),
             (4, (4,)): F(-1, 4),
         }
-        assert out[-2].lhs_minus_rhs.terms == {(3, (3,)): F(1, 3)}
+        assert out[-2].terms == {(3, (3,)): F(1, 3)}
 
     def test_constant_terms_land_at_negative_b_offset(self):
         # constant c at p^0 has offset 0; c*p has offset -1
         a = S({(0, ()): F(-4, 9), (1, ()): F(79, 108)}, 3)
-        out = decompose_weighted(CongruenceStatement(a, 3))
+        out = _offset_parts(a, 3)
         assert set(out) == {-1, 0}
-        assert out[0].lhs_minus_rhs.terms == {(0, ()): F(-4, 9)}
-        assert out[-1].lhs_minus_rhs.terms == {(0, ()): F(79, 108)}
-        assert out[-1].modulus_power == 2
+        assert out[0].terms == {(0, ()): F(-4, 9)}
+        assert out[-1].terms == {(0, ()): F(79, 108)}
+        assert out[-1].order == 2
 
     def test_reassembly_invariant(self):
         a = S(
@@ -552,22 +538,21 @@ class TestDecomposeWeighted:
             },
             5,
         )
-        stmt = CongruenceStatement(a, 5)
-        out = decompose_weighted(stmt)
+        out = _offset_parts(a, 5)
         total = MhsSeries.zero()
         for k, sub in out.items():
-            total = total + sub.lhs_minus_rhs.shift(-k)
+            total = total + sub.shift(-k)
         assert total.terms == a.terms
 
     def test_empty_statement(self):
-        assert decompose_weighted(CongruenceStatement(MhsSeries.zero(4), 4)) == {}
+        assert _offset_parts(MhsSeries.zero(4), 4) == {}
 
     def test_high_weight_terms_survive_decomposition(self):
         # a term whose weight reaches the sub-statement modulus must not
         # be silently absorbed (the sub-series order exceeds it)
         a = S({(7, (7,)): 1, (1, (1,)): 1}, 8)
-        out = decompose_weighted(CongruenceStatement(a, 6))
-        assert out[0].lhs_minus_rhs.terms == {(7, (7,)): F(1), (1, (1,)): F(1)}
+        out = _offset_parts(a, 6)
+        assert out[0].terms == {(7, (7,)): F(1), (1, (1,)): F(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +569,6 @@ class TestEquality:
         assert a != S({(1, (1,)): 1}, 4)
         assert a != S({(1, (1,)): 1})
         assert S({}, None) != S({}, 3)
-
-    def test_statement_equality(self):
-        a = CongruenceStatement(S({(1, (1,)): 1}, 3), 3)
-        b = CongruenceStatement(S({(1, (1,)): 1}, 3), 3)
-        assert a == b and hash(a) == hash(b)
 
 
 def test_series_mul_operator():
