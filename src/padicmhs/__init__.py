@@ -78,6 +78,7 @@ def clear_caches() -> None:
         compositions._shuffle_words,
         compositions._stuffle_cached,
         prover._jarossay_identity,
+        prover._jarossay_tail,
         oracle.eval_mhs,
         oracle._lcm_steps,
     ):

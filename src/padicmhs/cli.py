@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import operator
 import os
 import sys
 import types
@@ -86,6 +87,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+#: The binary operator nodes, for series and for values at a prime alike.
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def eval_series(ast: ExprAst, order: int, cache_dir=None) -> MhsSeries:
     """Evaluate an expression node in the series algebra at ``order``."""
     kind = ast.kind
@@ -97,18 +102,9 @@ def eval_series(ast: ExprAst, order: int, cache_dir=None) -> MhsSeries:
         return MhsSeries.term(1, 0, ast.payload, None)
     if kind == "quantity":
         return expand_quantity(ast.payload, order, cache_dir=cache_dir)
-    if kind == "add":
-        return eval_series(ast.children[0], order, cache_dir) + eval_series(
-            ast.children[1], order, cache_dir
-        )
-    if kind == "sub":
-        return eval_series(ast.children[0], order, cache_dir) - eval_series(
-            ast.children[1], order, cache_dir
-        )
-    if kind == "mul":
-        return eval_series(ast.children[0], order, cache_dir) * eval_series(
-            ast.children[1], order, cache_dir
-        )
+    if kind in _BINARY:
+        left, right = (eval_series(child, order, cache_dir) for child in ast.children)
+        return _BINARY[kind](left, right)
     if kind == "neg":
         return eval_series(ast.children[0], order, cache_dir).scale(-1)
     if kind == "inv":
@@ -165,12 +161,8 @@ def eval_at_prime(
     if kind == "quantity":
         return eval_quantity(ast.payload, p, work_budget)
     values = [eval_at_prime(child, p, work_budget) for child in ast.children]
-    if kind == "add":
-        return values[0] + values[1]
-    if kind == "sub":
-        return values[0] - values[1]
-    if kind == "mul":
-        return values[0] * values[1]
+    if kind in _BINARY:
+        return _BINARY[kind](*values)
     if kind == "neg":
         return -values[0]
     if kind == "inv":
@@ -269,7 +261,9 @@ def cmd_prove(args) -> int:
         if proved:
             parts += certs
     dump = dump_certificates(parts) if parts else ""
-    if args.dump:
+    if args.dump and not dump:
+        print(f"no statement proved; nothing written to {args.dump}")
+    elif args.dump:
         with open(args.dump, "w", encoding="ascii") as fh:
             fh.write(dump)
         print(f"certificates written to {args.dump}")

@@ -18,20 +18,23 @@ the provable valuation.
 The span is found modulo primes and lifted; modular arithmetic only
 proposes, and exact checks decide:
 
-* the relations (integer vectors) are row-reduced modulo 2^61 - 1, which
-  gives the pivot columns, the relations that raise the rank, and one
+* the relations (integer vectors) are row-reduced modulo 2^61 - 1, each
+  one skipped unreduced when a fingerprint finds it in the span so far;
+  this gives the pivot columns, the relations that raise the rank, and one
   annihilating functional per free column;
 * the functionals are lifted to rationals by rational reconstruction and
-  kept only after they vanish exactly on every generated relation, so a
-  target is in the span exactly when every functional vanishes on it;
+  kept only after they vanish exactly on every generated relation (one
+  packed big-integer dot product per relation), so a target is in the
+  span exactly when every functional vanishes on it;
 * the multipliers of a proof are solved for each target by the same
   elimination, run on the transposed system of the rank-raising relations
   with the target as its last column; they are lifted the same way and
   returned only after their exact sum reproduces the target.
 
-A prime that loses rank or whose residues do not lift is passed over for
-the next prime of a fixed sequence, so results do not depend on luck: in
-the worst case the run stops with an error, never with a wrong verdict.
+A prime that loses rank (a fingerprint can err only that way) or whose
+residues do not lift is passed over for the next prime of a fixed
+sequence, so results do not depend on luck: in the worst case the run
+stops with an error, never with a wrong verdict.
 
 The underlying identity: for compositions ``s`` and ``t`` (``t`` nonempty),
 
@@ -51,6 +54,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,6 +64,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .arith import INFINITY
 from .compositions import (
     Comp,
+    _stuffle_cached,
     bounded_tuples,
     check_comp,
     check_int,
@@ -67,7 +72,6 @@ from .compositions import (
     format_comp,
     parse_comp,
     shuffle,
-    stuffle,
     weight,
 )
 from .series import MhsSeries
@@ -102,8 +106,8 @@ CERTIFICATE_FORMAT_VERSION = 1
 #: Environment variable overriding the on-disk relation cache directory.
 CACHE_ENV_VAR = "PADICMHS_CACHE_DIR"
 
-#: The largest modulus power a basis is generated for (p^11 takes 15-28 s);
-#: a larger basis already in the process or the cache file is still served.
+#: The largest modulus power a basis is generated for (p^11 takes 5-8 s; p^12
+#: takes 42 s but 389 MB); a larger basis already held is still served.
 MAX_MODULUS_POWER = 11
 
 
@@ -131,16 +135,27 @@ def _jarossay_identity(s: Comp, t: Comp, n: int) -> tuple[tuple[Comp, int], ...]
     if weight(s) + weight(t) >= n:
         raise ValueError("identity truncation requires weight(s) + weight(t) < n")
     coords: dict[Comp, int] = dict(shuffle(s, t))
-    m = len(t)
     sign = -1 if weight(t) % 2 else 1
-    budget = n - 1 - weight(s) - weight(t)
-    for a in bounded_tuples(m, budget):
-        coeff = 1
-        for ai, ti in zip(a, t):
-            coeff *= math.comb(ai + ti - 1, ti - 1)
-        w = tuple(t[i] + a[i] for i in range(m - 1, -1, -1)) + s
+    for head, coeff in _jarossay_tail(t, n - 1 - weight(s) - weight(t)):
+        w = head + s
         coords[w] = coords.get(w, 0) - sign * coeff
     return tuple(sorted((w, c) for w, c in coords.items() if c != 0))
+
+
+@lru_cache(maxsize=None)
+def _jarossay_tail(t: Comp, budget: int) -> tuple[tuple[Comp, int], ...]:
+    """The a-sum of the identity, without its sign and its suffix ``s``.
+
+    One ``((t_m + a_m, ..., t_1 + a_1), prod C(a_i + t_i - 1, t_i - 1))`` per a.
+    """
+    m = len(t)
+    return tuple(
+        (
+            tuple(t[i] + a[i] for i in range(m - 1, -1, -1)),
+            math.prod(math.comb(ai + ti - 1, ti - 1) for ai, ti in zip(a, t)),
+        )
+        for a in bounded_tuples(m, budget)
+    )
 
 
 def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, int]:
@@ -150,18 +165,39 @@ def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, int]:
     multiplied by ``h_p(u)`` via the stuffle product.  Stuffle preserves
     weight, so every retained composition has weight < n.
     """
-    base = _jarossay_identity(s, t, n - weight(u))
-    if not u:
-        return dict(base)
     out: dict[Comp, int] = {}
-    for w, c in base:
-        for v, mult in stuffle(w, u).items():
-            nv = out.get(v, 0) + c * mult
-            if nv:
-                out[v] = nv
-            else:
-                out.pop(v, None)
-    return out
+    for w, c in _jarossay_identity(s, t, n - weight(u)):
+        for v, mult in _stuffle_cached(w, u):
+            out[v] = out.get(v, 0) + c * mult
+    return {v: c for v, c in out.items() if c}
+
+
+def _relation_vectors(n: int) -> tuple[list[Prov], list[dict[int, int]]]:
+    """Every triple at n and its :func:`_relation_coords` by column, zeros allowed.
+
+    Each (s, t) identity is built once, at n, and cut for each u to the
+    columns of weight < n - weight(u): the first 2^(n - 1 - weight(u)).
+    """
+    columns = enumerate_compositions(n - 1)
+    col_index = {w: i for i, w in enumerate(columns)}
+    stuffles: dict[tuple[int, Comp], list[tuple[int, int]]] = {}
+    provs, vectors, key = list(_enumerate_triples(n)), [], None
+    for s, t, u in provs:
+        if key != (s, t):
+            key = (s, t)
+            ident = sorted((col_index[w], c) for w, c in _jarossay_identity(s, t, n))
+            ident_cols = [col for col, _ in ident]
+        vec: dict[int, int] = {}
+        for col, c in ident[: bisect_left(ident_cols, 1 << (n - 1 - weight(u)))]:
+            table = stuffles.get((col, u))
+            if table is None:
+                table = stuffles[col, u] = [
+                    (col_index[v], mult) for v, mult in _stuffle_cached(columns[col], u)
+                ]
+            for j, mult in table:
+                vec[j] = vec.get(j, 0) + c * mult
+        vectors.append(vec)
+    return provs, vectors
 
 
 def _check_prov(prov: object) -> int:
@@ -266,46 +302,63 @@ def _lift(
     )
 
 
-def _axpy_mod(dst: dict, src: Mapping, c: int, q: int) -> None:
-    """In-place ``dst += c * src`` modulo q over sparse mappings, dropping zeros."""
-    for k, v in src.items():
-        nv = (dst.get(k, 0) + c * v) % q
-        if nv:
-            dst[k] = nv
-        else:
-            dst.pop(k, None)
+def _fingerprint_weights(ncols: int, q: int) -> list[int]:
+    """Fixed pseudo-random weights modulo q, one per column: powers of one base."""
+    return [pow(0x9E3779B97F4A7C15, col, q) for col in range(ncols)]
 
 
 def _echelon(
-    vectors: Iterable[Mapping[int, int]], q: int
+    vectors: Iterable[Mapping[int, int]], ncols: int, q: int
 ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """Reduced row echelon form modulo q of integer vectors taken in order.
 
     Returns ``(rows, raised)``: ``rows`` maps each pivot column to its row
-    (pivot coefficient 1, zero in every other pivot column), and ``raised``
-    maps it to the position of the vector that raised the rank there.
-    A row's pivot is its smallest column, so the largest column is a pivot
-    exactly when some combination of the vectors is nonzero in that column
-    alone.  The span of the relations and the multipliers of a proof (see
-    :meth:`RelationBasis.express`) are both read from this one elimination.
+    without the pivot entry, 1 (zero in every other pivot column), and
+    ``raised`` maps it to the position of the vector that raised the rank
+    there.  A row's pivot is its smallest column, so the largest column is a
+    pivot exactly when some combination of the vectors is nonzero in that
+    column alone.  The span of the relations and the multipliers of a proof
+    (see :meth:`RelationBasis.express`) are both read from this elimination.
+
+    A vector whose fingerprint ``g . vec`` vanishes is skipped unreduced; g
+    is kept through back-substitution so that ``g . x = r . reduced(x)``
+    for the weights r of :func:`_fingerprint_weights`.  In the span that is
+    always 0, outside it with probability about ncols/q: the rank then drops
+    or a pivot moves to a later vector, which the callers' exact checks
+    reject and ``_lift`` ranks below a prime that kept the rank.  Sums stay
+    unreduced ints until the end.
     """
+    g = _fingerprint_weights(ncols, q)
     rows: dict[int, dict[int, int]] = {}
     raised: dict[int, int] = {}
     for k, vec in enumerate(vectors):
-        work = {col: c % q for col, c in vec.items() if c % q}
-        for piv in [col for col in work if col in rows]:
-            _axpy_mod(work, rows[piv], q - work[piv], q)
-        if not work:
+        if not sum(g[col] * c for col, c in vec.items()) % q:
             continue
+        acc: dict[int, int] = {}
+        for col, c in vec.items():
+            row = rows.get(col)
+            if row is None:
+                acc[col] = acc.get(col, 0) + c
+            else:
+                for j, a in row.items():
+                    acc[j] = acc.get(j, 0) - c * a
+        work = {col: c % q for col, c in acc.items() if c % q}
         piv = min(work)
-        inv = pow(work[piv], -1, q)
-        work = {col: c * inv % q for col, c in work.items()}
-        for row in rows.values():
-            c = row.get(piv)
+        inv = pow(work.pop(piv), -1, q)
+        new = {col: c * inv % q for col, c in work.items()}
+        gp = -sum(g[col] * c for col, c in new.items()) % q
+        step = g[piv] - gp
+        for p, row in rows.items():
+            c = row.pop(piv, 0) % q
             if c:
-                _axpy_mod(row, work, q - c, q)
-        rows[piv] = work
+                for col, a in new.items():
+                    row[col] = row.get(col, 0) - c * a
+                g[p] = (g[p] + c * step) % q
+        g[piv] = gp
+        rows[piv] = new
         raised[piv] = k
+    for p, row in rows.items():
+        rows[p] = {col: c % q for col, c in row.items() if c % q}
     return rows, raised
 
 
@@ -320,7 +373,7 @@ def _annihilator_residues(
     ranks q by rank, then pivot columns, then the vectors that raised the
     rank at them.
     """
-    rows, raised = _echelon(vectors, q)
+    rows, raised = _echelon(vectors, ncols, q)
     pivots = sorted(rows)
     residues: dict[tuple[int, int], int] = {}
     for f in range(ncols):
@@ -345,18 +398,29 @@ def _functionals(
 
 
 def _annihilates(
-    values: Mapping[tuple[int, int], Fraction], vectors: Iterable[Mapping[int, int]]
+    values: Mapping[tuple[int, int], Fraction], vectors: Sequence[Mapping[int, int]]
 ) -> bool:
-    """Exact check that every lifted functional vanishes on every vector."""
+    """Exact check that every lifted functional vanishes on every vector.
+
+    Scaled to integers, functional i fills the signed slot ``2^(i * width)``
+    of one packed integer per column.  A slot is wider than any lambda_i(vec),
+    so the packed dot product with vec is zero exactly when every lambda_i(vec)
+    is: the lowest nonzero slot leaves a sum not divisible by the next slot.
+    """
     scaled = []
     for lam in _functionals(values).values():
         den = math.lcm(*(v.denominator for v in lam.values()))
         scaled.append({col: int(v * den) for col, v in lam.items()})
-    for vec in vectors:
-        for lam in scaled:
-            if sum(lam.get(col, 0) * c for col, c in vec.items()):
-                return False
-    return True
+    top = max((abs(a) for lam in scaled for a in lam.values()), default=0)
+    big = max((abs(c) for vec in vectors for c in vec.values()), default=0)
+    width = (top * big * max(map(len, vectors), default=0)).bit_length() + 2
+    packed: dict[int, int] = {}
+    for i, lam in enumerate(scaled):
+        for col, a in lam.items():
+            packed[col] = packed.get(col, 0) + (a << (i * width))
+    return not any(
+        sum(packed[col] * c for col, c in vec.items() if col in packed) for vec in vectors
+    )
 
 
 # -- relation bases --------------------------------------------------------
@@ -388,6 +452,7 @@ class RelationBasis:
         "_triples",
         "_annihilators",
         "_triple_rows",
+        "_prefixes",
     )
 
     def __init__(
@@ -400,9 +465,7 @@ class RelationBasis:
         check_int(modulus_power, "modulus_power", 1)
         if len(pivots) != len(triples):
             raise ValueError("pivots and independent triples must align")
-        self._modulus = modulus_power
-        self._columns = enumerate_compositions(modulus_power - 1)
-        self._col_index = {w: i for i, w in enumerate(self._columns)}
+        self._init(modulus_power, pivots, triples, {})
         last = -1
         for piv in pivots:
             idx = self._col_index.get(piv)
@@ -426,10 +489,17 @@ class RelationBasis:
                     f"annihilator {format_comp(f)} must be e_f plus pivot columns"
                 )
             kept[f] = lam
+        self._annihilators = kept
+
+    def _init(self, n: int, pivots, triples, annihilators) -> None:
+        self._modulus = n
+        self._columns = enumerate_compositions(n - 1)
+        self._col_index = {w: i for i, w in enumerate(self._columns)}
         self._pivots = list(pivots)
         self._triples = list(triples)
-        self._annihilators = kept
+        self._annihilators = annihilators
         self._triple_rows: dict[Comp, dict[int, int]] | None = None
+        self._prefixes: dict[int, RelationBasis] = {}
 
     @property
     def modulus_power(self) -> int:
@@ -454,21 +524,18 @@ class RelationBasis:
         an RREF row is zero left of its pivot, so the elimination at n is
         this one on the columns of weight < n: the pivots of weight < n, the
         triples that raised the rank at them, and the lambda_f with
-        weight(f) < n, already checked exactly on every relation.
+        weight(f) < n, already checked exactly on every relation.  So a
+        prefix skips the checks of ``__init__``, shares the functionals, and
+        is built once per n and kept with this basis.
         """
         if n == self._modulus:
             return self
-        r = sum(weight(piv) < n for piv in self._pivots)
-        annihilators = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
-        return RelationBasis(n, self._pivots[:r], self._triples[:r], annihilators)
-
-    def _validate_coords(self, coords: Mapping[Comp, Fraction]) -> None:
-        for w in coords:
-            if w not in self._col_index:
-                raise ValueError(
-                    f"coordinate {format_comp(w)} has weight >= modulus power "
-                    f"{self._modulus}"
-                )
+        if n not in self._prefixes:
+            r = sum(weight(piv) < n for piv in self._pivots)
+            lams = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
+            prefix = self._prefixes[n] = object.__new__(RelationBasis)
+            prefix._init(n, self._pivots[:r], self._triples[:r], lams)
+        return self._prefixes[n]
 
     def reduce(self, coords: Mapping[Comp, Fraction]) -> dict[Comp, Fraction]:
         """Canonical representative of ``coords`` modulo the span.
@@ -477,7 +544,12 @@ class RelationBasis:
         column f: the same vector as subtracting RREF rows until no pivot
         column is left.
         """
-        self._validate_coords(coords)
+        for w in coords:
+            if w not in self._col_index:
+                raise ValueError(
+                    f"coordinate {format_comp(w)} has weight >= modulus power "
+                    f"{self._modulus}"
+                )
         out: dict[Comp, Fraction] = {}
         for f, lam in self._annihilators.items():
             value = sum((lam[w] * c for w, c in coords.items() if w in lam), _ZERO)
@@ -528,7 +600,7 @@ class RelationBasis:
             if c is not None:
                 row = {**row, r: c.numerator * pow(c.denominator, -1, q)}
             system.append(row)
-        rows, _ = _echelon(system, q)
+        rows, _ = _echelon(system, r + 1, q)
         if not all(k in rows for k in range(r)):
             return None
         if r in rows:
@@ -659,7 +731,7 @@ _PROCESS_BASIS: RelationBasis | None = None
 
 
 def clear_relation_cache() -> None:
-    """Forget the in-process basis (the on-disk cache file is left alone)."""
+    """Forget the in-process basis and its prefixes (the cache file is left alone)."""
     global _PROCESS_BASIS
     _PROCESS_BASIS = None
 
@@ -730,14 +802,7 @@ def generate_relations(
         )
 
     columns = enumerate_compositions(n - 1)
-    col_index = {w: i for i, w in enumerate(columns)}
-    provs: list[Prov] = []
-    vectors: list[dict[int, int]] = []
-    for prov in _enumerate_triples(n):
-        coords = _relation_coords(*prov, n)
-        if coords:
-            provs.append(prov)
-            vectors.append({col_index[w]: c for w, c in coords.items()})
+    provs, vectors = _relation_vectors(n)
     (_, pivots, raised_by), values = _lift(
         lambda q: _annihilator_residues(vectors, len(columns), q),
         lambda values: _annihilates(values, vectors),

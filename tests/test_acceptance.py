@@ -6,6 +6,7 @@ The tests share one fresh relation cache so the stated runtime targets
 honestly include basis generation.
 """
 
+import hashlib
 import math
 import sys
 import time
@@ -271,6 +272,10 @@ def test_criterion_6_mixed_congruences():
     assert ok, bad
 
 
+#: SHA-256 of a cold ``generate_relations(11).dump()`` (rank 1,012 of 1,024).
+BASIS_DIGEST_N11 = "3445b6cae99dd4d279d3a63377a33730c223b1bdacb9ec7f8c9658058ea92602"
+
+
 def test_criterion_7_restricted_double_harmonic():
     t0 = time.monotonic()
 
@@ -283,9 +288,9 @@ def test_criterion_7_restricted_double_harmonic():
         lambda p: p**3 * eval_quantity(spec, p) - eval_series_terms(rhs, p),
         PrimeWindow(11, 61), 8)
 
-    # symbolic attempt (stretch goal): prove each weighted part bottom-up,
-    # skipping parts whose relation basis is beyond a feasible modulus
-    FEASIBLE_MODULUS = 9
+    # symbolic proof: every weighted part, bottom-up, up to the p^11 basis,
+    # which must equal the pinned digest of a cold generation
+    FEASIBLE_MODULUS = 11
     lhs_s, rhs_s, n = eval_statement(parse(CR3), cache_dir=CACHE["dir"])
     parts = _offset_parts((lhs_s - rhs_s).truncate(n), n)
     verdicts = []
@@ -297,11 +302,15 @@ def test_criterion_7_restricted_double_harmonic():
         cert = prove_weighted(parts[k], m, cache_dir=CACHE["dir"])
         verdicts.append(f"offset {k} (mod p^{m}): {cert.verdict}")
     symbolic_verdict = "; ".join(verdicts)
+    symbolic = len(parts) == 6 and all(v.endswith(": proved") for v in verdicts)
+    digest = hashlib.sha256(generate_relations(11, CACHE["dir"]).dump().encode()).hexdigest()
+    pinned = digest == BASIS_DIGEST_N11
 
     dt = time.monotonic() - t0
-    ok = numeric
-    report(7, ok, f"cr3 numeric 11..61 {'pass' if numeric else 'FAIL'} (hard); "
-                  f"symbolic attempt recorded [{symbolic_verdict}] ({dt:.0f}s)")
+    ok = numeric and symbolic and pinned
+    report(7, ok, f"cr3 numeric 11..61 {'pass' if numeric else 'FAIL'}; "
+                  f"symbolic [{symbolic_verdict}]; p^11 basis digest "
+                  f"{'pinned' if pinned else 'CHANGED'} ({dt:.0f}s)")
     assert ok
 
 

@@ -644,6 +644,14 @@ class TestCertificateCommands:
         assert main(["verify-certificate", str(path)]) == 2
         assert capsys.readouterr().err == "error: trailing content after 'end certificate'\n"
 
+    def test_dump_with_nothing_proved_writes_no_file(self, tmp_path, capsys):
+        cert = tmp_path / "un.cert"
+        assert main(["prove", "H(1) = 0 mod p^3", "--dump", str(cert)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "UNPROVEN: H(1) = 0 mod p^3"
+        assert out[-1] == f"no statement proved; nothing written to {cert}"
+        assert not cert.exists()
+
     def test_show_certificates_prints_dump(self, capsys):
         assert main(
             ["prove", "p*H(1) + p^2*H(1,1) = 0 mod p^3", "--show-certificates"]

@@ -454,6 +454,7 @@ def memo_table_sizes():
         "compositions._shuffle_words": compositions._shuffle_words,
         "compositions._stuffle_cached": compositions._stuffle_cached,
         "prover._jarossay_identity": prover._jarossay_identity,
+        "prover._jarossay_tail": prover._jarossay_tail,
         "oracle.eval_mhs": oracle.eval_mhs,
         "oracle._lcm_steps": oracle._lcm_steps,
     }
@@ -462,6 +463,7 @@ def memo_table_sizes():
     sizes["arith._power_sum_memo"] = len(arith._power_sum_memo)
     sizes["arith._bernoulli_memo"] = len(arith._bernoulli_memo) - 1  # B_0 is its seed
     sizes["prover._PROCESS_BASIS"] = int(prover._PROCESS_BASIS is not None)
+    sizes["prover._PROCESS_BASIS._prefixes"] = len(getattr(prover._PROCESS_BASIS, "_prefixes", ()))
     return sizes
 
 

@@ -283,6 +283,15 @@ class TestOneBasis:
         assert generations == []
         assert cache_state(basis_cache) == before
 
+    def test_prefixes_are_built_once_without_validation(self, basis_cache, monkeypatch):
+        generate_relations(8, basis_cache)
+        checks = count_calls(monkeypatch, "_check_prov")
+        first = [generate_relations(n, basis_cache) for n in range(1, 9)]
+        again = [generate_relations(n, basis_cache) for n in range(1, 9)]
+        assert all(a is b for a, b in zip(first, again))
+        assert checks == []
+        assert sorted(prover._PROCESS_BASIS._prefixes) == list(range(1, 8))
+
     def test_larger_request_replaces_the_file(self, basis_cache):
         generate_relations(4, basis_cache)
         clear_relation_cache()
@@ -369,9 +378,10 @@ class TestModularLift:
 
     @pytest.mark.parametrize("small", [3, 7])
     def test_unlucky_first_prime_changes_nothing(self, tmp_path, monkeypatch, small):
-        # modulo 3 the rank drops at n = 5 and 6 (13 < 14, 28 < 29), so the
-        # lifted functionals fail the exact check; modulo 7 the rank holds
-        # and the residues are combined with those of the next prime
+        # modulo 3 the rank drops at n = 5 and 6 (13 < 14, 28 < 29); modulo
+        # 3 and 7 the fingerprint also vanishes on some rank-raising relations
+        # (about one in q), so both keep a lower rank than the next prime,
+        # whose functionals pass the exact check
         dumps = {}
         for label, primes in (
             ("default", prover._PRIMES),
@@ -446,6 +456,100 @@ class TestModularLift:
     def test_load_rejects_format_1(self):
         with pytest.raises(ValueError, match="version"):
             RelationBasis.load(V1_BASIS_N2)
+
+
+#: SHA-256 of a cold ``generate_relations(n).dump()``, taken from the
+#: elimination that reduced every relation (no fingerprint, no packed check).
+BASIS_DIGESTS = {
+    2: "1ddee768ced7e784d768e5bb9271dd8b369ccc168ce1665b5e55a70d3b0df589",
+    3: "2589987083a8fe6daafc38a1f947a6d75230a69679ffb3f380c2a5282d24f702",
+    4: "46a56d7854b289f13ad7915887a26155e70111f232cb94707891ca07e0f4b837",
+    5: "4e637943ff89bdef99f2b82f6b92f4937f466ade23f6d1ad7a11a560e7b365c1",
+    6: "68df1a3b983acbcc712bb4793f24bc2091d8b81fe408d15e3f8c2e19b7ea9caf",
+    7: "8085f53796b1b69f2f7cf0b7009e92d7e40af42dfa12104205abe641a3062273",
+    8: "4ff57a693d9bf34ec4a0ec35eec86e108e95fe7b1c47619a3c91b35d796e00b0",
+    9: "5d00e484d9c4bcb9663f92be66ab96f5035dd89ba021b5855c14a1698d4881d6",
+    10: "0a5ac31ce0f375a162f935835068f2868c5af7e41d6af9c6679ac34ddbd789f8",
+}
+
+
+def sha256_of(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+#: SHA-256 of the CB certificate text (see TestPinnedCertificates).
+CB_DIGEST = "5b1b0eec251add9b786469f92cb6e3e50f49e2cfc0d714d5d25ddfc9e1ec4332"
+
+
+def indexed_functionals(basis: RelationBasis) -> dict:
+    """The basis's lambda_f keyed ``(f, column)`` by column index, zeros kept."""
+    idx = {w: i for i, w in enumerate(basis.columns)}
+    pivots = set(basis.pivots)
+    values = {}
+    for f in (w for w in basis.columns if w not in pivots):
+        values[(idx[f], idx[f])] = F(1)
+        for w in basis.pivots:
+            values[(idx[f], idx[w])] = basis.reduce({w: F(1)}).get(f, F(0))
+    return values
+
+
+class TestFingerprintAndPackedCheck:
+    """The fingerprint skip and the packed check only propose; exact checks decide."""
+
+    @pytest.mark.parametrize("n", sorted(BASIS_DIGESTS))
+    def test_cold_basis_is_pinned(self, basis_cache, n):
+        assert sha256_of(generate_relations(n, basis_cache).dump()) == BASIS_DIGESTS[n]
+
+    def test_vanishing_fingerprints_on_the_first_prime_change_nothing(
+        self, basis_cache, monkeypatch
+    ):
+        # modulo the first prime every vector is skipped as if in the span,
+        # so that prime keeps rank 0 and the next one decides
+        real = prover._fingerprint_weights
+        monkeypatch.setattr(
+            prover,
+            "_fingerprint_weights",
+            lambda ncols, q: [0] * ncols if q == prover._PRIMES[0] else real(ncols, q),
+        )
+        for n in (6, 7):
+            clear_relation_cache()
+            basis = generate_relations(n, basis_cache / f"n{n}")
+            assert sha256_of(basis.dump()) == BASIS_DIGESTS[n]
+        clear_relation_cache()
+        assert sha256_of(proof_dump(CB, basis_cache / "cb")) == CB_DIGEST
+
+    def test_vanishing_fingerprints_on_every_prime_raise(self, basis_cache, monkeypatch):
+        monkeypatch.setattr(prover, "_fingerprint_weights", lambda ncols, q: [0] * ncols)
+        with pytest.raises(RuntimeError, match="exact check"):
+            generate_relations(5, basis_cache)
+        assert list(basis_cache.iterdir()) == []
+
+    def test_packed_check_rejects_an_entry_off_by_one(self, basis_cache):
+        basis = generate_relations(6, basis_cache)
+        _, vectors = prover._relation_vectors(6)
+        values = indexed_functionals(basis)
+        assert prover._annihilates(values, vectors)
+        for key in values:
+            if key[1] != 0:  # no relation has a coordinate at ()
+                altered = {**values, key: values[key] + 1}
+                assert not prover._annihilates(altered, vectors), key
+
+    def test_packed_check_is_exact_on_huge_entries(self):
+        # lambda_1 = e_1 - e_0 and lambda_3 = e_3 + e_2 / 2, on entries > 2^200
+        values = {(1, 1): F(1), (1, 0): F(-1), (3, 3): F(1), (3, 2): F(1, 2)}
+        x, y = 2**200 + 12345, 2**201 + 7
+        good = {0: x, 1: x, 2: 2 * y, 3: -y}
+        assert prover._annihilates(values, [good])
+        rng = random.Random(7)
+        for col in range(4):
+            for delta in (1, -1, 2**210, 1 + rng.randrange(2**250)):
+                bad = {**good, col: good[col] + delta}
+                assert not prover._annihilates(values, [good, bad]), (col, delta)
+        # lambda_1 = -2^(w-1) and 2 * lambda_3 = 2 cancel in a packing whose
+        # slots are w - 2 bits wide; the width read off the data keeps them apart
+        for w in range(1, 300):
+            bad = {0: 2 ** (w - 1), 1: 0, 2: 2, 3: 0}
+            assert not prover._annihilates(values, [bad]), w
 
 
 class TestPinnedCertificates:
