@@ -75,6 +75,7 @@ def clear_caches() -> None:
     for fn in (
         powersums.signed_mhs,
         powersums._chain_product,
+        powersums._ghat_at,
         compositions._shuffle_words,
         compositions._stuffle_cached,
         prover._jarossay_identity,

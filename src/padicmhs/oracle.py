@@ -111,7 +111,8 @@ def eval_power_sum(
     exponents.  K = lcm(M+1..n)^P times a prefix sum stays divisible by n^e
     for each positive exponent e still to come, so that step is the exact
     ``D[j-1] // n**e``; any other exponent multiplies by n^(-e).  One
-    reduction at the end.
+    reduction at the end.  A range of fewer than 100 indices starts from the
+    whole K = lcm(M+1..N)^P: there growth costs more than it saves.
     """
     if M < 0:
         raise ValueError(f"eval_power_sum requires M >= 0, got M={M}")
@@ -119,8 +120,9 @@ def eval_power_sum(
     if k == 0:
         return Fraction(1)
     P = sum(e for e in exps if e > 0)
-    grow = dict(zip(*_lcm_steps(M + 1, N))) if P else {}
-    D = [1] + [0] * k  # D[0] is the denominator K
+    short = N - M < 100  # then K starts whole: one lcm, no growth steps
+    grow = dict(zip(*_lcm_steps(M + 1, N))) if P and not short else {}
+    D = [math.lcm(*range(M + 1, N + 1)) ** P if short else 1] + [0] * k  # D[0] is K
     for n in range(M + 1, N + 1):
         if n in grow:
             f = grow[n] ** P

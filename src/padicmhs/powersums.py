@@ -23,8 +23,11 @@ to ``p``.  The reduction chain:
   geometrically with an explicit truncation bound; the leaves' j-parts are
   summed per a-part profile, so each a-part is computed once and each
   profile takes one product;
-* :func:`signed_mhs` handles chains over ``[1, p-1]`` whose exponents may be
-  zero or negative, eliminating them with power-sum polynomials.
+* an unrestricted sum with a zero or negative exponent, over ``[1, p-1]``
+  (:func:`signed_mhs`), over one block or below a polynomial bound, is not
+  expanded: one rule, :func:`_eliminate`, sums that exponent out exactly
+  with Faulhaber's power-sum polynomials into shorter chains over the same
+  interval.
 
 Every function takes an explicit truncation order and returns a series
 correct to ``O(p^order)`` for all but finitely many primes; results that
@@ -50,9 +53,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .arith import INFINITY, IntPoly, int_poly, poly_sub, power_sum_poly, strip_poly
+from .arith import INFINITY, IntPoly, int_poly, poly_mul, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
 from .series import (
     IntTerms,
@@ -179,52 +182,66 @@ def signed_mhs(exps: Exps) -> MhsSeries:
     """Exact MhsSeries for S_{p-1,0}(exps), exponents of either sign.
 
     For all-positive exponents this is the single term H(exps).  Otherwise
-    the first nonpositive exponent -d, at position i, is eliminated: summing
-    n_i^d over the gap between its neighbours is G_d(upper) - Ghat_d(lower)
-    with G_d(x) = sum_{a<x} a^d and Ghat_d = G_d + x^d.  The upper bound is
-    p when i is first, else n_(i-1); the lower bound is n_(i+1), or 0 when
-    i is last, where Ghat_d(0) = [d == 0].  Each monomial x^j of a bound
-    n_l is absorbed into that chain entry's exponent, and p^j becomes an
-    explicit power of p.  Each step removes one chain position, so the
-    recursion terminates; the result is exact.
+    :func:`_eliminate` sums out the first nonpositive exponent over
+    (0, p-1]; each step removes one chain position, so the recursion
+    terminates and the result is exact.
     """
     if all(e >= 1 for e in exps):
         return MhsSeries._trusted({(0, exps): Fraction(1)}, None)
+    return _eliminate(exps, (-1, 1), (), lambda chain, _o: signed_mhs(chain), None)
+
+
+@lru_cache(maxsize=1024)
+def _ghat_at(d: int, bound: IntPoly) -> tuple[Fraction, ...]:
+    """p-coefficients of Ghat_d(bound(p)) = sum_{0 < a <= bound(p)} a^d (0^0 = 1)."""
+    ghat = list(power_sum_poly(d))
+    ghat[d] += 1
+    nums, den = _integer_terms(dict(enumerate(ghat)))
+    acc: list[int] = []
+    for _, n in reversed(nums):  # Horner in the polynomial bound, on int numerators
+        acc = list(poly_mul(acc, bound)) or [0]
+        acc[0] += n
+    return tuple(Fraction(n, den) for n in strip_poly(acc))
+
+
+def _eliminate(
+    exps: Exps, upper: IntPoly, lower: IntPoly, sub: Callable, order: int | None
+) -> MhsSeries:
+    """The unrestricted S_{upper(p), lower(p)}(exps) to O(p^order) (None: exactly).
+
+    The first nonpositive exponent -d, at position i, is summed out:
+    summing n_i^d over the gap between its neighbours is G_d(n_(i-1)) -
+    Ghat_d(n_(i+1)), with G_d(x) = sum_{a<x} a^d and Ghat_d = G_d + x^d.
+    An outer neighbour is a bound: Ghat_d(upper(p)) when i is first,
+    Ghat_d(lower(p)) when i is last, both explicit powers of p.  Each
+    monomial x^j of an index neighbour lowers that neighbour's exponent by
+    j.  ``sub(chain, o)`` is the shorter sum over the same interval to
+    O(p^o); each piece c * p^m * sub(chain) is asked to O(p^(order - m))
+    and summed as int numerators.
+    """
     i = next(idx for idx, e in enumerate(exps) if e <= 0)
     d = -exps[i]
     rest = exps[:i] + exps[i + 1 :]
-    g = power_sum_poly(d)
-    # int numerators over the common denominator den
+    # pieces (c, chain, m) of the sum of c * p^m * sub(chain)
+    if i:  # G_d(n_(i-1)), the coefficients of G_d itself
+        g = power_sum_poly(d)
+        pieces = [(c, rest[: i - 1] + (rest[i - 1] - j,) + rest[i:], 0) for j, c in enumerate(g)]
+    else:
+        pieces = [(c, rest, m) for m, c in enumerate(_ghat_at(d, upper))]
+    if i < len(rest):  # Ghat_d(n_(i+1)), the coefficients of Ghat_d itself
+        ghat = _ghat_at(d, (0, 1))
+        pieces += [(-c, rest[:i] + (rest[i] - j,) + rest[i + 1 :], 0) for j, c in enumerate(ghat)]
+    else:
+        pieces += [(-c, rest, m) for m, c in enumerate(_ghat_at(d, lower))]
     acc: dict[tuple[int, Exps], int] = {}
     den = 1
-
-    def add(c: Fraction | int, chain: Exps, shift: int = 0) -> None:
-        # acc / den += c * p^shift * signed_mhs(chain)
-        nonlocal den
-        c = Fraction(c)
-        nums, d = _integer_terms(signed_mhs(chain)._terms)
-        if shift:
-            nums = [((b + shift, s), n) for (b, s), n in nums]
-        den = _add_over(acc, den, nums, d * c.denominator, c.numerator)
-
-    def add_poly(poly: Sequence[Fraction], at: int | None) -> None:
-        # poly(bound), the bound being p (at None) or the index at position
-        # ``at`` of ``rest``
-        for j, c in enumerate(poly):
-            if c:
-                if at is None:
-                    add(c, rest, j)
-                else:
-                    add(c, rest[:at] + (rest[at] - j,) + rest[at + 1 :])
-
-    add_poly(g, None if i == 0 else i - 1)
-    if i < len(rest):
-        minus_ghat = [-c for c in g]  # -Ghat_d = -(G_d + x^d)
-        minus_ghat[d] -= 1
-        add_poly(minus_ghat, i)
-    elif d == 0:
-        add(-1, rest)
-    return MhsSeries._trusted(_over(acc, den), None)
+    for c, chain, m in pieces:
+        if c:
+            nums, d_sub = _integer_terms(sub(chain, None if order is None else order - m)._terms)
+            nums = [((b + m, s), n) for (b, s), n in nums] if m else nums
+            den = _add_over(acc, den, nums, d_sub * c.denominator, c.numerator)
+    below = {key: n for key, n in acc.items() if order is None or key[0] < order}
+    return MhsSeries._trusted(_over(below, den), order)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +284,7 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
     each profile takes one product; by distributivity the result is the
     same as one product per leaf.  The profile sums are accumulated as int
     numerators, and :func:`_profile_products` sums the profile products.
+    An unrestricted sum with a nonpositive exponent is :func:`_eliminate`'s.
     """
     if b < 1 or r < 0:
         raise ValueError(f"block_sum requires b >= 1, r >= 0, got b={b}, r={r}")
@@ -277,11 +295,12 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
         if len(exps) == 1:
             return _exact_constant(Fraction(b) ** (-exps[0]))
         return _ZERO
-    return _memoized(
-        ("block", b, r, exps, restricted),
-        order,
-        lambda: _block_sum(b, r, exps, restricted, order),
-    )
+    key = ("block", b, r, exps, restricted)
+    if restricted or min(exps) > 0:
+        return _memoized(key, order, lambda: _block_sum(b, r, exps, restricted, order))
+    upper, lower = (0,) * r + (b,), strip_poly((0,) * r + (b - 1,))
+    sub = lambda chain, o: block_sum(b, r, chain, False, o)  # noqa: E731
+    return _memoized(key, order, lambda: _eliminate(exps, upper, lower, sub, order))
 
 
 def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
@@ -409,6 +428,7 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     eventually negative (f = a*x^r - h), chains over [1, a*p^r] split at
     f(p) instead, and the strip (f(p), a*p^r] is expanded geometrically
     into sums bounded by h - 1; the recursion is on deg f and chain depth.
+    An unrestricted sum with a nonpositive exponent is :func:`_eliminate`'s.
     """
     f = int_poly(f, "power-sum bound")
     if not exps:
@@ -420,9 +440,11 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
         raise ValueError(
             f"poly_sum: upper-bound polynomial must have a positive leading coefficient, got {f}"
         )
-    return _memoized(
-        ("poly", f, exps, restricted), order, lambda: _poly_sum(f, exps, restricted, order)
-    )
+    key = ("poly", f, exps, restricted)
+    if restricted or min(exps) > 0:
+        return _memoized(key, order, lambda: _poly_sum(f, exps, restricted, order))
+    sub = lambda chain, o: poly_sum(f, chain, False, o)  # noqa: E731
+    return _memoized(key, order, lambda: _eliminate(exps, f, (), sub, order))
 
 
 def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries:

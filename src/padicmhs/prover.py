@@ -783,7 +783,8 @@ def generate_relations(
     PADICMHS_CACHE_DIR environment variable, else a per-user cache
     directory); a smaller ``n`` is read off it as a prefix.  A basis is
     generated only when ``n`` exceeds both, an unreadable or stale file
-    counting as none, and then replaces the file.  Refuses to generate a
+    counting as none, and then replaces the file; a file whose ``modulus``
+    line is below ``n`` is not parsed.  Refuses to generate a
     basis above MAX_MODULUS_POWER; a larger one already held is served.
     """
     global _PROCESS_BASIS
@@ -791,7 +792,10 @@ def generate_relations(
     path = _cache_path(cache_dir)
     if _PROCESS_BASIS is None or _PROCESS_BASIS.modulus_power < n:
         try:
-            _PROCESS_BASIS = RelationBasis.load(path.read_text())
+            text = path.read_text()
+            stated = re.search(r"^\s*modulus (\d+)\s*$", text, re.MULTILINE)
+            if stated and int(stated[1]) >= n:  # a smaller file is not worth parsing
+                _PROCESS_BASIS = RelationBasis.load(text)
         except (ValueError, OSError):
             pass
     if _PROCESS_BASIS is not None and _PROCESS_BASIS.modulus_power >= n:

@@ -40,6 +40,7 @@ from padicmhs.oracle import (
 )
 from padicmhs.quantities import QuantitySpec, parse_quantity
 from padicmhs.series import MhsSeries
+from test_powersums import term_digest
 
 W_SMALL = PrimeWindow(11, 31)
 W_MID = PrimeWindow(11, 61)
@@ -601,6 +602,20 @@ class TestCuriousProfiles:
             (4, (3, 1)): F(1),
         },
     }
+
+    # term_digest of the raw series as the geometric expansion of the
+    # a-parts built them; the exact elimination of nonpositive exponents
+    # keeps them
+    RAW_DIGESTS = {
+        (3, 5, 5): "e035e2294b7c5111",
+        (3, 4, 6): "13269ca409f92a7f",
+        (4, 3, 6): "963bc25f189f6208",
+    }
+
+    @pytest.mark.parametrize("r,k,order", sorted(RAW_DIGESTS))
+    def test_raw_digest_r3_up(self, r, k, order):
+        padicmhs.clear_caches()
+        assert term_digest(_expand_curious_general(r, k, order)) == self.RAW_DIGESTS[(r, k, order)]
 
     @pytest.mark.parametrize("r,k,order", sorted(CANONICAL_SHA256))
     def test_canonical_digest(self, r, k, order):

@@ -593,6 +593,21 @@ class TestGrowingDenominator:
                     N, M, exps, restricted_at
                 ), (N, M, exps, restricted_at)
 
+    @pytest.mark.parametrize("length", [99, 100])
+    @pytest.mark.parametrize("M", [0, 23, 120])
+    def test_either_side_of_the_short_range_start(self, length, M, monkeypatch):
+        # below 100 indices the row starts from the whole lcm, at 100 it grows
+        steps = []
+        real = oracle._lcm_steps
+        monkeypatch.setattr(oracle, "_lcm_steps", lambda *a: steps.append(a) or real(*a))
+        N = M + length
+        for exps in [(1,), (2, 1), (3, -1, 2), (0, 2), (-2,)]:
+            for restricted_at in (None, 7):
+                assert eval_power_sum(N, M, exps, restricted_at) == power_sum_reference(
+                    N, M, exps, restricted_at
+                ), (N, M, exps, restricted_at)
+        assert bool(steps) == (length >= 100)
+
     def test_sumpoly_against_double_sum(self):
         rng = random.Random(31)
         for _ in range(60):

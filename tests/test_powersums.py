@@ -8,6 +8,7 @@ them.
 """
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -446,11 +447,58 @@ class TestSplitOrderFloor:
         assert warm == fresh
 
 
+class TestElimination:
+    """Unrestricted block and polynomial-bound sums with a nonpositive
+    exponent are summed out exactly (``_eliminate``), not geometrically."""
+
+    @staticmethod
+    def cases(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            exps = tuple(rng.randint(-2, 3) for _ in range(rng.randint(1, 3)))
+            if min(exps) > 0:
+                exps = exps[:-1] + (rng.randint(-2, 0),)
+            yield exps, rng.randint(1, 6)
+
+    def test_block_sum_equals_the_geometric_expansion(self):
+        padicmhs.clear_caches()
+        for i, (exps, order) in enumerate(self.cases(25, 60)):
+            b, r = 1 + i % 3, 1 + i // 3 % 2
+            assert block_sum(b, r, exps, False, order) == powersums._block_sum(
+                b, r, exps, False, order
+            ), (b, r, exps, order)
+
+    def test_poly_sum_equals_the_geometric_expansion(self):
+        padicmhs.clear_caches()
+        bounds = [(0, 1), (-1, 1), (0, 2), (0, 0, 1), (0, -1, 1), (1, 0, 1), (0, 0, 3)]
+        for i, (exps, order) in enumerate(self.cases(26, 60)):
+            f = bounds[i % len(bounds)]
+            assert poly_sum(f, exps, False, order) == powersums._poly_sum(
+                f, exps, False, order
+            ), (f, exps, order)
+
+    def test_curious_expansion_expands_no_nonpositive_exponent(self, monkeypatch):
+        calls = []
+        for name in ("_block_sum", "_poly_sum"):
+            real = getattr(powersums, name)
+            monkeypatch.setattr(
+                powersums,
+                name,
+                lambda *a, real=real: calls.append((a[-3], a[-2])) or real(*a),
+            )
+        padicmhs.clear_caches()
+        _expand_curious_general(3, 3, 6)
+        padicmhs.clear_caches()
+        assert calls
+        assert [c for c in calls if not c[1] and min(c[0]) <= 0] == []
+
+
 def memo_table_sizes():
     """Entry counts of every in-process memo table of the package."""
     lru_tables = {
         "powersums.signed_mhs": powersums.signed_mhs,
         "powersums._chain_product": powersums._chain_product,
+        "powersums._ghat_at": powersums._ghat_at,
         "compositions._shuffle_words": compositions._shuffle_words,
         "compositions._stuffle_cached": compositions._stuffle_cached,
         "prover._jarossay_identity": prover._jarossay_identity,

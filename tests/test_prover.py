@@ -292,6 +292,26 @@ class TestOneBasis:
         assert checks == []
         assert sorted(prover._PROCESS_BASIS._prefixes) == list(range(1, 8))
 
+    def test_ascending_fill_parses_no_smaller_file(self, basis_cache, monkeypatch):
+        loads, real = [], RelationBasis.load
+        monkeypatch.setattr(
+            RelationBasis, "load", staticmethod(lambda text: loads.append(text) or real(text))
+        )
+        for n in range(1, 9):
+            assert generate_relations(n, basis_cache).modulus_power == n
+        assert len(loads) <= 1
+        # a file stating a large enough modulus is parsed, and regenerated
+        # when it does not load
+        (path,) = basis_cache.iterdir()
+        good = path.read_text()
+        version = f"padicmhs-basis {prover.BASIS_FORMAT_VERSION}"
+        stale = good.replace(version, f"padicmhs-basis {prover.BASIS_FORMAT_VERSION - 1}")
+        for spoiled in (good + "junk\n", stale):
+            clear_relation_cache()
+            path.write_text(spoiled)
+            assert generate_relations(8, basis_cache).dump() == good
+            assert path.read_text() == good  # rewritten
+
     def test_larger_request_replaces_the_file(self, basis_cache):
         generate_relations(4, basis_cache)
         clear_relation_cache()
