@@ -21,21 +21,7 @@ from .compositions import (
     stuffle,
     weight,
 )
-from .expansions import (
-    expand_alternating,
-    expand_apery,
-    expand_binomial_poly,
-    expand_binomial_pp,
-    expand_curious,
-    expand_half_harmonic,
-    expand_power_sum,
-    expand_quantity,
-    expand_rational,
-    expand_restricted_harmonic,
-    expand_sum_poly_mhs,
-    expand_zeta_p,
-    factorial_ratio,
-)
+from .expansions import expand_quantity
 from .oracle import (
     DEFAULT_WORK_BUDGET,
     NumericReport,
@@ -56,12 +42,11 @@ from .prover import (
     generate_relations,
     provable_valuation,
     prove_mixed,
-    prove_supercongruence,
     prove_weighted,
     replay_certificate,
     verify_certificate_text,
 )
-from .quantities import QuantitySpec, format_quantity, parse_quantity
+from .quantities import QuantitySpec, format_quantity
 from .series import MhsSeries
 from . import arith, compositions, oracle, powersums, prover
 
@@ -112,32 +97,18 @@ __all__ = [
     "eval_mhs",
     "eval_quantity",
     "eval_series_terms",
-    "expand_alternating",
-    "expand_apery",
-    "expand_binomial_poly",
-    "expand_binomial_pp",
-    "expand_curious",
-    "expand_half_harmonic",
-    "expand_power_sum",
     "expand_quantity",
-    "expand_rational",
-    "expand_restricted_harmonic",
-    "expand_sum_poly_mhs",
-    "expand_zeta_p",
-    "factorial_ratio",
     "format_comp",
     "format_quantity",
     "full_sum",
     "generate_relations",
     "padic_valuation",
     "parse_comp",
-    "parse_quantity",
     "poly_sum",
     "power_sum_poly",
     "primes_in",
     "provable_valuation",
     "prove_mixed",
-    "prove_supercongruence",
     "prove_weighted",
     "replay_certificate",
     "shuffle",

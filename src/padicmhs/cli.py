@@ -65,8 +65,8 @@ from .prover import (
     all_proved,
     dump_certificates,
     generate_relations,
-    prove_supercongruence,
     provable_valuation,
+    prove_mixed,
     verify_certificate_text,
 )
 from .quantities import ExprAst, ExprSyntaxError, _fold, parse
@@ -119,19 +119,22 @@ def eval_series(ast: ExprAst, order: int, cache_dir=None) -> MhsSeries:
 
 def eval_statement(
     ast: ExprAst, cache_dir=None, order: int | None = None
-) -> tuple[MhsSeries, MhsSeries, int]:
-    """Evaluate a congruence node: (lhs series, rhs series, modulus power).
+) -> tuple[MhsSeries, int]:
+    """Evaluate a congruence node ``lhs = rhs mod p^n``: ((lhs - rhs) to O(p^n), n).
 
     Quantity atoms are expanded at the modulus power, or at ``order`` when
-    that is larger.
+    that is larger.  A side known only below p^n says nothing modulo p^n
+    and is refused with ValueError.
     """
     if ast.kind != "cong":
         raise ValueError("expected a congruence '<expr> = <expr> mod p^<n>'")
     n = ast.payload
     work = n if order is None else max(n, order)
-    lhs = eval_series(ast.children[0], work, cache_dir)
-    rhs = eval_series(ast.children[1], work, cache_dir)
-    return lhs, rhs, n
+    lhs, rhs = (eval_series(side, work, cache_dir) for side in ast.children)
+    for name, side in (("lhs", lhs), ("rhs", rhs)):
+        if side.order is not None and side.order < n:
+            raise ValueError(f"{name} is only known to O(p^{side.order}), cannot assert mod p^{n}")
+    return (lhs - rhs).truncate(n), n
 
 
 def _nodes(ast: ExprAst):
@@ -248,8 +251,8 @@ def cmd_prove(args) -> int:
     every_proved = True
     parts = []  # the certificate parts of every proved statement
     for text in statements:
-        lhs, rhs, n = eval_statement(parse(text), args.cache_dir, args.order)
-        certs = prove_supercongruence(lhs, rhs, n, cache_dir=args.cache_dir)
+        series, n = eval_statement(parse(text), args.cache_dir, args.order)
+        certs = prove_mixed(series, n, args.cache_dir)
         proved = all_proved(certs)
         every_proved = every_proved and proved
         print(f"{'PROVED' if proved else 'UNPROVEN'}: {text}")

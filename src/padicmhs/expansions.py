@@ -1,23 +1,22 @@
 """Expansions of prime-indexed quantities into p-adic MHS series.
 
-Each function expresses a concrete arithmetic quantity as an
-:class:`~padicmhs.series.MhsSeries`: a finite combination
-``sum_i c_i * p^b_i * H_{p-1}(s_i)``, either exact (``order=None``) or
-truncated with an explicit tail ``O(p^order)``.  Covered quantities:
+:func:`expand_quantity` is the one public entry point: it expresses a
+parsed quantity (a :class:`~padicmhs.quantities.QuantitySpec`, which checked
+its arguments when it was built) as an :class:`~padicmhs.series.MhsSeries`:
+a finite combination ``sum_i c_i * p^b_i * H_{p-1}(s_i)``, either exact
+(``order=None``) or truncated with an explicit tail ``O(p^order)``.  It
+checks the order once and dispatches to one private routine per quantity:
 
-* rational functions of p (:func:`expand_rational`),
-* binomial coefficients with polynomial arguments
-  (:func:`expand_binomial_pp`, :func:`expand_binomial_poly`),
-* Apery numbers ``b_{p-1}`` (:func:`expand_apery`),
-* p-adic zeta values ``p^k * zeta_p(k)`` (:func:`expand_zeta_p`),
-* bounded multiple power sums (:func:`expand_power_sum`),
-* p-restricted harmonic numbers (:func:`expand_restricted_harmonic`),
-* "curious" sums over coprime compositions of ``p^r``
-  (:func:`expand_curious`),
-* polynomial-weighted sums of harmonic numbers
-  (:func:`expand_sum_poly_mhs`),
-* half-range and alternating harmonic numbers
-  (:func:`expand_half_harmonic`, :func:`expand_alternating`).
+* rational functions of p (``rat``),
+* binomial coefficients with polynomial arguments (``binp``, ``binpoly``),
+  through factorial ratios,
+* Apery numbers ``b_{p-1}`` (``apery``),
+* p-adic zeta values ``p^k * zeta_p(k)`` (``zetap``),
+* bounded multiple power sums (``psum``, :func:`~padicmhs.powersums.full_sum`),
+* p-restricted harmonic numbers (``hres``),
+* "curious" sums over coprime compositions of ``p^r`` (``curious``),
+* polynomial-weighted sums of harmonic numbers (``sumpoly``),
+* half-range and alternating harmonic numbers (``half``, ``alt``).
 
 Conventions:
 
@@ -28,8 +27,7 @@ Conventions:
 
 The Apery and curious expansions are put into canonical form by
 :func:`padicmhs.prover.canonicalize` (re-exported here), which reduces them
-modulo the relation span.  :func:`expand_quantity` dispatches a parsed
-quantity description to the matching expansion.
+modulo the relation span.
 """
 
 from __future__ import annotations
@@ -58,25 +56,10 @@ from .powersums import (
     valuation_bound,
 )
 from .prover import canonicalize
-from .quantities import QuantitySpec, check_quantity
+from .quantities import QuantitySpec
 from .series import MhsSeries
 
-__all__ = [
-    "canonicalize",
-    "expand_alternating",
-    "expand_apery",
-    "expand_binomial_poly",
-    "expand_binomial_pp",
-    "expand_curious",
-    "expand_half_harmonic",
-    "expand_power_sum",
-    "expand_quantity",
-    "expand_rational",
-    "expand_restricted_harmonic",
-    "expand_sum_poly_mhs",
-    "expand_zeta_p",
-    "factorial_ratio",
-]
+__all__ = ["canonicalize", "expand_quantity"]
 
 
 # ---------------------------------------------------------------------------
@@ -93,22 +76,20 @@ def _degree(f: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 
 
-def expand_rational(
+def _expand_rational(
     num: Sequence[int | Fraction], den: Sequence[int | Fraction], order: int
 ) -> MhsSeries:
     """Laurent expansion of ``num(p)/den(p)`` as a series in powers of p.
 
-    ``num`` and ``den`` are integer polynomials.  With the powers of p split
-    off, ``num = p^a N`` and ``den = p^b D``, the result is ``p^(a-b) N``
-    times the series inverse of the unit ``D``: ``1/(1 - p) = 1 + p + ...``
-    for every prime not dividing ``D(0)``.  It has empty compositions only,
-    and is exact when ``D`` divides ``N``, else truncated at ``order``.
+    ``num`` and ``den`` are integer polynomials, ``den`` nonzero.  With the
+    powers of p split off, ``num = p^a N`` and ``den = p^b D``, the result
+    is ``p^(a-b) N`` times the series inverse of the unit ``D``:
+    ``1/(1 - p) = 1 + p + ...`` for every prime not dividing ``D(0)``.  It
+    has empty compositions only, and is exact when ``D`` divides ``N``,
+    else truncated at ``order``.
     """
-    order = check_int(order, "order")
     n = int_poly(num, "rational numerator")
     d = int_poly(den, "rational denominator")
-    if not d:
-        raise ZeroDivisionError("expand_rational: zero denominator")
     if not n:
         return MhsSeries.zero(None)
     a, b = (next(i for i, c in enumerate(f) if c) for f in (n, d))
@@ -128,7 +109,7 @@ def expand_rational(
 # ---------------------------------------------------------------------------
 
 
-def expand_zeta_p(k: int, order: int) -> MhsSeries:
+def _expand_zeta_p(k: int, order: int) -> MhsSeries:
     """``p^k * zeta_p(k)`` as a weighted series of depth-one sums.
 
     Uses the classical Bernoulli-coefficient series
@@ -138,8 +119,6 @@ def expand_zeta_p(k: int, order: int) -> MhsSeries:
 
     truncated to ``n < order`` (the dropped rows have valuation >= n).
     """
-    check_quantity("zetap", (k,))
-    check_int(order, "order")
     terms: dict[tuple[int, Comp], Fraction] = {}
     for n in range(k - 1, max(order, k - 1)):
         sign = -1 if (k + n + 1) % 2 else 1
@@ -154,7 +133,7 @@ def expand_zeta_p(k: int, order: int) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def expand_half_harmonic(k: int, order: int) -> MhsSeries:
+def _expand_half_harmonic(k: int, order: int) -> MhsSeries:
     """``p^k * H_{(p-1)/2}(k)`` as a combination of zeta-value series.
 
     With Z_m denoting the series for p^m zeta_p(m),
@@ -165,54 +144,30 @@ def expand_half_harmonic(k: int, order: int) -> MhsSeries:
     the j-th summand starts at p^(k+j-1), so terms with
     ``k + j - 1 >= order`` are empty.
     """
-    check_quantity("half", (k,))
-    check_int(order, "order")
-    acc = expand_zeta_p(k, order)
+    acc = _expand_zeta_p(k, order)
     for j in range(0, max(order - k + 1, 0)):
         coeff = binomial(-k, j) * Fraction(1 - 2 ** (k + j), 2**j)
         if coeff:
-            acc = acc + expand_zeta_p(k + j, order).scale(coeff)
+            acc = acc + _expand_zeta_p(k + j, order).scale(coeff)
     return acc
 
 
-def expand_alternating(k: int, order: int) -> MhsSeries:
+def _expand_alternating(k: int, order: int) -> MhsSeries:
     """``p^k * sum_{n=1}^{p-1} (-1)^n / n^k``.
 
     Splitting even and odd indices gives
     ``2^(1-k) * p^k H_{(p-1)/2}(k) - p^k H(k)``.
     """
-    check_quantity("alt", (k,))
-    check_int(order, "order")
-    half = expand_half_harmonic(k, order).scale(Fraction(1, 2 ** (k - 1)))
+    half = _expand_half_harmonic(k, order).scale(Fraction(1, 2 ** (k - 1)))
     return half - MhsSeries.term(1, k, (k,), order)
 
 
 # ---------------------------------------------------------------------------
-# bounded power sums and restricted harmonic numbers
+# restricted harmonic numbers
 # ---------------------------------------------------------------------------
 
 
-def expand_power_sum(
-    f: Sequence[int | Fraction],
-    g: Sequence[int | Fraction],
-    exps: Sequence[int],
-    restricted: bool,
-    order: int,
-) -> MhsSeries:
-    """Series for ``S_{f(p), g(p)}(exps)`` (restricted variant: indices
-    coprime to p), truncated at ``order``.
-
-    ``f`` and ``g`` are integer polynomials (``g`` may be zero, meaning
-    lower bound 1); the exponents may be any integers.  The negative
-    p-powers that can appear are bounded below by
-    ``-deg(f) * sum_i max(exps_i, 0)`` (0 when restricted).
-    """
-    f, g, exps = tuple(f), tuple(g), tuple(exps)
-    check_quantity("psum", (f, g, exps, restricted))
-    return full_sum(int_poly(f), int_poly(g), exps, restricted, check_int(order, "order"))
-
-
-def expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
+def _expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
     """Sum of ``1/n`` over ``n <= p^r`` with p not dividing n.
 
     * ``r = 1``: exactly ``H(1)``.
@@ -222,8 +177,6 @@ def expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
       ``p^(m+1)``.
     * ``r > 2``: the general restricted power-sum expansion.
     """
-    check_quantity("hres", (r,))
-    check_int(order, "order")
     if r == 1:
         return MhsSeries.term(1, 0, (1,), None)
     if r == 2:
@@ -242,7 +195,7 @@ def expand_restricted_harmonic(r: int, order: int) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def expand_sum_poly_mhs(P: Sequence[int | Fraction], s: Comp) -> MhsSeries:
+def _expand_sum_poly_mhs(P: Sequence[int | Fraction], s: Comp) -> MhsSeries:
     """``sum_{k=1}^{p-1} P(k) * H_k(s)`` as an exact MHS combination.
 
     Splitting off the top index, ``H_k(s) = H_{k-1}(s) + k^(-s_1) H_{k-1}(s_2, ...)``,
@@ -254,8 +207,6 @@ def expand_sum_poly_mhs(P: Sequence[int | Fraction], s: Comp) -> MhsSeries:
     :func:`signed_mhs` eliminates exactly; for empty ``s`` only the first
     remains.  The result is exact.
     """
-    P, s = tuple(P), tuple(s)
-    check_quantity("sumpoly", (P, s))
     series = MhsSeries.zero()
     for j, c in enumerate(P):
         if c:
@@ -271,7 +222,7 @@ def expand_sum_poly_mhs(P: Sequence[int | Fraction], s: Comp) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> MhsSeries:
+def _factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> MhsSeries:
     """Series for ``prod_i (P_i(p)!)^(eps_i)`` with ``eps_i = +-1``.
 
     Each ``P_i`` is an integer polynomial that is eventually nonnegative,
@@ -295,7 +246,6 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
     prefactor times the product of unit factors, truncated at ``order``
     (exact when no unit factors remain).
     """
-    order = check_int(order, "order")
     pending: list[tuple[IntPoly, int]] = []
     total = ()
     for poly, eps in pairs:
@@ -395,7 +345,7 @@ def factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> M
     return prod.shift(p_exp).scale(scalar)
 
 
-def expand_binomial_poly(
+def _expand_binomial_poly(
     f: Sequence[int | Fraction], g: Sequence[int | Fraction], order: int
 ) -> MhsSeries:
     """Series for the binomial coefficient ``C(f(p), g(p))``.
@@ -406,7 +356,6 @@ def expand_binomial_poly(
     all large p.  Otherwise the result is the factorial ratio
     ``f! / (g! (f-g)!)``.
     """
-    order = check_int(order, "order")
     fi = int_poly(f, "binomial numerator")
     gi = int_poly(g, "binomial denominator")
     if not gi:
@@ -424,21 +373,19 @@ def expand_binomial_poly(
         return MhsSeries.constant(1, None)
     if h[-1] < 0:
         return MhsSeries.zero(None)
-    return factorial_ratio([(fi, 1), (gi, -1), (h, -1)], order)
+    return _factorial_ratio([(fi, 1), (gi, -1), (h, -1)], order)
 
 
-def expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
+def _expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
     """Series for ``C(a * p^r, b * p^r)``.
 
     ``r = 0`` is the exact constant ``C(a, b)``; ``r = 1, a = 2, b = 1``
     reproduces the classical central-binomial expansion
     ``2 * sum_n p^n H(1^n)``.
     """
-    check_quantity("binp", (a, b, r))
-    check_int(order, "order")
     if r == 0:
         return MhsSeries.constant(binomial(a, b), None)
-    return expand_binomial_poly((0,) * r + (a,), (0,) * r + (b,), order)
+    return _expand_binomial_poly((0,) * r + (a,), (0,) * r + (b,), order)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +393,7 @@ def expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def expand_apery(order: int, *, cache_dir=None) -> MhsSeries:
+def _expand_apery(order: int, *, cache_dir=None) -> MhsSeries:
     """Apery number ``b_{p-1} = sum_k C(p-1,k)^2 C(p-1+k,k)^2`` as a
     canonical weighted series.
 
@@ -459,7 +406,6 @@ def expand_apery(order: int, *, cache_dir=None) -> MhsSeries:
     and summing over k turns ``H_{k-1}(w)`` into ``H_{p-1}((a,) + w)``.
     Every term is weighted, so the series is canonicalized at ``order``.
     """
-    order = check_int(order, "order")
     terms: dict[tuple[int, Comp], Fraction] = {}
     if order > 0:
         terms[(0, ())] = Fraction(1)
@@ -484,7 +430,7 @@ def expand_apery(order: int, *, cache_dir=None) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def expand_curious(r: int, k: int, order: int, *, cache_dir=None) -> MhsSeries:
+def _expand_curious(r: int, k: int, order: int, *, cache_dir=None) -> MhsSeries:
     """Sum of ``1/(n_1 ... n_k)`` over compositions ``n_1 + ... + n_k = p^r``
     with every part coprime to p.
 
@@ -497,8 +443,6 @@ def expand_curious(r: int, k: int, order: int, *, cache_dir=None) -> MhsSeries:
       last entry coprime to p, write ``m_i = a_i p - j_i``, and expand;
       see :func:`_expand_curious_general`.  The result is canonicalized.
     """
-    check_quantity("curious", (r, k))
-    order = check_int(order, "order")
     if k == 1:
         return MhsSeries.zero(None)
     if r == 1:
@@ -681,37 +625,37 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
 def expand_quantity(spec: QuantitySpec, order: int, *, cache_dir=None) -> MhsSeries:
     """Expand a parsed quantity description at the given order.
 
-    Inherently exact quantities (rational functions, polynomial-weighted
-    harmonic sums, the r = 1 restricted harmonic number, degenerate
-    binomial shapes) come back exact and ignore the order.
+    The one public expansion: ``order`` is checked here, and ``spec``
+    checked its arguments when it was built.  Inherently exact quantities
+    (rational functions, polynomial-weighted harmonic sums, the r = 1
+    restricted harmonic number, degenerate binomial shapes) come back exact
+    and ignore the order.  A power sum ``psum(f;g;exps)`` is
+    :func:`~padicmhs.powersums.full_sum`; the negative p-powers it can
+    reach are bounded below by ``-deg(f) * sum_i max(exps_i, 0)`` (0 when
+    restricted).
     """
+    order = check_int(order, "order")
     name, args = spec.name, spec.args
     if name == "binp":
-        a, b, r = args
-        return expand_binomial_pp(a, b, r, order)
+        return _expand_binomial_pp(*args, order)
     if name == "binpoly":
-        f, g = args
-        return expand_binomial_poly(f, g, order)
+        return _expand_binomial_poly(*args, order)
     if name == "apery":
-        return expand_apery(order, cache_dir=cache_dir)
+        return _expand_apery(order, cache_dir=cache_dir)
     if name == "zetap":
-        return expand_zeta_p(args[0], order)
+        return _expand_zeta_p(*args, order)
     if name == "psum":
-        f, g, exps, restricted = args
-        return expand_power_sum(f, g, exps, restricted, order)
+        return full_sum(*args, order)
     if name == "hres":
-        return expand_restricted_harmonic(args[0], order)
+        return _expand_restricted_harmonic(*args, order)
     if name == "curious":
-        r, k = args
-        return expand_curious(r, k, order, cache_dir=cache_dir)
+        return _expand_curious(*args, order, cache_dir=cache_dir)
     if name == "sumpoly":
-        P, s = args
-        return expand_sum_poly_mhs(P, s)
+        return _expand_sum_poly_mhs(*args)
     if name == "half":
-        return expand_half_harmonic(args[0], order)
+        return _expand_half_harmonic(*args, order)
     if name == "alt":
-        return expand_alternating(args[0], order)
+        return _expand_alternating(*args, order)
     if name == "rat":
-        num, den = args
-        return expand_rational(num, den, order)
+        return _expand_rational(*args, order)
     raise ValueError(f"unknown quantity {name!r}")

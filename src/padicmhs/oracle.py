@@ -6,8 +6,8 @@ binomial arithmetic or, for the curious sums, a generating-function identity
 With k = 2 or 3 parts that identity is an elementary symmetric function of
 the harmonic sums over the nonzero residue classes mod p; with more parts it
 is evaluated by binary splitting.  ``check_numeric`` evaluates a claimed
-congruence or expansion at every prime of a window and reports the achieved
-p-adic valuations against the required one.
+congruence, given as a difference callable, at every prime of a window
+and reports the achieved p-adic valuations against the required one.
 
 Work that grows with p (the curious sums, power sums with p^r-sized bounds,
 binomials of p^r-sized arguments, Apery numbers) is metered by an explicit
@@ -483,69 +483,29 @@ class NumericReport:
         return f"<NumericReport {'PASS' if self.passed else 'FAIL'} {len(self.records)} primes>"
 
 
-Subject = Union[tuple[QuantitySpec, MhsSeries], Callable[[int], Optional[Fraction]]]
-
-
-def _series_denominator_primes(series: MhsSeries, primes: list[int]) -> set[int]:
-    """The primes of the list that divide a coefficient denominator of the series."""
-    return {p for c in series.terms.values() for p in primes if c.denominator % p == 0}
-
-
 def check_numeric(
-    subject: Subject,
-    window: PrimeWindow | None = None,
-    required: Union[int, float, None] = None,
-    work_budget: int = DEFAULT_WORK_BUDGET,
+    diff: Callable[[int], Optional[Fraction]],
+    window: PrimeWindow,
+    required: Union[int, float],
 ) -> NumericReport:
-    """Evaluate a claim at every prime of the window and report valuations.
+    """Evaluate a claimed difference at every prime of the window and report valuations.
 
-    ``subject`` may be:
-
-    - a ``(QuantitySpec, MhsSeries)`` pair: checks v_p(quantity - series
-      terms) >= series.order (or >= ``required`` when given; an exact series
-      requires an exactly zero difference);
-    - a callable ``p -> Fraction`` difference, with ``required`` mandatory;
-      it returns None at a prime where the claim is not p-integral.
-
-    Such primes are skipped and listed in the report; for the pair they
-    are the primes dividing a coefficient denominator of the series.
+    ``diff(p)`` is the exact difference of the claim at the prime p, or None
+    where the claim is not p-integral; such primes are skipped and listed in
+    the report.  A prime where ``diff`` raises :class:`WorkBudgetExceeded`
+    is recorded as refused.  Each difference must reach valuation
+    ``required`` (INFINITY: it must vanish exactly).
     """
-    primes = (window or PrimeWindow()).primes()
-    skipped: list[int] = []
-
-    if isinstance(subject, tuple):
-        qspec, series = subject
-        if required is not None:
-            req = required
-        elif series.order is not None:
-            req = series.order
-        else:
-            req = INFINITY  # exact claim: difference must vanish
-        diff = lambda p: eval_quantity(qspec, p, work_budget) - eval_series_terms(  # noqa: E731
-            series, p
-        )
-        bad = _series_denominator_primes(series, primes)
-    elif callable(subject):
-        if required is None:
-            raise ValueError("check_numeric with a callable needs required=")
-        req = required
-        diff = subject
-        bad = set()
-    else:
-        raise TypeError(f"unsupported subject {subject!r}")
-
     records: list[tuple[int, Union[int, float], Union[int, float, None]]] = []
-    for p in primes:
-        if p in bad:
-            skipped.append(p)
-            continue
+    skipped: list[int] = []
+    for p in window.primes():
         try:
             d = diff(p)
         except WorkBudgetExceeded:
-            records.append((p, req, None))
+            records.append((p, required, None))
             continue
         if d is None:
             skipped.append(p)
             continue
-        records.append((p, req, padic_valuation(d, p)))
+        records.append((p, required, padic_valuation(d, p)))
     return NumericReport(records, skipped)

@@ -88,7 +88,6 @@ __all__ = [
     "dump_certificates",
     "generate_relations",
     "prove_mixed",
-    "prove_supercongruence",
     "prove_weighted",
     "provable_valuation",
     "replay_certificate",
@@ -460,40 +459,16 @@ class RelationBasis:
         modulus_power: int,
         pivots: Sequence[Comp],
         triples: Sequence[Prov],
-        annihilators: Mapping[Comp, Mapping[Comp, Fraction]],
+        annihilators: dict[Comp, dict[Comp, Fraction]],
     ) -> None:
-        check_int(modulus_power, "modulus_power", 1)
-        if len(pivots) != len(triples):
-            raise ValueError("pivots and independent triples must align")
-        self._init(modulus_power, pivots, triples, {})
-        last = -1
-        for piv in pivots:
-            idx = self._col_index.get(piv)
-            if idx is None:
-                raise ValueError(f"pivot {format_comp(piv)} outside column range")
-            if idx <= last:
-                raise ValueError("pivot columns must be strictly increasing")
-            last = idx
-        for prov in triples:
-            if _check_prov(prov) >= modulus_power:
-                raise ValueError("independent triple outside the modulus power")
-        pivot_set = set(pivots)
-        free = [w for w in self._columns if w not in pivot_set]
-        if set(annihilators) != set(free):
-            raise ValueError("annihilators must be indexed by the free columns")
-        kept: dict[Comp, dict[Comp, Fraction]] = {}
-        for f in free:
-            lam = {w: Fraction(c) for w, c in annihilators[f].items() if c != 0}
-            if lam.get(f) != 1 or not set(lam) - {f} <= pivot_set:
-                raise ValueError(
-                    f"annihilator {format_comp(f)} must be e_f plus pivot columns"
-                )
-            kept[f] = lam
-        self._annihilators = kept
+        """A basis from parts that already fit together, kept as given.
 
-    def _init(self, n: int, pivots, triples, annihilators) -> None:
-        self._modulus = n
-        self._columns = enumerate_compositions(n - 1)
+        Generation, :meth:`load` (after its checks) and :meth:`_prefix` are
+        the only builders; ``annihilators`` maps each free column, in column
+        order, to its nonzero ``lambda_f`` entries.
+        """
+        self._modulus = modulus_power
+        self._columns = enumerate_compositions(modulus_power - 1)
         self._col_index = {w: i for i, w in enumerate(self._columns)}
         self._pivots = list(pivots)
         self._triples = list(triples)
@@ -525,16 +500,15 @@ class RelationBasis:
         this one on the columns of weight < n: the pivots of weight < n, the
         triples that raised the rank at them, and the lambda_f with
         weight(f) < n, already checked exactly on every relation.  So a
-        prefix skips the checks of ``__init__``, shares the functionals, and
-        is built once per n and kept with this basis.
+        prefix shares the functionals and is built once per n and kept with
+        this basis.
         """
         if n == self._modulus:
             return self
         if n not in self._prefixes:
             r = sum(weight(piv) < n for piv in self._pivots)
             lams = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
-            prefix = self._prefixes[n] = object.__new__(RelationBasis)
-            prefix._init(n, self._pivots[:r], self._triples[:r], lams)
+            self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams)
         return self._prefixes[n]
 
     def reduce(self, coords: Mapping[Comp, Fraction]) -> dict[Comp, Fraction]:
@@ -651,15 +625,22 @@ class RelationBasis:
 
     @classmethod
     def load(cls, text: str) -> "RelationBasis":
-        """Inverse of :meth:`dump`; raises ValueError on malformed input."""
+        """Inverse of :meth:`dump`; raises ValueError on malformed input.
+
+        The one way text from outside the program becomes a basis, so the
+        structure is checked here: the pivots are strictly increasing
+        columns, every independent triple lies below the modulus power, and
+        each free column f has one annihilator, e_f plus pivot columns.
+        """
         expect = _line_reader(text, "basis")
         version = expect("padicmhs-basis")
         if version != str(BASIS_FORMAT_VERSION):
             raise ValueError(f"unsupported basis format version {version!r}")
-        modulus = int(expect("modulus"))
+        modulus = check_int(int(expect("modulus")), "modulus power", 1)
         ncols = int(expect("columns"))
         rank = int(expect("rank"))
-        if ncols != len(enumerate_compositions(modulus - 1)):
+        columns = enumerate_compositions(modulus - 1)
+        if ncols != len(columns):
             raise ValueError("column count does not match the modulus power")
         pivots = [parse_comp(expect("pivot ")) for _ in range(rank)]
         triples = [_parse_prov(expect("triple ")) for _ in range(rank)]
@@ -676,7 +657,30 @@ class RelationBasis:
                     raise ValueError(f"unexpected line in annihilator: {line!r}")
                 lam[parse_comp(field)] = Fraction(value)
         expect("end basis")
-        return cls(modulus, pivots, triples, annihilators)
+
+        col_index = {w: i for i, w in enumerate(columns)}
+        last = -1
+        for piv in pivots:
+            idx = col_index.get(piv)
+            if idx is None:
+                raise ValueError(f"pivot {format_comp(piv)} outside column range")
+            if idx <= last:
+                raise ValueError("pivot columns must be strictly increasing")
+            last = idx
+        for prov in triples:
+            if _check_prov(prov) >= modulus:
+                raise ValueError("independent triple outside the modulus power")
+        pivot_set = set(pivots)
+        free = [w for w in columns if w not in pivot_set]
+        if set(annihilators) != set(free):
+            raise ValueError("annihilators must be indexed by the free columns")
+        kept: dict[Comp, dict[Comp, Fraction]] = {}
+        for f in free:
+            lam = {w: c for w, c in annihilators[f].items() if c}
+            if lam.get(f) != 1 or not set(lam) - {f} <= pivot_set:
+                raise ValueError(f"annihilator {format_comp(f)} must be e_f plus pivot columns")
+            kept[f] = lam
+        return cls(modulus, pivots, triples, kept)
 
 
 def _line_reader(text: str, kind: str) -> Callable[..., str]:
@@ -958,29 +962,6 @@ def prove_mixed(
 def all_proved(certs: Iterable[ProofCertificate]) -> bool:
     """True when every certificate in the collection is proved."""
     return all(cert.verdict == "proved" for cert in certs)
-
-
-def prove_supercongruence(
-    lhs: MhsSeries,
-    rhs: MhsSeries,
-    n: int,
-    cache_dir: str | os.PathLike | None = None,
-) -> list[ProofCertificate]:
-    """Prove ``lhs == rhs (mod p^n)`` given series of order >= n.
-
-    Both sides must be known at least to order ``n`` (exact series qualify);
-    the difference is truncated to order ``n`` and handed to
-    :func:`prove_mixed`.
-    """
-    check_int(n, "modulus power n", 1)
-    for name, side in (("lhs", lhs), ("rhs", rhs)):
-        if not isinstance(side, MhsSeries):
-            raise TypeError(f"{name} must be an MhsSeries")
-        if side.order is not None and side.order < n:
-            raise ValueError(
-                f"{name} is only known to O(p^{side.order}), cannot assert mod p^{n}"
-            )
-    return prove_mixed((lhs - rhs).truncate(n), n, cache_dir)
 
 
 def canonicalize(

@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, TypeVar
 
 from .arith import poly_mul, poly_sub, strip_poly
 from .compositions import check_int
@@ -61,7 +60,6 @@ __all__ = [
     "check_quantity",
     "parse",
     "format_poly",
-    "parse_quantity",
     "format_quantity",
     "QUANTITY_NAMES",
 ]
@@ -135,8 +133,9 @@ class QuantitySpec:
 def check_quantity(name: str, args: tuple) -> None:
     """Raise ValueError unless ``args`` are valid arguments of the quantity ``name``.
 
-    The one home of the argument rules, shared by :class:`QuantitySpec` and
-    the public ``expand_*`` functions: each argument is checked by its kind
+    The one home of the argument rules, run by :class:`QuantitySpec` when it
+    is built, so the expansions and the oracle trust every spec: each
+    argument is checked by its kind
     in ``_SIGNATURES`` (integers are ints, not bools; polynomials are tuples
     of ints or Fractions; the flag is a bool), and binp needs a >= b and
     rat a nonzero denominator.
@@ -269,7 +268,12 @@ class _Parser:
         self._keyword("mod")
         self._keyword("p")
         self.expect("^")
-        return ExprAst("cong", self._signed_int(), (lhs, rhs))
+        self._ws()
+        pos = self.i
+        n = self._signed_int()
+        if n < 1:
+            raise ExprSyntaxError(f"modulus power n must be >= 1, got {n}", pos)
+        return ExprAst("cong", n, (lhs, rhs))
 
     def parse_expression(self) -> ExprAst:
         node = self.parse_term()
@@ -430,26 +434,18 @@ def _fold(node: ExprAst) -> tuple[Poly, Poly]:
     return poly_sub(poly_mul(f, k), poly_mul(h, g)), poly_mul(g, k)
 
 
-_T = TypeVar("_T")
-
-
-def _read_all(text: str, read: Callable[[_Parser], _T]) -> _T:
-    """``read`` run by a parser over ``text``, which it must consume entirely."""
+def parse(text: str) -> ExprAst:
+    """Parse an expression or congruence statement, which must fill ``text``."""
     parser = _Parser(text)
-    value = read(parser)
+    ast = parser.parse_statement()
     parser._ws()
     if parser.i != len(text):
         raise ExprSyntaxError("trailing input", parser.i)
-    return value
-
-
-def parse(text: str) -> ExprAst:
-    """Parse an expression or congruence statement."""
-    return _read_all(text, _Parser.parse_statement)
+    return ast
 
 
 # ---------------------------------------------------------------------------
-# polynomial and quantity parsing / formatting
+# polynomial and quantity formatting
 # ---------------------------------------------------------------------------
 
 
@@ -472,16 +468,6 @@ def format_poly(coeffs: Poly) -> str:
         else:
             chunks.append(("-" if c < 0 else "+") + body)
     return "".join(chunks)
-
-
-def parse_quantity(name: str, inner: str) -> QuantitySpec:
-    """Turn an atom's name and argument text into a QuantitySpec.
-
-    Only the text is checked here; the spec checks its arguments when built.
-    """
-    if name not in _SIGNATURES:
-        raise ValueError(f"unknown quantity {name!r}")
-    return QuantitySpec(name, _read_all(inner, lambda parser: parser.quantity_args(name)))
 
 
 def format_quantity(q: QuantitySpec) -> str:

@@ -1,6 +1,43 @@
-"""Reference evaluators the tests compare the package against."""
+"""Reference evaluators and checks the tests compare the package against."""
 
 from fractions import Fraction
+
+from padicmhs.arith import INFINITY
+from padicmhs.oracle import (
+    NumericReport,
+    PrimeWindow,
+    check_numeric,
+    eval_quantity,
+    eval_series_terms,
+)
+from padicmhs.quantities import QuantitySpec, parse
+from padicmhs.series import MhsSeries
+
+
+def quantity(text: str) -> QuantitySpec:
+    """The quantity an atom's text names, e.g. ``quantity("hres(2)")``."""
+    return parse(text).payload
+
+
+def check_expansion(
+    q: QuantitySpec, series: MhsSeries, window: PrimeWindow, required=None
+) -> NumericReport:
+    """The oracle's check that ``series`` expands ``q`` at every prime of the window.
+
+    ``required`` defaults to the series order, and to an exactly zero
+    difference for an exact series.  A prime dividing a coefficient
+    denominator of the series is skipped.
+    """
+    if required is None:
+        required = INFINITY if series.order is None else series.order
+    dens = [c.denominator for c in series.terms.values()]
+
+    def diff(p):
+        if any(d % p == 0 for d in dens):
+            return None
+        return eval_quantity(q, p) - eval_series_terms(series, p)
+
+    return check_numeric(diff, window, required)
 
 
 def eval_polylog_sum(N: int, exps: tuple[int, ...], zs: tuple) -> Fraction:

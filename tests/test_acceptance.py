@@ -17,7 +17,7 @@ import pytest
 from padicmhs.arith import bernoulli, binomial, padic_valuation
 from padicmhs.cli import eval_series, eval_statement, main, parse
 from padicmhs.compositions import enumerate_compositions, shuffle, stuffle, weight
-from padicmhs.expansions import expand_apery
+from padicmhs.expansions import expand_quantity
 from padicmhs.oracle import (
     apery_number,
     check_numeric,
@@ -31,13 +31,12 @@ from padicmhs.prover import (
     _offset_parts,
     _relation_coords,
     generate_relations,
-    prove_supercongruence,
+    prove_mixed,
     prove_weighted,
     replay_certificate,
     verify_certificate_text,
 )
-from padicmhs.quantities import parse_quantity
-from reference_sums import eval_polylog_sum
+from reference_sums import check_expansion, eval_polylog_sum, quantity
 
 # ---------------------------------------------------------------------------
 # shared fixtures and helpers
@@ -170,7 +169,7 @@ def test_criterion_3_apery_product():
 
 
 def test_criterion_4_apery_expansion():
-    series = expand_apery(8, cache_dir=CACHE["dir"])
+    series = expand_quantity(quantity("apery()"), 8, cache_dir=CACHE["dir"])
     expected = {
         (0, ()): Fraction(1),
         (3, (2, 1)): Fraction(2, 3),
@@ -226,12 +225,12 @@ def test_criterion_6_mixed_congruences():
         results[name + ".proved"] = prove_via_cli(stmt, name, *extra) == 0
 
     def sum_harmonic_sq(p):  # sum over k < p of H_k(1)^2
-        return 2 * eval_quantity(parse_quantity("sumpoly", "1;1,1"), p) + \
-            eval_quantity(parse_quantity("sumpoly", "1;2"), p)
+        return 2 * eval_quantity(quantity("sumpoly(1;1,1)"), p) + \
+            eval_quantity(quantity("sumpoly(1;2)"), p)
 
     def sum_sq_harmonic_sq(p):  # sum over k < p of k^2 H_k(1)^2
-        return 2 * eval_quantity(parse_quantity("sumpoly", "p^2;1,1"), p) + \
-            eval_quantity(parse_quantity("sumpoly", "p^2;2"), p)
+        return 2 * eval_quantity(quantity("sumpoly(p^2;1,1)"), p) + \
+            eval_quantity(quantity("sumpoly(p^2;2)"), p)
 
     results["cs1.numeric"] = numeric_ok(
         lambda p: sum_harmonic_sq(p)
@@ -243,7 +242,7 @@ def test_criterion_6_mixed_congruences():
            + Fraction(1, 6) * H(p, (1,))),
         window, 3)
     results["cr1.numeric"] = numeric_ok(
-        lambda p: eval_quantity(parse_quantity("hres", "2"), p) - p**2 * H(p, (1,)),
+        lambda p: eval_quantity(quantity("hres(2)"), p) - p**2 * H(p, (1,)),
         window, 6)
     results["congalt.numeric"] = numeric_ok(
         lambda p: eval_polylog_sum(p - 1, (2,), (-1,))
@@ -256,7 +255,7 @@ def test_criterion_6_mixed_congruences():
         ("cc33", "3,3", "-2*p^2*H(2,1) + 2*p^4*H(4,1)", 6, small),
         ("cc34", "3,4", "-24/5*p^3*H(4,1) + 28/15*p^4*H(4,1,1)", 5, small),
     ]:
-        spec = parse_quantity("curious", inner)
+        spec = quantity(f"curious({inner})")
         rhs = eval_series(parse(rhs_text), modulus)
         results[name + ".numeric"] = numeric_ok(
             lambda p, spec=spec, rhs=rhs: eval_quantity(spec, p)
@@ -282,7 +281,7 @@ def test_criterion_7_restricted_double_harmonic():
     rhs = eval_series(parse(
         "(1+p^3)*H(2,1) + (-11/10*p^5 + 11/10*p^7)*H(4,1)"
         " + 7/5*p^6*H(4,1,1) - 59/560*p^7*H(6,1)"), 8)
-    spec = parse_quantity("psum", "p^2-1;0;2,1")
+    spec = quantity("psum(p^2-1;0;2,1)")
 
     numeric = numeric_ok(
         lambda p: p**3 * eval_quantity(spec, p) - eval_series_terms(rhs, p),
@@ -291,8 +290,8 @@ def test_criterion_7_restricted_double_harmonic():
     # symbolic proof: every weighted part, bottom-up, up to the p^11 basis,
     # which must equal the pinned digest of a cold generation
     FEASIBLE_MODULUS = 11
-    lhs_s, rhs_s, n = eval_statement(parse(CR3), cache_dir=CACHE["dir"])
-    parts = _offset_parts((lhs_s - rhs_s).truncate(n), n)
+    series, n = eval_statement(parse(CR3), cache_dir=CACHE["dir"])
+    parts = _offset_parts(series, n)
     verdicts = []
     for k in sorted(parts):
         m = n + k
@@ -384,18 +383,16 @@ def test_criterion_8_property_suites():
         ("alt", "2", 6),
         ("curious", "2,2", 6),
     ]
-    from padicmhs.expansions import expand_quantity
-
     for name, inner, order in spot:
-        spec = parse_quantity(name, inner)
+        spec = quantity(f"{name}({inner})")
         series = expand_quantity(spec, order, cache_dir=CACHE["dir"])
-        rep = check_numeric((spec, series), PrimeWindow(11, 31))
+        rep = check_expansion(spec, series, PrimeWindow(11, 31))
         if not rep.passed:
             problems.append(f"expansion soundness {name}({inner})")
     # zetap has no finite closed value; its expansion is checked against the
     # Bernoulli-number congruence zeta_p(k) = B_(p-k)/k mod p
     for k in (2, 3):
-        spec_series = expand_quantity(parse_quantity("zetap", str(k)), k + 2,
+        spec_series = expand_quantity(quantity(f"zetap({k})"), k + 2,
                                       cache_dir=CACHE["dir"])
         rep = check_numeric(
             lambda p, k=k, s=spec_series:
@@ -411,8 +408,7 @@ def test_criterion_8_property_suites():
         ok, msg = verify_certificate_text(path.read_text(encoding="ascii"))
         if not ok:
             problems.append(f"certificate replay {path.name}: {msg}")
-    lhs_s, rhs_s, n = eval_statement(parse(WOLSTENHOLME))
-    for cert in prove_supercongruence(lhs_s, rhs_s, n, cache_dir=CACHE["dir"]):
+    for cert in prove_mixed(*eval_statement(parse(WOLSTENHOLME)), cache_dir=CACHE["dir"]):
         if not replay_certificate(cert):
             problems.append("in-memory certificate replay")
 

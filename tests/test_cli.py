@@ -19,9 +19,10 @@ from padicmhs.cli import (
     main,
     parse,
 )
-from padicmhs.oracle import PrimeWindow, check_numeric, eval_series_terms
+from padicmhs.oracle import PrimeWindow, eval_series_terms
 from padicmhs.prover import RelationBasis
 from padicmhs.series import MhsSeries
+from reference_sums import check_expansion
 
 APPENDIX_EXPR = "12 - 9*binp(2,1,1) + 2*binp(3,1,1) - 24*p^3*H(3)"
 
@@ -164,10 +165,10 @@ class TestEval:
             eval_series(parse("H(1) = 0 mod p^2"), 4)
 
     def test_statement_evaluates_at_modulus(self):
-        lhs, rhs, n = eval_statement(parse("apery() = 1 mod p^3"))
+        series, n = eval_statement(parse("apery() = 1 mod p^3"))
         assert n == 3
-        assert lhs.order == 3
-        assert rhs.terms == {(0, ()): Fraction(1)}
+        assert series.order == 3
+        assert series.terms == {}  # apery() is 1 + O(p^3)
 
     def test_statement_rejects_plain_expression(self):
         with pytest.raises(ValueError):
@@ -200,7 +201,7 @@ class TestExpandCommand:
         assert main(["expand", text, "--order", "3"]) == 0
         series = eval_series(parse(text), 3)
         assert capsys.readouterr().out.strip() == series.render()
-        report = check_numeric((parse(text).payload, series), PrimeWindow(11, 23))
+        report = check_expansion(parse(text).payload, series, PrimeWindow(11, 23))
         assert report.passed, report.render()
 
     def test_psum_with_negative_remainder_below_the_floor(self, capsys):
@@ -212,7 +213,7 @@ class TestExpandCommand:
         assert main(["expand", text, "--order", "3"]) == 0
         assert capsys.readouterr().out.strip() == "1/36 * p - 1/9 * p^2 + O(p^3)"
         series = eval_series(parse(text), 3)
-        report = check_numeric((parse(text).payload, series), PrimeWindow(11, 29))
+        report = check_expansion(parse(text).payload, series, PrimeWindow(11, 29))
         assert report.passed, report.render()
 
     def test_congruence_rejected(self, capsys):
@@ -440,6 +441,17 @@ class TestBadInputs:
         assert captured.out == ""
         assert "must be >=" in captured.err
 
+    @pytest.mark.parametrize("power", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["prove", "verify"])
+    def test_modulus_power_below_one_is_refused(self, capsys, command, power):
+        # a congruence mod p^0 says nothing; verify once printed PASS for it
+        argv = [command, f"H(1) = 5 mod p^{power}", "--primes", "11..13"]
+        assert main(argv if command == "verify" else argv[:2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"modulus power n must be >= 1, got {power} (at position 15)"
+        assert captured.err == f"error: {message}\n"
+
     def test_vanishing_rat_denominator_is_exit_2(self, capsys):
         assert main(["verify", "rat(1/(p-11)) = 0 mod p^1", "--primes", "11..13"]) == 2
         captured = capsys.readouterr()
@@ -643,6 +655,28 @@ class TestCertificateCommands:
         path.write_text(text + (text if tail == "copy" else tail), encoding="ascii")
         assert main(["verify-certificate", str(path)]) == 2
         assert capsys.readouterr().err == "error: trailing content after 'end certificate'\n"
+
+    @pytest.mark.parametrize(
+        "old,new,error",
+        [
+            ("part 2\n", "part 3\n", "certificate parts out of order at part 2"),
+            (
+                "2/3 * R[s=(1);t=(1);u=()]",
+                "2/3 * Q[s=(1);t=(1);u=()]",
+                "malformed combination entry: '2/3 * Q[s=(1);t=(1);u=()]'",
+            ),
+            ("end part\npart 2", "part 2", "expected 'end part', got 'part 2'"),
+            ("end part\npart 2", "end part 1\npart 2", "missing 'end part' after part 1"),
+        ],
+        ids=["parts-out-of-order", "malformed-combination", "end-part-missing", "end-part-text"],
+    )
+    def test_malformed_part_is_error(self, tmp_path, capsys, old, new, error):
+        text = self._two_statement_dump(tmp_path, capsys)
+        assert text.count(old) == 1
+        path = tmp_path / "malformed.cert"
+        path.write_text(text.replace(old, new), encoding="ascii")
+        assert main(["verify-certificate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_dump_with_nothing_proved_writes_no_file(self, tmp_path, capsys):
         cert = tmp_path / "un.cert"

@@ -16,20 +16,9 @@ import padicmhs
 from padicmhs.arith import bernoulli, padic_valuation
 from padicmhs.expansions import (
     _expand_curious_general,
+    _factorial_ratio,
     canonicalize,
-    expand_alternating,
-    expand_apery,
-    expand_binomial_poly,
-    expand_binomial_pp,
-    expand_curious,
-    expand_half_harmonic,
-    expand_power_sum,
     expand_quantity,
-    expand_rational,
-    expand_restricted_harmonic,
-    expand_sum_poly_mhs,
-    expand_zeta_p,
-    factorial_ratio,
 )
 from padicmhs.oracle import (
     PrimeWindow,
@@ -38,16 +27,27 @@ from padicmhs.oracle import (
     eval_quantity,
     eval_series_terms,
 )
-from padicmhs.quantities import QuantitySpec, parse_quantity
+from padicmhs.quantities import QuantitySpec
 from padicmhs.series import MhsSeries
+from reference_sums import check_expansion, quantity
 from test_powersums import term_digest
 
 W_SMALL = PrimeWindow(11, 31)
 W_MID = PrimeWindow(11, 61)
 
 
-def assert_numeric(subject, window, required=None):
-    report = check_numeric(subject, window, required=required)
+def expand(name, *args, order=8):
+    """The series of the quantity ``name(*args)``, by the public entry point."""
+    return expand_quantity(QuantitySpec(name, args), order)
+
+
+def assert_numeric(diff, window, required):
+    report = check_numeric(diff, window, required)
+    assert report.passed, report.render()
+
+
+def assert_expands(q, series, window):
+    report = check_expansion(q, series, window)
     assert report.passed, report.render()
 
 
@@ -58,50 +58,50 @@ def assert_numeric(subject, window, required=None):
 
 class TestRational:
     def test_geometric(self):
-        s = expand_rational((1,), (1, 1), 3)
+        s = expand("rat", (1,), (1, 1), order=3)
         assert s.render() == "1 - p + p^2 + O(p^3)"
 
     def test_monomial_exact(self):
-        s = expand_rational((0, 0, 0, 1), (1,), 9)
+        s = expand("rat", (0, 0, 0, 1), (1,), order=9)
         assert s.render() == "p^3"
         assert s.order is None
 
     def test_affine_exact(self):
-        s = expand_rational((-1, 2), (3,), 9)
+        s = expand("rat", (-1, 2), (3,), order=9)
         assert s.render() == "-1/3 + 2/3 * p"
         assert s.order is None
 
     def test_matches_values(self):
-        s = expand_rational((1, 2), (3, 0, 1), 7)
+        s = expand("rat", (1, 2), (3, 0, 1), order=7)
         for p in (11, 13, 17):
             got = eval_series_terms(s, p)
             want = F(1 + 2 * p, 3 + p * p)
             assert (got - want).numerator % p**7 == 0
 
     def test_inverse_of_one_minus_p(self):
-        s = expand_rational((1,), (1, -1), 5)
+        s = expand("rat", (1,), (1, -1), order=5)
         assert s.order == 5
         assert s.terms == {(e, ()): F(1) for e in range(5)}
 
     def test_exact_monomial_numerator(self):
-        s = expand_rational((0, 0, 1), (1,), 9)
+        s = expand("rat", (0, 0, 1), (1,), order=9)
         assert s.order is None
         assert s.terms == {(2, ()): F(1)}
 
     def test_exact_inverse_monomial(self):
-        s = expand_rational((1,), (0, 1), 9)
+        s = expand("rat", (1,), (0, 1), order=9)
         assert s.order is None
         assert s.terms == {(-1, ()): F(1)}
 
     def test_exact_division_detected(self):
         # (1 - p^2)/(1 + p) = 1 - p exactly
-        s = expand_rational((1, 0, -1), (1, 1), 10)
+        s = expand("rat", (1, 0, -1), (1, 1), order=10)
         assert s.order is None
         assert s.terms == {(0, ()): F(1), (1, ()): F(-1)}
 
     def test_negative_valuation_series(self):
         # 1/(p - p^2) = p^(-1) (1 + p + p^2 + ...)
-        s = expand_rational((1,), (0, 1, -1), 3)
+        s = expand("rat", (1,), (0, 1, -1), order=3)
         assert s.order == 3
         assert s.terms == {(e, ()): F(1) for e in range(-1, 3)}
         assert s.render() == "p^-1 + 1 + p + p^2 + O(p^3)"
@@ -109,29 +109,29 @@ class TestRational:
     def test_agreement_with_evaluation(self):
         # truncated at order n, the series agrees with the exact value mod p^n
         num, den, n = (2, 3), (1, -1, 5), 7
-        s = expand_rational(num, den, n)
+        s = expand("rat", num, den, order=n)
         for p in (3, 5, 7, 11, 13):
             diff = F(num[0] + num[1] * p, den[0] + den[1] * p + den[2] * p * p)
             diff -= eval_series_terms(s, p)
             assert diff == 0 or padic_valuation(diff, p) >= n, p
 
     def test_zero_numerator(self):
-        s = expand_rational((0,), (1, 2), 6)
+        s = expand("rat", (0,), (1, 2), order=6)
         assert s.terms == {}
         assert s.order is None
 
     def test_denominator_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            expand_rational((1,), (0,), 4)
+        with pytest.raises(ValueError):
+            expand("rat", (1,), (0,), order=4)
 
     def test_order_at_or_below_the_shift_is_empty(self):
-        s = expand_rational((0, 0, 1), (1, 1), 2)  # p^2/(1 + p)
+        s = expand("rat", (0, 0, 1), (1, 1), order=2)  # p^2/(1 + p)
         assert s.terms == {} and s.order == 2
 
     @pytest.mark.parametrize("num,den", [((F(1, 2),), (1,)), ((1,), (1, 1.0))])
     def test_non_integer_coefficients_rejected(self, num, den):
         with pytest.raises(ValueError):
-            expand_rational(num, den, 3)
+            expand("rat", num, den, order=3)
 
     def test_random_grid_against_oracle(self):
         # integer num/den with a lowest den coefficient prime to the window,
@@ -144,8 +144,8 @@ class TestRational:
             rest = tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 3)))
             den = (0,) * v_den + (low,) + rest
             order = rng.randint(-3, 9)
-            series = expand_rational(num, den, order)
-            assert_numeric((QuantitySpec("rat", (num, den)), series), W_SMALL)
+            series = expand("rat", num, den, order=order)
+            assert_expands(QuantitySpec("rat", (num, den)), series, W_SMALL)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +155,12 @@ class TestRational:
 
 class TestZeta:
     def test_pinned_k2(self):
-        s = expand_zeta_p(2, 4)
+        s = expand("zetap", 2, order=4)
         assert s.terms == {(1, (1,)): F(1), (2, (2,)): F(1, 2), (3, (3,)): F(1, 6)}
         assert s.order == 4
 
     def test_pinned_k3(self):
-        s = expand_zeta_p(3, 7)
+        s = expand("zetap", 3, order=7)
         assert s.terms == {
             (2, (2,)): F(1, 2),
             (3, (3,)): F(1, 2),
@@ -169,16 +169,16 @@ class TestZeta:
         }
 
     def test_low_order_empty(self):
-        assert expand_zeta_p(4, 2).is_zero()
+        assert expand("zetap", 4, order=2).is_zero()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expand_zeta_p(1, 5)
+            expand("zetap", 1, order=5)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_bernoulli_congruence(self, k):
         # p^k * zeta_p(k) = p^k * B_{p-k}/k mod p^(k+1) for p >= k+2
-        series = expand_zeta_p(k, k + 3)
+        series = expand("zetap", k, order=k + 3)
 
         def diff(p):
             return eval_series_terms(series, p) - F(p) ** k * bernoulli(p - k) / k
@@ -194,13 +194,11 @@ class TestZeta:
 class TestHalfAlternating:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_half_numeric(self, k):
-        pair = (QuantitySpec("half", (k,)), expand_half_harmonic(k, 6))
-        assert_numeric(pair, W_MID)
+        assert_expands(QuantitySpec("half", (k,)), expand("half", k, order=6), W_MID)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_alternating_numeric(self, k):
-        pair = (QuantitySpec("alt", (k,)), expand_alternating(k, 6))
-        assert_numeric(pair, W_MID)
+        assert_expands(QuantitySpec("alt", (k,)), expand("alt", k, order=6), W_MID)
 
     def test_alternating_classical_form(self):
         # p^2 * sum (-1)^n/n^2 = (3/4) p^2 H(2) mod p^5
@@ -213,9 +211,9 @@ class TestHalfAlternating:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expand_half_harmonic(1, 5)
+            expand("half", 1, order=5)
         with pytest.raises(ValueError):
-            expand_alternating(1, 5)
+            expand("alt", 1, order=5)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,7 @@ class TestPowerSums:
     def test_full_interval_is_harmonic(self):
         # S_{p-1, 0}(2,1) equals H(2,1) (as a value; the expansion may
         # legitimately use a different but congruent support)
-        s = expand_power_sum((-1, 1), (), (2, 1), False, 6)
+        s = expand("psum", (-1, 1), (), (2, 1), False, order=6)
 
         def diff(p):
             return eval_series_terms(s, p) - eval_mhs(p - 1, (2, 1))
@@ -236,12 +234,12 @@ class TestPowerSums:
 
     def test_negative_valuation_case(self):
         # S_{p^2, p}(1) reaches p-exponent -2 (bounded by -deg(f), not -deg(g))
-        s = expand_power_sum((0, 0, 1), (0, 1), (1,), False, 4)
+        s = expand("psum", (0, 0, 1), (0, 1), (1,), False, order=4)
         assert s.min_valuation() == -2
-        assert_numeric((QuantitySpec("psum", _psum_args((0, 0, 1), (0, 1), (1,), False)), s), W_MID)
+        assert_expands(QuantitySpec("psum", _psum_args((0, 0, 1), (0, 1), (1,), False)), s, W_MID)
 
     def test_empty_interval_exact_zero(self):
-        s = expand_power_sum((0, 1), (0, 1), (1,), False, 5)
+        s = expand("psum", (0, 1), (0, 1), (1,), False, order=5)
         assert s.is_zero() and s.order is None
 
     @pytest.mark.parametrize(
@@ -256,13 +254,13 @@ class TestPowerSums:
         ],
     )
     def test_numeric(self, f, g, exps, restricted, order):
-        s = expand_power_sum(f, g, exps, restricted, order)
+        s = expand("psum", f, g, exps, restricted, order=order)
         q = QuantitySpec("psum", _psum_args(f, g, exps, restricted))
-        assert_numeric((q, s), W_SMALL)
+        assert_expands(q, s, W_SMALL)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expand_power_sum((F(1, 2),), (), (1,), False, 4)
+            expand("psum", (F(1, 2),), (), (1,), False, order=4)
 
 
 def _psum_args(f, g, exps, restricted):
@@ -281,12 +279,12 @@ def _psum_args(f, g, exps, restricted):
 
 class TestRestrictedHarmonic:
     def test_r1_exact(self):
-        s = expand_restricted_harmonic(1, 9)
+        s = expand("hres", 1, order=9)
         assert s.render() == "H(1)"
         assert s.order is None
 
     def test_r2_pinned(self):
-        s = expand_restricted_harmonic(2, 6)
+        s = expand("hres", 2, order=6)
         assert s.terms == {
             (1, (1,)): F(1),
             (2, (2,)): F(1, 2),
@@ -300,14 +298,13 @@ class TestRestrictedHarmonic:
 
     @pytest.mark.parametrize("r,order,window", [(1, 6, W_MID), (2, 6, W_MID), (3, 5, W_SMALL)])
     def test_numeric(self, r, order, window):
-        pair = (QuantitySpec("hres", (r,)), expand_restricted_harmonic(r, order))
-        assert_numeric(pair, window)
+        assert_expands(QuantitySpec("hres", (r,)), expand("hres", r, order=order), window)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expand_restricted_harmonic(0, 5)
+            expand("hres", 0, order=5)
         with pytest.raises(ValueError):
-            expand_restricted_harmonic(True, 3)
+            expand("hres", True, order=3)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +314,14 @@ class TestRestrictedHarmonic:
 
 class TestSumPolyMhs:
     def test_constant_weight_empty_comp(self):
-        assert expand_sum_poly_mhs((1,), ()).render() == "-1 + p"
+        assert expand("sumpoly", (1,), ()).render() == "-1 + p"
 
     def test_depth_one(self):
-        assert expand_sum_poly_mhs((1,), (2,)).render() == "-H(1) + p * H(2)"
+        assert expand("sumpoly", (1,), (2,)).render() == "-H(1) + p * H(2)"
 
     def test_classical_combination(self):
         # 2*sum H_k(1,1) + sum H_k(2) = 2p - 2 + (1-2p)H(1) + pH(2) + 2pH(1,1)
-        s = expand_sum_poly_mhs((1,), (1, 1)).scale(2) + expand_sum_poly_mhs((1,), (2,))
+        s = expand("sumpoly", (1,), (1, 1)).scale(2) + expand("sumpoly", (1,), (2,))
         assert s.terms == {
             (0, ()): F(-2),
             (1, ()): F(2),
@@ -348,14 +345,14 @@ class TestSumPolyMhs:
         ],
     )
     def test_exact_numeric(self, P, s):
-        series = expand_sum_poly_mhs(P, s)
+        series = expand("sumpoly", P, s)
         assert series.order is None
         q = QuantitySpec("sumpoly", (tuple(F(c) for c in P), tuple(s)))
-        assert_numeric((q, series), W_SMALL)  # exact: requires zero difference
+        assert_expands(q, series, W_SMALL)  # exact: requires zero difference
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expand_sum_poly_mhs((1,), (0, 1))
+            expand("sumpoly", (1,), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +362,28 @@ class TestSumPolyMhs:
 
 class TestBinomials:
     def test_central_binomial_pinned(self):
-        s = expand_binomial_pp(2, 1, 1, 6)
+        s = expand("binp", 2, 1, 1, order=6)
         assert s.terms == {(n, (1,) * n): F(2) for n in range(6)}
         assert s.order == 6
 
     def test_three_one_pinned(self):
-        s = expand_binomial_pp(3, 1, 1, 6)
+        s = expand("binp", 3, 1, 1, order=6)
         assert s.terms == {(n, (1,) * n): F(3 * 2**n) for n in range(6)}
 
     def test_exact_edge_cases(self):
-        assert expand_binomial_pp(1, 1, 3, 8).render() == "1"
-        assert expand_binomial_pp(3, 0, 2, 8).render() == "1"
-        assert expand_binomial_pp(5, 2, 0, 8).render() == "10"
-        assert expand_binomial_poly((0, 1), (0, 2), 6).is_zero()  # C(p, 2p) = 0
-        assert expand_binomial_poly((0, 1), (), 6).render() == "1"  # C(p, 0)
-        assert expand_binomial_poly((0, 1), (0, 1), 6).render() == "1"  # C(p, p)
-        assert expand_binomial_poly((0, 1), (-1, 2), 6).is_zero()  # C(p, 2p-1) = 0
-        assert expand_binomial_poly((0, 1), (1, 0, 1), 6).is_zero()  # deg f < deg g
+        assert expand("binp", 1, 1, 3, order=8).render() == "1"
+        assert expand("binp", 3, 0, 2, order=8).render() == "1"
+        assert expand("binp", 5, 2, 0, order=8).render() == "10"
+        assert expand("binpoly", (0, 1), (0, 2), order=6).is_zero()  # C(p, 2p) = 0
+        assert expand("binpoly", (0, 1), (), order=6).render() == "1"  # C(p, 0)
+        assert expand("binpoly", (0, 1), (0, 1), order=6).render() == "1"  # C(p, p)
+        assert expand("binpoly", (0, 1), (-1, 2), order=6).is_zero()  # C(p, 2p-1) = 0
+        assert expand("binpoly", (0, 1), (1, 0, 1), order=6).is_zero()  # deg f < deg g
 
     def test_poly_equals_pp_route(self):
         for order in range(1, 9):
-            a = expand_binomial_poly((0, 2), (0, 1), order)
-            b = expand_binomial_pp(2, 1, 1, order)
+            a = expand("binpoly", (0, 2), (0, 1), order=order)
+            b = expand("binp", 2, 1, 1, order=order)
             assert a.terms == b.terms and a.order == b.order
 
     @pytest.mark.parametrize(
@@ -400,8 +397,8 @@ class TestBinomials:
         ],
     )
     def test_pp_numeric(self, a, b, r, order, window):
-        pair = (QuantitySpec("binp", (a, b, r)), expand_binomial_pp(a, b, r, order))
-        assert_numeric(pair, window)
+        q = QuantitySpec("binp", (a, b, r))
+        assert_expands(q, expand("binp", a, b, r, order=order), window)
 
     @pytest.mark.parametrize(
         "f,g,order,window",
@@ -414,27 +411,42 @@ class TestBinomials:
         ],
     )
     def test_poly_numeric(self, f, g, order, window):
-        pair = (QuantitySpec("binpoly", _poly_args(f, g)), expand_binomial_poly(f, g, order))
-        assert_numeric(pair, window)
+        q = QuantitySpec("binpoly", _poly_args(f, g))
+        assert_expands(q, expand("binpoly", f, g, order=order), window)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expand_binomial_poly((), (0, 1), 5)
+            expand("binpoly", (), (0, 1), order=5)
         with pytest.raises(ValueError):
-            expand_binomial_poly((0, -1), (0, 1), 5)
+            expand("binpoly", (0, -1), (0, 1), order=5)
         with pytest.raises(ValueError):
-            expand_binomial_pp(1, 2, 1, 5)
+            expand("binp", 1, 2, 1, order=5)
         with pytest.raises(ValueError):
-            factorial_ratio([((0, 1), 1)], 5)  # p! alone is no unit
+            _factorial_ratio([((0, 1), 1)], 5)  # p! alone is no unit
+
+    @pytest.mark.parametrize(
+        "text,order,rendered",
+        [
+            ("binpoly(p-2;1)", 4, "-2 + p + O(p^4)"),  # h = -2, h(1) even: the sign flips
+            ("binpoly(p;p-1)", 4, "p"),  # exactly p: no unit factor is left
+            ("binpoly(p;-1)", 4, "0"),  # an eventually negative g: exactly 0
+            ("binp(2,1,1)", 0, "O(p^0)"),  # order 0: no term below the tail
+        ],
+    )
+    def test_rare_branches_match_the_oracle(self, text, order, rendered):
+        q = quantity(text)
+        s = expand_quantity(q, order)
+        assert s.render() == rendered
+        assert_expands(q, s, PrimeWindow(11, 41))
 
     def test_factorial_ratio_needs_unit_exponents(self):
         with pytest.raises(ValueError):
-            factorial_ratio([((0, 1), 2)], 5)
+            _factorial_ratio([((0, 1), 2)], 5)
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_factorial_ratio_squared_unit(self, order):
         # (2p)!/((p+1)!)^2: the unit factor of (p+1)! enters with exponent -2
-        series = factorial_ratio([((0, 2), 1), ((1, 1), -1), ((1, 1), -1)], order)
+        series = _factorial_ratio([((0, 2), 1), ((1, 1), -1), ((1, 1), -1)], order)
         for p in (11, 13, 17, 19):
             exact = F(math.factorial(2 * p), math.factorial(p + 1) ** 2)
             diff = exact - eval_series_terms(series, p)
@@ -452,7 +464,7 @@ def _poly_args(f, g):
 
 class TestApery:
     def test_pinned_order8(self):
-        s = expand_apery(8)
+        s = expand("apery", order=8)
         assert s.terms == {
             (0, ()): F(1),
             (3, (2, 1)): F(2, 3),
@@ -463,10 +475,10 @@ class TestApery:
         assert s.order == 8
 
     def test_numeric(self):
-        assert_numeric((QuantitySpec("apery", ()), expand_apery(6)), W_MID)
+        assert_expands(QuantitySpec("apery", ()), expand("apery", order=6), W_MID)
 
     def test_numeric_high_order(self):
-        assert_numeric((QuantitySpec("apery", ()), expand_apery(8)), PrimeWindow(11, 17))
+        assert_expands(QuantitySpec("apery", ()), expand("apery", order=8), PrimeWindow(11, 17))
 
 
 # ---------------------------------------------------------------------------
@@ -477,35 +489,35 @@ class TestApery:
 class TestCurious:
     def test_k1_exact_zero(self):
         for r in (1, 2, 3):
-            s = expand_curious(r, 1, 6)
+            s = expand("curious", r, 1, order=6)
             assert s.is_zero() and s.order is None
 
     def test_r1_exact_form(self):
-        s = expand_curious(1, 3, 6)
+        s = expand("curious", 1, 3, order=6)
         assert s.terms == {(-1, (1, 1)): F(6)}
         assert s.order is None
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_r1_exact_numeric(self, k):
-        pair = (QuantitySpec("curious", (1, k)), expand_curious(1, k, 6))
-        assert_numeric(pair, W_MID)  # exact claim: zero difference
+        q = QuantitySpec("curious", (1, k))
+        assert_expands(q, expand("curious", 1, k, order=6), W_MID)  # exact claim: zero difference
 
     def test_pinned_displays(self):
         assert (
-            expand_curious(3, 3, 5).render()
+            expand("curious", 3, 3, order=5).render()
             == "-2 * p^2 * H(2,1) + 2 * p^4 * H(4,1) + O(p^5)"
         )
-        assert expand_curious(2, 3, 6).terms == {
+        assert expand("curious", 2, 3, order=6).terms == {
             (1, (2, 1)): F(-2),
             (3, (4, 1)): F(2),
             (5, (4, 1)): F(-11, 5),
             (5, (6, 1)): F(-69, 35),
         }
-        assert expand_curious(2, 4, 4).terms == {
+        assert expand("curious", 2, 4, order=4).terms == {
             (2, (4, 1)): F(-24, 5),
             (3, (4, 1, 1)): F(28, 15),
         }
-        assert expand_curious(3, 4, 5).terms == {
+        assert expand("curious", 3, 4, order=5).terms == {
             (3, (4, 1)): F(-24, 5),
             (4, (4, 1, 1)): F(28, 15),
         }
@@ -521,21 +533,21 @@ class TestCurious:
         ],
     )
     def test_numeric(self, r, k, order, window):
-        pair = (QuantitySpec("curious", (r, k)), expand_curious(r, k, order))
-        assert_numeric(pair, window)
+        q = QuantitySpec("curious", (r, k))
+        assert_expands(q, expand("curious", r, k, order=order), window)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            expand_curious(0, 2, 5)
+            expand("curious", 0, 2, order=5)
         with pytest.raises(ValueError):
-            expand_curious(2, 0, 5)
+            expand("curious", 2, 0, order=5)
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_leading_term_closed_form(self, r):
         # Zhao (2007), Wang & Cai (2014): curious(r,3) = -2 p^(r-1) B_{p-3}
         # mod p^r, and H_{p-1}(2,1) = B_{p-3} mod p
         lead = "-2 * p * H(2,1)" if r == 2 else f"-2 * p^{r - 1} * H(2,1)"
-        assert expand_curious(r, 3, r).render() == f"{lead} + O(p^{r})"
+        assert expand("curious", r, 3, order=r).render() == f"{lead} + O(p^{r})"
 
 
 class TestCuriousProfiles:
@@ -619,7 +631,7 @@ class TestCuriousProfiles:
 
     @pytest.mark.parametrize("r,k,order", sorted(CANONICAL_SHA256))
     def test_canonical_digest(self, r, k, order):
-        text = expand_curious(r, k, order).render()
+        text = expand("curious", r, k, order=order).render()
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == self.CANONICAL_SHA256[(r, k, order)], text
 
@@ -627,7 +639,7 @@ class TestCuriousProfiles:
     def test_raw_r2_numeric(self, k, order):
         raw = _expand_curious_general(2, k, order)
         assert raw.order == order
-        assert_numeric((QuantitySpec("curious", (2, k)), raw), PrimeWindow(11, 19))
+        assert_expands(QuantitySpec("curious", (2, k)), raw, PrimeWindow(11, 19))
 
     @pytest.mark.parametrize("r,k,order", sorted(RAW_TERMS))
     def test_raw_terms_r3_up(self, r, k, order):
@@ -643,21 +655,21 @@ class TestCuriousProfiles:
 
 class TestCanonicalize:
     def test_idempotent(self):
-        s = expand_apery(6)
+        s = expand("apery", order=6)
         again = canonicalize(s, 6)
         assert again.terms == s.terms and again.order == s.order
 
     def test_constants_pass_through(self):
-        s = expand_rational((1,), (1, 1), 4)
+        s = expand("rat", (1,), (1, 1), order=4)
         c = canonicalize(s, 4)
         assert c.terms == s.terms
 
     def test_value_preserved(self):
-        raw = expand_binomial_pp(2, 1, 1, 5)
+        raw = expand("binp", 2, 1, 1, order=5)
         canon = canonicalize(raw, 5)
         assert canon.terms != raw.terms  # the reduction does something
         q = QuantitySpec("binp", (2, 1, 1))
-        assert_numeric((q, canon), W_SMALL)
+        assert_expands(q, canon, W_SMALL)
 
     def test_needs_order(self):
         with pytest.raises(ValueError):
@@ -677,9 +689,9 @@ class TestShortcutArguments:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: expand_binomial_poly((0, True), (0, 1), 3),
-            lambda: expand_rational((True,), (1,), 3),
-            lambda: factorial_ratio([((0, True), 1), ((0, 1), -1)], 3),
+            lambda: expand("binpoly", (0, True), (0, 1), order=3),
+            lambda: expand("rat", (True,), (1,), order=3),
+            lambda: _factorial_ratio([((0, True), 1), ((0, 1), -1)], 3),
         ],
         ids=["binpoly", "rational", "factorial_ratio"],
     )
@@ -690,10 +702,10 @@ class TestShortcutArguments:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: expand_curious(2, 1, "x"),
-            lambda: expand_curious(1, 3, "x"),
-            lambda: expand_restricted_harmonic(1, None),
-            lambda: expand_binomial_pp(2, 1, 0, "x"),
+            lambda: expand("curious", 2, 1, order="x"),
+            lambda: expand("curious", 1, 3, order="x"),
+            lambda: expand("hres", 1, order=None),
+            lambda: expand("binp", 2, 1, 0, order="x"),
         ],
         ids=["curious-k1", "curious-r1", "hres-r1", "binp-r0"],
     )
@@ -730,7 +742,7 @@ class TestDispatcher:
 
     @pytest.mark.parametrize("name,inner,exact", CASES)
     def test_exactness_policy(self, name, inner, exact):
-        q = parse_quantity(name, inner)
+        q = quantity(f"{name}({inner})")
         s = expand_quantity(q, 5)
         if exact:
             assert s.order is None
@@ -755,6 +767,6 @@ class TestDispatcher:
         ],
     )
     def test_dispatcher_numeric(self, name, inner):
-        q = parse_quantity(name, inner)
+        q = quantity(f"{name}({inner})")
         s = expand_quantity(q, 4)
-        assert_numeric((q, s), W_SMALL)
+        assert_expands(q, s, W_SMALL)

@@ -31,14 +31,14 @@ from padicmhs.oracle import (
     eval_series_terms,
     primes_in,
 )
-from padicmhs.quantities import QuantitySpec, parse_quantity
+from padicmhs.quantities import QuantitySpec
 from padicmhs.series import MhsSeries
-from reference_sums import eval_polylog_sum
+from reference_sums import check_expansion, eval_polylog_sum, quantity
 
 F = Fraction
 
-#: The quantity 0: ``(ZERO, series)`` checks that the series vanishes.
-ZERO = parse_quantity("rat", "0")
+#: The quantity 0: ``check_expansion(ZERO, series, ...)`` checks that the series vanishes.
+ZERO = quantity("rat(0)")
 
 
 def mhs_brute(N, s):
@@ -145,8 +145,8 @@ class TestEvalPowerSum:
         assert eval_power_sum(10, 11, (1, 2)) == 0
         assert eval_power_sum(10, 11, (1,), restricted_at=11) == 0
         assert eval_power_sum(2, 3, ()) == 1
-        q = parse_quantity("psum", "p-1;p;1,2")
-        report = check_numeric((q, MhsSeries.zero(2)), PrimeWindow(11, 13))
+        q = quantity("psum(p-1;p;1,2)")
+        report = check_expansion(q, MhsSeries.zero(2), PrimeWindow(11, 13))
         assert report.passed and [got for (_p, _r, got) in report.records] == [INFINITY] * 2
 
     def test_bad_bounds(self):
@@ -227,60 +227,60 @@ class TestApery:
 
 class TestEvalQuantity:
     def test_binp(self):
-        q = parse_quantity("binp", "2,1,1")
+        q = quantity("binp(2,1,1)")
         assert eval_quantity(q, 7) == math.comb(14, 7) == 3432
-        assert eval_quantity(parse_quantity("binp", "3,1"), 5) == math.comb(15, 5)
-        assert eval_quantity(parse_quantity("binp", "2,1,2"), 3) == math.comb(18, 9)
+        assert eval_quantity(quantity("binp(3,1)"), 5) == math.comb(15, 5)
+        assert eval_quantity(quantity("binp(2,1,2)"), 3) == math.comb(18, 9)
 
     def test_binpoly(self):
-        q = parse_quantity("binpoly", "p^2;p")
+        q = quantity("binpoly(p^2;p)")
         assert eval_quantity(q, 5) == math.comb(25, 5)
-        q = parse_quantity("binpoly", "2*p;p")
+        q = quantity("binpoly(2*p;p)")
         assert eval_quantity(q, 7) == math.comb(14, 7)
 
     def test_apery(self):
-        q = parse_quantity("apery", "")
+        q = quantity("apery()")
         assert eval_quantity(q, 5) == apery_number(4) == 33001
 
     def test_zetap_refuses(self):
         with pytest.raises(ValueError, match="p-adic"):
-            eval_quantity(parse_quantity("zetap", "3"), 7)
+            eval_quantity(quantity("zetap(3)"), 7)
 
     def test_psum(self):
-        q = parse_quantity("psum", "p^2-1;0;2,1")
+        q = quantity("psum(p^2-1;0;2,1)")
         assert eval_quantity(q, 5) == eval_power_sum(24, 0, (2, 1))
-        q = parse_quantity("psum", "p^2;0;1;restricted")
+        q = quantity("psum(p^2;0;1;restricted)")
         assert eval_quantity(q, 5) == eval_power_sum(25, 0, (1,), restricted_at=5)
-        q = parse_quantity("psum", "2*p;p;1")
+        q = quantity("psum(2*p;p;1)")
         assert eval_quantity(q, 7) == eval_power_sum(14, 7, (1,))
 
     def test_hres(self):
-        q = parse_quantity("hres", "2")
+        q = quantity("hres(2)")
         expected = sum((F(1, n) for n in range(1, 25) if n % 5), F(0))
         assert eval_quantity(q, 5) == expected
-        assert eval_quantity(parse_quantity("hres", "1"), 7) == eval_mhs(6, (1,))
+        assert eval_quantity(quantity("hres(1)"), 7) == eval_mhs(6, (1,))
 
     def test_sumpoly(self):
-        q = parse_quantity("sumpoly", "1;1")
+        q = quantity("sumpoly(1;1)")
         # sum_{m=1}^{4} H_m(1) = 1 + 3/2 + 11/6 + 25/12
         assert eval_quantity(q, 5) == F(1) + F(3, 2) + F(11, 6) + F(25, 12)
-        q = parse_quantity("sumpoly", "p^2;2,1")
+        q = quantity("sumpoly(p^2;2,1)")
         expected = sum((F(m**2) * eval_mhs(m, (2, 1)) for m in range(1, 7)), F(0))
         assert eval_quantity(q, 7) == expected
 
     def test_half_alt(self):
-        assert eval_quantity(parse_quantity("half", "2"), 5) == F(25) * (1 + F(1, 4))
+        assert eval_quantity(quantity("half(2)"), 5) == F(25) * (1 + F(1, 4))
         expected = F(125) * sum((F(-1) ** n / F(n) ** 3 for n in range(1, 5)), F(0))
-        assert eval_quantity(parse_quantity("alt", "3"), 5) == expected
+        assert eval_quantity(quantity("alt(3)"), 5) == expected
 
     def test_rat(self):
-        assert eval_quantity(parse_quantity("rat", "p^2"), 7) == 49
-        assert eval_quantity(parse_quantity("rat", "(2*p-1)/3"), 5) == 3
-        assert eval_quantity(parse_quantity("rat", "1/(1-p)"), 3) == F(-1, 2)
+        assert eval_quantity(quantity("rat(p^2)"), 7) == 49
+        assert eval_quantity(quantity("rat((2*p-1)/3)"), 5) == 3
+        assert eval_quantity(quantity("rat(1/(1-p))"), 3) == F(-1, 2)
 
     def test_rat_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            eval_quantity(parse_quantity("rat", "1/(p-3)"), 3)
+            eval_quantity(quantity("rat(1/(p-3))"), 3)
 
 
 class TestCurious:
@@ -305,27 +305,27 @@ class TestCurious:
 
     def test_k_one_is_empty_sum(self):
         for r in (1, 2, 3):
-            assert eval_quantity(parse_quantity("curious", f"{r},1"), 5) == 0
+            assert eval_quantity(quantity(f"curious({r},1)"), 5) == 0
 
     def test_pinned_value(self):
-        assert eval_quantity(parse_quantity("curious", "1,2"), 5) == F(5, 6)
+        assert eval_quantity(quantity("curious(1,2)"), 5) == F(5, 6)
 
     def test_brute_force_cross_check(self):
         cases = [(1, 2, 3), (1, 2, 5), (1, 3, 5), (1, 4, 5), (2, 2, 3), (2, 3, 3), (1, 3, 7), (2, 2, 5)]
         for r, k, p in cases:
-            q = parse_quantity("curious", f"{r},{k}")
+            q = quantity(f"curious({r},{k})")
             assert eval_quantity(q, p) == self.brute(r, k, p), (r, k, p)
 
     def test_depth_identity_r_one(self):
         # C_{1,k,p} = k!/p * H_{p-1}(1,...,1) with k-1 ones
         for k in (2, 3, 4):
             for p in (5, 7, 11):
-                q = parse_quantity("curious", f"1,{k}")
+                q = quantity(f"curious(1,{k})")
                 expected = F(math.factorial(k), p) * eval_mhs(p - 1, (1,) * (k - 1))
                 assert eval_quantity(q, p) == expected, (k, p)
 
     def test_work_budget_refusal(self):
-        q = parse_quantity("curious", "3,3")
+        q = quantity("curious(3,3)")
         with pytest.raises(WorkBudgetExceeded):
             eval_quantity(q, 11, work_budget=100)
 
@@ -456,7 +456,7 @@ class TestCuriousBinarySplitting:
     @pytest.mark.parametrize("r,k,p", [(2, 3, 5), (2, 4, 7), (3, 2, 3)])
     def test_budget_boundary(self, r, k, p):
         cost = (k - 1) * (p**r - 1)
-        q = parse_quantity("curious", f"{r},{k}")
+        q = quantity(f"curious({r},{k})")
         assert eval_quantity(q, p, work_budget=cost) == curious_brute(r, k, p)
         with pytest.raises(WorkBudgetExceeded):
             eval_quantity(q, p, work_budget=cost - 1)
@@ -530,13 +530,13 @@ class TestRefusalBeforeAllocation:
     def test_refused_at_once(self, name, args):
         t0 = time.perf_counter()
         with pytest.raises(WorkBudgetExceeded):
-            eval_quantity(parse_quantity(name, args), 97)
+            eval_quantity(quantity(f"{name}({args})"), 97)
         assert time.perf_counter() - t0 < 1.0
 
     def test_short_range_far_from_one(self):
         # two summation steps: the denominator depends on the range, not on p^9
         t0 = time.perf_counter()
-        q = parse_quantity("psum", "p^9;p^9-2;1,-1")
+        q = quantity("psum(p^9;p^9-2;1,-1)")
         N = 97**9
         assert eval_quantity(q, 97) == F(N - 1, N)
         assert time.perf_counter() - t0 < 1.0
@@ -565,7 +565,7 @@ class TestGrowingDenominator:
 
     @pytest.mark.parametrize("name,args", sorted(PINNED))
     def test_pinned_digests(self, name, args):
-        value = eval_quantity(parse_quantity(name, args), 61)
+        value = eval_quantity(quantity(f"{name}({args})"), 61)
         digests = tuple(
             hashlib.sha256(hex(n).encode()).hexdigest()
             for n in (value.numerator, value.denominator)
@@ -627,7 +627,7 @@ class TestGrowingDenominator:
         for p in primes_in(2, 61):
             for k in range(2, 6):
                 expected = F(p) ** k * eval_polylog_sum(p - 1, (k,), (-1,))
-                assert eval_quantity(parse_quantity("alt", str(k)), p) == expected, (p, k)
+                assert eval_quantity(quantity(f"alt({k})"), p) == expected, (p, k)
 
 
 class TestBudgetCharges:
@@ -645,7 +645,7 @@ class TestBudgetCharges:
         ],
     )
     def test_charge_boundary(self, name, args, p, cost):
-        q = parse_quantity(name, args)
+        q = quantity(f"{name}({args})")
         assert eval_quantity(q, p, work_budget=cost) == eval_quantity(q, p)
         with pytest.raises(WorkBudgetExceeded):
             eval_quantity(q, p, work_budget=cost - 1)
@@ -682,7 +682,7 @@ class TestCheckNumeric:
 
     def test_wolstenholme_statement(self):
         series = MhsSeries({(1, (1,)): 1, (2, (1, 1)): 1}, 3)
-        report = check_numeric((ZERO, series), PrimeWindow(5, 97))
+        report = check_expansion(ZERO, series, PrimeWindow(5, 97))
         assert report.passed
 
     def test_negative_control_fails_everywhere(self):
@@ -702,24 +702,24 @@ class TestCheckNumeric:
         assert failures >= 0.9 * len(report.records)
 
     def test_quantity_series_pair_exact(self):
-        q = parse_quantity("rat", "(2*p-1)/3")
+        q = quantity("rat((2*p-1)/3)")
         series = MhsSeries({(0, ()): F(-1, 3), (1, ()): F(2, 3)})
-        report = check_numeric((q, series), PrimeWindow(11, 31))
+        report = check_expansion(q, series, PrimeWindow(11, 31))
         assert report.passed
         assert all(got is INFINITY for (_p, _req, got) in report.records)
 
     def test_quantity_series_pair_truncated(self):
         # C(2p,p) = 2 + 2pH(1) + 2p^2 H(1,1) + O(p^3)
-        q = parse_quantity("binp", "2,1,1")
+        q = quantity("binp(2,1,1)")
         series = MhsSeries(
             {(0, ()): 2, (1, (1,)): 2, (2, (1, 1)): 2}, 3
         )
-        report = check_numeric((q, series), PrimeWindow(11, 61))
+        report = check_expansion(q, series, PrimeWindow(11, 61))
         assert report.passed
 
     def test_denominator_primes_skipped(self):
         series = MhsSeries({(1, (1,)): F(1, 11)}, 2)
-        report = check_numeric((ZERO, series), PrimeWindow(11, 31), required=1)
+        report = check_expansion(ZERO, series, PrimeWindow(11, 31), required=1)
         assert 11 in report.skipped
         assert all(p != 11 for (p, _r, _g) in report.records)
 
@@ -732,14 +732,13 @@ class TestCheckNumeric:
                 return super().primes()
 
         terms = {(1, (1,)): F(1, 11), (1, (2,)): F(1, 13), (2, (1, 1)): 1, (2, (3,)): 1}
-        report = check_numeric((ZERO, MhsSeries(terms, 2)), CountingWindow(11, 31), required=1)
+        report = check_expansion(ZERO, MhsSeries(terms, 2), CountingWindow(11, 31), required=1)
         assert calls == [1]
         assert report.skipped == [11, 13]
 
     def test_refusal_recorded(self):
-        q = parse_quantity("curious", "3,3")
-        series = MhsSeries.zero(1)
-        report = check_numeric((q, series), PrimeWindow(11, 13), work_budget=10)
+        q = quantity("curious(3,3)")
+        report = check_numeric(lambda p: eval_quantity(q, p, 10), PrimeWindow(11, 13), 1)
         assert not report.passed
         assert report.refused == [11, 13]
         rows = report.render().splitlines()[2:4]
@@ -750,7 +749,7 @@ class TestCheckNumeric:
 
     def test_machine_line_format(self):
         series = MhsSeries({(1, (1,)): 1, (2, (1, 1)): 1}, 3)
-        report = check_numeric((ZERO, series), PrimeWindow(11, 13))
+        report = check_expansion(ZERO, series, PrimeWindow(11, 13))
         lines = report.render().splitlines()
         assert len(lines) == 5
         assert lines[2].split()[:2] == ["11", "3"]
@@ -758,12 +757,12 @@ class TestCheckNumeric:
         assert lines[4] == "summary: PASS"
 
     def test_render_table(self):
-        text = check_numeric((ZERO, MhsSeries({(1, (1,)): 1}, 2)), PrimeWindow(11, 13)).render()
+        text = check_expansion(ZERO, MhsSeries({(1, (1,)): 1}, 2), PrimeWindow(11, 13)).render()
         assert "prime" in text and "required" in text and "verdict" in text
         assert "summary: PASS" in text
 
     def test_callable_requires_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             check_numeric(lambda p: F(0), PrimeWindow(11, 13))
 
     def test_empty_window_fails(self):

@@ -16,10 +16,9 @@ import pytest
 import padicmhs
 from padicmhs import arith, compositions, oracle, powersums, prover
 from padicmhs.arith import padic_valuation
-from padicmhs.expansions import _expand_curious_general, expand_curious
+from padicmhs.expansions import _expand_curious_general, expand_quantity
 from padicmhs.oracle import (
     PrimeWindow,
-    check_numeric,
     eval_mhs,
     eval_power_sum,
     eval_series_terms,
@@ -33,8 +32,8 @@ from padicmhs.powersums import (
     signed_mhs,
     valuation_bound,
 )
-from padicmhs.quantities import parse_quantity
 from padicmhs.series import MhsSeries
+from reference_sums import check_expansion, quantity
 
 
 def assert_series_matches(series, value_fn, primes):
@@ -414,8 +413,8 @@ class TestSplitOrderFloor:
         series = full_sum(*self.PSUM, 3)
         assert series.render() == "1/36 * p - 1/9 * p^2 + O(p^3)"
         assert term_digest(series) == "7f11d5c5ac0b2dd0"
-        spec = parse_quantity("psum", "p^2-p;0;1,-2")
-        report = check_numeric((spec, series), PrimeWindow(11, 29))
+        spec = quantity("psum(p^2-p;0;1,-2)")
+        report = check_expansion(spec, series, PrimeWindow(11, 29))
         assert report.passed, report.render()
 
     def test_fresh_equals_served_after_a_higher_order(self):
@@ -516,11 +515,12 @@ def memo_table_sizes():
 
 
 def test_clear_caches_empties_every_table(tmp_path):
-    series = expand_curious(3, 3, 5, cache_dir=tmp_path)
+    spec = padicmhs.QuantitySpec("curious", (3, 3))
+    series = expand_quantity(spec, 5, cache_dir=tmp_path)
     eval_series_terms(series, 13)
-    oracle.eval_quantity(padicmhs.QuantitySpec("curious", (3, 3)), 13)
+    oracle.eval_quantity(spec, 13)
     assert all(memo_table_sizes().values()), memo_table_sizes()
     padicmhs.clear_caches()
     assert not any(memo_table_sizes().values()), memo_table_sizes()
     assert arith._bernoulli_memo == {0: F(1)}
-    assert expand_curious(3, 3, 5, cache_dir=tmp_path) == series
+    assert expand_quantity(spec, 5, cache_dir=tmp_path) == series

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from padicmhs.prover import (
     dump_certificates,
     generate_relations,
     prove_mixed,
-    prove_supercongruence,
     prove_weighted,
     provable_valuation,
     replay_certificate,
@@ -187,6 +187,37 @@ class TestGenerateRelations:
         cache_file = next(tmp_path.glob("relations-*.txt"))
         cache_file.write_text(good + "junk\n")
         assert generate_relations(3, tmp_path).dump() == good
+        assert cache_file.read_text() == good  # rewritten
+        clear_relation_cache()
+
+    @pytest.mark.parametrize(
+        "old,new,error",
+        [
+            ("pivot (3)\n", "pivot (4)\n", "outside column range"),
+            ("pivot (1,1)\npivot (2)\n", "pivot (2)\npivot (1,1)\n", "strictly increasing"),
+            ("t=(1,1);u=()", "t=(1,1);u=(1,1)", "triple outside the modulus power"),
+            ("annihilator (2,1)", "annihilator (1,2)", "indexed by the free columns"),
+            ("a (2,1) 1\n", "a (2,1) 2\n", "must be e_f plus pivot columns"),
+            ("columns 8\n", "columns 7\n", "column count"),
+            ("a (1) -1/3\n", "b (1) -1/3\n", "unexpected line in annihilator"),
+            ("triple [s=();t=(1);u=()]", "triple [s=();t=(1)]", "malformed provenance"),
+        ],
+        ids=[
+            "pivot-range", "pivot-order", "triple-weight", "free-columns",
+            "annihilator-shape", "column-count", "annihilator-line", "provenance",
+        ],
+    )
+    def test_malformed_cache_is_refused_and_regenerated(self, tmp_path, old, new, error):
+        clear_relation_cache()
+        good = generate_relations(4, tmp_path).dump()
+        clear_relation_cache()
+        assert good.count(old) == 1
+        bad = good.replace(old, new)
+        with pytest.raises(ValueError, match=re.escape(error)):
+            RelationBasis.load(bad)
+        cache_file = next(tmp_path.glob("relations-*.txt"))
+        cache_file.write_text(bad)
+        assert generate_relations(4, tmp_path).dump() == good
         assert cache_file.read_text() == good  # rewritten
         clear_relation_cache()
 
@@ -361,8 +392,8 @@ MIXED_BUNDLE = {
 
 def proof_dump(text: str, cache_dir, order=None) -> str:
     """Certificate text of ``padicmhs prove <text> [--order order]``."""
-    lhs, rhs, n = eval_statement(parse(text), cache_dir, order)
-    return dump_certificates(prove_supercongruence(lhs, rhs, n, cache_dir=cache_dir))
+    series, n = eval_statement(parse(text), cache_dir, order)
+    return dump_certificates(prove_mixed(series, n, cache_dir))
 
 
 class TestModularLift:
@@ -755,22 +786,24 @@ class TestProveMixed:
 
 
 class TestProveSupercongruence:
+    """A congruence statement, as ``prove`` takes it: ``eval_statement``, then ``prove_mixed``."""
+
     def test_wolstenholme_form(self, basis_cache):
-        lhs = MhsSeries({(1, (1,)): F(1), (2, (1, 1)): F(1)}, 3)
-        rhs = MhsSeries.zero(None)
-        certs = prove_supercongruence(lhs, rhs, 3, cache_dir=basis_cache)
+        series, n = eval_statement(parse("p*H(1) + p^2*H(1,1) = 0 mod p^3"), basis_cache)
+        certs = prove_mixed(series, n, basis_cache)
         assert all_proved(certs)
 
     def test_insufficient_order(self):
-        lhs = MhsSeries({(1, (1,)): F(1)}, 2)
-        with pytest.raises(ValueError):
-            prove_supercongruence(lhs, MhsSeries.zero(None), 3)
+        # alt(2) is expanded at the modulus power, and p^-2 leaves O(p^1)
+        message = "lhs is only known to O(p^1), cannot assert mod p^3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eval_statement(parse("p^-2*alt(2) = 3/4*H(2) mod p^3"))
 
     def test_type_errors(self):
         with pytest.raises(TypeError):
-            prove_supercongruence(1, MhsSeries.zero(None), 3)
+            prove_mixed(1, 3)
         with pytest.raises(ValueError):
-            prove_supercongruence(MhsSeries.zero(None), MhsSeries.zero(None), 0)
+            parse("0 = 0 mod p^0")
 
 
 def seeded_series(rng: random.Random, exact: bool) -> MhsSeries:
@@ -971,8 +1004,8 @@ class TestCertificates:
         ids=["proved", "unproven", "zero", "cs2"],
     )
     def test_dump_parses_back_into_equal_records(self, basis_cache, text):
-        lhs, rhs, n = eval_statement(parse(text), basis_cache, None)
-        certs = prove_supercongruence(lhs, rhs, n, cache_dir=basis_cache)
+        series, n = eval_statement(parse(text), basis_cache, None)
+        certs = prove_mixed(series, n, basis_cache)
         text = dump_certificates(certs)
         parsed = prover._parse_certificates(text)
         assert parsed == certs

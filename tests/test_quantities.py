@@ -17,25 +17,25 @@ from padicmhs.quantities import (
     format_poly,
     format_quantity,
     parse,
-    parse_quantity,
 )
+from reference_sums import quantity
 
 F = Fraction
 
 
 def _poly(text):
     """The polynomial P that ``sumpoly(text;1)`` reads."""
-    return parse_quantity("sumpoly", f"{text};1").args[0]
+    return quantity(f"sumpoly({text};1)").args[0]
 
 
 def _int_poly(text):
     """The integer polynomial f that ``binpoly(text;0)`` reads."""
-    return parse_quantity("binpoly", f"{text};0").args[0]
+    return quantity(f"binpoly({text};0)").args[0]
 
 
 def _ratio(text):
     """The integer (numerator, denominator) that ``rat(text)`` reads."""
-    return parse_quantity("rat", text).args
+    return quantity(f"rat({text})").args
 
 
 class TestParsePoly:
@@ -143,67 +143,67 @@ class TestFormatPoly:
 
 class TestParseQuantity:
     def test_binp_full_and_sugar(self):
-        assert parse_quantity("binp", "2,1,1") == QuantitySpec("binp", (2, 1, 1))
-        assert parse_quantity("binp", "2,1") == QuantitySpec("binp", (2, 1, 1))
-        assert parse_quantity("binp", "3,1,2") == QuantitySpec("binp", (3, 1, 2))
+        assert quantity("binp(2,1,1)") == QuantitySpec("binp", (2, 1, 1))
+        assert quantity("binp(2,1)") == QuantitySpec("binp", (2, 1, 1))
+        assert quantity("binp(3,1,2)") == QuantitySpec("binp", (3, 1, 2))
 
     def test_binp_validation(self):
         with pytest.raises(ValueError):
-            parse_quantity("binp", "1,2")  # a < b
+            quantity("binp(1,2)")  # a < b
         with pytest.raises(ValueError):
-            parse_quantity("binp", "2,1,-1")
+            quantity("binp(2,1,-1)")
         with pytest.raises(ValueError):
-            parse_quantity("binp", "2")
+            quantity("binp(2)")
 
     def test_binpoly(self):
-        q = parse_quantity("binpoly", "p^2;p")
+        q = quantity("binpoly(p^2;p)")
         assert q.args == ((F(0), F(0), F(1)), (F(0), F(1)))
 
     def test_apery(self):
-        assert parse_quantity("apery", "") == QuantitySpec("apery", ())
+        assert quantity("apery()") == QuantitySpec("apery", ())
         with pytest.raises(ValueError):
-            parse_quantity("apery", "3")
+            quantity("apery(3)")
 
     def test_zetap(self):
-        assert parse_quantity("zetap", "3").args == (3,)
+        assert quantity("zetap(3)").args == (3,)
         with pytest.raises(ValueError):
-            parse_quantity("zetap", "1")
+            quantity("zetap(1)")
 
     def test_psum(self):
-        q = parse_quantity("psum", "p^2-1;0;2,1")
+        q = quantity("psum(p^2-1;0;2,1)")
         assert q.args == ((F(-1), F(0), F(1)), (), (2, 1), False)
-        q = parse_quantity("psum", "p^2;0;1;restricted")
+        q = quantity("psum(p^2;0;1;restricted)")
         assert q.args[3] is True
-        q = parse_quantity("psum", "p;0;-2,1")
+        q = quantity("psum(p;0;-2,1)")
         assert q.args[2] == (-2, 1)
 
     def test_hres_curious(self):
-        assert parse_quantity("hres", "2").args == (2,)
-        assert parse_quantity("curious", "3,3").args == (3, 3)
+        assert quantity("hres(2)").args == (2,)
+        assert quantity("curious(3,3)").args == (3, 3)
         with pytest.raises(ValueError):
-            parse_quantity("curious", "0,3")
+            quantity("curious(0,3)")
 
     def test_sumpoly(self):
-        q = parse_quantity("sumpoly", "1;1,1")
+        q = quantity("sumpoly(1;1,1)")
         assert q.args == ((F(1),), (1, 1))
-        q = parse_quantity("sumpoly", "p^2;2")
+        q = quantity("sumpoly(p^2;2)")
         assert q.args == ((F(0), F(0), F(1)), (2,))
         with pytest.raises(ValueError):
-            parse_quantity("sumpoly", "1;0,1")
+            quantity("sumpoly(1;0,1)")
 
     def test_half_alt(self):
-        assert parse_quantity("half", "2").args == (2,)
-        assert parse_quantity("alt", "3").args == (3,)
+        assert quantity("half(2)").args == (2,)
+        assert quantity("alt(3)").args == (3,)
         with pytest.raises(ValueError):
-            parse_quantity("half", "1")
+            quantity("half(1)")
 
     def test_rat(self):
-        q = parse_quantity("rat", "(2*p-1)/3")
+        q = quantity("rat((2*p-1)/3)")
         assert q.args == ((F(-1), F(2)), (F(3),))
 
     def test_unknown(self):
         with pytest.raises(ValueError):
-            parse_quantity("zeta", "3")
+            quantity("zeta(3)")
 
     def test_format_round_trip(self):
         samples = [
@@ -222,10 +222,8 @@ class TestParseQuantity:
             ("rat", "p^2"),
         ]
         for name, inner in samples:
-            q = parse_quantity(name, inner)
-            text = format_quantity(q)
-            name2, inner2 = text.split("(", 1)
-            assert parse_quantity(name2, inner2[:-1]) == q
+            q = quantity(f"{name}({inner})")
+            assert quantity(format_quantity(q)) == q
 
 
 # one valid atom per quantity, cheap to expand at order 3 and evaluate at 11
@@ -266,9 +264,8 @@ class TestSpecBoundary:
 
     @pytest.mark.parametrize("name", QUANTITY_NAMES)
     def test_valid_spec_round_trips_and_is_accepted(self, name, tmp_path):
-        q = parse_quantity(name, VALID_ATOMS[name])
-        name2, inner2 = format_quantity(q).split("(", 1)
-        assert parse_quantity(name2, inner2[:-1]) == q
+        q = quantity(f"{name}({VALID_ATOMS[name]})")
+        assert quantity(format_quantity(q)) == q
         expand_quantity(q, 3, cache_dir=tmp_path)
         if name == "zetap":
             # a p-adic limit: the oracle refuses it for what it is, not its argument
@@ -322,7 +319,7 @@ class TestSignatures:
         "name,position,what", SIGNATURE_ARGS, ids=[f"{n}-{w}" for n, _, w in SIGNATURE_ARGS]
     )
     def test_wrong_kind_names_the_argument(self, name, position, what):
-        args = parse_quantity(name, VALID_ATOMS[name]).args
+        args = quantity(f"{name}({VALID_ATOMS[name]})").args
         kind = _SIGNATURES[name][position][1]
         wrong = True if type(kind) is int else WRONG_KIND[kind]
         bad = args[:position] + (wrong,) + args[position + 1 :]
@@ -453,7 +450,7 @@ class TestRationalGrid:
 
     def test_rat_matches_independent_evaluation(self):
         for text, values in _rational_grid():
-            q = parse_quantity("rat", text)
+            q = quantity(f"rat({text})")
             assert [eval_quantity(q, p) for p in GRID_PRIMES] == values, text
 
     def test_rat_expansion_matches_series_evaluation(self):
@@ -478,8 +475,6 @@ class TestSameSpecGrid:
             q = _random_spec(rng)
             text = format_quantity(q)
             seen.add(text)
-            name, inner = text.split("(", 1)
-            assert parse_quantity(name, inner[:-1]) == q, text
             assert parse(text) == ExprAst("quantity", q), text
 
     def test_formatted_polys_parse_back(self):
