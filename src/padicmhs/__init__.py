@@ -1,6 +1,9 @@
 """padicmhs: exact p-adic expansion of prime-indexed quantities into
 truncated series of multiple harmonic sums, with an algebraic prover for
-supercongruences and an exact-rational numeric cross-check."""
+supercongruences and an exact-rational numeric cross-check.
+
+A proof replays in ``certificate`` alone, which imports nothing of the
+package but ``compositions``."""
 
 __version__ = "0.1.0"
 
@@ -33,22 +36,24 @@ from .oracle import (
     eval_series_terms,
     primes_in,
 )
+from .certificate import (
+    ProofCertificate,
+    dump_certificates,
+    replay_certificate,
+    verify_certificate_text,
+)
 from .powersums import full_sum, poly_sum, valuation_bound
 from .prover import (
-    ProofCertificate,
     RelationBasis,
     canonicalize,
-    dump_certificates,
     generate_relations,
     provable_valuation,
     prove_mixed,
     prove_weighted,
-    replay_certificate,
-    verify_certificate_text,
 )
 from .quantities import QuantitySpec, format_quantity
 from .series import MhsSeries
-from . import arith, compositions, oracle, powersums, prover
+from . import arith, certificate, compositions, oracle, powersums, prover
 
 
 def clear_caches() -> None:
@@ -63,8 +68,8 @@ def clear_caches() -> None:
         powersums._ghat_at,
         compositions._shuffle_words,
         compositions._stuffle_cached,
-        prover._jarossay_identity,
-        prover._jarossay_tail,
+        certificate._jarossay_identity,
+        certificate._jarossay_tail,
         oracle.eval_mhs,
         oracle._lcm_steps,
     ):

@@ -53,6 +53,7 @@ from typing import Optional
 
 from . import __version__
 from .arith import INFINITY, padic_valuation
+from .certificate import all_proved, dump_certificates, verify_certificate_text
 from .expansions import expand_quantity
 from .oracle import (
     DEFAULT_WORK_BUDGET,
@@ -61,14 +62,7 @@ from .oracle import (
     eval_mhs,
     eval_quantity,
 )
-from .prover import (
-    all_proved,
-    dump_certificates,
-    generate_relations,
-    provable_valuation,
-    prove_mixed,
-    verify_certificate_text,
-)
+from .prover import generate_relations, provable_valuation, prove_mixed
 from .quantities import ExprAst, ExprSyntaxError, _fold, parse
 from .series import MhsSeries
 

@@ -3,17 +3,16 @@
 A *weighted congruence* asserts that a rational linear combination of
 weighted multiple harmonic sums ``h_p(s) = p^weight(s) * H_{p-1}(s)``
 vanishes modulo ``p^n`` for all but finitely many primes ``p``.  This module
-generates a stock of such congruences by truncating Jarossay's double-shuffle
-family of p-adically convergent identities, and decides whether a candidate
-congruence lies in their Q-linear span.  A congruence on any series,
-given as the series and a modulus power, is first split into weighted
-parts, one per offset ``weight(s) - b`` (:func:`prove_mixed`).  Each
-decision is one :class:`ProofCertificate` record, the same in memory and
-in the dumped text, naming the generating identities and their
-multipliers, so a proof replays later by integer arithmetic with no linear
-algebra (:func:`replay_certificate`).  Reducing a series modulo the span
-gives its canonical form (:func:`canonicalize`), whose lowest p-power is
-the provable valuation.
+generates a stock of such congruences, the relations of
+:mod:`padicmhs.certificate` (truncations of Jarossay's double-shuffle
+identities, times ``h_p(u)``, for every triple ``(s, t, u)`` of total weight
+< n), and decides whether a candidate congruence lies in their Q-linear
+span.  A congruence on any series, given as the series and a modulus power,
+is first split into weighted parts, one per offset ``weight(s) - b``
+(:func:`prove_mixed`).  Each decision is one ``ProofCertificate``, which
+replays without this module.  Reducing a series modulo the span gives its
+canonical form (:func:`canonicalize`), whose lowest p-power is the provable
+valuation.
 
 The span is found modulo primes and lifted; modular arithmetic only
 proposes, and exact checks decide:
@@ -35,18 +34,6 @@ A prime that loses rank (a fingerprint can err only that way) or whose
 residues do not lift is passed over for the next prime of a fixed
 sequence, so results do not depend on luck: in the worst case the run
 stops with an error, never with a wrong verdict.
-
-The underlying identity: for compositions ``s`` and ``t`` (``t`` nonempty),
-
-    h_p(s sh t)  =  (-1)^weight(t) * sum over a_1..a_m >= 0 of
-                    prod C(a_i + t_i - 1, t_i - 1)
-                    * h_p(t_m + a_m, ..., t_1 + a_1, s_1, ..., s_k)
-
-where ``s sh t`` is the shuffle of the x/y-word encodings and ``m = len(t)``.
-Discarding all terms of weight >= n yields a weighted congruence mod p^n.
-Multiplying a truncated identity by ``h_p(u)`` (a stuffle product, which
-preserves weight) yields further congruences; the generator enumerates every
-triple ``(s, t, u)`` with ``weight(s) + weight(t) + weight(u) < n``.
 """
 
 from __future__ import annotations
@@ -55,23 +42,32 @@ import math
 import os
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .arith import INFINITY
+from .certificate import (
+    ProofCertificate,
+    Prov,
+    _check_prov,
+    _combine,
+    _format_prov,
+    _jarossay_identity,
+    _line_reader,
+    _parse_prov,
+    _relation_coords,
+    all_proved,
+    # re-exported: the benchmark (perfbench/child.py, tracer.py) calls and traces it here
+    verify_certificate_text,
+)
 from .compositions import (
     Comp,
     _stuffle_cached,
-    bounded_tuples,
-    check_comp,
     check_int,
     enumerate_compositions,
     format_comp,
     parse_comp,
-    shuffle,
     weight,
 )
 from .series import MhsSeries
@@ -79,28 +75,18 @@ from .series import MhsSeries
 __all__ = [
     "BASIS_FORMAT_VERSION",
     "CACHE_ENV_VAR",
-    "CERTIFICATE_FORMAT_VERSION",
-    "ProofCertificate",
     "RelationBasis",
-    "all_proved",
     "canonicalize",
     "clear_relation_cache",
-    "dump_certificates",
     "generate_relations",
     "prove_mixed",
     "prove_weighted",
     "provable_valuation",
-    "replay_certificate",
-    "verify_certificate_text",
 ]
-
-#: Provenance of a generated relation: the triple (s, t, u).
-Prov = tuple[Comp, Comp, Comp]
 
 _ZERO = Fraction(0)
 
 BASIS_FORMAT_VERSION = 3
-CERTIFICATE_FORMAT_VERSION = 1
 
 #: Environment variable overriding the on-disk relation cache directory.
 CACHE_ENV_VAR = "PADICMHS_CACHE_DIR"
@@ -108,67 +94,6 @@ CACHE_ENV_VAR = "PADICMHS_CACHE_DIR"
 #: The largest modulus power a basis is generated for (p^11 takes 5-8 s; p^12
 #: takes 42 s but 389 MB); a larger basis already held is still served.
 MAX_MODULUS_POWER = 11
-
-
-# -- small helpers --------------------------------------------------------
-
-
-def _col_key(w: Comp) -> tuple:
-    """Sort key reproducing the enumerate_compositions column order."""
-    return (weight(w), w)
-
-
-# -- relation construction ------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _jarossay_identity(s: Comp, t: Comp, n: int) -> tuple[tuple[Comp, int], ...]:
-    """LHS minus RHS of the double-shuffle identity, truncated to weight < n.
-
-    Requires ``weight(s) + weight(t) < n``; with that precondition every
-    retained composition automatically has weight < n, on both sides.  ``s``
-    may be empty (the identity then rewrites ``h_p(t)`` itself); ``t`` empty
-    gives the empty vector.  Returns a sorted tuple of (composition,
-    integer coefficient) pairs with zero coefficients removed.
-    """
-    if weight(s) + weight(t) >= n:
-        raise ValueError("identity truncation requires weight(s) + weight(t) < n")
-    coords: dict[Comp, int] = dict(shuffle(s, t))
-    sign = -1 if weight(t) % 2 else 1
-    for head, coeff in _jarossay_tail(t, n - 1 - weight(s) - weight(t)):
-        w = head + s
-        coords[w] = coords.get(w, 0) - sign * coeff
-    return tuple(sorted((w, c) for w, c in coords.items() if c != 0))
-
-
-@lru_cache(maxsize=None)
-def _jarossay_tail(t: Comp, budget: int) -> tuple[tuple[Comp, int], ...]:
-    """The a-sum of the identity, without its sign and its suffix ``s``.
-
-    One ``((t_m + a_m, ..., t_1 + a_1), prod C(a_i + t_i - 1, t_i - 1))`` per a.
-    """
-    m = len(t)
-    return tuple(
-        (
-            tuple(t[i] + a[i] for i in range(m - 1, -1, -1)),
-            math.prod(math.comb(ai + ti - 1, ti - 1) for ai, ti in zip(a, t)),
-        )
-        for a in bounded_tuples(m, budget)
-    )
-
-
-def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, int]:
-    """Integer coordinates of the relation for the triple (s, t, u) at modulus n.
-
-    The (s, t) identity is truncated to weight < n - weight(u) and then
-    multiplied by ``h_p(u)`` via the stuffle product.  Stuffle preserves
-    weight, so every retained composition has weight < n.
-    """
-    out: dict[Comp, int] = {}
-    for w, c in _jarossay_identity(s, t, n - weight(u)):
-        for v, mult in _stuffle_cached(w, u):
-            out[v] = out.get(v, 0) + c * mult
-    return {v: c for v, c in out.items() if c}
 
 
 def _relation_vectors(n: int) -> tuple[list[Prov], list[dict[int, int]]]:
@@ -197,35 +122,6 @@ def _relation_vectors(n: int) -> tuple[list[Prov], list[dict[int, int]]]:
                 vec[j] = vec.get(j, 0) + c * mult
         vectors.append(vec)
     return provs, vectors
-
-
-def _check_prov(prov: object) -> int:
-    """Total weight of ``prov``; ValueError unless it is (s, t, u) with ``t`` nonempty."""
-    if not (isinstance(prov, tuple) and len(prov) == 3):
-        raise ValueError(f"provenance must be an (s, t, u) triple, got {prov!r}")
-    s, t, u = prov
-    check_comp(s, name="provenance component")
-    check_comp(t, allow_empty=False, name="provenance component")
-    check_comp(u, name="provenance component")
-    return weight(s) + weight(t) + weight(u)
-
-
-def _combine(
-    combination: Sequence[tuple[Prov, Fraction]], n: int
-) -> dict[Comp, Fraction]:
-    """Exact sum of ``multiplier * relation(s, t, u)`` at modulus power n.
-
-    The multipliers are scaled to one common denominator, so the integer
-    relation vectors are summed as integers and each nonzero coordinate
-    becomes one Fraction at the end.
-    """
-    den = math.lcm(*(mult.denominator for _, mult in combination))
-    acc: dict[Comp, int] = {}
-    for prov, mult in combination:
-        scale = mult.numerator * (den // mult.denominator)
-        for w, c in _relation_coords(*prov, n).items():
-            acc[w] = acc.get(w, 0) + scale * c
-    return {w: Fraction(c, den) for w, c in acc.items() if c}
 
 
 # -- modular arithmetic ----------------------------------------------------
@@ -501,14 +397,21 @@ class RelationBasis:
         triples that raised the rank at them, and the lambda_f with
         weight(f) < n, already checked exactly on every relation.  So a
         prefix shares the functionals and is built once per n and kept with
-        this basis.
+        this basis.  A relation at n is the one here cut to weight < n, so
+        the transposed triple rows, when built here, are cut by column too.
         """
         if n == self._modulus:
             return self
         if n not in self._prefixes:
             r = sum(weight(piv) < n for piv in self._pivots)
             lams = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
-            self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams)
+            prefix = RelationBasis(n, self._pivots[:r], self._triples[:r], lams)
+            if self._triple_rows is not None:
+                rows = self._triple_rows
+                prefix._triple_rows = {
+                    w: {k: c for k, c in rows[w].items() if k < r} for w in prefix._columns
+                }
+            self._prefixes[n] = prefix
         return self._prefixes[n]
 
     def reduce(self, coords: Mapping[Comp, Fraction]) -> dict[Comp, Fraction]:
@@ -589,14 +492,13 @@ class RelationBasis:
         """Column w -> {k: w's coefficient in the relation of independent triple k}.
 
         The triple part of the transposed system, the same for every target
-        and prime; built on first use and kept with the basis.
+        and prime; kept with the basis, and built on first use unless
+        :meth:`load` or :meth:`_prefix` supplied it.
         """
         if self._triple_rows is None:
-            system: dict[Comp, dict[int, int]] = {w: {} for w in self._columns}
-            for k, prov in enumerate(self._triples):
-                for w, c in _relation_coords(*prov, self._modulus).items():
-                    system[w][k] = c
-            self._triple_rows = system
+            self._triple_rows = _transpose(
+                self._columns, [_relation_coords(*prov, self._modulus) for prov in self._triples]
+            )
         return self._triple_rows
 
     def _replays(self, values: Mapping[int, Fraction], target: Mapping) -> bool:
@@ -617,7 +519,7 @@ class RelationBasis:
         lines += [f"triple {_format_prov(t)}" for t in self._triples]
         for f, lam in self._annihilators.items():
             lines.append(f"annihilator {format_comp(f)}")
-            for w in sorted(lam, key=_col_key):
+            for w in sorted(lam, key=self._col_index.__getitem__):
                 lines.append(f"a {format_comp(w)} {lam[w]}")
             lines.append("end annihilator")
         lines.append("end basis")
@@ -627,10 +529,15 @@ class RelationBasis:
     def load(cls, text: str) -> "RelationBasis":
         """Inverse of :meth:`dump`; raises ValueError on malformed input.
 
-        The one way text from outside the program becomes a basis, so the
-        structure is checked here: the pivots are strictly increasing
-        columns, every independent triple lies below the modulus power, and
-        each free column f has one annihilator, e_f plus pivot columns.
+        The one way text from outside the program becomes a basis, so it is
+        checked here: the pivots are the columns with no annihilator, every
+        independent triple lies below the modulus power, each annihilator is
+        e_f plus pivot columns, and each vanishes exactly on the relation of
+        every triple, regenerated from its provenance (one packed check,
+        :func:`_annihilates`).  An edited entry of lambda_f at pivot j fails
+        on RREF row j, which lies in the triples' span.  Still trusted: that
+        the triples span every generated relation, so that an annihilator
+        that rejects a target shows it outside the span.
         """
         expect = _line_reader(text, "basis")
         version = expect("padicmhs-basis")
@@ -658,74 +565,37 @@ class RelationBasis:
                 lam[parse_comp(field)] = Fraction(value)
         expect("end basis")
 
-        col_index = {w: i for i, w in enumerate(columns)}
-        last = -1
-        for piv in pivots:
-            idx = col_index.get(piv)
-            if idx is None:
-                raise ValueError(f"pivot {format_comp(piv)} outside column range")
-            if idx <= last:
-                raise ValueError("pivot columns must be strictly increasing")
-            last = idx
+        if list(annihilators) != [w for w in columns if w in annihilators]:
+            raise ValueError("annihilators must be indexed by the free columns, in column order")
+        if pivots != [w for w in columns if w not in annihilators]:
+            raise ValueError("pivots must be the columns with no annihilator")
         for prov in triples:
             if _check_prov(prov) >= modulus:
                 raise ValueError("independent triple outside the modulus power")
-        pivot_set = set(pivots)
-        free = [w for w in columns if w not in pivot_set]
-        if set(annihilators) != set(free):
-            raise ValueError("annihilators must be indexed by the free columns")
         kept: dict[Comp, dict[Comp, Fraction]] = {}
-        for f in free:
-            lam = {w: c for w, c in annihilators[f].items() if c}
+        pivot_set = set(pivots)
+        for f, lam in annihilators.items():
+            kept[f] = lam = {w: c for w, c in lam.items() if c}
             if lam.get(f) != 1 or not set(lam) - {f} <= pivot_set:
                 raise ValueError(f"annihilator {format_comp(f)} must be e_f plus pivot columns")
-            kept[f] = lam
-        return cls(modulus, pivots, triples, kept)
+        vectors = [_relation_coords(*prov, modulus) for prov in triples]
+        values = {(f, w): c for f, lam in kept.items() for w, c in lam.items()}
+        if not _annihilates(values, vectors):
+            raise ValueError("an annihilator does not vanish on the independent triples")
+        basis = cls(modulus, pivots, triples, kept)
+        basis._triple_rows = _transpose(columns, vectors)
+        return basis
 
 
-def _line_reader(text: str, kind: str) -> Callable[..., str]:
-    """Reader over the stripped nonblank lines of a basis or certificate text.
-
-    ``read(prefix)`` returns the next line without ``prefix``; it raises
-    ValueError when that line lacks the prefix or the text has ended, and
-    ``read(inside=block)`` names the open block in the end-of-text message.
-    ``read(f"end {kind}")`` reads the last line: anything after the marker,
-    on its line or below it, is a ValueError too.
-    """
-    lines = iter([ln.strip() for ln in text.splitlines() if ln.strip()])
-    end = f"end {kind}"
-
-    def read(prefix: str = "", inside: str = "") -> str:
-        line = next(lines, None)
-        if line is None:
-            raise ValueError(
-                f"{kind} text ended inside {inside}"
-                if inside
-                else f"{kind} text ended early, expected {prefix!r}"
-            )
-        if not line.startswith(prefix):
-            raise ValueError(f"expected {prefix!r}, got {line!r}")
-        rest = line[len(prefix):].strip()
-        if prefix == end and (rest or next(lines, None) is not None):
-            raise ValueError(f"trailing content after {prefix!r}")
-        return rest
-
-    return read
-
-
-_PROV_PATTERN = r"\[s=(\([^)]*\));t=(\([^)]*\));u=(\([^)]*\))\]"
-
-
-def _format_prov(prov: Prov) -> str:
-    s, t, u = prov
-    return f"[s={format_comp(s)};t={format_comp(t)};u={format_comp(u)}]"
-
-
-def _parse_prov(text: str) -> Prov:
-    m = re.fullmatch(_PROV_PATTERN, text.strip())
-    if m is None:
-        raise ValueError(f"malformed provenance: {text!r}")
-    return tuple(map(parse_comp, m.groups()))
+def _transpose(
+    columns: Sequence[Comp], vectors: Sequence[Mapping[Comp, int]]
+) -> dict[Comp, dict[int, int]]:
+    """Column w -> {k: w's coefficient in vectors[k]}, every column present."""
+    rows: dict[Comp, dict[int, int]] = {w: {} for w in columns}
+    for k, vec in enumerate(vectors):
+        for w, c in vec.items():
+            rows[w][k] = c
+    return rows
 
 
 # -- generation with caching ----------------------------------------------
@@ -838,41 +708,6 @@ def generate_relations(
 # -- proof search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofCertificate:
-    """One certificate part: the outcome of a span-membership decision.
-
-    The fields are those of a part of the dumped text, which
-    :func:`dump_certificates` writes and :func:`verify_certificate_text`
-    reads back into equal records.  ``coords`` is the target coordinate
-    vector, given as a mapping or as pairs and kept as ``(composition,
-    coefficient)`` pairs in column order; ``statement`` is the rendered
-    statement, for the reader only.  When
-    ``verdict`` is "proved", summing ``multiplier * relation(s, t, u)`` over
-    the combination (each relation regenerated at ``modulus_power`` from its
-    provenance alone) reproduces ``coords`` exactly, as
-    :func:`replay_certificate` checks.
-    """
-
-    modulus_power: int
-    verdict: str
-    statement: str
-    coords: tuple[tuple[Comp, Fraction], ...]
-    combination: tuple[tuple[Prov, Fraction], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.verdict not in ("proved", "unproven"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        coords = sorted(dict(self.coords).items(), key=lambda it: _col_key(it[0]))
-        combo = tuple((prov, Fraction(mult)) for prov, mult in self.combination)
-        for prov, _ in combo:
-            _check_prov(prov)
-        if self.verdict == "unproven" and combo:
-            raise ValueError("an unproven certificate cannot carry a combination")
-        object.__setattr__(self, "coords", tuple((w, Fraction(c)) for w, c in coords))
-        object.__setattr__(self, "combination", combo)
-
-
 def _check_congruence(series: MhsSeries, n: int) -> None:
     """Refuse ``series == 0 mod p^n`` unless it is a congruence the series can state.
 
@@ -959,11 +794,6 @@ def prove_mixed(
     return [certs[k] for k in sorted(certs)]
 
 
-def all_proved(certs: Iterable[ProofCertificate]) -> bool:
-    """True when every certificate in the collection is proved."""
-    return all(cert.verdict == "proved" for cert in certs)
-
-
 def canonicalize(
     series: MhsSeries, order: int | None = None, *, cache_dir=None
 ) -> MhsSeries:
@@ -1022,106 +852,3 @@ def provable_valuation(
         if not all_proved(prove_mixed(series.truncate(v), v, cache_dir)):
             raise RuntimeError(f"canonical-form valuation {v} failed its proof")
     return v
-
-
-# -- certificate serialization and replay ----------------------------------
-
-
-def replay_certificate(cert: ProofCertificate) -> bool:
-    """Re-derive a proved certificate by pure arithmetic (no elimination).
-
-    Regenerates every referenced relation from its (s, t, u) provenance at
-    the part's modulus power, sums the exact combination (see
-    :func:`_combine`), and compares it with the target coordinates.  A part
-    with modulus power < 1 is vacuously true; unproven parts never replay.
-    """
-    if _refusal(cert) is not None:
-        return False
-    n = cert.modulus_power
-    return n < 1 or _combine(cert.combination, n) == dict(cert.coords)
-
-
-def _refusal(cert: ProofCertificate) -> str | None:
-    """Why ``cert`` fails before its combination is summed, or None."""
-    n = cert.modulus_power
-    if cert.verdict != "proved":
-        return f"has verdict {cert.verdict}"
-    if n >= 1 and any(_check_prov(prov) >= n for prov, _ in cert.combination):
-        return f"references a relation outside modulus power {n}"
-    return None
-
-
-def dump_certificates(certs: Sequence[ProofCertificate]) -> str:
-    """Plain-text, machine-replayable form of a list of certificate parts.
-
-    Each part states its modulus power, verdict, the rendered statement,
-    the target coordinate vector, and one line per combination entry in the
-    form ``<multiplier> * R[s=(..);t=(..);u=(..)]``.
-    """
-    lines = [f"padicmhs-certificate {CERTIFICATE_FORMAT_VERSION}", f"parts {len(certs)}"]
-    for i, cert in enumerate(certs, 1):
-        lines += [
-            f"part {i}",
-            f"modulus {cert.modulus_power}",
-            f"verdict {cert.verdict}",
-            f"statement {cert.statement}",
-            f"coords {len(cert.coords)}",
-        ]
-        lines += [f"c {format_comp(w)} {c}" for w, c in cert.coords]
-        lines.append(f"combination {len(cert.combination)}")
-        lines += [f"{mult} * R{_format_prov(prov)}" for prov, mult in cert.combination]
-        lines.append("end part")
-    lines.append("end certificate")
-    return "\n".join(lines) + "\n"
-
-
-_COMBO_LINE = re.compile(r"(-?\d+(?:/\d+)?)\s*\*\s*R" + _PROV_PATTERN)
-
-
-def _parse_certificates(text: str) -> list[ProofCertificate]:
-    """Inverse of :func:`dump_certificates`; raises ValueError on malformed input."""
-    expect = _line_reader(text, "certificate")
-    version = expect("padicmhs-certificate")
-    if version != str(CERTIFICATE_FORMAT_VERSION):
-        raise ValueError(f"unsupported certificate format version {version!r}")
-    certs = []
-    for i in range(1, int(expect("parts")) + 1):
-        if expect("part") != str(i):
-            raise ValueError(f"certificate parts out of order at part {i}")
-        modulus = int(expect("modulus"))
-        verdict = expect("verdict")
-        statement = expect("statement")
-        coords = []
-        for _ in range(int(expect("coords"))):
-            field, _, value = expect("c ").rpartition(" ")
-            coords.append((parse_comp(field), Fraction(value)))
-        combination = []
-        for _ in range(int(expect("combination"))):
-            line = expect(inside="a combination")
-            m = _COMBO_LINE.fullmatch(line)
-            if m is None:
-                raise ValueError(f"malformed combination entry: {line!r}")
-            prov = tuple(map(parse_comp, m.group(2, 3, 4)))
-            combination.append((prov, Fraction(m.group(1))))
-        if expect("end part") != "":
-            raise ValueError(f"missing 'end part' after part {i}")
-        certs.append(ProofCertificate(modulus, verdict, statement, coords, combination))
-    expect("end certificate")
-    return certs
-
-
-def verify_certificate_text(text: str) -> tuple[bool, str]:
-    """Replay a dumped certificate arithmetically.
-
-    Returns (ok, message).  Raises ValueError when the text is malformed.
-    The text is read back into :class:`ProofCertificate` records, and every
-    part must pass :func:`replay_certificate`: its verdict is "proved", and
-    its combination, with each relation regenerated from its provenance at
-    the part's modulus power, reproduces its target coordinates exactly.
-    """
-    certs = _parse_certificates(text)
-    for i, cert in enumerate(certs, 1):
-        if not replay_certificate(cert):
-            reason = _refusal(cert) or "combination does not reproduce its target"
-            return False, f"part {i} {reason}"
-    return True, f"replayed {len(certs)} part(s) exactly"

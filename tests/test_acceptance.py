@@ -27,15 +27,8 @@ from padicmhs.oracle import (
     primes_in,
     PrimeWindow,
 )
-from padicmhs.prover import (
-    _offset_parts,
-    _relation_coords,
-    generate_relations,
-    prove_mixed,
-    prove_weighted,
-    replay_certificate,
-    verify_certificate_text,
-)
+from padicmhs.certificate import _relation_coords, replay_certificate, verify_certificate_text
+from padicmhs.prover import _offset_parts, generate_relations, prove_mixed, prove_weighted
 from reference_sums import check_expansion, eval_polylog_sum, quantity
 
 # ---------------------------------------------------------------------------

@@ -666,7 +666,7 @@ class TestCertificateCommands:
                 "malformed combination entry: '2/3 * Q[s=(1);t=(1);u=()]'",
             ),
             ("end part\npart 2", "part 2", "expected 'end part', got 'part 2'"),
-            ("end part\npart 2", "end part 1\npart 2", "missing 'end part' after part 1"),
+            ("end part\npart 2", "end part 1\npart 2", "trailing text after 'end part'"),
         ],
         ids=["parts-out-of-order", "malformed-combination", "end-part-missing", "end-part-text"],
     )

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 import padicmhs
-from padicmhs import arith, compositions, oracle, powersums, prover
+from padicmhs import arith, certificate, compositions, oracle, powersums, prover
 from padicmhs.arith import padic_valuation
 from padicmhs.expansions import _expand_curious_general, expand_quantity
 from padicmhs.oracle import (
@@ -500,8 +500,8 @@ def memo_table_sizes():
         "powersums._ghat_at": powersums._ghat_at,
         "compositions._shuffle_words": compositions._shuffle_words,
         "compositions._stuffle_cached": compositions._stuffle_cached,
-        "prover._jarossay_identity": prover._jarossay_identity,
-        "prover._jarossay_tail": prover._jarossay_tail,
+        "certificate._jarossay_identity": certificate._jarossay_identity,
+        "certificate._jarossay_tail": certificate._jarossay_tail,
         "oracle.eval_mhs": oracle.eval_mhs,
         "oracle._lcm_steps": oracle._lcm_steps,
     }

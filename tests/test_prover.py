@@ -8,25 +8,27 @@ from fractions import Fraction
 
 import pytest
 
-from padicmhs import prover
+from padicmhs import certificate, prover
 from padicmhs.arith import INFINITY, padic_valuation
+from padicmhs.certificate import (
+    ProofCertificate,
+    _relation_coords,
+    all_proved,
+    dump_certificates,
+    replay_certificate,
+    verify_certificate_text,
+)
 from padicmhs.cli import eval_statement, main, parse
 from padicmhs.compositions import enumerate_compositions, format_comp, weight
 from padicmhs.oracle import eval_mhs, primes_in
 from padicmhs.prover import (
-    ProofCertificate,
     RelationBasis,
     _enumerate_triples,
-    _relation_coords,
-    all_proved,
     clear_relation_cache,
-    dump_certificates,
     generate_relations,
     prove_mixed,
     prove_weighted,
     provable_valuation,
-    replay_certificate,
-    verify_certificate_text,
 )
 from padicmhs.series import MhsSeries
 
@@ -109,6 +111,16 @@ class TestJarossayRelation:
     )
     def test_numeric_soundness_single(self, s, t, n):
         assert_coords_vanish(_relation_coords(s, t, (), n), n, PRIMES_SMALL)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_fast_vectors_match_the_trusted_relations(self, n):
+        # generation builds each (s, t) identity once and cuts it per u; a
+        # certificate replay regenerates one relation at a time
+        columns = enumerate_compositions(n - 1)
+        provs, vectors = prover._relation_vectors(n)
+        assert provs == list(_enumerate_triples(n))
+        for prov, vec in zip(provs, vectors):
+            assert {columns[col]: c for col, c in vec.items() if c} == _relation_coords(*prov, n)
 
 
 class TestGenerateRelations:
@@ -193,18 +205,25 @@ class TestGenerateRelations:
     @pytest.mark.parametrize(
         "old,new,error",
         [
-            ("pivot (3)\n", "pivot (4)\n", "outside column range"),
-            ("pivot (1,1)\npivot (2)\n", "pivot (2)\npivot (1,1)\n", "strictly increasing"),
+            ("pivot (3)\n", "pivot (4)\n", "pivots must be the columns with no annihilator"),
+            (
+                "pivot (1,1)\npivot (2)\n",
+                "pivot (2)\npivot (1,1)\n",
+                "pivots must be the columns with no annihilator",
+            ),
             ("t=(1,1);u=()", "t=(1,1);u=(1,1)", "triple outside the modulus power"),
-            ("annihilator (2,1)", "annihilator (1,2)", "indexed by the free columns"),
+            ("annihilator (2,1)", "annihilator (1,2)", "the columns with no annihilator"),
+            ("annihilator ()\n", "annihilator (4)\n", "indexed by the free columns"),
             ("a (2,1) 1\n", "a (2,1) 2\n", "must be e_f plus pivot columns"),
             ("columns 8\n", "columns 7\n", "column count"),
             ("a (1) -1/3\n", "b (1) -1/3\n", "unexpected line in annihilator"),
             ("triple [s=();t=(1);u=()]", "triple [s=();t=(1)]", "malformed provenance"),
+            ("a (1) -1/3\n", "a (1) -1/2\n", "does not vanish on the independent triples"),
         ],
         ids=[
-            "pivot-range", "pivot-order", "triple-weight", "free-columns",
+            "pivot-range", "pivot-order", "triple-weight", "free-columns", "annihilator-column",
             "annihilator-shape", "column-count", "annihilator-line", "provenance",
+            "annihilator-entry",
         ],
     )
     def test_malformed_cache_is_refused_and_regenerated(self, tmp_path, old, new, error):
@@ -247,6 +266,22 @@ class TestGenerateRelations:
         with pytest.raises(ValueError, match=r"modulus p\^10 .* p\^8$"):
             generate_relations(10, basis_cache)
         assert generations == []
+
+    def test_edited_annihilator_entry_is_regenerated_not_trusted(self, basis_cache, capsys):
+        # one changed entry of lambda_(2,1) in a cached p^6 basis once made
+        # this true statement UNPROVEN with 0 relations and exit 1
+        assert main(["identities", "--modulus", "6", "--cache-dir", str(basis_cache)]) == 0
+        cache_file = next(basis_cache.glob("relations-*.txt"))
+        good = cache_file.read_text()
+        old = "annihilator (2,1)\na (1) -1/3\n"
+        assert good.count(old) == 1
+        cache_file.write_text(good.replace(old, "annihilator (2,1)\na (1) -1/2\n"))
+        clear_relation_cache()
+        capsys.readouterr()
+        cb = "12 - 9*binp(2,1,1) + 2*binp(3,1,1) = 24*p^3*H(3) mod p^6"
+        assert main(["prove", cb, "--cache-dir", str(basis_cache)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"PROVED: {cb}"
+        assert cache_file.read_text() == good  # rewritten
 
 
 CS2 = (
@@ -322,6 +357,16 @@ class TestOneBasis:
         assert all(a is b for a, b in zip(first, again))
         assert checks == []
         assert sorted(prover._PROCESS_BASIS._prefixes) == list(range(1, 8))
+
+    def test_prefixes_cut_the_triple_rows_built_at_load(self, basis_cache):
+        # a relation at n is the one at the loaded modulus cut to weight < n
+        generate_relations(8, basis_cache)
+        clear_relation_cache()
+        assert generate_relations(8, basis_cache)._triple_rows is not None
+        for n in range(1, 8):
+            prefix = generate_relations(n, basis_cache)
+            fresh = [_relation_coords(*prov, n) for prov in prefix._triples]
+            assert prefix._triple_rows == prover._transpose(prefix.columns, fresh), n
 
     def test_ascending_fill_parses_no_smaller_file(self, basis_cache, monkeypatch):
         loads, real = [], RelationBasis.load
@@ -467,10 +512,11 @@ class TestModularLift:
         # (one relation per independent triple) compute relations
         basis = generate_relations(6, basis_cache)
         relations, replays = [], []
-        real_coords, real_replays = prover._relation_coords, RelationBasis._replays
-        monkeypatch.setattr(
-            prover, "_relation_coords", lambda *a: relations.append(a) or real_coords(*a)
-        )
+        real_coords, real_replays = certificate._relation_coords, RelationBasis._replays
+        for module in (prover, certificate):
+            monkeypatch.setattr(
+                module, "_relation_coords", lambda *a: relations.append(a) or real_coords(*a)
+            )
         monkeypatch.setattr(
             RelationBasis, "_replays", lambda *a: replays.append(a) or real_replays(*a)
         )
@@ -495,11 +541,19 @@ class TestModularLift:
         assert prover._reconstruct(residue(F(-(2**30), 2**30 - 1)), m) is None
 
     def test_corrupt_annihilator_cannot_prove(self, basis_cache):
-        # lambda_(2,1) loses its (1,2) entry, so it wrongly accepts h(1,2);
-        # the combination solve finds h(1,2) outside the span and refuses
-        text = generate_relations(4, basis_cache).dump()
+        # lambda_(2,1) loses its (1,2) entry, so it wrongly accepts h(1,2):
+        # load refuses it, and a basis built from it all the same cannot prove
+        # h(1,2), as the combination solve finds it outside the span
+        basis = generate_relations(4, basis_cache)
+        text = basis.dump()
         assert "a (1,2) -1\n" in text
-        tampered = RelationBasis.load(text.replace("a (1,2) -1\n", ""))
+        with pytest.raises(ValueError, match="does not vanish on the independent triples"):
+            RelationBasis.load(text.replace("a (1,2) -1\n", ""))
+        lams = {
+            f: {w: c for w, c in lam.items() if (f, w) != ((2, 1), (1, 2))}
+            for f, lam in basis._annihilators.items()
+        }
+        tampered = RelationBasis(4, basis.pivots, basis._triples, lams)
         assert tampered.reduce({(1, 2): F(1)}) == {}
         with pytest.raises(RuntimeError, match="inconsistent"):
             tampered.express({(1, 2): F(1)})
@@ -1007,7 +1061,7 @@ class TestCertificates:
         series, n = eval_statement(parse(text), basis_cache, None)
         certs = prove_mixed(series, n, basis_cache)
         text = dump_certificates(certs)
-        parsed = prover._parse_certificates(text)
+        parsed = certificate._parse_certificates(text)
         assert parsed == certs
         assert dump_certificates(parsed) == text
         assert [replay_certificate(c) for c in parsed] == [c.verdict == "proved" for c in certs]
