@@ -28,12 +28,23 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .compositions import (
-    Comp, _stuffle_cached, bounded_tuples, check_comp, format_comp, parse_comp, shuffle, weight,
+    Comp,
+    _stuffle_cached,
+    bounded_tuples,
+    check_comp,
+    format_comp,
+    parse_comp,
+    shuffle,
+    weight,
 )
 
 __all__ = [
-    "CERTIFICATE_FORMAT_VERSION", "ProofCertificate", "all_proved", "dump_certificates",
-    "replay_certificate", "verify_certificate_text",
+    "CERTIFICATE_FORMAT_VERSION",
+    "ProofCertificate",
+    "all_proved",
+    "dump_certificates",
+    "replay_certificate",
+    "verify_certificate_text",
 ]
 
 Prov = tuple[Comp, Comp, Comp]  # provenance of a relation: the triple (s, t, u)
@@ -41,13 +52,20 @@ Prov = tuple[Comp, Comp, Comp]  # provenance of a relation: the triple (s, t, u)
 CERTIFICATE_FORMAT_VERSION = 1
 
 
+def _col_key(w: Comp) -> tuple:
+    """Sort key reproducing the enumerate_compositions column order."""
+    return (weight(w), w)
+
+
 @lru_cache(maxsize=None)
 def _jarossay_identity(s: Comp, t: Comp, n: int) -> tuple[tuple[Comp, int], ...]:
-    """LHS minus RHS of the (s, t) identity, truncated to weight < n.
+    """LHS minus RHS of the double-shuffle identity, truncated to weight < n.
 
-    Requires ``weight(s) + weight(t) < n``, which keeps every retained
-    composition below weight n on both sides; ``s`` may be empty.  Returns
-    the sorted (composition, nonzero integer coefficient) pairs.
+    Requires ``weight(s) + weight(t) < n``; with that precondition every
+    retained composition automatically has weight < n, on both sides.  ``s``
+    may be empty (the identity then rewrites ``h_p(t)`` itself); ``t`` empty
+    gives the empty vector.  Returns a sorted tuple of (composition,
+    integer coefficient) pairs with zero coefficients removed.
     """
     if weight(s) + weight(t) >= n:
         raise ValueError("identity truncation requires weight(s) + weight(t) < n")
@@ -67,8 +85,10 @@ def _jarossay_tail(t: Comp, budget: int) -> tuple[tuple[Comp, int], ...]:
     """
     m = len(t)
     return tuple(
-        (tuple(t[i] + a[i] for i in range(m - 1, -1, -1)),
-         math.prod(math.comb(ai + ti - 1, ti - 1) for ai, ti in zip(a, t)))
+        (
+            tuple(t[i] + a[i] for i in range(m - 1, -1, -1)),
+            math.prod(math.comb(ai + ti - 1, ti - 1) for ai, ti in zip(a, t)),
+        )
         for a in bounded_tuples(m, budget)
     )
 
@@ -91,16 +111,21 @@ def _check_prov(prov: object) -> int:
     """Total weight of ``prov``; ValueError unless it is (s, t, u) with ``t`` nonempty."""
     if not (isinstance(prov, tuple) and len(prov) == 3):
         raise ValueError(f"provenance must be an (s, t, u) triple, got {prov!r}")
-    for i, comp in enumerate(prov):
-        check_comp(comp, allow_empty=i != 1, name="provenance component")
-    return sum(map(weight, prov))
+    s, t, u = prov
+    check_comp(s, name="provenance component")
+    check_comp(t, allow_empty=False, name="provenance component")
+    check_comp(u, name="provenance component")
+    return weight(s) + weight(t) + weight(u)
 
 
-def _combine(combination: Sequence[tuple[Prov, Fraction]], n: int) -> dict[Comp, Fraction]:
+def _combine(
+    combination: Sequence[tuple[Prov, Fraction]], n: int
+) -> dict[Comp, Fraction]:
     """Exact sum of ``multiplier * relation(s, t, u)`` at modulus power n.
 
-    The integer relation vectors are summed as integers over the multipliers'
-    common denominator, with one Fraction per nonzero coordinate at the end.
+    The multipliers are scaled to one common denominator, so the integer
+    relation vectors are summed as integers and each nonzero coordinate
+    becomes one Fraction at the end.
     """
     den = math.lcm(*(mult.denominator for _, mult in combination))
     acc: dict[Comp, int] = {}
@@ -117,22 +142,27 @@ def _line_reader(text: str, kind: str) -> Callable[..., str]:
     ``read(prefix)`` returns the next line without ``prefix``; it raises
     ValueError when that line lacks the prefix or the text has ended, and
     ``read(inside=block)`` names the open block in the end-of-text message.
-    A marker prefix ``end ...`` must be the whole line, and ``read(f"end
-    {kind}")`` reads the last line: anything below it is a ValueError too.
+    A marker prefix ``end ...`` must be the whole line, and
+    ``read(f"end {kind}")`` reads the last line: anything below it is a
+    ValueError too.
     """
     lines = iter([ln.strip() for ln in text.splitlines() if ln.strip()])
+    end = f"end {kind}"
 
     def read(prefix: str = "", inside: str = "") -> str:
         line = next(lines, None)
         if line is None:
-            where = f"inside {inside}" if inside else f"early, expected {prefix!r}"
-            raise ValueError(f"{kind} text ended {where}")
+            raise ValueError(
+                f"{kind} text ended inside {inside}"
+                if inside
+                else f"{kind} text ended early, expected {prefix!r}"
+            )
         if not line.startswith(prefix):
             raise ValueError(f"expected {prefix!r}, got {line!r}")
         rest = line[len(prefix):].strip()
         if prefix.startswith("end ") and rest:
             raise ValueError(f"trailing text after {prefix!r}")
-        if prefix == f"end {kind}" and next(lines, None) is not None:
+        if prefix == end and next(lines, None) is not None:
             raise ValueError(f"trailing content after {prefix!r}")
         return rest
 
@@ -163,10 +193,11 @@ class ProofCertificate:
     reads back into equal records.  ``coords`` is the target coordinate
     vector, given as a mapping or as pairs and kept as ``(composition,
     coefficient)`` pairs in column order; ``statement`` is the rendered
-    statement, for the reader only.  When ``verdict`` is "proved", summing
-    ``multiplier * relation(s, t, u)`` over the combination (each relation
-    regenerated at ``modulus_power`` from its provenance alone) reproduces
-    ``coords`` exactly, as :func:`replay_certificate` checks.
+    statement, for the reader only.  When
+    ``verdict`` is "proved", summing ``multiplier * relation(s, t, u)`` over
+    the combination (each relation regenerated at ``modulus_power`` from its
+    provenance alone) reproduces ``coords`` exactly, as
+    :func:`replay_certificate` checks.
     """
 
     modulus_power: int
@@ -178,7 +209,7 @@ class ProofCertificate:
     def __post_init__(self) -> None:
         if self.verdict not in ("proved", "unproven"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        coords = sorted(dict(self.coords).items(), key=lambda it: (weight(it[0]), it[0]))
+        coords = sorted(dict(self.coords).items(), key=lambda it: _col_key(it[0]))
         combo = tuple((prov, Fraction(mult)) for prov, mult in self.combination)
         for prov, _ in combo:
             _check_prov(prov)
@@ -196,9 +227,10 @@ def all_proved(certs: Iterable[ProofCertificate]) -> bool:
 def replay_certificate(cert: ProofCertificate) -> bool:
     """Re-derive a proved certificate by pure arithmetic (no elimination).
 
-    Every relation is regenerated from its provenance at the part's modulus
-    power, and the exact combination (:func:`_combine`) must equal the target;
-    a part below p^1 holds vacuously, and an unproven part never replays.
+    Regenerates every referenced relation from its (s, t, u) provenance at
+    the part's modulus power, sums the exact combination (see
+    :func:`_combine`), and compares it with the target coordinates.  A part
+    with modulus power < 1 is vacuously true; unproven parts never replay.
     """
     return _refusal(cert) is None
 
@@ -224,8 +256,13 @@ def dump_certificates(certs: Sequence[ProofCertificate]) -> str:
     """
     lines = [f"padicmhs-certificate {CERTIFICATE_FORMAT_VERSION}", f"parts {len(certs)}"]
     for i, cert in enumerate(certs, 1):
-        lines += [f"part {i}", f"modulus {cert.modulus_power}", f"verdict {cert.verdict}",
-                  f"statement {cert.statement}", f"coords {len(cert.coords)}"]
+        lines += [
+            f"part {i}",
+            f"modulus {cert.modulus_power}",
+            f"verdict {cert.verdict}",
+            f"statement {cert.statement}",
+            f"coords {len(cert.coords)}",
+        ]
         lines += [f"c {format_comp(w)} {c}" for w, c in cert.coords]
         lines.append(f"combination {len(cert.combination)}")
         lines += [f"{mult} * R{_format_prov(prov)}" for prov, mult in cert.combination]
@@ -247,7 +284,9 @@ def _parse_certificates(text: str) -> list[ProofCertificate]:
     for i in range(1, int(expect("parts")) + 1):
         if expect("part") != str(i):
             raise ValueError(f"certificate parts out of order at part {i}")
-        modulus, verdict, statement = int(expect("modulus")), expect("verdict"), expect("statement")
+        modulus = int(expect("modulus"))
+        verdict = expect("verdict")
+        statement = expect("statement")
         coords = []
         for _ in range(int(expect("coords"))):
             field, _, value = expect("c ").rpartition(" ")
@@ -258,7 +297,8 @@ def _parse_certificates(text: str) -> list[ProofCertificate]:
             m = _COMBO_LINE.fullmatch(line)
             if m is None:
                 raise ValueError(f"malformed combination entry: {line!r}")
-            combination.append((tuple(map(parse_comp, m.group(2, 3, 4))), Fraction(m.group(1))))
+            prov = tuple(map(parse_comp, m.group(2, 3, 4)))
+            combination.append((prov, Fraction(m.group(1))))
         expect("end part")
         certs.append(ProofCertificate(modulus, verdict, statement, coords, combination))
     expect("end certificate")
@@ -266,11 +306,14 @@ def _parse_certificates(text: str) -> list[ProofCertificate]:
 
 
 def verify_certificate_text(text: str) -> tuple[bool, str]:
-    """Replay a dumped certificate arithmetically; returns (ok, message).
+    """Replay a dumped certificate arithmetically.
 
-    Raises ValueError when the text is malformed.  Every part read back must
-    pass :func:`replay_certificate`; the message names the first that does
-    not, and why.
+    Returns (ok, message).  Raises ValueError when the text is malformed.
+    The text is read back into :class:`ProofCertificate` records, and every
+    part must pass :func:`replay_certificate`: its verdict is "proved", and
+    its combination, with each relation regenerated from its provenance at
+    the part's modulus power, reproduces its target coordinates exactly.
+    The message names the first part that does not, and why.
     """
     certs = _parse_certificates(text)
     for i, cert in enumerate(certs, 1):

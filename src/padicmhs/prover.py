@@ -51,6 +51,7 @@ from .certificate import (
     ProofCertificate,
     Prov,
     _check_prov,
+    _col_key,
     _combine,
     _format_prov,
     _jarossay_identity,
@@ -397,21 +398,14 @@ class RelationBasis:
         triples that raised the rank at them, and the lambda_f with
         weight(f) < n, already checked exactly on every relation.  So a
         prefix shares the functionals and is built once per n and kept with
-        this basis.  A relation at n is the one here cut to weight < n, so
-        the transposed triple rows, when built here, are cut by column too.
+        this basis.
         """
         if n == self._modulus:
             return self
         if n not in self._prefixes:
             r = sum(weight(piv) < n for piv in self._pivots)
             lams = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
-            prefix = RelationBasis(n, self._pivots[:r], self._triples[:r], lams)
-            if self._triple_rows is not None:
-                rows = self._triple_rows
-                prefix._triple_rows = {
-                    w: {k: c for k, c in rows[w].items() if k < r} for w in prefix._columns
-                }
-            self._prefixes[n] = prefix
+            self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams)
         return self._prefixes[n]
 
     def reduce(self, coords: Mapping[Comp, Fraction]) -> dict[Comp, Fraction]:
@@ -493,7 +487,7 @@ class RelationBasis:
 
         The triple part of the transposed system, the same for every target
         and prime; kept with the basis, and built on first use unless
-        :meth:`load` or :meth:`_prefix` supplied it.
+        :meth:`load` supplied it.
         """
         if self._triple_rows is None:
             self._triple_rows = _transpose(
@@ -519,7 +513,7 @@ class RelationBasis:
         lines += [f"triple {_format_prov(t)}" for t in self._triples]
         for f, lam in self._annihilators.items():
             lines.append(f"annihilator {format_comp(f)}")
-            for w in sorted(lam, key=self._col_index.__getitem__):
+            for w in sorted(lam, key=_col_key):
                 lines.append(f"a {format_comp(w)} {lam[w]}")
             lines.append("end annihilator")
         lines.append("end basis")
@@ -530,8 +524,9 @@ class RelationBasis:
         """Inverse of :meth:`dump`; raises ValueError on malformed input.
 
         The one way text from outside the program becomes a basis, so it is
-        checked here: the pivots are the columns with no annihilator, every
-        independent triple lies below the modulus power, each annihilator is
+        checked here: the pivots are the columns with no annihilator, no
+        independent triple outweighs the pivot it raised (every coordinate of
+        a relation weighs at least its triple), each annihilator is
         e_f plus pivot columns, and each vanishes exactly on the relation of
         every triple, regenerated from its provenance (one packed check,
         :func:`_annihilates`).  An edited entry of lambda_f at pivot j fails
@@ -569,9 +564,9 @@ class RelationBasis:
             raise ValueError("annihilators must be indexed by the free columns, in column order")
         if pivots != [w for w in columns if w not in annihilators]:
             raise ValueError("pivots must be the columns with no annihilator")
-        for prov in triples:
-            if _check_prov(prov) >= modulus:
-                raise ValueError("independent triple outside the modulus power")
+        for piv, prov in zip(pivots, triples):
+            if _check_prov(prov) > weight(piv):
+                raise ValueError(f"independent triple heavier than its pivot {format_comp(piv)}")
         kept: dict[Comp, dict[Comp, Fraction]] = {}
         pivot_set = set(pivots)
         for f, lam in annihilators.items():

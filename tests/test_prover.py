@@ -211,7 +211,12 @@ class TestGenerateRelations:
                 "pivot (2)\npivot (1,1)\n",
                 "pivots must be the columns with no annihilator",
             ),
-            ("t=(1,1);u=()", "t=(1,1);u=(1,1)", "triple outside the modulus power"),
+            ("t=(1,1);u=()", "t=(1,1);u=(1,1)", "triple heavier than its pivot (3)"),
+            (
+                "triple [s=();t=(1);u=()]\ntriple [s=();t=(1);u=(1)]\n",
+                "triple [s=();t=(1);u=(1)]\ntriple [s=();t=(1);u=()]\n",
+                "triple heavier than its pivot (1)",
+            ),
             ("annihilator (2,1)", "annihilator (1,2)", "the columns with no annihilator"),
             ("annihilator ()\n", "annihilator (4)\n", "indexed by the free columns"),
             ("a (2,1) 1\n", "a (2,1) 2\n", "must be e_f plus pivot columns"),
@@ -221,7 +226,8 @@ class TestGenerateRelations:
             ("a (1) -1/3\n", "a (1) -1/2\n", "does not vanish on the independent triples"),
         ],
         ids=[
-            "pivot-range", "pivot-order", "triple-weight", "free-columns", "annihilator-column",
+            "pivot-range", "pivot-order", "triple-weight", "triple-order", "free-columns",
+            "annihilator-column",
             "annihilator-shape", "column-count", "annihilator-line", "provenance",
             "annihilator-entry",
         ],
@@ -357,16 +363,6 @@ class TestOneBasis:
         assert all(a is b for a, b in zip(first, again))
         assert checks == []
         assert sorted(prover._PROCESS_BASIS._prefixes) == list(range(1, 8))
-
-    def test_prefixes_cut_the_triple_rows_built_at_load(self, basis_cache):
-        # a relation at n is the one at the loaded modulus cut to weight < n
-        generate_relations(8, basis_cache)
-        clear_relation_cache()
-        assert generate_relations(8, basis_cache)._triple_rows is not None
-        for n in range(1, 8):
-            prefix = generate_relations(n, basis_cache)
-            fresh = [_relation_coords(*prov, n) for prov in prefix._triples]
-            assert prefix._triple_rows == prover._transpose(prefix.columns, fresh), n
 
     def test_ascending_fill_parses_no_smaller_file(self, basis_cache, monkeypatch):
         loads, real = [], RelationBasis.load
