@@ -63,17 +63,14 @@ from .oracle import (
     eval_quantity,
 )
 from .prover import generate_relations, provable_valuation, prove_mixed
-from .quantities import ExprAst, ExprSyntaxError, _fold, parse
+from .quantities import ExprAst, _fold, parse
 from .series import MhsSeries
 
 __all__ = [
-    "ExprAst",
-    "ExprSyntaxError",
     "eval_at_prime",
     "eval_series",
     "eval_statement",
     "main",
-    "parse",
 ]
 
 # ---------------------------------------------------------------------------

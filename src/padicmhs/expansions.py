@@ -26,7 +26,7 @@ Conventions:
 * all arithmetic is exact rational.
 
 The Apery and curious expansions are put into canonical form by
-:func:`padicmhs.prover.canonicalize` (re-exported here), which reduces them
+:func:`padicmhs.prover.canonicalize`, which reduces them
 modulo the relation span.
 """
 
@@ -59,7 +59,7 @@ from .prover import canonicalize
 from .quantities import QuantitySpec
 from .series import MhsSeries
 
-__all__ = ["canonicalize", "expand_quantity"]
+__all__ = ["expand_quantity"]
 
 
 # ---------------------------------------------------------------------------

@@ -357,12 +357,16 @@ class RelationBasis:
         pivots: Sequence[Comp],
         triples: Sequence[Prov],
         annihilators: dict[Comp, dict[Comp, Fraction]],
+        triple_rows: dict[Comp, dict[int, int]],
     ) -> None:
         """A basis from parts that already fit together, kept as given.
 
         Generation, :meth:`load` (after its checks) and :meth:`_prefix` are
         the only builders; ``annihilators`` maps each free column, in column
-        order, to its nonzero ``lambda_f`` entries.
+        order, to its nonzero ``lambda_f`` entries, and ``triple_rows`` maps
+        every column w to ``{k: w's coefficient in the relation of triple k}``
+        (:func:`_transpose`), the part of the transposed system of
+        :meth:`_combination_residues` that is the same for every target.
         """
         self._modulus = modulus_power
         self._columns = enumerate_compositions(modulus_power - 1)
@@ -370,7 +374,7 @@ class RelationBasis:
         self._pivots = list(pivots)
         self._triples = list(triples)
         self._annihilators = annihilators
-        self._triple_rows: dict[Comp, dict[int, int]] | None = None
+        self._triple_rows = triple_rows
         self._prefixes: dict[int, RelationBasis] = {}
 
     @property
@@ -398,14 +402,21 @@ class RelationBasis:
         triples that raised the rank at them, and the lambda_f with
         weight(f) < n, already checked exactly on every relation.  So a
         prefix shares the functionals and is built once per n and kept with
-        this basis.
+        this basis.  A relation at n is the one here cut to weight < n, so
+        the prefix's triple rows are these cut to the columns of weight < n
+        and the first r triples.
         """
         if n == self._modulus:
             return self
         if n not in self._prefixes:
             r = sum(weight(piv) < n for piv in self._pivots)
             lams = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
-            self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams)
+            rows = {
+                w: {k: c for k, c in row.items() if k < r}
+                for w, row in self._triple_rows.items()
+                if weight(w) < n
+            }
+            self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams, rows)
         return self._prefixes[n]
 
     def reduce(self, coords: Mapping[Comp, Fraction]) -> dict[Comp, Fraction]:
@@ -466,7 +477,7 @@ class RelationBasis:
             return None
         r = self.rank
         system = []
-        for w, row in self._transposed_triples().items():
+        for w, row in self._triple_rows.items():
             c = target.get(w)
             if c is not None:
                 row = {**row, r: c.numerator * pow(c.denominator, -1, q)}
@@ -481,19 +492,6 @@ class RelationBasis:
                 "independent triples"
             )
         return (), {k: rows[k].get(r, 0) for k in range(r)}
-
-    def _transposed_triples(self) -> dict[Comp, dict[int, int]]:
-        """Column w -> {k: w's coefficient in the relation of independent triple k}.
-
-        The triple part of the transposed system, the same for every target
-        and prime; kept with the basis, and built on first use unless
-        :meth:`load` supplied it.
-        """
-        if self._triple_rows is None:
-            self._triple_rows = _transpose(
-                self._columns, [_relation_coords(*prov, self._modulus) for prov in self._triples]
-            )
-        return self._triple_rows
 
     def _replays(self, values: Mapping[int, Fraction], target: Mapping) -> bool:
         combination = [(self._triples[k], mult) for k, mult in values.items()]
@@ -526,13 +524,17 @@ class RelationBasis:
         The one way text from outside the program becomes a basis, so it is
         checked here: the pivots are the columns with no annihilator, no
         independent triple outweighs the pivot it raised (every coordinate of
-        a relation weighs at least its triple), each annihilator is
-        e_f plus pivot columns, and each vanishes exactly on the relation of
-        every triple, regenerated from its provenance (one packed check,
-        :func:`_annihilates`).  An edited entry of lambda_f at pivot j fails
-        on RREF row j, which lies in the triples' span.  Still trusted: that
-        the triples span every generated relation, so that an annihilator
-        that rejects a target shows it outside the span.
+        a relation weighs at least its triple), no triple is repeated, each
+        annihilator is e_f plus pivot columns, and each vanishes exactly on
+        the relation of every triple, regenerated from its provenance (one
+        packed check, :func:`_annihilates`).  An edited entry of lambda_f at
+        pivot j fails on RREF row j, which lies in the triples' span.  The
+        regenerated relations become the basis's triple rows.  Still trusted:
+        that the distinct triples are independent and span every generated
+        relation, so that an annihilator that rejects a target shows it
+        outside the span.  Dependent triples stop a proof search with an
+        error (exit 2 from the CLI), and every proof replays, so a file that
+        breaks this never yields a false "proved".
         """
         expect = _line_reader(text, "basis")
         version = expect("padicmhs-basis")
@@ -567,6 +569,8 @@ class RelationBasis:
         for piv, prov in zip(pivots, triples):
             if _check_prov(prov) > weight(piv):
                 raise ValueError(f"independent triple heavier than its pivot {format_comp(piv)}")
+        if len(set(triples)) < rank:
+            raise ValueError("an independent triple is repeated")
         kept: dict[Comp, dict[Comp, Fraction]] = {}
         pivot_set = set(pivots)
         for f, lam in annihilators.items():
@@ -577,9 +581,7 @@ class RelationBasis:
         values = {(f, w): c for f, lam in kept.items() for w, c in lam.items()}
         if not _annihilates(values, vectors):
             raise ValueError("an annihilator does not vanish on the independent triples")
-        basis = cls(modulus, pivots, triples, kept)
-        basis._triple_rows = _transpose(columns, vectors)
-        return basis
+        return cls(modulus, pivots, triples, kept, _transpose(columns, vectors))
 
 
 def _transpose(
@@ -684,11 +686,13 @@ def generate_relations(
         columns[f]: {columns[col]: v for col, v in lam.items()}
         for f, lam in _functionals(values).items()
     }
+    raised = [{columns[col]: c for col, c in vectors[k].items() if c} for k in raised_by]
     basis = _PROCESS_BASIS = RelationBasis(
         n,
         [columns[p] for p in pivots],
         [provs[k] for k in raised_by],
         annihilators,
+        _transpose(columns, raised),
     )
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -295,14 +295,21 @@ def test_criterion_7_restricted_double_harmonic():
         verdicts.append(f"offset {k} (mod p^{m}): {cert.verdict}")
     symbolic_verdict = "; ".join(verdicts)
     symbolic = len(parts) == 6 and all(v.endswith(": proved") for v in verdicts)
-    digest = hashlib.sha256(generate_relations(11, CACHE["dir"]).dump().encode()).hexdigest()
+    basis = generate_relations(11, CACHE["dir"])
+    digest = hashlib.sha256(basis.dump().encode()).hexdigest()
     pinned = digest == BASIS_DIGEST_N11
+    # free columns per weight 0..10, a rank-drift check: Zagier's d_(w-3) from w = 3
+    pivots = set(basis.pivots)
+    free_weights = [weight(w) for w in basis.columns if w not in pivots]
+    free_counts = [free_weights.count(k) for k in range(11)]
+    free_pinned = free_counts == [1, 0, 0, 1, 0, 1, 1, 1, 2, 2, 3]
 
     dt = time.monotonic() - t0
-    ok = numeric and symbolic and pinned
+    ok = numeric and symbolic and pinned and free_pinned
     report(7, ok, f"cr3 numeric 11..61 {'pass' if numeric else 'FAIL'}; "
                   f"symbolic [{symbolic_verdict}]; p^11 basis digest "
-                  f"{'pinned' if pinned else 'CHANGED'} ({dt:.0f}s)")
+                  f"{'pinned' if pinned else 'CHANGED'}, free columns per weight "
+                  f"{free_counts} ({dt:.0f}s)")
     assert ok
 
 

@@ -1,12 +1,27 @@
 """The trusted base of a "proved" verdict: the certificate module and what it imports."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import padicmhs
+from padicmhs.cli import main
 
 PACKAGE = Path(padicmhs.__file__).parent
+
+CB = "12 - 9*binp(2,1,1) + 2*binp(3,1,1) = 24*p^3*H(3) mod p^6"
+
+#: A fresh interpreter's replay of the certificate file argv[1]: it prints the
+#: verdict and then the package modules that the replay loaded.
+REPLAY_ALONE = """
+import sys
+from padicmhs.certificate import verify_certificate_text
+with open(sys.argv[1]) as f:
+    print(verify_certificate_text(f.read()))
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "padicmhs"))
+"""
 
 
 def imports_of(name: str) -> tuple[set[str], set[str]]:
@@ -36,3 +51,17 @@ def test_trusted_base_is_certificate_and_compositions():
     # 525 lines now: far below the engine it would grow to by importing prover (about 1,900)
     lines = sum(len((PACKAGE / f"{name}.py").read_text().splitlines()) for name in closure)
     assert lines <= 540
+
+
+def test_trusted_core_replays_alone(tmp_path):
+    cert = tmp_path / "cb.cert"
+    assert main(["prove", CB, "--dump", str(cert), "--cache-dir", str(tmp_path)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", REPLAY_ALONE, str(cert)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.splitlines() == [
+        "(True, 'replayed 1 part(s) exactly')",
+        "['padicmhs', 'padicmhs.certificate', 'padicmhs.compositions']",
+    ]

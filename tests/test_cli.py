@@ -11,16 +11,10 @@ import pytest
 
 from padicmhs import clear_caches, cli
 from padicmhs.arith import padic_valuation
-from padicmhs.cli import (
-    ExprAst,
-    ExprSyntaxError,
-    eval_series,
-    eval_statement,
-    main,
-    parse,
-)
+from padicmhs.cli import eval_series, eval_statement, main
 from padicmhs.oracle import PrimeWindow, eval_series_terms
 from padicmhs.prover import RelationBasis
+from padicmhs.quantities import ExprAst, ExprSyntaxError, parse
 from padicmhs.series import MhsSeries
 from reference_sums import check_expansion
 

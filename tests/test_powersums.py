@@ -32,6 +32,7 @@ from padicmhs.powersums import (
     signed_mhs,
     valuation_bound,
 )
+from padicmhs.quantities import QuantitySpec
 from padicmhs.series import MhsSeries
 from reference_sums import check_expansion, quantity
 
@@ -515,7 +516,7 @@ def memo_table_sizes():
 
 
 def test_clear_caches_empties_every_table(tmp_path):
-    spec = padicmhs.QuantitySpec("curious", (3, 3))
+    spec = QuantitySpec("curious", (3, 3))
     series = expand_quantity(spec, 5, cache_dir=tmp_path)
     eval_series_terms(series, 13)
     oracle.eval_quantity(spec, 13)

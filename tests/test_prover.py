@@ -217,6 +217,11 @@ class TestGenerateRelations:
                 "triple [s=();t=(1);u=(1)]\ntriple [s=();t=(1);u=()]\n",
                 "triple heavier than its pivot (1)",
             ),
+            (
+                "triple [s=();t=(1);u=()]\ntriple [s=();t=(1);u=(1)]\n",
+                "triple [s=();t=(1);u=()]\ntriple [s=();t=(1);u=()]\n",
+                "an independent triple is repeated",
+            ),
             ("annihilator (2,1)", "annihilator (1,2)", "the columns with no annihilator"),
             ("annihilator ()\n", "annihilator (4)\n", "indexed by the free columns"),
             ("a (2,1) 1\n", "a (2,1) 2\n", "must be e_f plus pivot columns"),
@@ -226,7 +231,8 @@ class TestGenerateRelations:
             ("a (1) -1/3\n", "a (1) -1/2\n", "does not vanish on the independent triples"),
         ],
         ids=[
-            "pivot-range", "pivot-order", "triple-weight", "triple-order", "free-columns",
+            "pivot-range", "pivot-order", "triple-weight", "triple-order", "triple-duplicate",
+            "free-columns",
             "annihilator-column",
             "annihilator-shape", "column-count", "annihilator-line", "provenance",
             "annihilator-entry",
@@ -282,6 +288,23 @@ class TestGenerateRelations:
         old = "annihilator (2,1)\na (1) -1/3\n"
         assert good.count(old) == 1
         cache_file.write_text(good.replace(old, "annihilator (2,1)\na (1) -1/2\n"))
+        clear_relation_cache()
+        capsys.readouterr()
+        cb = "12 - 9*binp(2,1,1) + 2*binp(3,1,1) = 24*p^3*H(3) mod p^6"
+        assert main(["prove", cb, "--cache-dir", str(basis_cache)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"PROVED: {cb}"
+        assert cache_file.read_text() == good  # rewritten
+
+    def test_duplicated_triple_line_is_regenerated_not_trusted(self, basis_cache, capsys):
+        # the first triple line copied over the second in a cached p^6 basis
+        # once passed the load, and the proof of this true statement then
+        # stopped with "no rational values lifted" and exit 2
+        assert main(["identities", "--modulus", "6", "--cache-dir", str(basis_cache)]) == 0
+        cache_file = next(basis_cache.glob("relations-*.txt"))
+        good = cache_file.read_text()
+        first, second = re.findall(r"^triple .*\n", good, re.MULTILINE)[:2]
+        assert good.count(first + second) == 1
+        cache_file.write_text(good.replace(first + second, first + first))
         clear_relation_cache()
         capsys.readouterr()
         cb = "12 - 9*binp(2,1,1) + 2*binp(3,1,1) = 24*p^3*H(3) mod p^6"
@@ -363,6 +386,18 @@ class TestOneBasis:
         assert all(a is b for a, b in zip(first, again))
         assert checks == []
         assert sorted(prover._PROCESS_BASIS._prefixes) == list(range(1, 8))
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_prefixes_cut_the_triple_rows_of_their_basis(self, basis_cache, source):
+        # a relation at n is the one at the larger modulus cut to weight < n,
+        # so every builder's rows equal the transposed relations at its own n
+        generate_relations(8, basis_cache)
+        if source == "loaded":
+            clear_relation_cache()
+        for n in range(1, 9):
+            basis = generate_relations(n, basis_cache)
+            fresh = [_relation_coords(*prov, n) for prov in basis._triples]
+            assert basis._triple_rows == prover._transpose(basis.columns, fresh), n
 
     def test_ascending_fill_parses_no_smaller_file(self, basis_cache, monkeypatch):
         loads, real = [], RelationBasis.load
@@ -450,12 +485,15 @@ class TestModularLift:
         assert (basis.rank, len(basis.columns)) == (rank, columns)
 
     def test_free_columns_pinned_at_n9(self, basis_cache):
-        # d_(w-3) free columns at each weight w = 3..8 (1, 0, 1, 1, 1, 2), and ()
+        # d_(w-3) free columns at each weight w = 3..8 (1, 0, 1, 1, 1, 2), and ();
+        # the count per weight is a cheap rank-drift check
         basis = generate_relations(9, basis_cache)
         pivots = set(basis.pivots)
         free = [format_comp(w) for w in basis.columns if w not in pivots]
         assert free == ["()", "(2,1)", "(4,1)", "(4,1,1)", "(6,1)", "(5,2,1)", "(6,1,1)"]
         assert (basis.rank, len(basis.columns)) == (249, 256)
+        free_weights = [weight(w) for w in basis.columns if w not in pivots]
+        assert [free_weights.count(k) for k in range(9)] == [1, 0, 0, 1, 0, 1, 1, 1, 2]
 
     def test_annihilators_vanish_on_every_relation(self, basis_cache):
         # reduce(x) lists lambda_f(x) for every free column f, so an empty
@@ -504,8 +542,9 @@ class TestModularLift:
 
     def test_triple_part_of_the_system_is_built_once(self, basis_cache, monkeypatch):
         # the triples' columns of the transposed system are the same for
-        # every target and prime; apart from them, only the exact replays
-        # (one relation per independent triple) compute relations
+        # every target and prime, and generation hands them to the basis;
+        # only the exact replays (one relation per independent triple)
+        # compute relations
         basis = generate_relations(6, basis_cache)
         relations, replays = [], []
         real_coords, real_replays = certificate._relation_coords, RelationBasis._replays
@@ -518,7 +557,7 @@ class TestModularLift:
         )
         rows = rref_rows(basis)
         assert all(basis.express(row) for row in rows)
-        assert len(relations) == basis.rank * (1 + len(replays))
+        assert len(relations) == basis.rank * len(replays)
 
     def test_primes_are_distinct_and_pass_fermat(self):
         assert len(set(prover._PRIMES)) == len(prover._PRIMES)
@@ -549,7 +588,7 @@ class TestModularLift:
             f: {w: c for w, c in lam.items() if (f, w) != ((2, 1), (1, 2))}
             for f, lam in basis._annihilators.items()
         }
-        tampered = RelationBasis(4, basis.pivots, basis._triples, lams)
+        tampered = RelationBasis(4, basis.pivots, basis._triples, lams, basis._triple_rows)
         assert tampered.reduce({(1, 2): F(1)}) == {}
         with pytest.raises(RuntimeError, match="inconsistent"):
             tampered.express({(1, 2): F(1)})
