@@ -11,9 +11,8 @@ number-theoretic primitives:
 * Power-sum polynomials: ``power_sum_poly(d)`` is the polynomial G_d with
   G_d(x) = sum_{a=0}^{x-1} a^d (Faulhaber's formula).
 * Dense ascending-coefficient polynomials: ``eval_poly`` (Horner),
-  ``strip_poly`` (drop trailing zeros), ``int_poly`` (integer coefficients,
-  stripped), ``poly_sub``, ``poly_mul`` and ``_poly_divmod`` (exact division
-  over Q).
+  ``strip_poly`` (drop trailing zeros), ``poly_sub``, ``poly_mul`` and
+  ``_poly_divmod`` (exact division over Q).
 * ``padic_valuation``: the p-adic valuation of a rational, with ``INFINITY``
   as the sentinel for 0.
 
@@ -32,7 +31,6 @@ __all__ = [
     "bernoulli",
     "binomial",
     "eval_poly",
-    "int_poly",
     "padic_valuation",
     "poly_mul",
     "poly_sub",
@@ -128,20 +126,6 @@ def strip_poly(f) -> tuple:
     while n and f[n - 1] == 0:
         n -= 1
     return tuple(f[:n])
-
-
-def int_poly(coeffs, name: str = "polynomial") -> IntPoly:
-    """Integer coefficient tuple of ``coeffs`` (stripped).
-
-    Each coefficient must be an int or an integral Fraction; anything else,
-    a bool included, raises ValueError.
-    """
-    out = []
-    for c in coeffs:
-        if type(c) is not int and not (type(c) is Fraction and c.denominator == 1):
-            raise ValueError(f"{name} needs integer coefficients, got {c!r}")
-        out.append(int(c))
-    return strip_poly(out)
 
 
 def poly_sub(f: IntPoly, g: IntPoly) -> IntPoly:

@@ -41,7 +41,6 @@ from .arith import (
     _poly_divmod,
     bernoulli,
     binomial,
-    int_poly,
     poly_sub,
     power_sum_poly,
     strip_poly,
@@ -63,22 +62,11 @@ __all__ = ["expand_quantity"]
 
 
 # ---------------------------------------------------------------------------
-# small helpers
-# ---------------------------------------------------------------------------
-
-
-def _degree(f: IntPoly) -> int:
-    return len(f) - 1  # zero polynomial never passed where degree matters
-
-
-# ---------------------------------------------------------------------------
 # rational functions of p
 # ---------------------------------------------------------------------------
 
 
-def _expand_rational(
-    num: Sequence[int | Fraction], den: Sequence[int | Fraction], order: int
-) -> MhsSeries:
+def _expand_rational(num: IntPoly, den: IntPoly, order: int) -> MhsSeries:
     """Laurent expansion of ``num(p)/den(p)`` as a series in powers of p.
 
     ``num`` and ``den`` are integer polynomials, ``den`` nonzero.  With the
@@ -88,12 +76,10 @@ def _expand_rational(
     has empty compositions only, and is exact when ``D`` divides ``N``,
     else truncated at ``order``.
     """
-    n = int_poly(num, "rational numerator")
-    d = int_poly(den, "rational denominator")
-    if not n:
+    if not num:
         return MhsSeries.zero(None)
-    a, b = (next(i for i, c in enumerate(f) if c) for f in (n, d))
-    n, d, shift = n[a:], d[b:], a - b
+    a, b = (next(i for i, c in enumerate(f) if c) for f in (num, den))
+    n, d, shift = num[a:], den[b:], a - b
     q, rem = _poly_divmod(n, d)
     if not any(rem):
         return MhsSeries({(i + shift, ()): c for i, c in enumerate(q)}, None)
@@ -222,12 +208,14 @@ def _expand_sum_poly_mhs(P: Sequence[int | Fraction], s: Comp) -> MhsSeries:
 # ---------------------------------------------------------------------------
 
 
-def _factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> MhsSeries:
+def _factorial_ratio(pairs: Sequence[tuple[IntPoly, int]], order: int) -> MhsSeries:
     """Series for ``prod_i (P_i(p)!)^(eps_i)`` with ``eps_i = +-1``.
 
-    Each ``P_i`` is an integer polynomial that is eventually nonnegative,
-    and the signed sum ``sum_i eps_i P_i`` must be constant, which makes
-    the ratio a p-adic unit for large p.  The reduction peels leading
+    Each ``P_i`` is an integer polynomial that is zero or has a positive
+    leading coefficient, and the signed sum ``sum_i eps_i P_i`` is constant,
+    which makes the ratio a p-adic unit for large p.  The reduction keeps
+    both properties, so the signed leading coefficients cancel at each
+    degree and every leftover constant is nonnegative.  It peels leading
     monomials: for ``P = c x^d + h`` with ``d >= 1``,
 
     * ``P(p)! = (c p^d)! * h(p)! * U`` when ``h`` is eventually positive,
@@ -246,49 +234,21 @@ def _factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> 
     prefactor times the product of unit factors, truncated at ``order``
     (exact when no unit factors remain).
     """
-    pending: list[tuple[IntPoly, int]] = []
-    total = ()
-    for poly, eps in pairs:
-        if eps not in (1, -1):
-            raise ValueError(f"factorial exponents must be +1 or -1, got {eps!r}")
-        pi = int_poly(poly, "factorial argument")
-        if pi and pi[-1] < 0:
-            raise ValueError(
-                f"factorial arguments must be eventually nonnegative, got {pi!r}"
-            )
-        if pi:
-            pending.append((pi, eps))
-        if eps == 1:
-            total = poly_sub(total, poly_sub((), pi))  # total += pi
-        else:
-            total = poly_sub(total, pi)
-    if len(total) > 1:
-        raise ValueError(
-            "signed factorial arguments must sum to a constant, got "
-            f"degree {_degree(total)}"
-        )
-
+    pending = [(poly, eps) for poly, eps in pairs if poly]
     scalar = Fraction(1)
     p_exp = 0
     atoms: dict[tuple, int] = {}
 
     while pending:
-        d = max(_degree(poly) for poly, _ in pending)
+        d = max(len(poly) for poly, _ in pending) - 1
         if d == 0:
             for poly, eps in pending:
-                c = poly[0]
-                if c < 0:
-                    raise ValueError(f"negative factorial argument {c}")
-                scalar *= Fraction(factorial(c)) ** eps
+                scalar *= Fraction(factorial(poly[0])) ** eps
             break
-        level = [(poly, eps) for poly, eps in pending if _degree(poly) == d]
-        pending = [(poly, eps) for poly, eps in pending if _degree(poly) < d]
-        if sum(eps * poly[-1] for poly, eps in level) != 0:
-            raise ValueError("signed leading coefficients must cancel at each degree")
+        level = [(poly, eps) for poly, eps in pending if len(poly) > d]
+        pending = [(poly, eps) for poly, eps in pending if len(poly) <= d]
         for poly, eps in level:
             c = poly[-1]
-            if c <= 0:
-                raise ValueError(f"leading coefficients must be positive, got {c}")
             h = strip_poly(poly[:-1])
             # the (c p^d)! part: restricted units plus one level down
             for a in range(1, c):
@@ -334,7 +294,7 @@ def _factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> 
                 n += 1
         else:
             _, d, c, h = key
-            e = _degree(h)
+            e = len(h) - 1
             unit = MhsSeries.constant(1, M)
             n = 1
             while (d - e) * n < M:
@@ -345,35 +305,26 @@ def _factorial_ratio(pairs: Sequence[tuple[Sequence[int], int]], order: int) -> 
     return prod.shift(p_exp).scale(scalar)
 
 
-def _expand_binomial_poly(
-    f: Sequence[int | Fraction], g: Sequence[int | Fraction], order: int
-) -> MhsSeries:
+def _expand_binomial_poly(f: IntPoly, g: IntPoly, order: int) -> MhsSeries:
     """Series for the binomial coefficient ``C(f(p), g(p))``.
 
-    ``f`` and ``g`` are integer polynomials.  Degenerate shapes resolve to
+    ``f`` and ``g`` are integer polynomials, and ``f`` has a positive
+    leading coefficient unless ``g = 0``.  Degenerate shapes resolve to
     exact constants: ``g = 0`` or ``f = g`` give 1; if ``g`` or ``f - g``
     is eventually negative, or ``deg f < deg g``, the coefficient is 0 for
     all large p.  Otherwise the result is the factorial ratio
     ``f! / (g! (f-g)!)``.
     """
-    fi = int_poly(f, "binomial numerator")
-    gi = int_poly(g, "binomial denominator")
-    if not gi:
+    if not g:
         return MhsSeries.constant(1, None)
-    if not fi or fi[-1] < 0:
-        raise ValueError(
-            f"binomial numerator must have a positive leading coefficient, got {fi!r}"
-        )
-    if gi[-1] < 0:
+    if g[-1] < 0 or len(f) < len(g):
         return MhsSeries.zero(None)
-    if _degree(fi) < _degree(gi):
-        return MhsSeries.zero(None)
-    h = poly_sub(fi, gi)
+    h = poly_sub(f, g)
     if not h:
         return MhsSeries.constant(1, None)
     if h[-1] < 0:
         return MhsSeries.zero(None)
-    return _factorial_ratio([(fi, 1), (gi, -1), (h, -1)], order)
+    return _factorial_ratio([(f, 1), (g, -1), (h, -1)], order)
 
 
 def _expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
@@ -383,7 +334,7 @@ def _expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
     reproduces the classical central-binomial expansion
     ``2 * sum_n p^n H(1^n)``.
     """
-    if r == 0:
+    if r == 0 or b == 0:
         return MhsSeries.constant(binomial(a, b), None)
     return _expand_binomial_poly((0,) * r + (a,), (0,) * r + (b,), order)
 
@@ -656,6 +607,4 @@ def expand_quantity(spec: QuantitySpec, order: int, *, cache_dir=None) -> MhsSer
         return _expand_half_harmonic(*args, order)
     if name == "alt":
         return _expand_alternating(*args, order)
-    if name == "rat":
-        return _expand_rational(*args, order)
-    raise ValueError(f"unknown quantity {name!r}")
+    return _expand_rational(*args, order)  # rat, the last name a spec admits

@@ -30,6 +30,7 @@ from .series import MhsSeries
 
 __all__ = [
     "DEFAULT_WORK_BUDGET",
+    "NoValueAtPrime",
     "WorkBudgetExceeded",
     "PrimeWindow",
     "NumericReport",
@@ -47,6 +48,11 @@ DEFAULT_WORK_BUDGET = 10**8
 
 class WorkBudgetExceeded(Exception):
     """An exact evaluation would exceed the configured work budget."""
+
+
+class NoValueAtPrime(ValueError):
+    """A quantity has no value at this prime: a power sum's nonempty range reaches
+    the index 0 or below.  :func:`check_numeric` skips the prime and lists it."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +108,9 @@ def eval_power_sum(
     """S_{N,M}(exps): sum over N >= n_1 > ... > n_k >= M+1 of prod n_i^(-e_i).
 
     Exponents may be arbitrary integers.  With ``restricted_at=p``, indices
-    divisible by p are skipped (the S^{(p)} variant).  A range with N < M is
+    divisible by p are skipped (the S^{(p)} variant).  A range with N <= M is
     empty, as in the expansion layer: the sum is 0 (1 for no exponents).
+    Any other range needs M >= 0, else :class:`NoValueAtPrime` is raised.
 
     A dynamic program over prefixes on integers scaled by a denominator
     that grows with the prefix: before index n joins, the row is multiplied
@@ -114,11 +121,13 @@ def eval_power_sum(
     reduction at the end.  A range of fewer than 100 indices starts from the
     whole K = lcm(M+1..N)^P: there growth costs more than it saves.
     """
-    if M < 0:
-        raise ValueError(f"eval_power_sum requires M >= 0, got M={M}")
     k = len(exps)
     if k == 0:
         return Fraction(1)
+    if N <= M:
+        return Fraction(0)
+    if M < 0:
+        raise NoValueAtPrime("a power-sum range needs a lower bound M >= 0")
     P = sum(e for e in exps if e > 0)
     short = N - M < 100  # then K starts whole: one lcm, no growth steps
     grow = dict(zip(*_lcm_steps(M + 1, N))) if P and not short else {}
@@ -249,13 +258,11 @@ def eval_quantity(
         # sum (-1)^n / n^k is twice the even n, 2^(-k) H_{(p-1)/2}(k), minus H_{p-1}(k)
         half, full = (eval_power_sum(N, 0, (k,)) for N in ((p - 1) // 2, p - 1))
         return Fraction(p) ** k * (Fraction(2, 2**k) * half - full)
-    if name == "rat":
-        num, den = args
-        d = eval_poly(den, p)
-        if d == 0:
-            raise ZeroDivisionError(f"rat denominator vanishes at p={p}")
-        return eval_poly(num, p) / d
-    raise ValueError(f"unknown quantity {name!r}")
+    num, den = args  # rat, the last name a spec admits
+    d = eval_poly(den, p)
+    if d == 0:
+        raise ZeroDivisionError(f"rat denominator vanishes at p={p}")
+    return eval_poly(num, p) / d
 
 
 def _charge(cost: int, budget: int, q: QuantitySpec) -> None:
@@ -443,16 +450,21 @@ class NumericReport:
 
     A record is (prime, required, achieved); ``achieved`` is an integer
     valuation, INFINITY for an exact zero difference, or None when the
-    evaluation was refused by the work budget.
+    evaluation was refused by the work budget.  ``skipped`` maps each prime
+    with no record to the reason it was skipped.
     """
 
     def __init__(
         self,
         records: list[tuple[int, Union[int, float], Union[int, float, None]]],
-        skipped: list[int] | None = None,
+        skipped: dict[int, str],
     ) -> None:
         self.records = records
-        self.skipped = skipped or []
+        self.skip_reasons = skipped
+
+    @property
+    def skipped(self) -> list[int]:
+        return list(self.skip_reasons)
 
     @property
     def passed(self) -> bool:
@@ -472,11 +484,9 @@ class NumericReport:
                 f"{p:>6}  {_fmt_val(req):>8}  {_fmt_val(got):>8}  {_verdict(req, got)}"
             )
         rows.append(f"summary: {'PASS' if self.passed else 'FAIL'}")
-        if self.skipped:
-            rows.append(
-                "skipped (prime divides a coefficient denominator): "
-                + ", ".join(str(p) for p in self.skipped)
-            )
+        for reason in dict.fromkeys(self.skip_reasons.values()):
+            primes = (str(p) for p, why in self.skip_reasons.items() if why == reason)
+            rows.append(f"skipped ({reason}): " + ", ".join(primes))
         return "\n".join(rows)
 
     def __repr__(self) -> str:
@@ -491,21 +501,25 @@ def check_numeric(
     """Evaluate a claimed difference at every prime of the window and report valuations.
 
     ``diff(p)`` is the exact difference of the claim at the prime p, or None
-    where the claim is not p-integral; such primes are skipped and listed in
-    the report.  A prime where ``diff`` raises :class:`WorkBudgetExceeded`
-    is recorded as refused.  Each difference must reach valuation
-    ``required`` (INFINITY: it must vanish exactly).
+    where the claim is not p-integral; such primes, and those where ``diff``
+    raises :class:`NoValueAtPrime`, are skipped and listed in the report
+    with their reason.  A prime where ``diff`` raises
+    :class:`WorkBudgetExceeded` is recorded as refused.  Each difference
+    must reach valuation ``required`` (INFINITY: it must vanish exactly).
     """
     records: list[tuple[int, Union[int, float], Union[int, float, None]]] = []
-    skipped: list[int] = []
+    skipped: dict[int, str] = {}
     for p in window.primes():
         try:
             d = diff(p)
         except WorkBudgetExceeded:
             records.append((p, required, None))
             continue
+        except NoValueAtPrime as exc:
+            skipped[p] = str(exc)
+            continue
         if d is None:
-            skipped.append(p)
+            skipped[p] = "prime divides a coefficient denominator"
             continue
         records.append((p, required, padic_valuation(d, p)))
     return NumericReport(records, skipped)

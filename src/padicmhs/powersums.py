@@ -55,7 +55,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable
 
-from .arith import INFINITY, IntPoly, int_poly, poly_mul, poly_sub, power_sum_poly, strip_poly
+from .arith import INFINITY, IntPoly, poly_mul, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
 from .series import (
     IntTerms,
@@ -286,8 +286,6 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
     numerators, and :func:`_profile_products` sums the profile products.
     An unrestricted sum with a nonpositive exponent is :func:`_eliminate`'s.
     """
-    if b < 1 or r < 0:
-        raise ValueError(f"block_sum requires b >= 1, r >= 0, got b={b}, r={r}")
     if not exps:
         return _ONE
     if r == 0:
@@ -414,9 +412,9 @@ def _profile_products(
 def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     """MhsSeries for S_{f(p), 0}(exps) (restricted: S^{(p)}) to O(p^order).
 
-    ``f`` is an ascending-coefficient integer polynomial.  A constant bound
-    is summed directly.  Otherwise write f = a*x^r + g with deg g < r; the
-    leading coefficient a must be positive.  When g is zero, chains over
+    ``f`` is an ascending-coefficient integer polynomial, stripped here of
+    trailing zeros.  A constant bound is summed directly.  Otherwise write
+    f = a*x^r + g with deg g < r and a > 0.  When g is zero, chains over
     [1, a*p^r] split at the block boundary (a-1)*p^r:
 
         S_{a p^r, 0}(s) = sum_i S_{a p^r, (a-1) p^r}(s_1..s_i)
@@ -430,16 +428,12 @@ def poly_sum(f, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     into sums bounded by h - 1; the recursion is on deg f and chain depth.
     An unrestricted sum with a nonpositive exponent is :func:`_eliminate`'s.
     """
-    f = int_poly(f, "power-sum bound")
+    f = strip_poly(f)
     if not exps:
         return _ONE
     if len(f) <= 1:
         c = f[0] if f else 0
         return _exact_constant(_const_chain_sum(c, exps))
-    if f[-1] <= 0:
-        raise ValueError(
-            f"poly_sum: upper-bound polynomial must have a positive leading coefficient, got {f}"
-        )
     key = ("poly", f, exps, restricted)
     if restricted or min(exps) > 0:
         return _memoized(key, order, lambda: _poly_sum(f, exps, restricted, order))
@@ -547,25 +541,24 @@ def _upper_minus(
 def full_sum(f, g, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     """MhsSeries for S_{f(p), g(p)}(exps) (restricted: S^{(p)}) to O(p^order).
 
-    ``g`` may be the zero polynomial (lower bound 1); otherwise chains over
-    [1, f(p)] split at g(p):
+    ``f`` and ``g`` are integer polynomials without trailing zeros.  If
+    f - g is eventually nonpositive the interval is eventually empty and the
+    sum is exactly 0 (or 1 for the empty chain).  Otherwise ``g`` is zero
+    (lower bound 1) or eventually positive, and chains over [1, f(p)] split
+    at g(p):
 
         S_{f,g}(s) = S_{f,0}(s) - sum_{i=0}^{k-1} S_{f,g}(s_1..s_i)
                                                    * S_{g,0}(s_{i+1}..s_k),
 
-    recursing on chain depth.  If f - g is eventually nonpositive the
-    interval is eventually empty and the sum is exactly 0 (or 1 for the
-    empty chain).
+    recursing on chain depth.
     """
-    f = int_poly(f, "power-sum bound")
-    g = int_poly(g, "power-sum bound")
     if not exps:
         return _ONE
-    if not g:
-        return poly_sum(f, exps, restricted, order)
     diff = poly_sub(f, g)
     if not diff or diff[-1] < 0:
         return _ZERO
+    if not g:
+        return poly_sum(f, exps, restricted, order)
     return _memoized(
         ("full", f, g, exps, restricted), order, lambda: _full_sum(f, g, exps, restricted, order)
     )

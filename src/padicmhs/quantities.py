@@ -11,9 +11,10 @@ cross-checks meaningful.  A spec checks its arguments when it is built
 routes trust it and refuse the same inputs.
 
 Each quantity is declared once, as a ``_SIGNATURES`` row of argument names
-and kinds that drives checking, reading and formatting; only binp (a >= b,
-``binp(a,b)`` sugar) and rat (a ratio, nonzero denominator) add their own
-rules.  A new quantity is one row plus its expansion and oracle evaluation.
+and kinds that drives checking, reading and formatting; binp (a >= b,
+``binp(a,b)`` sugar), binpoly and psum (their domains) and rat (a ratio,
+nonzero denominator) add their own rules.  A new quantity is one row plus
+its expansion and oracle evaluation.
 
 This module also holds the one parser of the package: :func:`parse` reads
 the CLI's expressions and congruences (grammar in :mod:`padicmhs.cli`), and
@@ -109,42 +110,48 @@ def _all_ints(sig: tuple) -> bool:
 class QuantitySpec:
     """A named prime-indexed quantity with normalized arguments.
 
-    Building a spec runs :func:`check_quantity`, so invalid arguments raise
-    ``ValueError`` here and never reach the oracle or the expansions, and
-    drops the trailing zero coefficients of its polynomials, so equal
-    quantities are equal specs.
+    Building a spec runs :func:`check_quantity` and keeps the arguments it
+    returns, so invalid arguments raise ``ValueError`` here and never reach
+    the oracle or the expansions, and equal quantities are equal specs.
     """
 
     name: str
     args: tuple
 
     def __post_init__(self) -> None:
-        check_quantity(self.name, self.args)
-        args = tuple(
-            strip_poly(v) if kind in ("ipoly", "qpoly") else v
-            for (_, kind), v in zip(_SIGNATURES[self.name], self.args)
-        )
-        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "args", check_quantity(self.name, self.args))
 
     def __str__(self) -> str:
         return format_quantity(self)
 
 
-def check_quantity(name: str, args: tuple) -> None:
-    """Raise ValueError unless ``args`` are valid arguments of the quantity ``name``.
+def check_quantity(name: str, args: tuple) -> tuple:
+    """``args`` as the normalized arguments of the quantity ``name``, or ValueError.
 
     The one home of the argument rules, run by :class:`QuantitySpec` when it
-    is built, so the expansions and the oracle trust every spec: each
-    argument is checked by its kind
-    in ``_SIGNATURES`` (integers are ints, not bools; polynomials are tuples
-    of ints or Fractions; the flag is a bool), and binp needs a >= b and
-    rat a nonzero denominator.
+    is built, so the expansions and the oracle trust every spec and refuse
+    no argument of their own:
+
+    * each argument fits its kind in ``_SIGNATURES``: integers are ints, not
+      bools, at least their bound; polynomials are tuples of ints or
+      Fractions, integral for integer polynomials; the flag is a bool;
+    * binp needs a >= b;
+    * binpoly(f;g) needs f to have a positive leading coefficient unless g
+      is 0 (then C(f(p), 0) = 1);
+    * psum(f;g;s) reads 0 when its range (g(p), f(p)] is eventually empty,
+      and otherwise, with s not empty, needs g eventually nonnegative (zero
+      or with a positive leading coefficient): an index 0 has no value;
+    * rat needs a nonzero denominator.
+
+    Polynomials come back without trailing zeros, integer ones with int
+    coefficients.
     """
     sig = _SIGNATURES.get(name)
     if sig is None:
         raise ValueError(f"unknown quantity {name!r}")
     if not isinstance(args, tuple) or len(args) != len(sig):
         raise ValueError(f"{name} takes ({','.join(what for what, _ in sig)}), got {args!r}")
+    out = []
     for (what, kind), v in zip(sig, args):
         label = f"{name} argument {what}"
         if type(kind) is int:
@@ -154,10 +161,30 @@ def check_quantity(name: str, args: tuple) -> None:
                 raise ValueError(f"{label} must be a bool, got {v!r}")
         elif not isinstance(v, tuple) or not all(map(_TUPLE_KINDS[kind][0], v)):
             raise ValueError(f"{label} must be a tuple of {_TUPLE_KINDS[kind][1]}, got {v!r}")
+        elif kind == "ipoly":
+            v = tuple(map(int, strip_poly(v)))
+        elif kind == "qpoly":
+            v = strip_poly(v)
+        out.append(v)
+    args = tuple(out)
     if name == "binp" and args[0] < args[1]:
         raise ValueError(f"binp requires a >= b >= 0, got {args[0]},{args[1]}")
-    if name == "rat" and not any(args[1]):
+    if name == "binpoly" and args[1] and (not args[0] or args[0][-1] < 0):
+        raise ValueError(
+            "binpoly argument f must have a positive leading coefficient unless g is 0,"
+            f" got {format_poly(args[0])}"
+        )
+    if name == "psum":
+        f, g, exps, _ = args
+        width = poly_sub(f, g)
+        if exps and g and g[-1] < 0 and width and width[-1] > 0:
+            raise ValueError(
+                "psum argument g must be eventually nonnegative unless the range"
+                f" (g(p), f(p)] is eventually empty, got {format_poly(g)}"
+            )
+    if name == "rat" and not args[1]:
         raise ValueError("rat argument den must be a nonzero polynomial")
+    return args
 
 
 # ---------------------------------------------------------------------------

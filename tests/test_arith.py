@@ -1,5 +1,5 @@
 """Exact-arithmetic helpers: Bernoulli numbers, binomials, power-sum
-polynomials, integer polynomials, p-adic valuation.
+polynomials, p-adic valuation.
 
 Oracle strategy: every table-driven value is recomputed here by an
 independent method (explicit formulas or brute-force sums) rather than
@@ -16,7 +16,6 @@ from padicmhs.arith import (
     bernoulli,
     binomial,
     eval_poly,
-    int_poly,
     padic_valuation,
     power_sum_poly,
 )
@@ -117,13 +116,6 @@ class TestPowerSumPoly:
     def test_no_constant_term(self):
         for d in range(0, 10):
             assert power_sum_poly(d)[0] == 0
-
-
-class TestIntPoly:
-    @pytest.mark.parametrize("coeffs", [(True,), (0, False), (F(1, 2),), (1.0,), ("1",)])
-    def test_refuses_non_integers(self, coeffs):
-        with pytest.raises(ValueError):
-            int_poly(coeffs)
 
 
 class TestPadicValuation:

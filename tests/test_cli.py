@@ -382,6 +382,19 @@ class TestVerifyCommand:
         assert main(["verify", "p*H(1)/(2/3) = 0 mod p^1", "--primes", "2..7"]) == 0
         assert "skipped (prime divides a coefficient denominator): 2, 3" in capsys.readouterr().out
 
+    def test_negative_psum_bound_primes_are_skipped(self, capsys):
+        # below p = 20 the range (p-20, p] holds the index 0: no value there
+        assert main(["verify", "p*psum(p;p-20;1) = 1 mod p^1", "--primes", "11..29"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split() for line in out.splitlines()[3:5]] == [
+            ["23", "1", "1", "PASS"],
+            ["29", "1", "1", "PASS"],
+        ]
+        assert out.endswith(
+            "summary: PASS\n"
+            "skipped (a power-sum range needs a lower bound M >= 0): 11, 13, 17, 19\n"
+        )
+
     @pytest.mark.parametrize("divisor", ["(1-1)", "(2*3-6)", "inv(0)"])
     def test_zero_constant_divisor_is_error(self, capsys, divisor):
         assert main(["verify", f"p*H(1)/{divisor} = 0 mod p^1", "--primes", "2..7"]) == 2
@@ -402,6 +415,49 @@ class TestVerifyCommand:
         for p in (11, 13):
             diff = cli.eval_at_prime(parse(text), p) - eval_series_terms(series, p)
             assert padic_valuation(diff, p) >= 6
+
+
+# domain edges where expand and verify once disagreed: one refused what the
+# other evaluated, or read the same empty range differently
+DOMAIN_EDGES = [
+    "binpoly(-p;1)",
+    "binpoly(-p;0)",
+    "binpoly(p;-1)",
+    "binpoly(p-2*p^2;1)",
+    "binpoly(p;p+1)",
+    "psum(-p;0;1)",
+    "psum(-p;1;1)",
+    "psum(1-p;0;1)",
+    "psum(-2*p;-p;1)",
+    "psum(p;-p;1)",
+    "psum(p-1;p;1,2)",
+    "psum(p;p-20;1)",
+]
+
+
+class TestLayerAgreement:
+    """expand and verify accept the same quantity texts and agree on their values."""
+
+    @pytest.mark.parametrize("text", DOMAIN_EDGES)
+    def test_expand_and_verify_agree(self, capsys, text):
+        expanded = main(["expand", text])
+        out, err = capsys.readouterr()
+        try:
+            parse(text)
+        except ExprSyntaxError:
+            # both refuse it at parse, with the same message
+            assert expanded == 2 and out == ""
+            assert main(["verify", f"{text} = 0 mod p^1", "--primes", "31..41"]) == 2
+            assert capsys.readouterr() == ("", err)
+            return
+        assert expanded == 0
+        body, tail, order = out.strip().rpartition("O(p^")
+        if tail:  # "<terms> + O(p^k)": the terms, known mod p^k
+            body, k = body.rstrip(" +") or "0", int(order.rstrip(")"))
+        else:  # exact
+            body, k = order, 8
+        assert main(["verify", f"{text} = {body} mod p^{k}", "--primes", "31..41"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4  # three primes and the summary
 
 
 class TestBadInputs:

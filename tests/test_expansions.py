@@ -6,6 +6,7 @@ the exact-rational oracle at concrete primes.
 """
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 import padicmhs
-from padicmhs.arith import bernoulli, padic_valuation
+from padicmhs.arith import bernoulli, padic_valuation, strip_poly
 from padicmhs.expansions import (
     _expand_curious_general,
     _factorial_ratio,
@@ -421,8 +422,6 @@ class TestBinomials:
             expand("binpoly", (0, -1), (0, 1), order=5)
         with pytest.raises(ValueError):
             expand("binp", 1, 2, 1, order=5)
-        with pytest.raises(ValueError):
-            _factorial_ratio([((0, 1), 1)], 5)  # p! alone is no unit
 
     @pytest.mark.parametrize(
         "text,order,rendered",
@@ -439,9 +438,20 @@ class TestBinomials:
         assert s.render() == rendered
         assert_expands(q, s, PrimeWindow(11, 41))
 
-    def test_factorial_ratio_needs_unit_exponents(self):
-        with pytest.raises(ValueError):
-            _factorial_ratio([((0, 1), 2)], 5)
+    def test_every_small_binpoly_the_spec_accepts_expands_soundly(self):
+        # _factorial_ratio and _expand_binomial_poly check no argument: every
+        # binpoly(f;g) with deg <= 2 and coefficients in -2..2 that the spec
+        # accepts expands without error and agrees with the oracle
+        polys = {strip_poly(c) for c in itertools.product(range(-2, 3), repeat=3)}
+        accepted = 0
+        for f, g in itertools.product(sorted(polys), repeat=2):
+            try:
+                q = QuantitySpec("binpoly", (f, g))
+            except ValueError:
+                continue
+            accepted += 1
+            assert_expands(q, expand_quantity(q, 4), PrimeWindow(31, 37))
+        assert accepted == 7813
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_factorial_ratio_squared_unit(self, order):
@@ -691,9 +701,8 @@ class TestShortcutArguments:
         [
             lambda: expand("binpoly", (0, True), (0, 1), order=3),
             lambda: expand("rat", (True,), (1,), order=3),
-            lambda: _factorial_ratio([((0, True), 1), ((0, 1), -1)], 3),
         ],
-        ids=["binpoly", "rational", "factorial_ratio"],
+        ids=["binpoly", "rational"],
     )
     def test_bool_coefficients_rejected(self, call):
         with pytest.raises(ValueError):

@@ -639,7 +639,7 @@ class TestBudgetCharges:
             ("binp", "2,1,2", 5, 50),
             ("binp", "3,1", 7, 21),
             ("binpoly", "p^2;p", 5, 25),
-            ("binpoly", "-p;3", 7, 7),
+            ("binpoly", "p-14;3", 7, 7),  # |f(p)| when f(p) < 0
             ("binpoly", "p;2*p", 3, 6),
             ("apery", "", 11, 11),
         ],
@@ -768,6 +768,17 @@ class TestCheckNumeric:
     def test_empty_window_fails(self):
         report = check_numeric(lambda p: F(0), PrimeWindow(90, 96), required=1)
         assert not report.passed
+
+    def test_a_prime_with_no_value_is_skipped_with_its_reason(self):
+        q = quantity("psum(p;p-20;1)")  # the range (p-20, p] holds 0 below p = 20
+        report = check_numeric(
+            lambda p: None if p == 29 else p * eval_quantity(q, p) - 1, PrimeWindow(11, 31), 1
+        )
+        assert report.passed and report.skipped == [11, 13, 17, 19, 29]
+        assert report.render().splitlines()[-2:] == [
+            "skipped (a power-sum range needs a lower bound M >= 0): 11, 13, 17, 19",
+            "skipped (prime divides a coefficient denominator): 29",
+        ]
 
     def test_callable_skips_a_prime_with_none(self):
         report = check_numeric(

@@ -13,11 +13,13 @@ from padicmhs.quantities import (
     _SIGNATURES,
     QUANTITY_NAMES,
     ExprAst,
+    ExprSyntaxError,
     QuantitySpec,
     format_poly,
     format_quantity,
     parse,
 )
+from padicmhs.series import MhsSeries
 from reference_sums import quantity
 
 F = Fraction
@@ -296,6 +298,65 @@ class TestSpecBoundary:
             QuantitySpec(name, args)
 
 
+class TestDomainRules:
+    """binpoly's and psum's domains are decided at the door: the expansions
+    and the oracle refuse no argument of their own."""
+
+    @pytest.mark.parametrize("coeffs", [(True,), (0, False), (F(1, 2),), (1.0,), ("1",)])
+    def test_integer_polynomials_refuse_non_integers(self, coeffs):
+        for name, args in [
+            ("binpoly", (coeffs, (1,))),
+            ("binpoly", ((0, 1), coeffs)),
+            ("psum", (coeffs, (), (1,), False)),
+            ("psum", ((0, 1), coeffs, (1,), False)),
+            ("rat", (coeffs, (1,))),
+            ("rat", ((1,), coeffs)),
+        ]:
+            with pytest.raises(ValueError, match="must be a tuple of integer coefficients"):
+                QuantitySpec(name, args)
+
+    def test_integer_polynomials_are_stored_as_ints(self):
+        specs = [quantity("binpoly(2*p;p+1)"), quantity("psum(p^2;p;1)"), quantity("rat((p+1)/(2-p))")]
+        specs.append(QuantitySpec("binpoly", ((F(0), F(2)), (F(1), F(0)))))
+        for q in specs:
+            assert all(type(c) is int for arg in q.args if type(arg) is tuple for c in arg), q
+        assert specs[-1].args == ((0, 2), (1,))
+
+    def test_fractional_bound_is_refused_at_parse(self):
+        with pytest.raises(ExprSyntaxError, match="^psum argument f must be a tuple of integer"):
+            parse("psum(1/2+p;0;1)")
+
+    @pytest.mark.parametrize("text", ["binpoly(-p;1)", "binpoly(0;p)", "binpoly(p-2*p^2;1)"])
+    def test_binpoly_numerator_needs_a_positive_leading_coefficient(self, text):
+        with pytest.raises(ExprSyntaxError, match="^binpoly argument f must have a positive leading"):
+            parse(text)
+
+    @pytest.mark.parametrize("text", ["binpoly(-p;0)", "binpoly(0;0)"])
+    def test_binpoly_with_zero_g_is_one_for_any_numerator(self, text):
+        q = quantity(text)
+        assert expand_quantity(q, 4) == MhsSeries.constant(1)
+        assert eval_quantity(q, 11) == 1
+
+    @pytest.mark.parametrize("text", ["psum(p;-p;1)", "psum(p;-1;1)", "psum(p^2;p-p^2;1,-2)"])
+    def test_psum_needs_an_eventually_nonnegative_lower_bound(self, text):
+        with pytest.raises(ExprSyntaxError, match="^psum argument g must be eventually nonnegative"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["psum(1-p;0;1)", "psum(-2*p^2;0;1)", "psum(-p;1;1)", "psum(-2*p;-p;1)", "psum(p-1;p;1,2)"],
+    )
+    def test_eventually_empty_range_reads_zero_in_both_layers(self, text):
+        q = quantity(text)
+        assert expand_quantity(q, 4) == MhsSeries.zero()
+        assert [eval_quantity(q, p) for p in (11, 13)] == [0, 0]
+
+    def test_empty_chain_is_one_over_any_range(self):
+        q = quantity("psum(p;-p;)")
+        assert expand_quantity(q, 4) == MhsSeries.constant(1)
+        assert eval_quantity(q, 11) == 1
+
+
 # for each argument kind, a value of another kind; an int kind gets a bool
 WRONG_KIND = {
     "ipoly": (F(1, 2),),  # a rational coefficient
@@ -422,6 +483,15 @@ def _random_ints(rng, low, count):
 
 
 def _random_spec(rng):
+    """A random spec; a draw that binpoly's or psum's domain rule refuses is drawn again."""
+    while True:
+        try:
+            return QuantitySpec(*_random_args(rng))
+        except ValueError as exc:
+            assert str(exc).startswith(("binpoly argument f ", "psum argument g ")), exc
+
+
+def _random_args(rng):
     name = rng.choice(QUANTITY_NAMES)
     if name == "binp":
         b = rng.randint(0, 5)
@@ -442,7 +512,7 @@ def _random_spec(rng):
         args = _random_ints(rng, 1, 1 if name == "hres" else 2)
     else:  # apery takes none, zetap/half/alt take k >= 2
         args = () if name == "apery" else _random_ints(rng, 2, 1)
-    return QuantitySpec(name, args)
+    return name, args
 
 
 class TestRationalGrid:
