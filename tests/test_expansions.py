@@ -701,8 +701,11 @@ class TestShortcutArguments:
         [
             lambda: expand("binpoly", (0, True), (0, 1), order=3),
             lambda: expand("rat", (True,), (1,), order=3),
+            # binpoly(2p; p) reaches _factorial_ratio, which checks nothing:
+            # the bool in g must be refused at the door
+            lambda: expand("binpoly", (0, 2), (0, True), order=3),
         ],
-        ids=["binpoly", "rational"],
+        ids=["binpoly", "rational", "factorial_ratio"],
     )
     def test_bool_coefficients_rejected(self, call):
         with pytest.raises(ValueError):
