@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -184,7 +183,6 @@ def _parse_prov(text: str) -> Prov:
     return tuple(map(parse_comp, m.groups()))
 
 
-@dataclass(frozen=True)
 class ProofCertificate:
     """One certificate part: the outcome of a span-membership decision.
 
@@ -193,30 +191,46 @@ class ProofCertificate:
     reads back into equal records.  ``coords`` is the target coordinate
     vector, given as a mapping or as pairs and kept as ``(composition,
     coefficient)`` pairs in column order; ``statement`` is the rendered
-    statement, for the reader only.  When
-    ``verdict`` is "proved", summing ``multiplier * relation(s, t, u)`` over
-    the combination (each relation regenerated at ``modulus_power`` from its
-    provenance alone) reproduces ``coords`` exactly, as
-    :func:`replay_certificate` checks.
+    statement, for the reader only.  When ``verdict`` is "proved", summing
+    ``multiplier * relation(s, t, u)`` over the combination (each relation
+    regenerated at ``modulus_power`` from its provenance alone) reproduces
+    ``coords`` exactly, as :func:`replay_certificate` checks.  A record is
+    immutable; records with equal fields are equal and hash alike.
     """
 
-    modulus_power: int
-    verdict: str
-    statement: str
-    coords: tuple[tuple[Comp, Fraction], ...]
-    combination: tuple[tuple[Prov, Fraction], ...] = ()
+    __slots__ = ("modulus_power", "verdict", "statement", "coords", "combination")
 
-    def __post_init__(self) -> None:
-        if self.verdict not in ("proved", "unproven"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        coords = sorted(dict(self.coords).items(), key=lambda it: _col_key(it[0]))
-        combo = tuple((prov, Fraction(mult)) for prov, mult in self.combination)
-        for prov, _ in combo:
+    def __init__(self, modulus_power: int, verdict: str, statement: str, coords, combination=()):
+        if verdict not in ("proved", "unproven"):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        coords = sorted(dict(coords).items(), key=lambda it: _col_key(it[0]))
+        coords = tuple((w, Fraction(c)) for w, c in coords)
+        combination = tuple((prov, Fraction(mult)) for prov, mult in combination)
+        for prov, _ in combination:
             _check_prov(prov)
-        if self.verdict == "unproven" and combo:
+        if verdict == "unproven" and combination:
             raise ValueError("an unproven certificate cannot carry a combination")
-        object.__setattr__(self, "coords", tuple((w, Fraction(c)) for w, c in coords))
-        object.__setattr__(self, "combination", combo)
+        fields = (modulus_power, verdict, statement, coords, combination)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # by class and fields: copies are rebuilt, and records compared
+        return ProofCertificate, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"ProofCertificate{self.__reduce__()[1]!r}"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ProofCertificate is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def all_proved(certs: Iterable[ProofCertificate]) -> bool:

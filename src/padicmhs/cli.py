@@ -37,11 +37,16 @@ statement file (one congruence per line, ``#`` comments).  ``prove`` expands
 quantity atoms at the congruence's modulus power unless ``--order`` asks for
 more; ``verify`` never expands them and evaluates every atom at each prime
 with the oracle.
+
+Each subcommand imports the engine layers it runs when it runs: ``expand``,
+``valuation``, ``prove`` and ``identities`` the expansions and the prover,
+``verify`` the oracle, ``prove`` and ``verify-certificate`` the certificate
+core, which is all that ``verify-certificate`` loads besides the parser.
+``argparse`` is imported when :func:`main` first builds the parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import operator
 import os
@@ -49,22 +54,17 @@ import sys
 import types
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .arith import INFINITY, padic_valuation
-from .certificate import all_proved, dump_certificates, verify_certificate_text
-from .expansions import expand_quantity
-from .oracle import (
-    DEFAULT_WORK_BUDGET,
-    PrimeWindow,
-    check_numeric,
-    eval_mhs,
-    eval_quantity,
-)
-from .prover import generate_relations, provable_valuation, prove_mixed
 from .quantities import ExprAst, _fold, parse
-from .series import MhsSeries
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .oracle import PrimeWindow
+    from .series import MhsSeries
 
 __all__ = [
     "eval_at_prime",
@@ -84,6 +84,8 @@ _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 def eval_series(ast: ExprAst, order: int, cache_dir=None) -> MhsSeries:
     """Evaluate an expression node in the series algebra at ``order``."""
+    from .series import MhsSeries
+
     kind = ast.kind
     if kind == "lit":
         return MhsSeries.constant(ast.payload, None)
@@ -92,6 +94,8 @@ def eval_series(ast: ExprAst, order: int, cache_dir=None) -> MhsSeries:
     if kind == "H":
         return MhsSeries.term(1, 0, ast.payload, None)
     if kind == "quantity":
+        from .expansions import expand_quantity
+
         return expand_quantity(ast.payload, order, cache_dir=cache_dir)
     if kind in _BINARY:
         left, right = (eval_series(child, order, cache_dir) for child in ast.children)
@@ -135,16 +139,18 @@ def _nodes(ast: ExprAst):
         yield from _nodes(child)
 
 
-def eval_at_prime(
-    ast: ExprAst, p: int, work_budget: int = DEFAULT_WORK_BUDGET
-) -> Fraction:
+def eval_at_prime(ast: ExprAst, p: int, work_budget: int | None = None) -> Fraction:
     """Exact value of an expression node at the prime p, by the oracle alone.
 
     No series expansion is involved: ``H`` atoms are summed directly and
     quantity atoms go through :func:`padicmhs.oracle.eval_quantity`, which
     raises ``WorkBudgetExceeded`` when the direct sum is over
-    ``work_budget``.
+    ``work_budget`` (None: the oracle's ``DEFAULT_WORK_BUDGET``).
     """
+    from .oracle import DEFAULT_WORK_BUDGET, eval_mhs, eval_quantity
+
+    if work_budget is None:
+        work_budget = DEFAULT_WORK_BUDGET
     kind = ast.kind
     if kind == "lit":
         return ast.payload
@@ -188,6 +194,10 @@ def _load_statements(arg: str) -> list[str]:
 
 def _parse_window(text: str) -> PrimeWindow:
     """argparse type: a prime window ``lo..hi`` of integers with lo <= hi."""
+    import argparse
+
+    from .oracle import PrimeWindow
+
     lo, sep, hi = text.partition("..")
     if not sep or not lo.isdigit() or not hi.isdigit():
         raise argparse.ArgumentTypeError(f"expected 'lo..hi' with integers lo <= hi, got {text!r}")
@@ -204,6 +214,8 @@ def _int_at_least(low: int):
     """argparse type: an int >= ``low`` (anything else is a usage error)."""
 
     def convert(text: str) -> int:
+        import argparse
+
         try:
             value = int(text)
         except ValueError:
@@ -226,6 +238,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_valuation(args) -> int:
+    from .prover import provable_valuation
+
     ast = parse(args.expr)
     if ast.kind == "cong":
         raise ValueError("valuation takes an expression, not a congruence")
@@ -238,6 +252,9 @@ def cmd_valuation(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .certificate import all_proved, dump_certificates
+    from .prover import prove_mixed
+
     statements = _load_statements(args.congruence)
     every_proved = True
     parts = []  # the certificate parts of every proved statement
@@ -267,7 +284,10 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import PrimeWindow, check_numeric
+
     statements = _load_statements(args.congruence)
+    window = PrimeWindow() if args.primes is None else args.primes
     ok = True
     for text in statements:
         ast = parse(text)
@@ -303,7 +323,7 @@ def cmd_verify(args) -> int:
                 rhs, p, args.work_budget
             )
 
-        report = check_numeric(diff, args.primes, required=ast.payload)
+        report = check_numeric(diff, window, required=ast.payload)
         print(f"verify: {text}")
         print(report.render())
         ok = ok and report.passed
@@ -311,6 +331,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from .prover import generate_relations
+
     basis = generate_relations(args.modulus, cache_dir=args.cache_dir)
     print(
         f"relation basis at modulus p^{args.modulus}: "
@@ -326,6 +348,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_verify_certificate(args) -> int:
+    from .certificate import verify_certificate_text
+
     with open(args.path, "r", encoding="ascii") as fh:
         text = fh.read()
     ok, message = verify_certificate_text(text)
@@ -338,25 +362,6 @@ def cmd_verify_certificate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """Subcommand parser that reads ``-H(1)``-style arguments as positionals.
-
-    argparse takes any unknown token that starts with ``-`` for an option, so
-    an expression such as ``-H(1)`` or ``-hres(3)`` would be rejected.  The
-    only single-dash option is ``-h``; every other single-dash token is an
-    expression.  Long options (``--order`` etc.) are parsed as before.
-    """
-
-    def _parse_optional(self, arg_string):
-        if (
-            arg_string.startswith("-")
-            and not arg_string.startswith("--")
-            and arg_string not in self._option_string_actions
-        ):
-            return None
-        return super()._parse_optional(arg_string)
-
-
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing does not change it.
@@ -365,6 +370,26 @@ def _build_parser() -> argparse.ArgumentParser:
     ``--cache-dir`` for the commands that expand, ``--cache-dir`` for
     ``identities``, ``--primes`` and ``--work-budget`` for ``verify``.
     """
+    import argparse
+
+    class _CommandParser(argparse.ArgumentParser):
+        """Subcommand parser that reads ``-H(1)``-style arguments as positionals.
+
+        argparse takes any unknown token that starts with ``-`` for an option,
+        so an expression such as ``-H(1)`` or ``-hres(3)`` would be rejected.
+        The only single-dash option is ``-h``; every other single-dash token is
+        an expression.  Long options (``--order`` etc.) are parsed as before.
+        """
+
+        def _parse_optional(self, arg_string):
+            if (
+                arg_string.startswith("-")
+                and not arg_string.startswith("--")
+                and arg_string not in self._option_string_actions
+            ):
+                return None
+            return super()._parse_optional(arg_string)
+
     order = argparse.ArgumentParser(add_help=False)
     order.add_argument(
         "--order",
@@ -385,13 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument(
         "--primes",
         type=_parse_window,
-        default=PrimeWindow(),
+        default=None,
         help="prime window lo..hi for numeric checks (default 11..97)",
     )
     oracle.add_argument(
         "--work-budget",
         type=_int_at_least(0),
-        default=DEFAULT_WORK_BUDGET,
+        default=None,
         help="oracle work budget, in the steps of work that eval_quantity charges",
     )
 

@@ -112,8 +112,11 @@ def _memoized(key: tuple, order: int, compute: Callable[[], MhsSeries]) -> MhsSe
 
     Below ``order`` a truncated expansion has the same terms whichever
     higher order it was computed at, so a result kept at a higher order is
-    served truncated.  An exact result is served only at the order it was
-    computed for.  The memo keeps the highest order computed so far.
+    served truncated.  A truncation carries the cut of the int form the
+    kept result holds (over the same denominator), so :func:`_eliminate`
+    converts each sum to int numerators once.  An exact result is served
+    only at the order it was computed for.  The memo keeps the highest
+    order computed so far.
     """
     hit = _memo.get(key)
     if hit is not None:
@@ -121,7 +124,10 @@ def _memoized(key: tuple, order: int, compute: Callable[[], MhsSeries]) -> MhsSe
         if at == order:
             return series
         if at > order and series.order is not None:
-            return series.truncate(order)
+            cut = series.truncate(order)
+            nums, den = series._integer_form()
+            cut._ints = [(k, n) for k, n in nums if k[0] < order], den
+            return cut
     series = compute()
     if hit is None or order > hit[0]:
         _memo[key] = (order, series)
@@ -217,7 +223,7 @@ def _eliminate(
     monomial x^j of an index neighbour lowers that neighbour's exponent by
     j.  ``sub(chain, o)`` is the shorter sum over the same interval to
     O(p^o); each piece c * p^m * sub(chain) is asked to O(p^(order - m))
-    and summed as int numerators.
+    and summed as int numerators, in the int form each sub-sum keeps.
     """
     i = next(idx for idx, e in enumerate(exps) if e <= 0)
     d = -exps[i]
@@ -237,7 +243,7 @@ def _eliminate(
     den = 1
     for c, chain, m in pieces:
         if c:
-            nums, d_sub = _integer_terms(sub(chain, None if order is None else order - m)._terms)
+            nums, d_sub = sub(chain, None if order is None else order - m)._integer_form()
             nums = [((b + m, s), n) for (b, s), n in nums] if m else nums
             den = _add_over(acc, den, nums, d_sub * c.denominator, c.numerator)
     below = {key: n for key, n in acc.items() if order is None or key[0] < order}

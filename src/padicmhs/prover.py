@@ -97,11 +97,17 @@ CACHE_ENV_VAR = "PADICMHS_CACHE_DIR"
 MAX_MODULUS_POWER = 11
 
 
-def _relation_vectors(n: int) -> tuple[list[Prov], list[dict[int, int]]]:
+#: A sparse integer vector as two tuples: its columns and their coefficients.
+Vector = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _relation_vectors(n: int) -> tuple[list[Prov], list[Vector]]:
     """Every triple at n and its :func:`_relation_coords` by column, zeros allowed.
 
     Each (s, t) identity is built once, at n, and cut for each u to the
     columns of weight < n - weight(u): the first 2^(n - 1 - weight(u)).
+    Each vector is kept as a :data:`Vector`, which takes far less memory
+    than a dict when every relation is held at once.
     """
     columns = enumerate_compositions(n - 1)
     col_index = {w: i for i, w in enumerate(columns)}
@@ -121,7 +127,7 @@ def _relation_vectors(n: int) -> tuple[list[Prov], list[dict[int, int]]]:
                 ]
             for j, mult in table:
                 vec[j] = vec.get(j, 0) + c * mult
-        vectors.append(vec)
+        vectors.append((tuple(vec), tuple(vec.values())))
     return provs, vectors
 
 
@@ -204,7 +210,7 @@ def _fingerprint_weights(ncols: int, q: int) -> list[int]:
 
 
 def _echelon(
-    vectors: Iterable[Mapping[int, int]], ncols: int, q: int
+    vectors: Iterable[Vector], ncols: int, q: int
 ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """Reduced row echelon form modulo q of integer vectors taken in order.
 
@@ -227,11 +233,11 @@ def _echelon(
     g = _fingerprint_weights(ncols, q)
     rows: dict[int, dict[int, int]] = {}
     raised: dict[int, int] = {}
-    for k, vec in enumerate(vectors):
-        if not sum(g[col] * c for col, c in vec.items()) % q:
+    for k, (cols, coeffs) in enumerate(vectors):
+        if not sum(g[col] * c for col, c in zip(cols, coeffs)) % q:
             continue
         acc: dict[int, int] = {}
-        for col, c in vec.items():
+        for col, c in zip(cols, coeffs):
             row = rows.get(col)
             if row is None:
                 acc[col] = acc.get(col, 0) + c
@@ -259,7 +265,7 @@ def _echelon(
 
 
 def _annihilator_residues(
-    vectors: Sequence[Mapping[int, int]], ncols: int, q: int
+    vectors: Sequence[Vector], ncols: int, q: int
 ) -> tuple[tuple, dict[tuple[int, int], int]]:
     """Residues modulo q of the annihilating functionals of ``vectors``.
 
@@ -293,9 +299,7 @@ def _functionals(
     return out
 
 
-def _annihilates(
-    values: Mapping[tuple[int, int], Fraction], vectors: Sequence[Mapping[int, int]]
-) -> bool:
+def _annihilates(values: Mapping[tuple, Fraction], vectors: Sequence[Vector]) -> bool:
     """Exact check that every lifted functional vanishes on every vector.
 
     Scaled to integers, functional i fills the signed slot ``2^(i * width)``
@@ -308,14 +312,15 @@ def _annihilates(
         den = math.lcm(*(v.denominator for v in lam.values()))
         scaled.append({col: int(v * den) for col, v in lam.items()})
     top = max((abs(a) for lam in scaled for a in lam.values()), default=0)
-    big = max((abs(c) for vec in vectors for c in vec.values()), default=0)
-    width = (top * big * max(map(len, vectors), default=0)).bit_length() + 2
+    big = max((abs(c) for _, coeffs in vectors for c in coeffs), default=0)
+    width = (top * big * max((len(cols) for cols, _ in vectors), default=0)).bit_length() + 2
     packed: dict[int, int] = {}
     for i, lam in enumerate(scaled):
         for col, a in lam.items():
             packed[col] = packed.get(col, 0) + (a << (i * width))
     return not any(
-        sum(packed[col] * c for col, c in vec.items() if col in packed) for vec in vectors
+        sum(packed[col] * c for col, c in zip(cols, coeffs) if col in packed)
+        for cols, coeffs in vectors
     )
 
 
@@ -357,16 +362,17 @@ class RelationBasis:
         pivots: Sequence[Comp],
         triples: Sequence[Prov],
         annihilators: dict[Comp, dict[Comp, Fraction]],
-        triple_rows: dict[Comp, dict[int, int]],
+        triple_rows: dict[Comp, Vector],
     ) -> None:
         """A basis from parts that already fit together, kept as given.
 
         Generation, :meth:`load` (after its checks) and :meth:`_prefix` are
         the only builders; ``annihilators`` maps each free column, in column
         order, to its nonzero ``lambda_f`` entries, and ``triple_rows`` maps
-        every column w to ``{k: w's coefficient in the relation of triple k}``
-        (:func:`_transpose`), the part of the transposed system of
-        :meth:`_combination_residues` that is the same for every target.
+        every column w to the :data:`Vector` of its coefficients in the
+        relations of the triples, indexed by triple (:func:`_transpose`): the
+        part of the transposed system of :meth:`_combination_residues` that
+        is the same for every target.
         """
         self._modulus = modulus_power
         self._columns = enumerate_compositions(modulus_power - 1)
@@ -411,11 +417,11 @@ class RelationBasis:
         if n not in self._prefixes:
             r = sum(weight(piv) < n for piv in self._pivots)
             lams = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
-            rows = {
-                w: {k: c for k, c in row.items() if k < r}
-                for w, row in self._triple_rows.items()
-                if weight(w) < n
-            }
+            rows = {}
+            for w, (ks, cs) in self._triple_rows.items():
+                if weight(w) < n:
+                    cut = bisect_left(ks, r)
+                    rows[w] = ks[:cut], cs[:cut]
             self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams, rows)
         return self._prefixes[n]
 
@@ -477,11 +483,11 @@ class RelationBasis:
             return None
         r = self.rank
         system = []
-        for w, row in self._triple_rows.items():
+        for w, (ks, cs) in self._triple_rows.items():
             c = target.get(w)
             if c is not None:
-                row = {**row, r: c.numerator * pow(c.denominator, -1, q)}
-            system.append(row)
+                ks, cs = ks + (r,), cs + (c.numerator * pow(c.denominator, -1, q),)
+            system.append((ks, cs))
         rows, _ = _echelon(system, r + 1, q)
         if not all(k in rows for k in range(r)):
             return None
@@ -579,20 +585,20 @@ class RelationBasis:
                 raise ValueError(f"annihilator {format_comp(f)} must be e_f plus pivot columns")
         vectors = [_relation_coords(*prov, modulus) for prov in triples]
         values = {(f, w): c for f, lam in kept.items() for w, c in lam.items()}
-        if not _annihilates(values, vectors):
+        if not _annihilates(values, [(tuple(vec), tuple(vec.values())) for vec in vectors]):
             raise ValueError("an annihilator does not vanish on the independent triples")
         return cls(modulus, pivots, triples, kept, _transpose(columns, vectors))
 
 
 def _transpose(
     columns: Sequence[Comp], vectors: Sequence[Mapping[Comp, int]]
-) -> dict[Comp, dict[int, int]]:
-    """Column w -> {k: w's coefficient in vectors[k]}, every column present."""
+) -> dict[Comp, Vector]:
+    """Column w -> the :data:`Vector` of w's coefficient in each vectors[k]; every column."""
     rows: dict[Comp, dict[int, int]] = {w: {} for w in columns}
     for k, vec in enumerate(vectors):
         for w, c in vec.items():
             rows[w][k] = c
-    return rows
+    return {w: (tuple(row), tuple(row.values())) for w, row in rows.items()}
 
 
 # -- generation with caching ----------------------------------------------
@@ -686,7 +692,7 @@ def generate_relations(
         columns[f]: {columns[col]: v for col, v in lam.items()}
         for f, lam in _functionals(values).items()
     }
-    raised = [{columns[col]: c for col, c in vectors[k].items() if c} for k in raised_by]
+    raised = [{columns[col]: c for col, c in zip(*vectors[k]) if c} for k in raised_by]
     basis = _PROCESS_BASIS = RelationBasis(
         n,
         [columns[p] for p in pivots],

@@ -46,7 +46,6 @@ or ``p^2-1/(p+1)``, read by the usual precedence: ``1/2*p`` is p/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -106,8 +105,37 @@ def _all_ints(sig: tuple) -> bool:
     return all(type(kind) is int for _, kind in sig)
 
 
-@dataclass(frozen=True)
-class QuantitySpec:
+class _Record:
+    """Base of the immutable value records :class:`QuantitySpec` and :class:`ExprAst`.
+
+    A subclass names its fields in ``__slots__`` and sets them once, in
+    ``__init__``, through ``object.__setattr__``.  Records of one class are
+    equal, and hash alike, when their fields are; setting or deleting a
+    field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):  # by class and fields: copies are rebuilt, and records compared
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self.__reduce__()[1]!r}"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class QuantitySpec(_Record):
     """A named prime-indexed quantity with normalized arguments.
 
     Building a spec runs :func:`check_quantity` and keeps the arguments it
@@ -115,11 +143,11 @@ class QuantitySpec:
     the oracle or the expansions, and equal quantities are equal specs.
     """
 
-    name: str
-    args: tuple
+    __slots__ = ("name", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", check_quantity(self.name, self.args))
+    def __init__(self, name: str, args: tuple) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", check_quantity(name, args))
 
     def __str__(self) -> str:
         return format_quantity(self)
@@ -200,8 +228,7 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class ExprAst:
+class ExprAst(_Record):
     """Expression tree node.
 
     ``kind`` is one of ``lit`` (payload: Fraction), ``p`` (payload: int
@@ -211,9 +238,12 @@ class ExprAst:
     ``a / b`` is ``mul(a, inv(b))``.
     """
 
-    kind: str
-    payload: object = None
-    children: tuple["ExprAst", ...] = ()
+    __slots__ = ("kind", "payload", "children")
+
+    def __init__(self, kind: str, payload: object = None, children: tuple = ()) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "children", children)
 
 
 class _Parser:

@@ -71,7 +71,7 @@ class MhsSeries:
     go through :meth:`_trusted` instead and are not checked again.
     """
 
-    __slots__ = ("_terms", "_order")
+    __slots__ = ("_terms", "_order", "_ints")
 
     def __init__(
         self,
@@ -99,6 +99,7 @@ class MhsSeries:
                 acc[key] = c
         self._terms = acc
         self._order = order
+        self._ints = None
 
     @classmethod
     def _trusted(cls, terms: dict[Key, Fraction], order: Order) -> "MhsSeries":
@@ -111,6 +112,7 @@ class MhsSeries:
         out = object.__new__(cls)
         out._terms = terms
         out._order = order
+        out._ints = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -199,6 +201,12 @@ class MhsSeries:
                 else:
                     del merged[key]
         return MhsSeries._trusted(merged, order)
+
+    def _integer_form(self) -> tuple[IntTerms, int]:
+        """:func:`_integer_terms` of this series, computed on first use and kept."""
+        if self._ints is None:
+            self._ints = _integer_terms(self._terms)
+        return self._ints
 
     def _terms_below(self, N: Order) -> dict[Key, Fraction]:
         """A copy of the terms with p-exponent below ``N`` (all when ``N`` is None)."""

@@ -1,12 +1,17 @@
 """The trusted base of a "proved" verdict: the certificate module and what it imports."""
 
 import ast
+import copy
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import padicmhs
+from padicmhs.certificate import ProofCertificate
 from padicmhs.cli import main
 
 PACKAGE = Path(padicmhs.__file__).parent
@@ -65,3 +70,39 @@ def test_trusted_core_replays_alone(tmp_path):
         "(True, 'replayed 1 part(s) exactly')",
         "['padicmhs', 'padicmhs.certificate', 'padicmhs.compositions']",
     ]
+
+
+def test_cli_verify_certificate_loads_only_the_core(tmp_path):
+    # ``-X importtime`` lists on stderr every module the command imports
+    cert = tmp_path / "cb.cert"
+    assert main(["prove", CB, "--dump", str(cert), "--cache-dir", str(tmp_path)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "padicmhs.cli", "verify-certificate", str(cert)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stdout) == (0, "replayed 1 part(s) exactly\n")
+    loaded = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
+    assert "padicmhs.certificate" in loaded
+    engine = {"padicmhs." + m for m in ("prover", "expansions", "powersums", "oracle", "series")}
+    assert not loaded & engine
+
+
+def test_certificate_record_is_an_immutable_value():
+    prov = ((), (1,), ())
+    a = ProofCertificate(2, "proved", "s", {(1,): 1, (): 2}, [(prov, 1)])
+    b = ProofCertificate(2, "proved", "s", [((), Fraction(2)), ((1,), 1)], [(prov, Fraction(1))])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.coords == (((), Fraction(2)), ((1,), Fraction(1)))
+    assert a != ProofCertificate(3, "proved", "s", {(1,): 1, (): 2}, [(prov, 1)])
+    assert copy.deepcopy(a) == a
+    with pytest.raises(AttributeError):
+        a.verdict = "unproven"
+    with pytest.raises(AttributeError):
+        del a.coords
+    with pytest.raises(ValueError, match="unknown verdict"):
+        ProofCertificate(2, "maybe", "s", {})
+    with pytest.raises(ValueError, match="cannot carry a combination"):
+        ProofCertificate(2, "unproven", "s", {}, [(prov, 1)])
+    with pytest.raises(ValueError, match="provenance"):
+        ProofCertificate(2, "proved", "s", {}, [(((), (), ()), 1)])

@@ -2,13 +2,17 @@
 subcommand behavior, exit codes, and the render/parse round trip."""
 
 import io
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padicmhs
 from padicmhs import clear_caches, cli
 from padicmhs.arith import padic_valuation
 from padicmhs.cli import eval_series, eval_statement, main
@@ -337,7 +341,7 @@ class TestVerifyCommand:
             assert spec.name == "hres"
             return wrong
 
-        monkeypatch.setattr(cli, "expand_quantity", patched)
+        monkeypatch.setattr("padicmhs.expansions.expand_quantity", patched)
         stmt = "hres(2) = 2*p^2*H(1) mod p^6"
         assert main(["expand", "hres(2)", "--order", "6"]) == 0
         assert capsys.readouterr().out == "2 * p^2 * H(1) + O(p^6)\n"
@@ -469,7 +473,7 @@ class TestBadInputs:
         def refuse(*args, **kwargs):
             raise RuntimeError("scan limit reached")
 
-        monkeypatch.setattr(cli, "provable_valuation", refuse)
+        monkeypatch.setattr("padicmhs.prover.provable_valuation", refuse)
         assert main(["valuation", "p^2*H(1)"]) == 2
         assert capsys.readouterr().err == "error: scan limit reached\n"
 
@@ -776,6 +780,20 @@ class TestIdentitiesCommand:
         dump = tmp_path / "missing" / "basis.txt"
         assert main(["identities", "--modulus", "2", "--dump", str(dump)]) == 2
         assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
+
+class TestStartupFootprint:
+    def test_engine_import_loads_no_dataclasses(self):
+        # the records are hand-written, so no process pays for dataclasses and inspect
+        code = (
+            "import sys, padicmhs.cli, padicmhs.oracle, padicmhs.prover;"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(padicmhs.__file__).parent.parent)}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout == "[]\n"
 
 
 class TestVersion:

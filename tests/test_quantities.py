@@ -1,5 +1,6 @@
 """Tests for the quantity-spec grammar: polynomials, ratios, atom parsing."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -371,6 +372,47 @@ SIGNATURE_ARGS = [
     for name, sig in _SIGNATURES.items()
     for position, (what, _) in enumerate(sig)
 ]
+
+
+class TestRecords:
+    """A spec and an expression node are immutable values."""
+
+    RECORDS = {
+        "QuantitySpec": lambda: QuantitySpec("sumpoly", ((F(1), F(0)), (1,))),
+        "ExprAst": lambda: parse("binp(2,1) + p^2*H(1)"),
+    }
+    FIELDS = {"QuantitySpec": ("name", "args"), "ExprAst": ("kind", "payload", "children")}
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_equal_records_hash_equal(self, name):
+        a, b = self.RECORDS[name](), self.RECORDS[name]()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert copy.deepcopy(a) == a
+
+    def test_a_normalized_spec_equals_its_normal_form(self):
+        a, b = QuantitySpec("sumpoly", ((F(1), F(0)), (1,))), QuantitySpec("sumpoly", ((1,), (1,)))
+        assert a == b and hash(a) == hash(b) and a.args == ((F(1),), (1,))
+        assert a != QuantitySpec("sumpoly", ((1,), (2,)))
+        assert ExprAst("lit", F(1)) != ExprAst("lit", F(2))
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        record = self.RECORDS[name]()
+        for field in self.FIELDS[name]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_bad_constructor_input_raises(self):
+        with pytest.raises(ValueError, match="binp requires a >= b"):
+            QuantitySpec("binp", (1, 2, 1))
+        with pytest.raises(ValueError, match="unknown quantity"):
+            QuantitySpec("nope", ())
+        with pytest.raises(TypeError):
+            ExprAst("lit", F(1), (), None)
 
 
 class TestSignatures:
