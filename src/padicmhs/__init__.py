@@ -25,7 +25,7 @@ def clear_caches() -> None:
         powersums.signed_mhs,
         powersums._chain_product,
         powersums._ghat_at,
-        compositions._shuffle_words,
+        compositions._shuffle_cached,
         compositions._stuffle_cached,
         certificate._jarossay_identity,
         certificate._jarossay_tail,

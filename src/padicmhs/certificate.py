@@ -8,7 +8,7 @@ This module imports only the standard library and ``compositions``, so a
 
 The relation (s, t, u), ``t`` nonempty, at modulus p^n is Jarossay's identity
 (``h_p(s) = p^weight(s) * H_{p-1}(s)``, ``m = len(t)``, ``s sh t`` the shuffle
-of the x/y-word encodings)
+of their x/y words)
 
     h_p(s sh t)  =  (-1)^weight(t) * sum over a_1..a_m >= 0 of
                     prod C(a_i + t_i - 1, t_i - 1)
@@ -95,9 +95,10 @@ def _jarossay_tail(t: Comp, budget: int) -> tuple[tuple[Comp, int], ...]:
 def _relation_coords(s: Comp, t: Comp, u: Comp, n: int) -> dict[Comp, int]:
     """Integer coordinates of the relation for the triple (s, t, u) at modulus n.
 
-    The (s, t) identity is truncated to weight < n - weight(u) and then
-    multiplied by ``h_p(u)`` via the stuffle product.  Stuffle preserves
-    weight, so every retained composition has weight < n.
+    The one relation builder: basis generation, basis loading and replay all
+    call it.  The (s, t) identity is truncated to weight < n - weight(u)
+    and then multiplied by ``h_p(u)`` via the stuffle product.  Stuffle
+    preserves weight, so every retained composition has weight < n.
     """
     out: dict[Comp, int] = {}
     for w, c in _jarossay_identity(s, t, n - weight(u)):

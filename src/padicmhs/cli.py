@@ -193,7 +193,7 @@ def _load_statements(arg: str) -> list[str]:
 
 
 def _parse_window(text: str) -> PrimeWindow:
-    """argparse type: a prime window ``lo..hi`` of integers with lo <= hi."""
+    """argparse type: a prime window ``lo..hi`` of integers with lo <= hi, holding a prime."""
     import argparse
 
     from .oracle import PrimeWindow
@@ -202,9 +202,12 @@ def _parse_window(text: str) -> PrimeWindow:
     if not sep or not lo.isdigit() or not hi.isdigit():
         raise argparse.ArgumentTypeError(f"expected 'lo..hi' with integers lo <= hi, got {text!r}")
     try:
-        return PrimeWindow(int(lo), int(hi))
+        window = PrimeWindow(int(lo), int(hi))
     except ValueError as exc:  # lo > hi
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not window.primes():
+        raise argparse.ArgumentTypeError(f"prime window {text} holds no prime")
+    return window
 
 
 DEFAULT_ORDER = 8
@@ -299,12 +302,18 @@ def cmd_verify(args) -> int:
                 "verify evaluates every atom at each prime, and zetap(k) is a "
                 "p-adic limit with no exact value at a single prime; use prove"
             )
-        # a prime is skipped where a literal is not p-integral or a nonzero
+        # a prime is skipped where a literal, a coefficient of sumpoly's P or
+        # of a rat with a constant denominator is not p-integral, or a nonzero
         # constant divisor (an inv argument with no p, H or quantity) is not
         # a p-adic unit
         dens = [node.payload.denominator for node in nodes if node.kind == "lit"]
         for node in nodes:
-            if node.kind == "inv" and all(
+            q = node.payload
+            if node.kind == "quantity" and q.name == "sumpoly":
+                dens += [c.denominator for c in q.args[0]]
+            elif node.kind == "quantity" and q.name == "rat" and len(q.args[1]) == 1:
+                dens += [Fraction(c, q.args[1][0]).denominator for c in q.args[0]]
+            elif node.kind == "inv" and all(
                 sub.kind not in ("p", "H", "quantity") for sub in _nodes(node.children[0])
             ):
                 try:

@@ -8,8 +8,8 @@ Two products act on the span of compositions:
 
 * the stuffle (quasi-shuffle) product, which expands H_N(s) * H_N(t) for a
   common upper bound N, and
-* the shuffle product, defined on the binary-word encoding
-  (s_1, ..., s_k) <-> x^(s_1 - 1) y ... x^(s_k - 1) y.
+* the shuffle product of the words x^(s_1 - 1) y ... x^(s_k - 1) y,
+  computed on the compositions themselves.
 
 Linear combinations are plain dicts mapping compositions to Fractions.
 
@@ -26,7 +26,6 @@ __all__ = [
     "bounded_tuples",
     "check_comp",
     "check_int",
-    "comp_to_word",
     "compositions_of",
     "enumerate_compositions",
     "format_comp",
@@ -34,7 +33,6 @@ __all__ = [
     "shuffle",
     "stuffle",
     "weight",
-    "word_to_comp",
 ]
 
 Comp = tuple  # tuple[int, ...]
@@ -44,56 +42,31 @@ def weight(s: Comp) -> int:
     return sum(s)
 
 
-def comp_to_word(s: Comp) -> str:
-    """Encode a composition as a word in x, y ending in y."""
-    if any(e < 1 for e in s):
-        raise ValueError("word encoding needs positive parts")
-    return "".join("x" * (e - 1) + "y" for e in s)
-
-
-def word_to_comp(w: str) -> Comp:
-    """Inverse of comp_to_word; the word must end in y (or be empty)."""
-    if not w:
-        return ()
-    if w[-1] != "y" or set(w) - {"x", "y"}:
-        raise ValueError(f"not a valid composition word: {w!r}")
-    parts = []
-    run = 0
-    for ch in w:
-        if ch == "x":
-            run += 1
-        else:
-            parts.append(run + 1)
-            run = 0
-    return tuple(parts)
-
-
 @lru_cache(maxsize=None)
-def _shuffle_words(u: str, v: str) -> tuple[tuple[str, int], ...]:
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    acc: dict[str, int] = {}
-    for w, m in _shuffle_words(u[1:], v):
-        acc[u[0] + w] = acc.get(u[0] + w, 0) + m
-    for w, m in _shuffle_words(u, v[1:]):
-        acc[v[0] + w] = acc.get(v[0] + w, 0) + m
+def _shuffle_cached(s: Comp, t: Comp) -> tuple[tuple[Comp, int], ...]:
+    if not s:
+        return ((t, 1),)
+    if not t:
+        return ((s, 1),)
+    acc: dict[Comp, int] = {}
+    for a, b in ((s, t), (t, s)):  # the first letter comes from a: x if a[0] > 1, else y
+        x = a[0] > 1
+        for c, m in _shuffle_cached((a[0] - 1,) + a[1:] if x else a[1:], b):
+            merged = (c[0] + 1,) + c[1:] if x else (1,) + c
+            acc[merged] = acc.get(merged, 0) + m
     return tuple(sorted(acc.items()))
 
 
 def shuffle(s: Comp, t: Comp) -> dict[Comp, int]:
-    """Shuffle product of two compositions via their word encodings.
+    """Shuffle product of the words x^(s_1 - 1) y ... x^(s_k - 1) y of s and t.
 
-    Every interleaving ends in y, so the result is again a sum of
-    compositions.  Total multiplicity is C(|word s| + |word t|, |word s|)
-    counted with multiplicity.
+    Recursion on the first letter of an interleaving, taken from s or t: a
+    leading part a > 1 is an x, which raises the first part of the shuffled
+    rest by one; a leading part 1 is a y, which puts a new part 1 in front
+    of it.  Every interleaving ends in y, so the result is again a sum of
+    compositions, with total multiplicity C(weight(s) + weight(t), weight(s)).
     """
-    out: dict[Comp, int] = {}
-    for w, m in _shuffle_words(comp_to_word(s), comp_to_word(t)):
-        c = word_to_comp(w)
-        out[c] = out.get(c, 0) + m
-    return out
+    return dict(_shuffle_cached(tuple(s), tuple(t)))
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,6 @@ from .certificate import (
     _col_key,
     _combine,
     _format_prov,
-    _jarossay_identity,
     _line_reader,
     _parse_prov,
     _relation_coords,
@@ -64,7 +63,6 @@ from .certificate import (
 )
 from .compositions import (
     Comp,
-    _stuffle_cached,
     check_int,
     enumerate_compositions,
     format_comp,
@@ -99,36 +97,6 @@ MAX_MODULUS_POWER = 11
 
 #: A sparse integer vector as two tuples: its columns and their coefficients.
 Vector = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _relation_vectors(n: int) -> tuple[list[Prov], list[Vector]]:
-    """Every triple at n and its :func:`_relation_coords` by column, zeros allowed.
-
-    Each (s, t) identity is built once, at n, and cut for each u to the
-    columns of weight < n - weight(u): the first 2^(n - 1 - weight(u)).
-    Each vector is kept as a :data:`Vector`, which takes far less memory
-    than a dict when every relation is held at once.
-    """
-    columns = enumerate_compositions(n - 1)
-    col_index = {w: i for i, w in enumerate(columns)}
-    stuffles: dict[tuple[int, Comp], list[tuple[int, int]]] = {}
-    provs, vectors, key = list(_enumerate_triples(n)), [], None
-    for s, t, u in provs:
-        if key != (s, t):
-            key = (s, t)
-            ident = sorted((col_index[w], c) for w, c in _jarossay_identity(s, t, n))
-            ident_cols = [col for col, _ in ident]
-        vec: dict[int, int] = {}
-        for col, c in ident[: bisect_left(ident_cols, 1 << (n - 1 - weight(u)))]:
-            table = stuffles.get((col, u))
-            if table is None:
-                table = stuffles[col, u] = [
-                    (col_index[v], mult) for v, mult in _stuffle_cached(columns[col], u)
-                ]
-            for j, mult in table:
-                vec[j] = vec.get(j, 0) + c * mult
-        vectors.append((tuple(vec), tuple(vec.values())))
-    return provs, vectors
 
 
 # -- modular arithmetic ----------------------------------------------------
@@ -650,9 +618,10 @@ def generate_relations(
     """The span of all generated relations at modulus power ``n``.
 
     Enumerates every triple ``(s, t, u)`` with ``t`` nonempty (``s`` and
-    ``u`` may be empty) and total weight below ``n``, truncates the (s, t)
-    identity to weight < n - weight(u), multiplies by ``h_p(u)`` under the
-    stuffle product, and finds the span of the resulting integer vectors
+    ``u`` may be empty) and total weight below ``n``, builds its relation
+    with ``_relation_coords``, the builder a certificate replay uses (the
+    (s, t) identity truncated to weight < n - weight(u), times ``h_p(u)``
+    under the stuffle product), and finds the span of these integer vectors
     modulo primes, keeping the annihilating functionals only once they
     vanish exactly on every vector (see :class:`RelationBasis`).  One basis,
     at the largest modulus power asked for so far, is kept per process and
@@ -683,7 +652,12 @@ def generate_relations(
         )
 
     columns = enumerate_compositions(n - 1)
-    provs, vectors = _relation_vectors(n)
+    col_index = {w: i for i, w in enumerate(columns)}
+    provs = list(_enumerate_triples(n))
+    vectors = []
+    for prov in provs:
+        rel = _relation_coords(*prov, n)
+        vectors.append((tuple(col_index[w] for w in rel), tuple(rel.values())))
     (_, pivots, raised_by), values = _lift(
         lambda q: _annihilator_residues(vectors, len(columns), q),
         lambda values: _annihilates(values, vectors),
@@ -692,13 +666,12 @@ def generate_relations(
         columns[f]: {columns[col]: v for col, v in lam.items()}
         for f, lam in _functionals(values).items()
     }
-    raised = [{columns[col]: c for col, c in zip(*vectors[k]) if c} for k in raised_by]
     basis = _PROCESS_BASIS = RelationBasis(
         n,
         [columns[p] for p in pivots],
         [provs[k] for k in raised_by],
         annihilators,
-        _transpose(columns, raised),
+        _transpose(columns, [_relation_coords(*provs[k], n) for k in raised_by]),
     )
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

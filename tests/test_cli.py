@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import padicmhs
-from padicmhs import clear_caches, cli
+from padicmhs import clear_caches, cli, quantities
 from padicmhs.arith import padic_valuation
 from padicmhs.cli import eval_series, eval_statement, main
 from padicmhs.oracle import PrimeWindow, eval_series_terms
@@ -312,6 +312,13 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "lo <= hi" in err and "invalid _parse_window value" not in err
 
+    def test_window_with_no_prime_is_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "H(1) = 0 mod p^1", "--primes", "24..28"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "prime window 24..28 holds no prime" in captured.err
+
     def test_quantity_over_budget_is_refused(self, capsys):
         # hres(9) at p=11 needs 11^9 - 1 summation steps, far over the budget;
         # the series of hres(9) vanishes below p^9, so only the oracle refuses
@@ -385,6 +392,23 @@ class TestVerifyCommand:
     def test_constant_divisor_denominator_primes_are_skipped(self, capsys):
         assert main(["verify", "p*H(1)/(2/3) = 0 mod p^1", "--primes", "2..7"]) == 0
         assert "skipped (prime divides a coefficient denominator): 2, 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ("rat(1/3)*p = 0 mod p^1", "p/3 = 0 mod p^1"),
+            ("sumpoly(1/3;1) = rat((1-p)/3) mod p^2", "1/3*sumpoly(1;1) = (1-p)/3 mod p^2"),
+        ],
+    )
+    def test_quantity_argument_denominators_skip_like_literal_ones(self, capsys, pair):
+        # a constant rat denominator and sumpoly's coefficient denominators
+        # skip the primes dividing them, as the same literal outside would
+        codes, reports = [], []
+        for stmt in pair:
+            codes.append(main(["verify", stmt, "--primes", "2..7"]))
+            reports.append(capsys.readouterr().out.split("\n", 1)[1])
+        assert codes[0] == codes[1] and reports[0] == reports[1]
+        assert reports[0].endswith("skipped (prime divides a coefficient denominator): 3\n")
 
     def test_negative_psum_bound_primes_are_skipped(self, capsys):
         # below p = 20 the range (p-20, p] holds the index 0: no value there
@@ -837,3 +861,77 @@ class TestRoundTrip:
             back = eval_series(parse(series.render()), 12)
             assert back.order is None
             assert back.terms == series.terms
+
+
+# ---------------------------------------------------------------------------
+# the machine contract, fuzzed
+# ---------------------------------------------------------------------------
+
+
+def random_poly(rng: random.Random, rational: bool = False) -> str:
+    """A polynomial in p of degree <= 2 with small (rational) coefficients."""
+    terms = []
+    for k in range(rng.randint(1, 3)):
+        c = str(rng.randint(-1, 3))
+        if rational and rng.random() < 0.5:
+            c += f"/{rng.randint(1, 4)}"
+        terms.append(f"{c}*p^{k}")
+    return "+".join(terms)
+
+
+def random_argument(rng: random.Random, kind) -> str:
+    """A text argument of the ``_SIGNATURES`` kind ``kind``; an int kind may sit below its bound."""
+    if type(kind) is int:
+        return str(rng.choice([kind - 1, kind, kind, kind + 1]))
+    if kind == "flag":
+        return "restricted" if rng.random() < 0.5 else ""
+    if kind == "ints":
+        return ",".join(str(rng.randint(-2, 3)) for _ in range(rng.randint(1, 2)))
+    if kind == "comp":
+        return ",".join(str(rng.randint(1, 3)) for _ in range(rng.randint(1, 2)))
+    return random_poly(rng, rational=kind == "qpoly")
+
+
+def random_quantity(rng: random.Random) -> str:
+    name = rng.choice(sorted(quantities._SIGNATURES))
+    if name == "rat":
+        return f"rat(({random_poly(rng)})/({random_poly(rng)}))"
+    sig = quantities._SIGNATURES[name]
+    args = [random_argument(rng, kind) for _, kind in sig]
+    sep = "," if all(type(kind) is int for _, kind in sig) else ";"
+    return f"{name}({sep.join(arg for arg in args if arg)})"  # an absent flag is ""
+
+
+def random_expression(rng: random.Random, depth: int = 2) -> str:
+    """An expression of the CLI grammar: atoms joined by + - * / and inv(...)."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([
+            lambda: str(rng.randint(0, 5)),
+            lambda: f"{rng.randint(-5, 5)}/{rng.randint(1, 6)}",
+            lambda: f"p^{rng.randint(-1, 2)}",
+            lambda: f"H({random_argument(rng, 'comp')})",
+            lambda: random_quantity(rng),
+        ])()
+    if rng.random() < 0.2:
+        return f"inv({random_expression(rng, depth - 1)})"
+    op = rng.choice("+-*/")
+    return f"({random_expression(rng, depth - 1)}){op}({random_expression(rng, depth - 1)})"
+
+
+class TestMachineContract:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_command_returns_an_exit_code(self, tmp_path, capsys, seed):
+        rng = random.Random(seed)
+        cache = ["--cache-dir", str(tmp_path), "--order", "2"]
+        for _ in range(12):
+            lhs = random_expression(rng)
+            rhs = lhs if rng.random() < 0.3 else random_expression(rng)  # some hold
+            statement = f"{lhs} = {rhs} mod p^{rng.randint(1, 3)}"
+            for argv in (
+                ["expand", lhs, *cache],
+                ["valuation", lhs, *cache],
+                ["prove", statement, *cache],
+                ["verify", statement, "--primes", "11..13"],
+            ):
+                assert main(argv) in (0, 1, 2), argv
+            capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Composition combinatorics: word encoding, shuffle, stuffle, enumeration.
+"""Composition combinatorics: shuffle, stuffle, enumeration.
 
 The products are validated against brute-force numeric evaluation of the
 multiple harmonic sums they are supposed to expand, plus exact counting
@@ -14,7 +14,6 @@ import pytest
 from padicmhs.compositions import (
     bounded_tuples,
     check_comp,
-    comp_to_word,
     compositions_of,
     enumerate_compositions,
     format_comp,
@@ -22,7 +21,6 @@ from padicmhs.compositions import (
     shuffle,
     stuffle,
     weight,
-    word_to_comp,
 )
 
 F = Fraction
@@ -52,17 +50,17 @@ def all_comps_of_weight(w: int):
             yield (first,) + rest
 
 
-class TestWords:
-    def test_roundtrip(self):
-        for w in range(0, 6):
-            for s in all_comps_of_weight(w):
-                assert word_to_comp(comp_to_word(s)) == s
-
-    def test_examples(self):
-        assert comp_to_word((2, 1)) == "xyy"
-        assert comp_to_word((1, 1, 1)) == "yyy"
-        assert comp_to_word(()) == ""
-        assert word_to_comp("xxy") == (3,)
+def shuffle_by_words(s: tuple, t: tuple) -> dict:
+    """Reference shuffle: every interleaving of the words x^(s_1 - 1) y ...
+    of s and t, each read back as the composition of its y-terminated runs."""
+    u, v = ("".join("x" * (e - 1) + "y" for e in c) for c in (s, t))
+    out: dict = {}
+    for at in map(set, itertools.combinations(range(len(u) + len(v)), len(u))):
+        letters_u, letters_v = iter(u), iter(v)
+        w = "".join(next(letters_u if i in at else letters_v) for i in range(len(u) + len(v)))
+        c = tuple(len(run) + 1 for run in w.split("y")[:-1])
+        out[c] = out.get(c, 0) + 1
+    return out
 
 
 class TestStuffle:
@@ -119,6 +117,13 @@ class TestShuffle:
 
     def test_empty_identity(self):
         assert shuffle((), (3, 1)) == {(3, 1): 1}
+
+    def test_matches_the_word_interleavings(self):
+        comps = enumerate_compositions(8)
+        for s in comps:
+            for t in comps:
+                if weight(s) + weight(t) <= 8:
+                    assert shuffle(s, t) == shuffle_by_words(s, t), (s, t)
 
 
 class TestEnumeration:

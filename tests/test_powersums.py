@@ -489,7 +489,7 @@ def memo_table_sizes():
         "powersums.signed_mhs": powersums.signed_mhs,
         "powersums._chain_product": powersums._chain_product,
         "powersums._ghat_at": powersums._ghat_at,
-        "compositions._shuffle_words": compositions._shuffle_words,
+        "compositions._shuffle_cached": compositions._shuffle_cached,
         "compositions._stuffle_cached": compositions._stuffle_cached,
         "certificate._jarossay_identity": certificate._jarossay_identity,
         "certificate._jarossay_tail": certificate._jarossay_tail,
