@@ -48,6 +48,7 @@ core, which is all that ``verify-certificate`` loads besides the parser.
 from __future__ import annotations
 
 import contextlib
+import math
 import operator
 import os
 import sys
@@ -58,7 +59,7 @@ from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .arith import INFINITY, padic_valuation
-from .quantities import ExprAst, _fold, parse
+from .quantities import ExprAst, Poly, _fold, parse
 
 if TYPE_CHECKING:
     import argparse
@@ -139,6 +140,20 @@ def _nodes(ast: ExprAst):
         yield from _nodes(child)
 
 
+_DENOMINATOR_REASON = "prime divides a coefficient denominator"
+
+
+def _check_denominator(num: Poly, den: Poly, p: int) -> None:
+    """Refuse p when it divides the lowest nonzero coefficient of ``den``,
+    once num/den has integer coefficients with no common factor."""
+    from .oracle import NoValueAtPrime
+
+    m = math.lcm(*(c.denominator for c in num + den))
+    content = math.gcd(*(int(c * m) for c in num + den))
+    if int(next(c for c in den if c) * m) // content % p == 0:
+        raise NoValueAtPrime(_DENOMINATOR_REASON)
+
+
 def eval_at_prime(ast: ExprAst, p: int, work_budget: int | None = None) -> Fraction:
     """Exact value of an expression node at the prime p, by the oracle alone.
 
@@ -146,26 +161,43 @@ def eval_at_prime(ast: ExprAst, p: int, work_budget: int | None = None) -> Fract
     quantity atoms go through :func:`padicmhs.oracle.eval_quantity`, which
     raises ``WorkBudgetExceeded`` when the direct sum is over
     ``work_budget`` (None: the oracle's ``DEFAULT_WORK_BUDGET``).
+    A prime that divides a coefficient denominator has no value
+    (``NoValueAtPrime``): a literal's, a sumpoly coefficient's, or the lowest
+    nonzero one of a nonzero rat's or folded inv's (:func:`_check_denominator`).
     """
-    from .oracle import DEFAULT_WORK_BUDGET, eval_mhs, eval_quantity
+    from .oracle import DEFAULT_WORK_BUDGET, NoValueAtPrime, eval_mhs, eval_quantity
 
     if work_budget is None:
         work_budget = DEFAULT_WORK_BUDGET
     kind = ast.kind
     if kind == "lit":
+        if ast.payload.denominator % p == 0:
+            raise NoValueAtPrime(_DENOMINATOR_REASON)
         return ast.payload
     if kind == "p":
         return Fraction(p) ** ast.payload
     if kind == "H":
         return eval_mhs(p - 1, ast.payload)
     if kind == "quantity":
-        return eval_quantity(ast.payload, p, work_budget)
+        q = ast.payload
+        if q.name == "sumpoly" and any(c.denominator % p == 0 for c in q.args[0]):
+            raise NoValueAtPrime(_DENOMINATOR_REASON)
+        value = eval_quantity(q, p, work_budget)
+        if q.name == "rat" and value:
+            _check_denominator(*q.args, p)
+        return value
     values = [eval_at_prime(child, p, work_budget) for child in ast.children]
     if kind in _BINARY:
         return _BINARY[kind](*values)
     if kind == "neg":
         return -values[0]
     if kind == "inv":
+        try:
+            den, num = _fold(ast.children[0])
+        except ValueError:  # not a rational function of p
+            den = ()
+        if values[0] and den and den[0]:
+            _check_denominator(num, den, p)
         if padic_valuation(values[0], p) != 0:
             raise ValueError(f"inv of a value that is not a p-adic unit at p={p}")
         return 1 / values[0]
@@ -192,8 +224,13 @@ def _load_statements(arg: str) -> list[str]:
     return [arg]
 
 
+#: The most integers a command-line prime window may span.
+MAX_WINDOW_WIDTH = 10_000
+
+
 def _parse_window(text: str) -> PrimeWindow:
-    """argparse type: a prime window ``lo..hi`` of integers with lo <= hi, holding a prime."""
+    """argparse type: a prime window ``lo..hi`` of integers with lo <= hi, at
+    most MAX_WINDOW_WIDTH wide (refused before any prime is listed), holding a prime."""
     import argparse
 
     from .oracle import PrimeWindow
@@ -205,6 +242,10 @@ def _parse_window(text: str) -> PrimeWindow:
         window = PrimeWindow(int(lo), int(hi))
     except ValueError as exc:  # lo > hi
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if window.hi - window.lo >= MAX_WINDOW_WIDTH:
+        raise argparse.ArgumentTypeError(
+            f"prime window {text} is wider than {MAX_WINDOW_WIDTH:,} integers"
+        )
     if not window.primes():
         raise argparse.ArgumentTypeError(f"prime window {text} holds no prime")
     return window
@@ -296,38 +337,14 @@ def cmd_verify(args) -> int:
         ast = parse(text)
         if ast.kind != "cong":
             raise ValueError("expected a congruence '<expr> = <expr> mod p^<n>'")
-        nodes = list(_nodes(ast))
-        if any(node.kind == "quantity" and node.payload.name == "zetap" for node in nodes):
+        if any(node.kind == "quantity" and node.payload.name == "zetap" for node in _nodes(ast)):
             raise ValueError(
                 "verify evaluates every atom at each prime, and zetap(k) is a "
                 "p-adic limit with no exact value at a single prime; use prove"
             )
-        # a prime is skipped where a literal, a coefficient of sumpoly's P or
-        # of a rat with a constant denominator is not p-integral, or a nonzero
-        # constant divisor (an inv argument with no p, H or quantity) is not
-        # a p-adic unit
-        dens = [node.payload.denominator for node in nodes if node.kind == "lit"]
-        for node in nodes:
-            q = node.payload
-            if node.kind == "quantity" and q.name == "sumpoly":
-                dens += [c.denominator for c in q.args[0]]
-            elif node.kind == "quantity" and q.name == "rat" and len(q.args[1]) == 1:
-                dens += [Fraction(c, q.args[1][0]).denominator for c in q.args[0]]
-            elif node.kind == "inv" and all(
-                sub.kind not in ("p", "H", "quantity") for sub in _nodes(node.children[0])
-            ):
-                try:
-                    num, den = _fold(node.children[0])
-                except ValueError:  # an inverse of zero inside; evaluation reports it
-                    continue
-                if num:
-                    value = num[0] / den[0]
-                    dens += [value.numerator, value.denominator]
         lhs, rhs = ast.children
 
         def diff(p):
-            if any(d % p == 0 for d in dens):
-                return None  # a literal is not p-integral
             return eval_at_prime(lhs, p, args.work_budget) - eval_at_prime(
                 rhs, p, args.work_budget
             )
@@ -420,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--primes",
         type=_parse_window,
         default=None,
-        help="prime window lo..hi for numeric checks (default 11..97)",
+        help="prime window lo..hi for numeric checks, at most 10,000 integers "
+        "wide (default 11..97)",
     )
     oracle.add_argument(
         "--work-budget",

@@ -51,8 +51,8 @@ class WorkBudgetExceeded(Exception):
 
 
 class NoValueAtPrime(ValueError):
-    """A quantity has no value at this prime: a power sum's nonempty range reaches
-    the index 0 or below.  :func:`check_numeric` skips the prime and lists it."""
+    """No value at this prime: a power sum's range reaches the index 0 or below, or
+    p divides a coefficient denominator.  :func:`check_numeric` skips and lists it."""
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +450,8 @@ class NumericReport:
 
     A record is (prime, required, achieved); ``achieved`` is an integer
     valuation, INFINITY for an exact zero difference, or None when the
-    evaluation was refused by the work budget.  ``skipped`` maps each prime
-    with no record to the reason it was skipped.
+    evaluation was refused by the work budget.  ``skip_reasons`` maps each
+    prime with no record to the reason it was skipped.
     """
 
     def __init__(
@@ -461,10 +461,6 @@ class NumericReport:
     ) -> None:
         self.records = records
         self.skip_reasons = skipped
-
-    @property
-    def skipped(self) -> list[int]:
-        return list(self.skip_reasons)
 
     @property
     def passed(self) -> bool:

@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -320,7 +319,7 @@ class RelationBasis:
         "_pivots",
         "_triples",
         "_annihilators",
-        "_triple_rows",
+        "_system",
         "_prefixes",
     )
 
@@ -330,17 +329,12 @@ class RelationBasis:
         pivots: Sequence[Comp],
         triples: Sequence[Prov],
         annihilators: dict[Comp, dict[Comp, Fraction]],
-        triple_rows: dict[Comp, Vector],
     ) -> None:
         """A basis from parts that already fit together, kept as given.
 
         Generation, :meth:`load` (after its checks) and :meth:`_prefix` are
         the only builders; ``annihilators`` maps each free column, in column
-        order, to its nonzero ``lambda_f`` entries, and ``triple_rows`` maps
-        every column w to the :data:`Vector` of its coefficients in the
-        relations of the triples, indexed by triple (:func:`_transpose`): the
-        part of the transposed system of :meth:`_combination_residues` that
-        is the same for every target.
+        order, to its nonzero ``lambda_f`` entries.
         """
         self._modulus = modulus_power
         self._columns = enumerate_compositions(modulus_power - 1)
@@ -348,7 +342,7 @@ class RelationBasis:
         self._pivots = list(pivots)
         self._triples = list(triples)
         self._annihilators = annihilators
-        self._triple_rows = triple_rows
+        self._system: dict[Comp, Vector] | None = None
         self._prefixes: dict[int, RelationBasis] = {}
 
     @property
@@ -376,21 +370,14 @@ class RelationBasis:
         triples that raised the rank at them, and the lambda_f with
         weight(f) < n, already checked exactly on every relation.  So a
         prefix shares the functionals and is built once per n and kept with
-        this basis.  A relation at n is the one here cut to weight < n, so
-        the prefix's triple rows are these cut to the columns of weight < n
-        and the first r triples.
+        this basis.
         """
         if n == self._modulus:
             return self
         if n not in self._prefixes:
             r = sum(weight(piv) < n for piv in self._pivots)
             lams = {f: lam for f, lam in self._annihilators.items() if weight(f) < n}
-            rows = {}
-            for w, (ks, cs) in self._triple_rows.items():
-                if weight(w) < n:
-                    cut = bisect_left(ks, r)
-                    rows[w] = ks[:cut], cs[:cut]
-            self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams, rows)
+            self._prefixes[n] = RelationBasis(n, self._pivots[:r], self._triples[:r], lams)
         return self._prefixes[n]
 
     def reduce(self, coords: Mapping[Comp, Fraction]) -> dict[Comp, Fraction]:
@@ -445,13 +432,18 @@ class RelationBasis:
         and the target's in column r = rank.  Fewer than r pivots among the
         columns below r means the triples are dependent modulo q, and q is
         passed over; otherwise a pivot in column r means the target is
-        outside their span, and else column r holds the multipliers.
+        outside their span, and else column r holds the multipliers.  The
+        triples' part of the system is the same for every target and prime,
+        so it is built from the triples on the first call and kept.
         """
         if any(c.denominator % q == 0 for c in target.values()):
             return None
+        if self._system is None:
+            relations = [_relation_coords(*t, self._modulus) for t in self._triples]
+            self._system = _transpose(self._columns, relations)
         r = self.rank
         system = []
-        for w, (ks, cs) in self._triple_rows.items():
+        for w, (ks, cs) in self._system.items():
             c = target.get(w)
             if c is not None:
                 ks, cs = ks + (r,), cs + (c.numerator * pow(c.denominator, -1, q),)
@@ -502,13 +494,12 @@ class RelationBasis:
         annihilator is e_f plus pivot columns, and each vanishes exactly on
         the relation of every triple, regenerated from its provenance (one
         packed check, :func:`_annihilates`).  An edited entry of lambda_f at
-        pivot j fails on RREF row j, which lies in the triples' span.  The
-        regenerated relations become the basis's triple rows.  Still trusted:
-        that the distinct triples are independent and span every generated
-        relation, so that an annihilator that rejects a target shows it
-        outside the span.  Dependent triples stop a proof search with an
-        error (exit 2 from the CLI), and every proof replays, so a file that
-        breaks this never yields a false "proved".
+        pivot j fails on RREF row j, which lies in the triples' span.  Still
+        trusted: that the distinct triples are independent and span every
+        generated relation, so that an annihilator that rejects a target
+        shows it outside the span.  Dependent triples stop a proof search
+        with an error (exit 2 from the CLI), and every proof replays, so a
+        file that breaks this never yields a false "proved".
         """
         expect = _line_reader(text, "basis")
         version = expect("padicmhs-basis")
@@ -555,7 +546,7 @@ class RelationBasis:
         values = {(f, w): c for f, lam in kept.items() for w, c in lam.items()}
         if not _annihilates(values, [(tuple(vec), tuple(vec.values())) for vec in vectors]):
             raise ValueError("an annihilator does not vanish on the independent triples")
-        return cls(modulus, pivots, triples, kept, _transpose(columns, vectors))
+        return cls(modulus, pivots, triples, kept)
 
 
 def _transpose(
@@ -667,11 +658,7 @@ def generate_relations(
         for f, lam in _functionals(values).items()
     }
     basis = _PROCESS_BASIS = RelationBasis(
-        n,
-        [columns[p] for p in pivots],
-        [provs[k] for k in raised_by],
-        annihilators,
-        _transpose(columns, [_relation_coords(*provs[k], n) for k in raised_by]),
+        n, [columns[p] for p in pivots], [provs[k] for k in raised_by], annihilators
     )
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -61,7 +61,6 @@ __all__ = [
     "parse",
     "format_poly",
     "format_quantity",
-    "QUANTITY_NAMES",
 ]
 
 # ascending coefficient tuple; () is the zero polynomial
@@ -93,8 +92,6 @@ _TUPLE_KINDS = {
     "ints": (lambda e: type(e) is int, "integers"),
     "comp": (lambda e: type(e) is int and e >= 1, "positive integers"),
 }
-
-QUANTITY_NAMES = tuple(_SIGNATURES)
 
 # the kinds written as a comma list of integers
 _INT_LISTS = ("ints", "comp")

@@ -720,7 +720,7 @@ class TestCheckNumeric:
     def test_denominator_primes_skipped(self):
         series = MhsSeries({(1, (1,)): F(1, 11)}, 2)
         report = check_expansion(ZERO, series, PrimeWindow(11, 31), required=1)
-        assert 11 in report.skipped
+        assert 11 in list(report.skip_reasons)
         assert all(p != 11 for (p, _r, _g) in report.records)
 
     def test_window_primes_listed_once(self):
@@ -734,7 +734,7 @@ class TestCheckNumeric:
         terms = {(1, (1,)): F(1, 11), (1, (2,)): F(1, 13), (2, (1, 1)): 1, (2, (3,)): 1}
         report = check_expansion(ZERO, MhsSeries(terms, 2), CountingWindow(11, 31), required=1)
         assert calls == [1]
-        assert report.skipped == [11, 13]
+        assert list(report.skip_reasons) == [11, 13]
 
     def test_refusal_recorded(self):
         q = quantity("curious(3,3)")
@@ -774,7 +774,7 @@ class TestCheckNumeric:
         report = check_numeric(
             lambda p: None if p == 29 else p * eval_quantity(q, p) - 1, PrimeWindow(11, 31), 1
         )
-        assert report.passed and report.skipped == [11, 13, 17, 19, 29]
+        assert report.passed and list(report.skip_reasons) == [11, 13, 17, 19, 29]
         assert report.render().splitlines()[-2:] == [
             "skipped (a power-sum range needs a lower bound M >= 0): 11, 13, 17, 19",
             "skipped (prime divides a coefficient denominator): 29",
@@ -784,5 +784,5 @@ class TestCheckNumeric:
         report = check_numeric(
             lambda p: None if p == 13 else F(p), PrimeWindow(11, 17), required=1
         )
-        assert report.passed and report.skipped == [13]
+        assert report.passed and list(report.skip_reasons) == [13]
         assert [p for (p, _r, _g) in report.records] == [11, 17]

@@ -376,18 +376,6 @@ class TestOneBasis:
         assert checks == []
         assert sorted(prover._PROCESS_BASIS._prefixes) == list(range(1, 8))
 
-    @pytest.mark.parametrize("source", ["generated", "loaded"])
-    def test_prefixes_cut_the_triple_rows_of_their_basis(self, basis_cache, source):
-        # a relation at n is the one at the larger modulus cut to weight < n,
-        # so every builder's rows equal the transposed relations at its own n
-        generate_relations(8, basis_cache)
-        if source == "loaded":
-            clear_relation_cache()
-        for n in range(1, 9):
-            basis = generate_relations(n, basis_cache)
-            fresh = [_relation_coords(*prov, n) for prov in basis._triples]
-            assert basis._triple_rows == prover._transpose(basis.columns, fresh), n
-
     def test_ascending_fill_parses_no_smaller_file(self, basis_cache, monkeypatch):
         loads, real = [], RelationBasis.load
         monkeypatch.setattr(
@@ -531,9 +519,9 @@ class TestModularLift:
 
     def test_triple_part_of_the_system_is_built_once(self, basis_cache, monkeypatch):
         # the triples' columns of the transposed system are the same for
-        # every target and prime, and generation hands them to the basis;
-        # only the exact replays (one relation per independent triple)
-        # compute relations
+        # every target and prime, so the basis builds them once (one
+        # relation per independent triple); beyond that only the exact
+        # replays (one relation per independent triple each) compute relations
         basis = generate_relations(6, basis_cache)
         relations, replays = [], []
         real_coords, real_replays = certificate._relation_coords, RelationBasis._replays
@@ -546,7 +534,7 @@ class TestModularLift:
         )
         rows = rref_rows(basis)
         assert all(basis.express(row) for row in rows)
-        assert len(relations) == basis.rank * len(replays)
+        assert len(relations) == basis.rank * (1 + len(replays))
 
     def test_primes_are_distinct_and_pass_fermat(self):
         assert len(set(prover._PRIMES)) == len(prover._PRIMES)
@@ -577,7 +565,7 @@ class TestModularLift:
             f: {w: c for w, c in lam.items() if (f, w) != ((2, 1), (1, 2))}
             for f, lam in basis._annihilators.items()
         }
-        tampered = RelationBasis(4, basis.pivots, basis._triples, lams, basis._triple_rows)
+        tampered = RelationBasis(4, basis.pivots, basis._triples, lams)
         assert tampered.reduce({(1, 2): F(1)}) == {}
         with pytest.raises(RuntimeError, match="inconsistent"):
             tampered.express({(1, 2): F(1)})
