@@ -48,18 +48,15 @@ core, which is all that ``verify-certificate`` loads besides the parser.
 from __future__ import annotations
 
 import contextlib
-import math
-import operator
 import os
 import sys
 import types
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .arith import INFINITY, padic_valuation
-from .quantities import ExprAst, Poly, _fold, parse
+from .arith import INFINITY
+from .quantities import BINARY_OPS, ExprAst, parse
 
 if TYPE_CHECKING:
     import argparse
@@ -68,7 +65,6 @@ if TYPE_CHECKING:
     from .series import MhsSeries
 
 __all__ = [
-    "eval_at_prime",
     "eval_series",
     "eval_statement",
     "main",
@@ -77,10 +73,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-
-#: The binary operator nodes, for series and for values at a prime alike.
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def eval_series(ast: ExprAst, order: int, cache_dir=None) -> MhsSeries:
@@ -98,9 +90,9 @@ def eval_series(ast: ExprAst, order: int, cache_dir=None) -> MhsSeries:
         from .expansions import expand_quantity
 
         return expand_quantity(ast.payload, order, cache_dir=cache_dir)
-    if kind in _BINARY:
+    if kind in BINARY_OPS:
         left, right = (eval_series(child, order, cache_dir) for child in ast.children)
-        return _BINARY[kind](left, right)
+        return BINARY_OPS[kind](left, right)
     if kind == "neg":
         return eval_series(ast.children[0], order, cache_dir).scale(-1)
     if kind == "inv":
@@ -138,70 +130,6 @@ def _nodes(ast: ExprAst):
     yield ast
     for child in ast.children:
         yield from _nodes(child)
-
-
-_DENOMINATOR_REASON = "prime divides a coefficient denominator"
-
-
-def _check_denominator(num: Poly, den: Poly, p: int) -> None:
-    """Refuse p when it divides the lowest nonzero coefficient of ``den``,
-    once num/den has integer coefficients with no common factor."""
-    from .oracle import NoValueAtPrime
-
-    m = math.lcm(*(c.denominator for c in num + den))
-    content = math.gcd(*(int(c * m) for c in num + den))
-    if int(next(c for c in den if c) * m) // content % p == 0:
-        raise NoValueAtPrime(_DENOMINATOR_REASON)
-
-
-def eval_at_prime(ast: ExprAst, p: int, work_budget: int | None = None) -> Fraction:
-    """Exact value of an expression node at the prime p, by the oracle alone.
-
-    No series expansion is involved: ``H`` atoms are summed directly and
-    quantity atoms go through :func:`padicmhs.oracle.eval_quantity`, which
-    raises ``WorkBudgetExceeded`` when the direct sum is over
-    ``work_budget`` (None: the oracle's ``DEFAULT_WORK_BUDGET``).
-    A prime that divides a coefficient denominator has no value
-    (``NoValueAtPrime``): a literal's, a sumpoly coefficient's, or the lowest
-    nonzero one of a nonzero rat's or folded inv's (:func:`_check_denominator`).
-    """
-    from .oracle import DEFAULT_WORK_BUDGET, NoValueAtPrime, eval_mhs, eval_quantity
-
-    if work_budget is None:
-        work_budget = DEFAULT_WORK_BUDGET
-    kind = ast.kind
-    if kind == "lit":
-        if ast.payload.denominator % p == 0:
-            raise NoValueAtPrime(_DENOMINATOR_REASON)
-        return ast.payload
-    if kind == "p":
-        return Fraction(p) ** ast.payload
-    if kind == "H":
-        return eval_mhs(p - 1, ast.payload)
-    if kind == "quantity":
-        q = ast.payload
-        if q.name == "sumpoly" and any(c.denominator % p == 0 for c in q.args[0]):
-            raise NoValueAtPrime(_DENOMINATOR_REASON)
-        value = eval_quantity(q, p, work_budget)
-        if q.name == "rat" and value:
-            _check_denominator(*q.args, p)
-        return value
-    values = [eval_at_prime(child, p, work_budget) for child in ast.children]
-    if kind in _BINARY:
-        return _BINARY[kind](*values)
-    if kind == "neg":
-        return -values[0]
-    if kind == "inv":
-        try:
-            den, num = _fold(ast.children[0])
-        except ValueError:  # not a rational function of p
-            den = ()
-        if values[0] and den and den[0]:
-            _check_denominator(num, den, p)
-        if padic_valuation(values[0], p) != 0:
-            raise ValueError(f"inv of a value that is not a p-adic unit at p={p}")
-        return 1 / values[0]
-    raise ValueError(f"no value at a prime for {kind!r} nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +256,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import PrimeWindow, check_numeric
+    from .oracle import PrimeWindow, check_numeric, eval_at_prime
 
     statements = _load_statements(args.congruence)
     window = PrimeWindow() if args.primes is None else args.primes
@@ -342,14 +270,12 @@ def cmd_verify(args) -> int:
                 "verify evaluates every atom at each prime, and zetap(k) is a "
                 "p-adic limit with no exact value at a single prime; use prove"
             )
-        lhs, rhs = ast.children
-
-        def diff(p):
-            return eval_at_prime(lhs, p, args.work_budget) - eval_at_prime(
-                rhs, p, args.work_budget
-            )
-
-        report = check_numeric(diff, window, required=ast.payload)
+        (lhs, rhs), budget = ast.children, args.work_budget
+        report = check_numeric(
+            lambda p: eval_at_prime(lhs, p, budget) - eval_at_prime(rhs, p, budget),
+            window,
+            required=ast.payload,
+        )
         print(f"verify: {text}")
         print(report.render())
         ok = ok and report.passed

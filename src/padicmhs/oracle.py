@@ -5,7 +5,8 @@ binomial arithmetic or, for the curious sums, a generating-function identity
 — never through the symbolic series expansions that it is used to check.
 With k = 2 or 3 parts that identity is an elementary symmetric function of
 the harmonic sums over the nonzero residue classes mod p; with more parts it
-is evaluated by binary splitting.  ``check_numeric`` evaluates a claimed
+is evaluated by binary splitting.  ``eval_at_prime`` gives the value of a
+parsed expression at a prime, ``check_numeric`` evaluates a claimed
 congruence, given as a difference callable, at every prime of a window
 and reports the achieved p-adic valuations against the required one.
 
@@ -21,11 +22,11 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .arith import INFINITY, binomial, eval_poly, padic_valuation
 from .compositions import Comp, check_int
-from .quantities import QuantitySpec
+from .quantities import BINARY_OPS, ExprAst, Poly, QuantitySpec, _fold
 from .series import MhsSeries
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "eval_power_sum",
     "eval_quantity",
     "eval_series_terms",
+    "eval_at_prime",
     "apery_number",
     "check_numeric",
 ]
@@ -53,6 +55,9 @@ class WorkBudgetExceeded(Exception):
 class NoValueAtPrime(ValueError):
     """No value at this prime: a power sum's range reaches the index 0 or below, or
     p divides a coefficient denominator.  :func:`check_numeric` skips and lists it."""
+
+
+_DENOMINATOR_REASON = "prime divides a coefficient denominator"
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +210,9 @@ def eval_quantity(
     (``zetap``), and :class:`WorkBudgetExceeded`, before any big allocation,
     when a charge exceeds ``work_budget``: binp costs a*p^r, binpoly the larger
     of |f(p)| and g(p), apery p (the sizes of the integers they multiply), psum
-    (N - M) times its depth, hres p^r - 1 and curious (k-1)(p^r - 1) summation
-    steps.  sumpoly, half and alt sum fewer than p terms per power sum and are
-    not charged.
+    (N - M) times its depth, hres p^r - 1, curious (k-1)(p^r - 1), sumpoly
+    (p - 1)(2 len(s) + 1) per nonzero coefficient (its power sums' indices
+    times their depths), half (p-1)/2 and alt (p-1)/2 + p - 1 summation steps.
     """
     name, args = q.name, q.args
     if name == "binp":
@@ -244,6 +249,7 @@ def eval_quantity(
     if name == "sumpoly":
         # sum_m m^i H_m(s) = S_{p-1,0}((-i, s)) + S_{p-1,0}((s_1 - i, s_2, ..)), n_1 < m or = m
         P, s = args
+        _charge((p - 1) * (2 * len(s) + 1) * sum(1 for c in P if c), work_budget, q)
         total = Fraction(0)
         for i, c in enumerate(P):
             if c:
@@ -252,10 +258,12 @@ def eval_quantity(
         return total
     if name == "half":
         (k,) = args
+        _charge((p - 1) // 2, work_budget, q)
         return Fraction(p) ** k * eval_mhs((p - 1) // 2, (k,))
     if name == "alt":
         (k,) = args
         # sum (-1)^n / n^k is twice the even n, 2^(-k) H_{(p-1)/2}(k), minus H_{p-1}(k)
+        _charge((p - 1) // 2 + p - 1, work_budget, q)
         half, full = (eval_power_sum(N, 0, (k,)) for N in ((p - 1) // 2, p - 1))
         return Fraction(p) ** k * (Fraction(2, 2**k) * half - full)
     num, den = args  # rat, the last name a spec admits
@@ -425,6 +433,64 @@ def eval_series_terms(series: MhsSeries, p: int) -> Fraction:
     return total
 
 
+def _check_denominator(num: Poly, den: Poly, p: int) -> None:
+    """Refuse p when it divides the lowest nonzero coefficient of ``den``,
+    once num/den has integer coefficients with no common factor."""
+    m = math.lcm(*(c.denominator for c in num + den))
+    content = math.gcd(*(int(c * m) for c in num + den))
+    if int(next(c for c in den if c) * m) // content % p == 0:
+        raise NoValueAtPrime(_DENOMINATOR_REASON)
+
+
+def eval_at_prime(ast: ExprAst, p: int, work_budget: int | None = None) -> Fraction:
+    """Exact value of an expression node at the prime p, by this module alone.
+
+    No series expansion is involved: an ``H(s)`` atom is the power sum
+    ``psum(p-1;0;s)`` and every quantity atom goes through
+    :func:`eval_quantity`, which raises ``WorkBudgetExceeded`` when its
+    charge is over ``work_budget`` (None: ``DEFAULT_WORK_BUDGET``).
+    A prime that divides a coefficient denominator has no value
+    (``NoValueAtPrime``): a literal's, a sumpoly coefficient's, or the lowest
+    nonzero one of a nonzero rat's or folded inv's (:func:`_check_denominator`).
+    """
+    if work_budget is None:
+        work_budget = DEFAULT_WORK_BUDGET
+    kind = ast.kind
+    if kind == "lit":
+        if ast.payload.denominator % p == 0:
+            raise NoValueAtPrime(_DENOMINATOR_REASON)
+        return ast.payload
+    if kind == "p":
+        return Fraction(p) ** ast.payload
+    if kind == "H":  # psum(p-1;0;s), charged as that power sum
+        psum = QuantitySpec("psum", ((-1, 1), (), ast.payload, False))
+        return eval_quantity(psum, p, work_budget)
+    if kind == "quantity":
+        q = ast.payload
+        if q.name == "sumpoly" and any(c.denominator % p == 0 for c in q.args[0]):
+            raise NoValueAtPrime(_DENOMINATOR_REASON)
+        value = eval_quantity(q, p, work_budget)
+        if q.name == "rat" and value:
+            _check_denominator(*q.args, p)
+        return value
+    values = [eval_at_prime(child, p, work_budget) for child in ast.children]
+    if kind in BINARY_OPS:
+        return BINARY_OPS[kind](*values)
+    if kind == "neg":
+        return -values[0]
+    if kind == "inv":
+        try:
+            den, num = _fold(ast.children[0])
+        except ValueError:  # not a rational function of p
+            den = ()
+        if values[0] and den and den[0]:
+            _check_denominator(num, den, p)
+        if padic_valuation(values[0], p) != 0:
+            raise ValueError(f"inv of a value that is not a p-adic unit at p={p}")
+        return 1 / values[0]
+    raise ValueError(f"no value at a prime for {kind!r} nodes")
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -490,16 +556,15 @@ class NumericReport:
 
 
 def check_numeric(
-    diff: Callable[[int], Optional[Fraction]],
+    diff: Callable[[int], Fraction],
     window: PrimeWindow,
     required: Union[int, float],
 ) -> NumericReport:
     """Evaluate a claimed difference at every prime of the window and report valuations.
 
-    ``diff(p)`` is the exact difference of the claim at the prime p, or None
-    where the claim is not p-integral; such primes, and those where ``diff``
-    raises :class:`NoValueAtPrime`, are skipped and listed in the report
-    with their reason.  A prime where ``diff`` raises
+    ``diff(p)`` is the exact difference of the claim at the prime p.  A prime
+    where ``diff`` raises :class:`NoValueAtPrime` is skipped and listed in the
+    report with its reason, and one where it raises
     :class:`WorkBudgetExceeded` is recorded as refused.  Each difference
     must reach valuation ``required`` (INFINITY: it must vanish exactly).
     """
@@ -513,9 +578,6 @@ def check_numeric(
             continue
         except NoValueAtPrime as exc:
             skipped[p] = str(exc)
-            continue
-        if d is None:
-            skipped[p] = "prime divides a coefficient denominator"
             continue
         records.append((p, required, padic_valuation(d, p)))
     return NumericReport(records, skipped)

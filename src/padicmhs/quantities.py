@@ -46,6 +46,7 @@ or ``p^2-1/(p+1)``, read by the usual precedence: ``1/2*p`` is p/2.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -53,6 +54,7 @@ from .arith import poly_mul, poly_sub, strip_poly
 from .compositions import check_int
 
 __all__ = [
+    "BINARY_OPS",
     "ExprAst",
     "ExprSyntaxError",
     "QuantitySpec",
@@ -241,6 +243,10 @@ class ExprAst(_Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "children", children)
+
+
+#: The binary operator nodes, for series and for values at a prime alike.
+BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 class _Parser:

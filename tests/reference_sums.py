@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from padicmhs.arith import INFINITY
 from padicmhs.oracle import (
+    NoValueAtPrime,
     NumericReport,
     PrimeWindow,
     check_numeric,
@@ -34,7 +35,7 @@ def check_expansion(
 
     def diff(p):
         if any(d % p == 0 for d in dens):
-            return None
+            raise NoValueAtPrime("prime divides a coefficient denominator")
         return eval_quantity(q, p) - eval_series_terms(series, p)
 
     return check_numeric(diff, window, required)

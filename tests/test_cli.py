@@ -16,7 +16,7 @@ import padicmhs
 from padicmhs import clear_caches, cli, quantities
 from padicmhs.arith import padic_valuation
 from padicmhs.cli import eval_series, eval_statement, main
-from padicmhs.oracle import PrimeWindow, eval_series_terms
+from padicmhs.oracle import PrimeWindow, eval_at_prime, eval_series_terms
 from padicmhs.prover import RelationBasis
 from padicmhs.quantities import ExprAst, ExprSyntaxError, parse
 from padicmhs.series import MhsSeries
@@ -473,7 +473,7 @@ class TestVerifyCommand:
         text = "(1 + p*H(1))*inv(1 - p^2*H(2)) - 3/4*p^-1*H(1,1)"
         series = eval_series(parse(text), 6)
         for p in (11, 13):
-            diff = cli.eval_at_prime(parse(text), p) - eval_series_terms(series, p)
+            diff = eval_at_prime(parse(text), p) - eval_series_terms(series, p)
             assert padic_valuation(diff, p) >= 6
 
 
@@ -850,6 +850,21 @@ class TestStartupFootprint:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout == "[]\n"
+
+    def test_verify_loads_no_expansion_layer(self):
+        # verify evaluates every atom with the oracle alone
+        code = (
+            "import sys, padicmhs.cli;"
+            f"code = padicmhs.cli.main(['verify', {APPENDIX_EXPR + ' = 0 mod p^6'!r},"
+            " '--primes', '11..13']);"
+            "layers = ['expansions', 'powersums', 'prover', 'certificate'];"
+            "print(code, [m for m in layers if 'padicmhs.' + m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(padicmhs.__file__).parent.parent)}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.splitlines()[-1] == "0 []"
 
 
 class TestVersion:

@@ -17,6 +17,7 @@ from padicmhs.arith import INFINITY, padic_valuation
 from padicmhs.compositions import enumerate_compositions, stuffle
 from padicmhs.oracle import (
     DEFAULT_WORK_BUDGET,
+    NoValueAtPrime,
     NumericReport,
     PrimeWindow,
     WorkBudgetExceeded,
@@ -25,13 +26,14 @@ from padicmhs.oracle import (
     _lcm_steps,
     apery_number,
     check_numeric,
+    eval_at_prime,
     eval_mhs,
     eval_power_sum,
     eval_quantity,
     eval_series_terms,
     primes_in,
 )
-from padicmhs.quantities import QuantitySpec
+from padicmhs.quantities import QuantitySpec, parse
 from padicmhs.series import MhsSeries
 from reference_sums import check_expansion, eval_polylog_sum, quantity
 
@@ -631,7 +633,8 @@ class TestGrowingDenominator:
 
 
 class TestBudgetCharges:
-    """binp, binpoly and apery are charged by the size of what they multiply."""
+    """binp, binpoly and apery are charged by the size of what they multiply,
+    sumpoly, half and alt by the indices they sum."""
 
     @pytest.mark.parametrize(
         "name,args,p,cost",
@@ -642,6 +645,10 @@ class TestBudgetCharges:
             ("binpoly", "p-14;3", 7, 7),  # |f(p)| when f(p) < 0
             ("binpoly", "p;2*p", 3, 6),
             ("apery", "", 11, 11),
+            ("sumpoly", "1+p;2,1", 11, 100),  # two coefficients, power sums of depth 3 and 2
+            ("sumpoly", "1;", 11, 10),  # the one power sum sum_m 1
+            ("half", "3", 11, 5),
+            ("alt", "3", 11, 15),  # the half and the whole range
         ],
     )
     def test_charge_boundary(self, name, args, p, cost):
@@ -649,6 +656,13 @@ class TestBudgetCharges:
         assert eval_quantity(q, p, work_budget=cost) == eval_quantity(q, p)
         with pytest.raises(WorkBudgetExceeded):
             eval_quantity(q, p, work_budget=cost - 1)
+
+    def test_h_atom_is_charged_as_its_power_sum(self):
+        # H(1,1) is psum(p-1;0;1,1): (p - 1) indices at depth 2
+        ast = parse("H(1,1)")
+        assert eval_at_prime(ast, 101, work_budget=200) == eval_mhs(100, (1, 1))
+        with pytest.raises(WorkBudgetExceeded):
+            eval_at_prime(ast, 101, work_budget=199)
 
 
 class TestEvalSeriesTerms:
@@ -771,18 +785,15 @@ class TestCheckNumeric:
 
     def test_a_prime_with_no_value_is_skipped_with_its_reason(self):
         q = quantity("psum(p;p-20;1)")  # the range (p-20, p] holds 0 below p = 20
-        report = check_numeric(
-            lambda p: None if p == 29 else p * eval_quantity(q, p) - 1, PrimeWindow(11, 31), 1
-        )
+
+        def diff(p):
+            if p == 29:
+                raise NoValueAtPrime("prime divides a coefficient denominator")
+            return p * eval_quantity(q, p) - 1
+
+        report = check_numeric(diff, PrimeWindow(11, 31), 1)
         assert report.passed and list(report.skip_reasons) == [11, 13, 17, 19, 29]
         assert report.render().splitlines()[-2:] == [
             "skipped (a power-sum range needs a lower bound M >= 0): 11, 13, 17, 19",
             "skipped (prime divides a coefficient denominator): 29",
         ]
-
-    def test_callable_skips_a_prime_with_none(self):
-        report = check_numeric(
-            lambda p: None if p == 13 else F(p), PrimeWindow(11, 17), required=1
-        )
-        assert report.passed and list(report.skip_reasons) == [13]
-        assert [p for (p, _r, _g) in report.records] == [11, 17]
