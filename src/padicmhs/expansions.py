@@ -45,8 +45,9 @@ from .arith import (
     power_sum_poly,
     strip_poly,
 )
-from .compositions import Comp, _stuffle_cached, check_int, compositions_of, stuffle
+from .compositions import Comp, bounded_tuples, check_int, compositions_of, stuffle
 from .powersums import (
+    _chain_product,
     _profile_products,
     _raise_order,
     full_sum,
@@ -327,18 +328,6 @@ def _expand_binomial_poly(f: IntPoly, g: IntPoly, order: int) -> MhsSeries:
     return _factorial_ratio([(f, 1), (g, -1), (h, -1)], order)
 
 
-def _expand_binomial_pp(a: int, b: int, r: int, order: int) -> MhsSeries:
-    """Series for ``C(a * p^r, b * p^r)``.
-
-    ``r = 0`` is the exact constant ``C(a, b)``; ``r = 1, a = 2, b = 1``
-    reproduces the classical central-binomial expansion
-    ``2 * sum_n p^n H(1^n)``.
-    """
-    if r == 0 or b == 0:
-        return MhsSeries.constant(binomial(a, b), None)
-    return _expand_binomial_poly((0,) * r + (a,), (0,) * r + (b,), order)
-
-
 # ---------------------------------------------------------------------------
 # Apery numbers
 # ---------------------------------------------------------------------------
@@ -429,17 +418,17 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
     :func:`poly_sum` only by reversal relations, which canonicalization
     removes.  For ``r >= 3`` the a-part is :func:`poly_sum`.
 
-    The j-parts have integer coefficients: ``emit`` folds each leaf's
-    stuffle products as an int map ``{composition: coefficient}`` and adds
-    it into its profile; :func:`~padicmhs.powersums._profile_products` sums
-    the profile products.
+    Each shape's geometric degrees come from :func:`bounded_tuples`, and a
+    leaf's j-part is :func:`~padicmhs.powersums._chain_product` of its
+    chains, a product of H's with int coefficients added into its profile;
+    :func:`~padicmhs.powersums._profile_products` sums the profile products.
     """
     kfact = factorial(k)
     pinned_exp = r - 1  # a_1 = p^(r-1)
     a_poly = (-1,) + (0,) * (r - 2) + (1,)  # x^(r-1) - 1
     # k! times the signed j-parts, summed per profile (shift, svec) as int
-    # maps {composition: coefficient} of terms at p^0
-    j_sums: dict[tuple[int, tuple[int, ...]], dict[tuple[int, ...], int]] = {}
+    # maps {(0, composition): coefficient} of terms at p^0
+    j_sums: dict[tuple[int, tuple[int, ...]], dict[tuple, int]] = {}
 
     for runs in compositions_of(k):
         t = len(runs)
@@ -491,7 +480,7 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                 nj0 = [0] * t
                 for pos in zero_positions:
                     nj0[run_of[pos]] += 1
-                base_sign = -1 if (len(geom) + e_size) % 2 else 1
+                scale = kfact * (-1 if (len(geom) + e_size) % 2 else 1)
 
                 # the j-chains of each block, as the slots their exponents sum
                 sigma_slots = [
@@ -499,65 +488,36 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                     for bi, slots in enumerate(block_slots)
                 ]
                 sigma_slots = [slots[::-1] for slots in sigma_slots if slots]
-                # geometric degrees: per position, and summed per run
-                nvec: dict[int, int] = {}
-                run_n = [0] * t
-
-                def profile(total: int) -> tuple[int, tuple[int, ...]]:
-                    shift = total - len(zero_positions) + pinned_exp * (run_n[0] - nj0[0])
-                    svec = tuple(nj0[ri] - run_n[ri] for ri in range(1, t))
-                    return shift, svec
-
-                def bound(total: int) -> int:
-                    # valuation floor of this piece: dropping it entirely is
-                    # sound once the floor reaches the target order
-                    shift, svec = profile(total)
-                    return shift + valuation_bound(pinned_exp, svec, False)
-
-                def emit(total: int) -> None:
-                    # the leaf's j-part, a product of H's at p^0, as an int
-                    # map {composition: coefficient}, added into its profile
-                    j_part = {(): kfact * base_sign}
-                    for slots in sigma_slots:
-                        sigma = tuple(sum(1 + nvec[pos] for pos in slot) for slot in slots)
-                        product: dict[tuple[int, ...], int] = {}
-                        for s1, c1 in j_part.items():
-                            for s, mult in _stuffle_cached(s1, sigma):
-                                product[s] = product.get(s, 0) + c1 * mult
-                        j_part = product
-                    j_sum = j_sums.setdefault(profile(total), {})
-                    for s, c in j_part.items():
-                        j_sum[s] = j_sum.get(s, 0) + c
-
-                def dfs(i: int, total: int) -> None:
-                    # every extra geometric term raises the floor by >= 1,
-                    # so each loop below terminates
-                    if bound(total) >= order:
-                        return
-                    if i == len(geom):
-                        emit(total)
-                        return
-                    pos = geom[i]
-                    ri = run_of[pos]
-                    n = 0
-                    while True:
-                        nvec[pos] = n
-                        if bound(total + n) >= order:
-                            break
-                        dfs(i + 1, total + n)
-                        n += 1
-                        run_n[ri] += 1
-                    run_n[ri] -= n
-                    del nvec[pos]
-
-                dfs(0, 0)
+                # a leaf's valuation floor is shift + valuation_bound(svec),
+                # and every geometric degree raises it by at least 1: the
+                # all-zero leaf's floor bounds the total degree
+                floor0 = valuation_bound(pinned_exp, tuple(nj0[1:]), False)
+                floor0 -= len(zero_positions) + pinned_exp * nj0[0]
+                for degrees in bounded_tuples(len(geom), order - 1 - floor0):
+                    e = list(nj0)
+                    for pos, n in zip(geom, degrees):
+                        e[run_of[pos]] -= n
+                    shift = sum(degrees) - len(zero_positions) - pinned_exp * e[0]
+                    svec = tuple(e[1:])
+                    if shift + valuation_bound(pinned_exp, svec, False) >= order:
+                        continue  # dropping the leaf is sound
+                    n_at = dict(zip(geom, degrees))
+                    # the stuffle product commutes: sorted, leaves share products
+                    sigmas = tuple(sorted(
+                        tuple(sum(1 + n_at[pos] for pos in slot) for slot in slots)
+                        for slots in sigma_slots
+                    ))
+                    # every exponent is positive, so the j-part's denominator is 1
+                    j_sum = j_sums.setdefault((shift, svec), {})
+                    for key, c in _chain_product(sigmas)[1]:
+                        j_sum[key] = j_sum.get(key, 0) + scale * c
 
     a_orders: dict[tuple[int, ...], int] = {}
     for shift, svec in j_sums:
         _raise_order(a_orders, svec, order - shift)
     return _profile_products(
         (
-            (svec, shift, [((0, s), c) for s, c in j_sum.items() if c], 1)
+            (svec, shift, [(key, c) for key, c in j_sum.items() if c], 1)
             for (shift, svec), j_sum in j_sums.items()
         ),
         a_orders,
@@ -587,8 +547,10 @@ def expand_quantity(spec: QuantitySpec, order: int, *, cache_dir=None) -> MhsSer
     """
     order = check_int(order, "order")
     name, args = spec.name, spec.args
-    if name == "binp":
-        return _expand_binomial_pp(*args, order)
+    if name == "binp":  # C(a p^r, b p^r)
+        a, b, r = args
+        f, g = (strip_poly((0,) * r + (c,)) for c in (a, b))
+        return _expand_binomial_poly(f, g, order)
     if name == "binpoly":
         return _expand_binomial_poly(*args, order)
     if name == "apery":

@@ -77,16 +77,19 @@ def primes_in(lo: int, hi: int) -> list[int]:
 class PrimeWindow:
     """Inclusive prime range lo..hi (ints, lo <= hi) for spot checks (default 11..97)."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo", "hi", "_primes")
 
     def __init__(self, lo: int = 11, hi: int = 97) -> None:
         self.lo = check_int(lo, "prime window lower bound")
         self.hi = check_int(hi, "prime window upper bound")
         if lo > hi:
             raise ValueError(f"prime window needs lo <= hi, got {lo}..{hi}")
+        self._primes: list[int] | None = None
 
     def primes(self) -> list[int]:
-        return primes_in(self.lo, self.hi)
+        if self._primes is None:  # listed on first use, once per window
+            self._primes = primes_in(self.lo, self.hi)
+        return self._primes
 
 
 # ---------------------------------------------------------------------------

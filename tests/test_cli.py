@@ -333,6 +333,18 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "p = 0 mod p^1", "--primes", "10001..20001"])
 
+    def test_window_primes_are_listed_once_per_command(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        primes_in = padicmhs.oracle.primes_in
+        monkeypatch.setattr(
+            "padicmhs.oracle.primes_in", lambda lo, hi: calls.append((lo, hi)) or primes_in(lo, hi)
+        )
+        path = tmp_path / "two.txt"
+        path.write_text("p*H(1) = 0 mod p^1\nH(1) = 0 mod p^1\n")
+        assert main(["verify", str(path), "--primes", "11..13"]) == 0
+        assert calls == [(11, 13)]
+        assert capsys.readouterr().out.count("summary: PASS") == 2
+
     def test_quantity_over_budget_is_refused(self, capsys):
         # hres(9) at p=11 needs 11^9 - 1 summation steps, far over the budget;
         # the series of hres(9) vanishes below p^9, so only the oracle refuses

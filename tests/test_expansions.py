@@ -381,6 +381,19 @@ class TestBinomials:
         assert expand("binpoly", (0, 1), (-1, 2), order=6).is_zero()  # C(p, 2p-1) = 0
         assert expand("binpoly", (0, 1), (1, 0, 1), order=6).is_zero()  # deg f < deg g
 
+    @pytest.mark.parametrize(
+        "a,b,r", [(a, b, r) for a in range(6) for b in range(a + 1) for r in range(4)]
+    )
+    def test_pp_grid(self, a, b, r):
+        # r = 0, b = 0 and b = a give the exact constant C(a, b) at every order
+        for order in range(7):
+            s = expand("binp", a, b, r, order=order)
+            if r == 0 or b in (0, a):
+                assert s.order is None and s.render() == str(math.comb(a, b))
+            else:
+                assert s.order == order
+                assert_expands(QuantitySpec("binp", (a, b, r)), s, PrimeWindow(11, 13))
+
     def test_poly_equals_pp_route(self):
         for order in range(1, 9):
             a = expand("binpoly", (0, 2), (0, 1), order=order)
@@ -632,6 +645,7 @@ class TestCuriousProfiles:
         (3, 5, 5): "e035e2294b7c5111",
         (3, 4, 6): "13269ca409f92a7f",
         (4, 3, 6): "963bc25f189f6208",
+        (4, 4, 5): "2e768b6455f00b53",
     }
 
     @pytest.mark.parametrize("r,k,order", sorted(RAW_DIGESTS))
