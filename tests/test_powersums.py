@@ -369,9 +369,6 @@ INTEGER_ACCUMULATION_DIGESTS = [
     (_expand_curious_general, (2, 4, 4), "824ef4d8a55d0aa4"),
     (_expand_curious_general, (2, 4, 5), "757dcc58fef10bfe"),
     (_expand_curious_general, (3, 3, 6), "cc02c2f20cd8d9d0"),
-    (_expand_curious_general, (2, 2, 6), "22986ff3d4210a8a"),
-    (_expand_curious_general, (2, 5, 5), "8883f42ea04d671b"),
-    (_expand_curious_general, (2, 3, 9), "b49147f1f7e6d3bc"),
     (signed_mhs, ((2, -1, 3),), "9dd828a1917801aa"),
     (signed_mhs, ((1, 0, 2),), "97c7a36f1cd3d1f2"),
     (signed_mhs, ((-2, 3),), "3876c4034d07b1ed"),
@@ -383,6 +380,10 @@ INTEGER_ACCUMULATION_DIGESTS = [
     (signed_mhs, ((1, 2, 0),), "62b9beff8d3e4fee"),
     (signed_mhs, ((-1, -1),), "a5c95333107ca957"),
     (signed_mhs, ((0, 3, -2),), "20dda124fdc13fbc"),
+    # further curious shapes, appended so the earlier case ids stay put
+    (_expand_curious_general, (2, 2, 6), "22986ff3d4210a8a"),
+    (_expand_curious_general, (2, 5, 5), "8883f42ea04d671b"),
+    (_expand_curious_general, (2, 3, 9), "b49147f1f7e6d3bc"),
 ]
 
 
