@@ -423,11 +423,11 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
     chains, a product of H's with int coefficients added into its profile;
     :func:`~padicmhs.powersums._profile_products` sums the profile products.
     """
-    kfact = factorial(k)
     pinned_exp = r - 1  # a_1 = p^(r-1)
     a_poly = (-1,) + (0,) * (r - 2) + (1,)  # x^(r-1) - 1
-    # k! times the signed j-parts, summed per profile (shift, svec) as int
-    # maps {(0, composition): coefficient} of terms at p^0
+    # the signed j-parts, summed per profile (shift, svec) as int maps
+    # {(0, composition): coefficient} of terms at p^0; the k! of the
+    # symmetrization scales the sum once, so the entries stay small ints
     j_sums: dict[tuple[int, tuple[int, ...]], dict[tuple, int]] = {}
 
     for runs in compositions_of(k):
@@ -480,7 +480,7 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                 nj0 = [0] * t
                 for pos in zero_positions:
                     nj0[run_of[pos]] += 1
-                scale = kfact * (-1 if (len(geom) + e_size) % 2 else 1)
+                sign = -1 if (len(geom) + e_size) % 2 else 1
 
                 # the j-chains of each block, as the slots their exponents sum
                 sigma_slots = [
@@ -509,8 +509,8 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
                     ))
                     # every exponent is positive, so the j-part's denominator is 1
                     j_sum = j_sums.setdefault((shift, svec), {})
-                    for key, c in _chain_product(sigmas)[1]:
-                        j_sum[key] = j_sum.get(key, 0) + scale * c
+                    for key, c in _chain_product(sigmas)._nums.items():
+                        j_sum[key] = j_sum.get(key, 0) + sign * c
 
     a_orders: dict[tuple[int, ...], int] = {}
     for shift, svec in j_sums:
@@ -525,7 +525,7 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
             signed_mhs(svec) if r == 2 else poly_sum(a_poly, svec, False, a_order)
         ),
         order,
-    )
+    ).scale(factorial(k))
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,33 @@ _DENOMINATOR_REASON = "prime divides a coefficient denominator"
 # ---------------------------------------------------------------------------
 
 
+#: Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
+#: (Sorenson and Webster, 2015); a prime window may not reach it.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for n < PRIME_TEST_BOUND."""
+    if n < 2 or any(n % q == 0 for q in _BASES):
+        return n in _BASES
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        for _ in range(s):
+            if x == 1 or x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi] (inclusive)."""
-    out = []
-    for n in range(max(lo, 2), hi + 1):
-        if all(n % q for q in range(2, math.isqrt(n) + 1)):
-            out.append(n)
-    return out
+    """All primes in [lo, hi] (inclusive), for hi < PRIME_TEST_BOUND."""
+    return [n for n in range(max(lo, 2), hi + 1) if _is_prime(n)]
 
 
 class PrimeWindow:
@@ -84,6 +104,8 @@ class PrimeWindow:
         self.hi = check_int(hi, "prime window upper bound")
         if lo > hi:
             raise ValueError(f"prime window needs lo <= hi, got {lo}..{hi}")
+        if hi >= PRIME_TEST_BOUND:
+            raise ValueError(f"prime window needs hi < {PRIME_TEST_BOUND}, got {hi}")
         self._primes: list[int] | None = None
 
     def primes(self) -> list[int]:

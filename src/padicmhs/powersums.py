@@ -52,20 +52,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable
 
 from .arith import INFINITY, IntPoly, poly_mul, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
-from .series import (
-    IntTerms,
-    MhsSeries,
-    _add_over,
-    _integer_terms,
-    _over,
-    _rescale,
-    _stuffle_into,
-)
+from .series import MhsSeries, _add_into, _rescale, _stuffle_into
 
 __all__ = [
     "signed_mhs",
@@ -78,8 +70,8 @@ __all__ = [
 
 Exps = tuple[int, ...]
 
-_ONE = MhsSeries._trusted({(0, ()): Fraction(1)}, None)
-_ZERO = MhsSeries._trusted({}, None)
+_ONE = MhsSeries._trusted({(0, ()): 1}, 1, None)
+_ZERO = MhsSeries._trusted({}, 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +92,7 @@ def _binom_neg(s: int, n: int) -> int:
 
 def _exact_constant(c: Fraction) -> MhsSeries:
     """The exact constant series c (the empty series when c is zero)."""
-    return MhsSeries._trusted({(0, ()): c} if c else {}, None)
+    return MhsSeries._trusted({(0, ()): c.numerator}, c.denominator, None)
 
 
 #: sum key -> (order, series): each bounded sum at the highest order so far
@@ -112,11 +104,8 @@ def _memoized(key: tuple, order: int, compute: Callable[[], MhsSeries]) -> MhsSe
 
     Below ``order`` a truncated expansion has the same terms whichever
     higher order it was computed at, so a result kept at a higher order is
-    served truncated.  A truncation carries the cut of the int form the
-    kept result holds (over the same denominator), so :func:`_eliminate`
-    converts each sum to int numerators once.  An exact result is served
-    only at the order it was computed for.  The memo keeps the highest
-    order computed so far.
+    served truncated.  An exact result is served only at the order it was
+    computed for.  The memo keeps the highest order computed so far.
     """
     hit = _memo.get(key)
     if hit is not None:
@@ -124,10 +113,7 @@ def _memoized(key: tuple, order: int, compute: Callable[[], MhsSeries]) -> MhsSe
         if at == order:
             return series
         if at > order and series.order is not None:
-            cut = series.truncate(order)
-            nums, den = series._integer_form()
-            cut._ints = [(k, n) for k, n in nums if k[0] < order], den
-            return cut
+            return series.truncate(order)
     series = compute()
     if hit is None or order > hit[0]:
         _memo[key] = (order, series)
@@ -193,7 +179,7 @@ def signed_mhs(exps: Exps) -> MhsSeries:
     terminates and the result is exact.
     """
     if all(e >= 1 for e in exps):
-        return MhsSeries._trusted({(0, exps): Fraction(1)}, None)
+        return MhsSeries._trusted({(0, exps): 1}, 1, None)
     return _eliminate(exps, (-1, 1), (), lambda chain, _o: signed_mhs(chain), None)
 
 
@@ -202,11 +188,11 @@ def _ghat_at(d: int, bound: IntPoly) -> tuple[Fraction, ...]:
     """p-coefficients of Ghat_d(bound(p)) = sum_{0 < a <= bound(p)} a^d (0^0 = 1)."""
     ghat = list(power_sum_poly(d))
     ghat[d] += 1
-    nums, den = _integer_terms(dict(enumerate(ghat)))
+    den = lcm(*(c.denominator for c in ghat))
     acc: list[int] = []
-    for _, n in reversed(nums):  # Horner in the polynomial bound, on int numerators
+    for c in reversed(ghat):  # Horner in the polynomial bound, on int numerators over den
         acc = list(poly_mul(acc, bound)) or [0]
-        acc[0] += n
+        acc[0] += c.numerator * (den // c.denominator)
     return tuple(Fraction(n, den) for n in strip_poly(acc))
 
 
@@ -223,7 +209,7 @@ def _eliminate(
     monomial x^j of an index neighbour lowers that neighbour's exponent by
     j.  ``sub(chain, o)`` is the shorter sum over the same interval to
     O(p^o); each piece c * p^m * sub(chain) is asked to O(p^(order - m))
-    and summed as int numerators, in the int form each sub-sum keeps.
+    and its numerators are summed over one running denominator.
     """
     i = next(idx for idx, e in enumerate(exps) if e <= 0)
     d = -exps[i]
@@ -243,11 +229,10 @@ def _eliminate(
     den = 1
     for c, chain, m in pieces:
         if c:
-            nums, d_sub = sub(chain, None if order is None else order - m)._integer_form()
-            nums = [((b + m, s), n) for (b, s), n in nums] if m else nums
-            den = _add_over(acc, den, nums, d_sub * c.denominator, c.numerator)
+            part = sub(chain, None if order is None else order - m).shift(m)
+            den = _add_into(acc, den, part._nums.items(), part._den * c.denominator, c.numerator)
     below = {key: n for key, n in acc.items() if order is None or key[0] < order}
-    return MhsSeries._trusted(_over(below, den), order)
+    return MhsSeries._trusted(below, den, order)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +241,11 @@ def _eliminate(
 
 
 @lru_cache(maxsize=None)
-def _chain_product(chains: tuple[Exps, ...]) -> tuple[MhsSeries, IntTerms, int, int | float]:
-    """The stuffle product of ``signed_mhs(u)`` over the chains ``u``, left to right.
-
-    Returned with its scaled form, the ``(key, numerator)`` pairs over the
-    lcm of its denominators and that lcm, and with its min-valuation.
-    """
+def _chain_product(chains: tuple[Exps, ...]) -> MhsSeries:
+    """The stuffle product of ``signed_mhs(u)`` over the chains ``u``, left to right."""
     if not chains:
-        series = _ONE
-    else:
-        series = _chain_product(chains[:-1])[0] * signed_mhs(chains[-1])
-    nums, d = _integer_terms(series._terms)
-    return series, nums, d, series.min_valuation()
+        return _ONE
+    return _chain_product(chains[:-1]) * signed_mhs(chains[-1])
 
 
 def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
@@ -353,9 +331,8 @@ def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsS
                 for (t, sigma), n in zip(geoms, assign):
                     e[t] -= n
                     chain_exps[t].append(sigma + n)
-                _, nums, d, chain_val = _chain_product(
-                    tuple(tuple(reversed(u)) for u in chain_exps if u)
-                )
+                chain = _chain_product(tuple(tuple(reversed(u)) for u in chain_exps if u))
+                chain_val = chain.min_valuation()
                 if chain_val is INFINITY:
                     continue
                 p_power = base_p + sum(assign)
@@ -366,7 +343,7 @@ def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsS
                 e_key = tuple(e)
                 _raise_order(a_orders, e_key, order_a)
                 profile = profiles.setdefault((e_key, p_power), [{}, 1])
-                profile[1] = _add_over(profile[0], profile[1], nums, d, coeff)
+                profile[1] = _add_into(*profile, chain._nums.items(), chain._den, coeff)
 
     return _profile_products(
         (
@@ -392,9 +369,8 @@ def _profile_products(
     ``profiles`` yields ``(a_key, shift, chains, den)``, the summed chains
     as ``(key, numerator)`` pairs over ``den``.  Each a-part is computed
     once, as ``a_part(a_key, a_orders[a_key])``.  The products are summed as
-    int numerators over one running common denominator, and a Fraction is
-    built once per output term.  Shared by :func:`block_sum` and the
-    curious-sum expansion.
+    int numerators over one running common denominator.  Shared by
+    :func:`block_sum` and the curious-sum expansion.
     """
     a_parts = {a_key: a_part(a_key, a_order) for a_key, a_order in a_orders.items()}
     acc: dict = {}
@@ -403,12 +379,12 @@ def _profile_products(
         if not chains:
             continue
         # a-part terms at or above this order meet no chain term below ``order``
-        a_terms = a_parts[a_key].truncate(order - shift - min(key[0] for key, _ in chains))
-        a_nums, a_den = _integer_terms(a_terms._terms)
-        d = chain_den * a_den
+        a = a_parts[a_key]
+        cut = order - shift - min(key[0] for key, _ in chains)
+        d = chain_den * a._den
         den = _rescale(acc, den, d)
-        _stuffle_into(acc, chains, a_nums, shift, order, den // d)
-    return MhsSeries._trusted(_over(acc, den), order)
+        _stuffle_into(acc, chains, a._nums_below(cut).items(), shift, order, den // d)
+    return MhsSeries._trusted(acc, den, order)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +431,7 @@ def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries
 
     if not rest:
         below = (0,) * r + (a - 1,)
-        acc = MhsSeries._trusted({}, order)
+        acc = MhsSeries._trusted({}, 1, order)
         for i in range(len(exps) + 1):
             pref, suf = exps[:i], exps[i:]
             o_pref, o_suf = _split_orders(order, restricted, pref, r, suf, r)
@@ -464,7 +440,7 @@ def _poly_sum(f: IntPoly, exps: Exps, restricted: bool, order: int) -> MhsSeries
         return acc.truncate(order)
     if rest[-1] > 0:
         # f = a*x^r + g with g eventually positive: split chains at a*p^r
-        acc = MhsSeries._trusted({}, order)
+        acc = MhsSeries._trusted({}, 1, order)
         for i in range(len(exps) + 1):
             pref, suf = exps[:i], exps[i:]
             o_pref, o_suf = _split_orders(order, restricted, pref, len(rest) - 1, suf, r)
@@ -503,7 +479,7 @@ def _geometric_tail(
         return _ONE
     d = 0 if restricted else max(len(g) - 1, 0)
     max_total = (order - 1 + d * positive_exponent_sum(sigma)) // (r - d)
-    acc = MhsSeries._trusted({}, order)
+    acc = MhsSeries._trusted({}, 1, order)
     for t in bounded_tuples(len(sigma), max_total):
         coeff = 1
         for s_l, t_l in zip(sigma, t):

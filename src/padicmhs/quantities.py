@@ -99,7 +99,7 @@ _TUPLE_KINDS = {
 _INT_LISTS = ("ints", "comp")
 
 
-def _all_ints(sig: tuple) -> bool:
+def _int_only(sig: tuple) -> bool:
     """Whether a signature has integer arguments only (read as one comma list)."""
     return all(type(kind) is int for _, kind in sig)
 
@@ -308,7 +308,7 @@ class _Parser:
         if self._name() != word:
             raise ExprSyntaxError(f"expected {word!r}", pos)
 
-    def _ints(self) -> tuple[int, ...]:
+    def _int_list(self) -> tuple[int, ...]:
         """Comma-separated signed integers; none before ')', ';' or the end."""
         if self.peek() in (")", ";", ""):
             return ()
@@ -402,7 +402,7 @@ class _Parser:
         if name == "inv":
             node = ExprAst("inv", None, (self.parse_expression(),))
         elif name == "H":
-            node = ExprAst("H", self._ints())
+            node = ExprAst("H", self._int_list())
             if any(s < 1 for s in node.payload):
                 raise ExprSyntaxError(f"H parts must be positive integers, got {node.payload}", pos)
         else:
@@ -423,8 +423,8 @@ class _Parser:
         if name == "rat":
             return self._poly_arg(ratio=True)
         sig = _SIGNATURES[name]
-        if _all_ints(sig):
-            args = self._ints()
+        if _int_only(sig):
+            args = self._int_list()
             if name == "binp" and len(args) == 2:
                 args += (1,)  # binp(a,b) sugar for binp(a,b,1)
             return args
@@ -438,7 +438,7 @@ class _Parser:
             else:
                 if i:
                     self.expect(";")
-                args.append(self._ints() if kind in _INT_LISTS else self._poly_arg())
+                args.append(self._int_list() if kind in _INT_LISTS else self._poly_arg())
         return tuple(args)
 
     def _poly_arg(self, ratio: bool = False):
@@ -539,7 +539,7 @@ def format_quantity(q: QuantitySpec) -> str:
             return f"rat({format_poly(num)})"
         return f"rat(({format_poly(num)})/({format_poly(den)}))"
     sig = _SIGNATURES[n]
-    if _all_ints(sig):
+    if _int_only(sig):
         return f"{n}({','.join(map(str, a))})"
     parts = []
     for (what, kind), v in zip(sig, a):

@@ -20,7 +20,7 @@ composition.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .arith import INFINITY
@@ -62,16 +62,19 @@ def _mul_order(oa, ob, va, vb):
 class MhsSeries:
     """Finite sum ``sum_i c_i * p^(b_i) * H_{p-1}(s_i) + O(p^order)``.
 
-    Terms are stored deduplicated on ``(p_exponent, composition)`` with
-    nonzero coefficients; any term with ``p_exponent >= order`` is absorbed
-    into the error tail at construction time.  Instances are immutable.
+    The coefficients are stored as nonzero int numerators, keyed by
+    ``(p_exponent, composition)``, over one denominator ``_den > 0`` that
+    shares no factor with all of them, so equal series have equal fields.
+    Any term with ``p_exponent >= order`` is absorbed into the error tail.
+    Fractions are built only on the way out (:attr:`terms`, :meth:`render`).
+    Instances are immutable.
 
     The constructor validates and normalizes its input.  Ring operations
-    build their results from operands that are already normalized, so they
-    go through :meth:`_trusted` instead and are not checked again.
+    build their results from operands that are already checked, so they go
+    through :meth:`_trusted` instead, which only normalizes.
     """
 
-    __slots__ = ("_terms", "_order", "_ints")
+    __slots__ = ("_nums", "_den", "_order")
 
     def __init__(
         self,
@@ -97,22 +100,29 @@ class MhsSeries:
                 acc.pop(key, None)
             else:
                 acc[key] = c
-        self._terms = acc
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the form is already normal
+        den = lcm(*(c.denominator for c in acc.values()))
+        self._nums = {key: c.numerator * (den // c.denominator) for key, c in acc.items()}
+        self._den = den
         self._order = order
-        self._ints = None
 
     @classmethod
-    def _trusted(cls, terms: dict[Key, Fraction], order: Order) -> "MhsSeries":
-        """Wrap a normalized term dict without checking it (and without copying).
+    def _trusted(cls, nums: dict[Key, int], den: int, order: Order) -> "MhsSeries":
+        """Wrap int numerators over ``den > 0`` without checking them.
 
-        The caller guarantees what ``__init__`` would establish: every
-        coefficient is a nonzero Fraction, every composition is valid, and
-        every p-exponent is below ``order``.
+        The caller guarantees that every composition is valid and every
+        p-exponent is below ``order``.  Zero numerators are dropped and the
+        factor common to ``den`` and the numerators is divided out.
         """
+        g = gcd(den, *nums.values())
         out = object.__new__(cls)
-        out._terms = terms
+        if g == 1:
+            out._nums = {key: n for key, n in nums.items() if n}
+        else:
+            out._nums = {key: n // g for key, n in nums.items() if n}
+        out._den = den // g
         out._order = order
-        out._ints = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -134,18 +144,19 @@ class MhsSeries:
 
     @property
     def terms(self) -> dict[Key, Fraction]:
-        """Term map ``(p_exponent, composition) -> coefficient`` (a copy)."""
-        return dict(self._terms)
+        """Term map ``(p_exponent, composition) -> coefficient``, built as Fractions."""
+        den = self._den
+        return {key: Fraction(n, den) for key, n in self._nums.items()}
 
     @property
     def order(self) -> Order:
         return self._order
 
     def constant_coefficient(self) -> Fraction:
-        return self._terms.get((0, ()), Fraction(0))
+        return Fraction(self._nums.get((0, ()), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def min_valuation(self) -> int | float:
         """Guaranteed lower bound for the p-adic valuation of the value.
@@ -154,7 +165,7 @@ class MhsSeries:
         ``H_{p-1}(s)`` values are p-integral, so each term has valuation at
         least its p-exponent.)
         """
-        vals: list[int] = [b for (b, _s) in self._terms]
+        vals: list[int] = [b for (b, _s) in self._nums]
         if self._order is not None:
             vals.append(self._order)
         return min(vals) if vals else INFINITY
@@ -162,7 +173,7 @@ class MhsSeries:
     def sorted_terms(self) -> list[tuple[Key, Fraction]]:
         """Terms in canonical order: by p-exponent, then weight, then lexicographic."""
         return sorted(
-            self._terms.items(), key=lambda kv: (kv[0][0], weight(kv[0][1]), kv[0][1])
+            self.terms.items(), key=lambda kv: (kv[0][0], weight(kv[0][1]), kv[0][1])
         )
 
     # -- ring operations ------------------------------------------------
@@ -174,7 +185,7 @@ class MhsSeries:
 
     def __neg__(self) -> "MhsSeries":
         return MhsSeries._trusted(
-            {key: -c for key, c in self._terms.items()}, self._order
+            {key: -n for key, n in self._nums.items()}, self._den, self._order
         )
 
     def __sub__(self, other: "MhsSeries") -> "MhsSeries":
@@ -183,61 +194,43 @@ class MhsSeries:
         return self._merge(other, -1)
 
     def _merge(self, other: "MhsSeries", sign: int) -> "MhsSeries":
-        """``self + sign * other`` with each coefficient added once."""
+        """``self + sign * other`` over the lcm of the two denominators."""
         order = _min_order(self._order, other._order)
-        merged = self._terms_below(order)
-        for key, c in other._terms.items():
-            if order is not None and key[0] >= order:
-                continue
-            if sign < 0:
-                c = -c
-            prev = merged.get(key)
-            if prev is None:
-                merged[key] = c
-            else:
-                c += prev
-                if c:
-                    merged[key] = c
-                else:
-                    del merged[key]
-        return MhsSeries._trusted(merged, order)
+        den = lcm(self._den, other._den)
+        merged = self._nums_below(order, den // self._den)
+        up = sign * (den // other._den)
+        for key, n in other._nums.items():
+            if order is None or key[0] < order:
+                merged[key] = merged.get(key, 0) + n * up
+        return MhsSeries._trusted(merged, den, order)
 
-    def _integer_form(self) -> tuple[IntTerms, int]:
-        """:func:`_integer_terms` of this series, computed on first use and kept."""
-        if self._ints is None:
-            self._ints = _integer_terms(self._terms)
-        return self._ints
-
-    def _terms_below(self, N: Order) -> dict[Key, Fraction]:
-        """A copy of the terms with p-exponent below ``N`` (all when ``N`` is None)."""
-        if N is None or (self._order is not None and self._order <= N):
-            return dict(self._terms)
-        return {key: c for key, c in self._terms.items() if key[0] < N}
+    def _nums_below(self, N: Order, up: int = 1) -> dict[Key, int]:
+        """``up`` times the numerators with p-exponent below ``N`` (all when ``N`` is None)."""
+        return {key: n * up for key, n in self._nums.items() if N is None or key[0] < N}
 
     def scale(self, c: RationalLike) -> "MhsSeries":
         c = Fraction(c)
-        if c == 0:
-            return MhsSeries._trusted({}, self._order)
         return MhsSeries._trusted(
-            {key: c * v for key, v in self._terms.items()}, self._order
+            self._nums_below(None, c.numerator), self._den * c.denominator, self._order
         )
 
     def shift(self, k: int) -> "MhsSeries":
         """Multiply by the exact power ``p^k``."""
         if type(k) is not int:
             raise TypeError(f"p-exponent must be an int, got {k!r}")
+        if not k:
+            return self
         order = None if self._order is None else self._order + k
         return MhsSeries._trusted(
-            {(b + k, s): c for (b, s), c in self._terms.items()}, order
+            {(b + k, s): n for (b, s), n in self._nums.items()}, self._den, order
         )
 
     def __mul__(self, other: object) -> "MhsSeries":
         """Stuffle product, with the truncation order of :func:`_mul_order`.
 
-        Each operand is scaled once to int numerators over the lcm ``d1``,
-        ``d2`` of its denominators; the products ``n1 * n2 * mult`` are
-        summed as ints per output key (:func:`_stuffle_into`), and one
-        Fraction over ``d1 * d2`` is built per nonzero output term.
+        The products ``n1 * n2 * mult`` of the numerators are summed as ints
+        per output key (:func:`_stuffle_into`), over the product of the
+        two denominators.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -246,11 +239,9 @@ class MhsSeries:
         order = _mul_order(
             self._order, other._order, self.min_valuation(), other.min_valuation()
         )
-        nums1, d1 = _integer_terms(self._terms)
-        nums2, d2 = _integer_terms(other._terms)
         acc: dict[Key, int] = {}
-        _stuffle_into(acc, nums1, nums2, 0, order, 1)
-        return MhsSeries._trusted(_over(acc, d1 * d2), order)
+        _stuffle_into(acc, self._nums.items(), other._nums.items(), 0, order, 1)
+        return MhsSeries._trusted(acc, self._den * other._den, order)
 
     def __rmul__(self, other: object) -> "MhsSeries":
         if isinstance(other, (int, Fraction)):
@@ -278,28 +269,32 @@ class MhsSeries:
         c = self.constant_coefficient()
         if c == 0:
             raise ValueError("invert_unit: constant term is zero (not a unit)")
-        bad = [key for key in self._terms if key != (0, ()) and key[0] <= 0]
+        bad = [key for key in self._nums if key != (0, ()) and key[0] <= 0]
         if bad:
             raise ValueError(
                 "invert_unit: non-constant term with p-exponent <= 0: "
                 f"{sorted(bad)}"
             )
         if self._order is None:
-            if len(self._terms) > 1:
+            if len(self._nums) > 1:
                 raise ValueError(
                     "invert_unit: exact series with a non-constant part "
                     "has no finite exact inverse; truncate it first"
                 )
             return MhsSeries.constant(1 / c)
-        layers: dict[int, dict[Key, Fraction]] = {}
-        for key, v in self._terms.items():
+        layers: dict[int, dict[Key, int]] = {}
+        for key, n in self._nums.items():
             if key[0]:  # all but the constant
-                layers.setdefault(key[0], {})[key] = v
-        x = [(j, MhsSeries._trusted(t, None)) for j, t in layers.items()]
+                layers.setdefault(key[0], {})[key] = n
+        x = [(j, MhsSeries._trusted(t, self._den, None)) for j, t in layers.items()]
         y = [MhsSeries.constant(1 / c)]
         for b in range(1, self._order):  # c != 0, so the order is >= 1
             y.append(sum((xj * y[b - j] for j, xj in x if j <= b), MhsSeries.zero()).scale(-1 / c))
-        return MhsSeries._trusted({k: v for yb in y for k, v in yb._terms.items()}, self._order)
+        # the layers y_b have disjoint keys: one pass over their common denominator
+        den = lcm(*(yb._den for yb in y))
+        return MhsSeries._trusted(
+            {k: n * (den // yb._den) for yb in y for k, n in yb._nums.items()}, den, self._order
+        )
 
     def truncate(self, N: int) -> "MhsSeries":
         """Weaken to ``O(p^N)``; rejects ``N`` beyond the known order."""
@@ -309,17 +304,17 @@ class MhsSeries:
             raise ValueError(
                 f"truncate: cannot strengthen O(p^{self._order}) to O(p^{N})"
             )
-        return MhsSeries._trusted(self._terms_below(N), N)
+        return MhsSeries._trusted(self._nums_below(N), self._den, N)
 
     # -- comparison / rendering -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MhsSeries):
             return NotImplemented
-        return self._order == other._order and self._terms == other._terms
+        return (self._order, self._den, self._nums) == (other._order, other._den, other._nums)
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._terms.items()), self._order))
+        return hash((frozenset(self._nums.items()), self._den, self._order))
 
     def render(self) -> str:
         """Canonical text form, e.g. ``2 + 2 * p * H(1) + 2 * p^2 * H(1,1) + O(p^3)``.
@@ -360,20 +355,6 @@ def _render_term(ac: Fraction, b: int, s: Comp) -> str:
     return " * ".join(factors)
 
 
-# Int numerators over a common denominator: the ring operations and the
-# powersums hot loops accumulate these and build Fractions once, per output
-# term (``_over``).
-IntTerms = list[tuple[Key, int]]
-
-
-def _integer_terms(terms: dict[Key, Fraction]) -> tuple[IntTerms, int]:
-    """``(key, numerator)`` pairs over the lcm ``d`` of the denominators, and ``d``."""
-    d = 1
-    for c in terms.values():
-        d = lcm(d, c.denominator)
-    return [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()], d
-
-
 def _rescale(acc: dict, den: int, d: int) -> int:
     """Rescale the numerators ``acc`` over ``den`` to a multiple of ``d``; return it."""
     if den % d:
@@ -385,7 +366,7 @@ def _rescale(acc: dict, den: int, d: int) -> int:
     return den
 
 
-def _add_over(acc: dict, den: int, nums: Iterable[tuple], d: int, c: int) -> int:
+def _add_into(acc: dict, den: int, nums: Iterable[tuple], d: int, c: int) -> int:
     """``acc / den += c * nums / d`` on int numerators; returns the new ``den``."""
     den = _rescale(acc, den, d)
     c *= den // d
@@ -395,9 +376,12 @@ def _add_over(acc: dict, den: int, nums: Iterable[tuple], d: int, c: int) -> int
 
 
 def _stuffle_into(
-    acc: dict[Key, int], nums1: IntTerms, nums2: IntTerms, shift: int, below: Order, c: int
+    acc: dict[Key, int], nums1: Iterable, nums2: Iterable, shift: int, below: Order, c: int
 ) -> None:
-    """``acc += c * p^shift * nums1 * nums2`` (stuffle), keeping p-exponents below ``below``."""
+    """``acc += c * p^shift * nums1 * nums2`` (stuffle), keeping p-exponents below ``below``.
+
+    ``nums1`` and ``nums2`` are ``(key, numerator)`` pairs, ``nums2`` re-iterable.
+    """
     for (b1, s1), n1 in nums1:
         n1 *= c
         for (b2, s2), n2 in nums2:
@@ -407,8 +391,3 @@ def _stuffle_into(
                 for s, mult in _stuffle_cached(s1, s2):
                     key = (b, s)
                     acc[key] = acc.get(key, 0) + n * mult
-
-
-def _over(nums: dict[Key, int], d: int) -> dict[Key, Fraction]:
-    """The nonzero ``n / d`` of an int numerator map, as Fractions."""
-    return {key: Fraction(n, d) for key, n in nums.items() if n}

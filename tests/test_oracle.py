@@ -18,6 +18,7 @@ from padicmhs.compositions import enumerate_compositions, stuffle
 from padicmhs.oracle import (
     DEFAULT_WORK_BUDGET,
     NoValueAtPrime,
+    PRIME_TEST_BOUND,
     NumericReport,
     PrimeWindow,
     WorkBudgetExceeded,
@@ -61,6 +62,14 @@ class TestPrimes:
         assert primes_in(11, 31) == [11, 13, 17, 19, 23, 29, 31]
         assert primes_in(2, 10) == [2, 3, 5, 7]
         assert primes_in(90, 96) == []
+        # listed in milliseconds; trial division up to 10^9 never finished
+        assert primes_in(10**18, 10**18 + 100) == [10**18 + d for d in (3, 9, 31, 79)]
+        # the bound is a strong pseudoprime to every base 2..41, so a window
+        # that reaches it is refused, and one just below it is not
+        assert 1287836182261 * 2575672364521 == PRIME_TEST_BOUND
+        with pytest.raises(ValueError, match="hi < "):
+            PrimeWindow(PRIME_TEST_BOUND - 10, PRIME_TEST_BOUND)
+        assert PrimeWindow(PRIME_TEST_BOUND - 10, PRIME_TEST_BOUND - 1).hi == PRIME_TEST_BOUND - 1
 
     @pytest.mark.parametrize("lo,hi", [(True, 13), (11, 13.0), (97, 11)])
     def test_window_bounds_checked(self, lo, hi):

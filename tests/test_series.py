@@ -3,6 +3,7 @@ congruences as a series and a modulus, and their split into weighted parts."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -571,6 +572,32 @@ class TestEquality:
         assert S({}, None) != S({}, 3)
 
 
+class TestNormalForm:
+    """One value has one stored form, whichever operation built it."""
+
+    TERMS = {(0, ()): F(3, 4), (1, (1,)): F(-5, 6), (2, (2, 1)): F(7, 2)}
+
+    def test_four_constructions_agree(self):
+        value = S(self.TERMS, 3)
+        b = S({(1, (2,)): F(1, 9), (2, ()): 5}, 3)
+        built = [
+            value,
+            S({key: 2 * c for key, c in self.TERMS.items()}, 3).scale(F(1, 2)),
+            (value + b) - b,
+            value * MhsSeries.constant(1),
+        ]
+        for other in built:
+            _assert_reduced(other)
+            assert (other._nums, other._den, other._order) == (value._nums, value._den, 3)
+            assert other == value and hash(other) == hash(value)
+        assert value._den == 12
+
+    def test_terms_are_the_input_fractions(self):
+        terms = S(self.TERMS, 3).terms
+        assert terms == self.TERMS
+        assert all(type(c) is Fraction for c in terms.values())
+
+
 def test_series_mul_operator():
     a = S({(1, (1,)): 1}, 3)
     assert a * a == a * MhsSeries.term(1, 1, (1,))
@@ -604,7 +631,15 @@ def _random_pair(rng):
     return a, b
 
 
+def _assert_reduced(r):
+    """The stored form is normal: nonzero numerators over a positive
+    denominator that shares no factor with all of them."""
+    assert r._den > 0 and gcd(r._den, *r._nums.values()) == 1
+    assert all(type(n) is int and n for n in r._nums.values())
+
+
 def _assert_normalized(r):
+    _assert_reduced(r)
     assert r == MhsSeries(r.terms, r.order)
     for (b, _s), c in r.terms.items():
         assert type(c) is Fraction
