@@ -78,12 +78,14 @@ def _is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
-    for a in _BASES:
+    for a in _BASES:  # strong test: a^d = 1, or some a^(d*2^r) = -1 with r < s
         x = pow(a, d, n)
-        for _ in range(s):
-            if x == 1 or x == n - 1:
-                break
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
             x = x * x % n
+            if x == n - 1:
+                break
         else:
             return False
     return True

@@ -699,15 +699,8 @@ def _offset_parts(series: MhsSeries, n: int) -> dict[int, MhsSeries]:
     ``p^(-k)`` and summing gives back its terms.  The zero series has none.
     """
     _check_congruence(series, n)
-    groups: dict[int, dict[tuple[int, Comp], int]] = {}
-    for (b, s), num in series._nums.items():
-        k = weight(s) - b
-        groups.setdefault(k, {})[(b + k, s)] = num
-    order = series.order
-    return {  # rescaled numerators of a normalized series, over its denominator
-        k: MhsSeries._trusted(nums, series._den, None if order is None else order + k)
-        for k, nums in groups.items()
-    }
+    parts = series.split(lambda key: weight(key[1]) - key[0])
+    return {k: part.shift(k) for k, part in parts.items()}
 
 
 def prove_weighted(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .arith import INFINITY
 from .compositions import Comp, _stuffle_cached, check_comp, check_int, format_comp, weight
@@ -175,6 +175,13 @@ class MhsSeries:
         return sorted(
             self.terms.items(), key=lambda kv: (kv[0][0], weight(kv[0][1]), kv[0][1])
         )
+
+    def split(self, part: Callable[[Key], int]) -> dict[int, "MhsSeries"]:
+        """The terms grouped by ``part(key)``: k -> the series of those terms, at this order."""
+        groups: dict[int, dict[Key, int]] = {}
+        for key, n in self._nums.items():
+            groups.setdefault(part(key), {})[key] = n
+        return {k: MhsSeries._trusted(nums, self._den, self._order) for k, nums in groups.items()}
 
     # -- ring operations ------------------------------------------------
 

@@ -70,6 +70,19 @@ class TestPrimes:
         with pytest.raises(ValueError, match="hi < "):
             PrimeWindow(PRIME_TEST_BOUND - 10, PRIME_TEST_BOUND)
         assert PrimeWindow(PRIME_TEST_BOUND - 10, PRIME_TEST_BOUND - 1).hi == PRIME_TEST_BOUND - 1
+        # a Carmichael number 211*421*631 with lambda | (n-1)/2: a^((n-1)/2) = 1
+        # for every base, so only the strong test's "1 after a squaring" catches it
+        assert primes_in(56052361, 56052361) == []
+        assert primes_in(2047, 2047) == [] and primes_in(3215031751, 3215031751) == []
+        sieve = bytearray([1]) * 200001
+        sieve[:2] = b"\0\0"
+        for q in range(2, 448):
+            if sieve[q]:
+                sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
+        assert primes_in(1, 200000) == [n for n in range(200001) if sieve[n]]
+        lo, hi = 56052361 - 3000, 56052361 + 3000
+        small = [q for q in range(7500) if sieve[q]]
+        assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if all(n % q for q in small)]
 
     @pytest.mark.parametrize("lo,hi", [(True, 13), (11, 13.0), (97, 11)])
     def test_window_bounds_checked(self, lo, hi):

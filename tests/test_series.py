@@ -597,6 +597,18 @@ class TestNormalForm:
         assert terms == self.TERMS
         assert all(type(c) is Fraction for c in terms.values())
 
+    def test_split_parts_are_reduced_and_sum_back(self):
+        value = S(self.TERMS, 3)
+        parts = value.split(lambda key: weight(key[1]) - key[0])
+        assert sorted(parts) == [0, 1]
+        for part in parts.values():
+            _assert_reduced(part)
+            assert part.order == 3
+        assert parts[0] == S({(0, ()): F(3, 4), (1, (1,)): F(-5, 6)}, 3)
+        assert parts[1]._den == 2 and parts[1] == S({(2, (2, 1)): F(7, 2)}, 3)
+        assert sum(parts.values(), MhsSeries.zero(3)) == value
+        assert MhsSeries.zero().split(len) == {}
+
 
 def test_series_mul_operator():
     a = S({(1, (1,)): 1}, 3)
