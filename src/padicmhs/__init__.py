@@ -12,29 +12,21 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every in-process memo table (relation bases on disk are kept).
+    """Empty every in-process memo table of the loaded modules (relation bases
+    on disk are kept): each ``functools.lru_cache`` found in a loaded
+    ``padicmhs`` module, the power-sum memo and the process relation basis.
 
-    Each table refills on demand, so results do not change; what is lost is
-    only the time to recompute them.
+    A module that is not loaded holds no table, so nothing is imported.  Each
+    table refills on demand, so results do not change; what is lost is only
+    the time to recompute them.
     """
-    from fractions import Fraction
+    import sys
 
-    from . import arith, certificate, compositions, oracle, powersums, prover
-
-    for fn in (
-        powersums.signed_mhs,
-        powersums._chain_product,
-        powersums._ghat_at,
-        compositions._shuffle_cached,
-        compositions._stuffle_cached,
-        certificate._jarossay_identity,
-        certificate._jarossay_tail,
-        oracle.eval_mhs,
-        oracle._lcm_steps,
-    ):
+    loaded = {name: m for name, m in list(sys.modules.items()) if name.startswith(__name__ + ".")}
+    tables = {fn for m in loaded.values() for fn in vars(m).values() if hasattr(fn, "cache_clear")}
+    for fn in tables:
         fn.cache_clear()
-    powersums._memo.clear()
-    arith._power_sum_memo.clear()
-    arith._bernoulli_memo.clear()
-    arith._bernoulli_memo[0] = Fraction(1)
-    prover.clear_relation_cache()
+    if f"{__name__}.powersums" in loaded:
+        loaded[f"{__name__}.powersums"]._memo.clear()
+    if f"{__name__}.prover" in loaded:
+        loaded[f"{__name__}.prover"].clear_relation_cache()

@@ -15,14 +15,12 @@ number-theoretic primitives:
   ``_poly_divmod`` (exact division over Q).
 * ``padic_valuation``: the p-adic valuation of a rational, with ``INFINITY``
   as the sentinel for 0.
-
-The memo tables used here are plain dicts that are only ever appended to;
-under CPython this is safe for the single-writer usage in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 __all__ = [
@@ -42,27 +40,20 @@ __all__ = [
 #: only ever compared against integers, never used in arithmetic.
 INFINITY = float("inf")
 
-_bernoulli_memo: dict[int, Fraction] = {0: Fraction(1)}
 
-
+@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Return the Bernoulli number B_n (convention B_1 = -1/2).
 
     Computed by the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 and memoized.
+    The sum asks for B_k with k ascending, so each B_k finds B_0..B_{k-1}
+    cached and the recursion stays two calls deep.
     """
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
-    known = _bernoulli_memo.get(n)
-    if known is not None:
-        return known
-    for m in range(1, n + 1):
-        if m in _bernoulli_memo:
-            continue
-        acc = Fraction(0)
-        for k in range(m):
-            acc += comb(m + 1, k) * _bernoulli_memo[k]
-        _bernoulli_memo[m] = -acc / (m + 1)
-    return _bernoulli_memo[n]
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, k) * bernoulli(k) for k in range(n)) / (n + 1)
 
 
 def binomial(a: Fraction | int, k: int) -> Fraction:
@@ -86,9 +77,7 @@ def binomial(a: Fraction | int, k: int) -> Fraction:
     return num / factorial(k)
 
 
-_power_sum_memo: dict[int, tuple[Fraction, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def power_sum_poly(d: int) -> tuple[Fraction, ...]:
     """Coefficients (ascending) of the polynomial G_d(x) = sum_{a=0}^{x-1} a^d.
 
@@ -97,15 +86,10 @@ def power_sum_poly(d: int) -> tuple[Fraction, ...]:
     """
     if d < 0:
         raise ValueError("power_sum_poly requires d >= 0")
-    cached = _power_sum_memo.get(d)
-    if cached is not None:
-        return cached
     coeffs = [Fraction(0)] * (d + 2)
     for j in range(d + 1):
         coeffs[d + 1 - j] = Fraction(comb(d + 1, j)) * bernoulli(j) / (d + 1)
-    result = tuple(coeffs)
-    _power_sum_memo[d] = result
-    return result
+    return tuple(coeffs)
 
 
 #: Integer polynomial as a tuple of ascending coefficients; () is zero.

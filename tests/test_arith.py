@@ -7,10 +7,15 @@ trusting the implementation under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padicmhs
 from padicmhs.arith import (
     INFINITY,
     bernoulli,
@@ -53,6 +58,22 @@ class TestBernoulli:
     def test_against_independent_formula(self):
         for n in range(0, 20):
             assert bernoulli(n) == bernoulli_reference(n), n
+
+    def test_cold_large_index_recurses_shallowly(self):
+        # each B_k of the recurrence finds the smaller indices cached, so a
+        # cold B_400 needs far fewer frames than its index
+        n = 400
+        code = (
+            "import sys; sys.setrecursionlimit(200);"
+            f"from padicmhs.arith import bernoulli; print(bernoulli({n}).denominator)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(padicmhs.__file__).parent.parent)}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        # von Staudt-Clausen: the denominator is the product of the primes q with (q-1) | n
+        primes = [q for q in range(2, n + 2) if all(q % d for d in range(2, q)) and n % (q - 1) == 0]
+        assert int(run.stdout) == math.prod(primes)
 
 
 class TestBinomial:

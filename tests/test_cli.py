@@ -878,6 +878,26 @@ class TestStartupFootprint:
         )
         assert run.stdout.splitlines()[-1] == "0 []"
 
+    def test_clear_caches_loads_no_module(self):
+        # clear_caches empties the tables of the loaded modules and imports none
+        code = (
+            "import sys, padicmhs, padicmhs.oracle as oracle;"
+            "from padicmhs.quantities import QuantitySpec;"
+            "oracle.eval_quantity(QuantitySpec('curious', (3, 3)), 13);"
+            "oracle.eval_mhs(12, (2, 1));"
+            "tables = (oracle.eval_mhs, oracle._lcm_steps);"
+            "before = {m for m in sys.modules if m.startswith('padicmhs')};"
+            "filled = [fn.cache_info().currsize > 0 for fn in tables];"
+            "padicmhs.clear_caches();"
+            "print(filled, [fn.cache_info().currsize for fn in tables],"
+            " sorted({m for m in sys.modules if m.startswith('padicmhs')} - before))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(padicmhs.__file__).parent.parent)}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout == "[True, True] [0, 0] []\n"
+
 
 class TestVersion:
     def test_version_string(self, capsys):

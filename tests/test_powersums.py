@@ -499,11 +499,11 @@ def memo_table_sizes():
         "certificate._jarossay_tail": certificate._jarossay_tail,
         "oracle.eval_mhs": oracle.eval_mhs,
         "oracle._lcm_steps": oracle._lcm_steps,
+        "arith.bernoulli": arith.bernoulli,
+        "arith.power_sum_poly": arith.power_sum_poly,
     }
     sizes = {name: fn.cache_info().currsize for name, fn in lru_tables.items()}
     sizes["powersums._memo"] = len(powersums._memo)
-    sizes["arith._power_sum_memo"] = len(arith._power_sum_memo)
-    sizes["arith._bernoulli_memo"] = len(arith._bernoulli_memo) - 1  # B_0 is its seed
     sizes["prover._PROCESS_BASIS"] = int(prover._PROCESS_BASIS is not None)
     sizes["prover._PROCESS_BASIS._prefixes"] = len(getattr(prover._PROCESS_BASIS, "_prefixes", ()))
     return sizes
@@ -517,5 +517,5 @@ def test_clear_caches_empties_every_table(tmp_path):
     assert all(memo_table_sizes().values()), memo_table_sizes()
     padicmhs.clear_caches()
     assert not any(memo_table_sizes().values()), memo_table_sizes()
-    assert arith._bernoulli_memo == {0: F(1)}
+    assert arith.bernoulli(12) == F(-691, 2730)
     assert expand_quantity(spec, 5, cache_dir=tmp_path) == series
