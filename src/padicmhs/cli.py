@@ -10,7 +10,10 @@ Subcommands:
   double-shuffle relations; emits a replayable certificate; exit code 0
   when proved, 1 when not, 2 on errors;
 * ``verify`` — evaluate a congruence at every prime of a window with the
-  exact-rational oracle and print a PASS/FAIL table;
+  exact-rational oracle and print a table of per-prime verdicts; exit code
+  1 when a statement FAILs at some prime, 2 when none fails but one is
+  UNDECIDED (a prime refused by the work budget, or no prime evaluated),
+  0 when every statement passes;
 * ``identities`` — generate and dump the relation basis at a modulus;
 * ``verify-certificate`` — arithmetically replay a dumped certificate.
 
@@ -260,7 +263,7 @@ def cmd_verify(args) -> int:
 
     statements = _load_statements(args.congruence)
     window = PrimeWindow() if args.primes is None else args.primes
-    ok = True
+    verdicts = set()
     for text in statements:
         ast = parse(text)
         if ast.kind != "cong":
@@ -278,8 +281,8 @@ def cmd_verify(args) -> int:
         )
         print(f"verify: {text}")
         print(report.render())
-        ok = ok and report.passed
-    return 0 if ok else 1
+        verdicts.add(report.verdict)
+    return 1 if "FAIL" in verdicts else 2 if "UNDECIDED" in verdicts else 0
 
 
 def cmd_identities(args) -> int:

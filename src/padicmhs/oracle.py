@@ -556,30 +556,38 @@ class NumericReport:
         self.skip_reasons = skipped
 
     @property
+    def verdict(self) -> str:
+        """FAIL if a prime fails; otherwise UNDECIDED if a prime was refused or
+        no prime has a record; otherwise PASS."""
+        verdicts = {_verdict(req, got) for (_p, req, got) in self.records}
+        if "FAIL" in verdicts:
+            return "FAIL"
+        return "UNDECIDED" if "REFUSED" in verdicts or not verdicts else "PASS"
+
+    @property
     def passed(self) -> bool:
-        return bool(self.records) and all(
-            _verdict(req, got) == "PASS" for (_p, req, got) in self.records
-        )
+        return self.verdict == "PASS"
 
     @property
     def refused(self) -> list[int]:
         return [p for (p, _req, got) in self.records if got is None]
 
     def render(self) -> str:
-        header = f"{'prime':>6}  {'required':>8}  {'achieved':>8}  verdict"
+        width = max([6] + [len(str(p)) for (p, _req, _got) in self.records])
+        header = f"{'prime':>{width}}  {'required':>8}  {'achieved':>8}  verdict"
         rows = [header, "-" * len(header)]
         for p, req, got in self.records:
             rows.append(
-                f"{p:>6}  {_fmt_val(req):>8}  {_fmt_val(got):>8}  {_verdict(req, got)}"
+                f"{p:>{width}}  {_fmt_val(req):>8}  {_fmt_val(got):>8}  {_verdict(req, got)}"
             )
-        rows.append(f"summary: {'PASS' if self.passed else 'FAIL'}")
+        rows.append(f"summary: {self.verdict}")
         for reason in dict.fromkeys(self.skip_reasons.values()):
             primes = (str(p) for p, why in self.skip_reasons.items() if why == reason)
             rows.append(f"skipped ({reason}): " + ", ".join(primes))
         return "\n".join(rows)
 
     def __repr__(self) -> str:
-        return f"<NumericReport {'PASS' if self.passed else 'FAIL'} {len(self.records)} primes>"
+        return f"<NumericReport {self.verdict} {len(self.records)} primes>"
 
 
 def check_numeric(

@@ -348,18 +348,59 @@ class TestVerifyCommand:
     def test_quantity_over_budget_is_refused(self, capsys):
         # hres(9) at p=11 needs 11^9 - 1 summation steps, far over the budget;
         # the series of hres(9) vanishes below p^9, so only the oracle refuses
-        assert main(["verify", "hres(9) = 0 mod p^1", "--primes", "11..11"]) == 1
+        assert main(["verify", "hres(9) = 0 mod p^1", "--primes", "11..11"]) == 2
         out = capsys.readouterr().out
-        assert "REFUSED" in out and "summary: FAIL" in out
+        assert "REFUSED" in out and "summary: UNDECIDED" in out
         assert "inf" not in out
 
     def test_binomial_over_budget_is_refused_at_once(self, capsys):
         # binp(2,1,4) at p=97 is C(2*97^4, 97^4), charged 2*97^4 > 10^8
         t0 = time.perf_counter()
-        assert main(["verify", "binp(2,1,4) = 0 mod p^1", "--primes", "97..97"]) == 1
+        assert main(["verify", "binp(2,1,4) = 0 mod p^1", "--primes", "97..97"]) == 2
         assert time.perf_counter() - t0 < 1.0
         out = capsys.readouterr().out
-        assert "refused  REFUSED" in out and "summary: FAIL" in out
+        assert "refused  REFUSED" in out and "summary: UNDECIDED" in out
+
+    def test_window_with_every_prime_refused_is_undecided(self, capsys):
+        # a run that decided nothing is not a counterexample: exit 2, not 1
+        window = "1000000000000000000..1000000000000000100"
+        assert main(["verify", "H(1) = 0 mod p^1", "--primes", window]) == 2
+        out = capsys.readouterr().out
+        assert out.count("REFUSED\n") == 4 and out.endswith("summary: UNDECIDED\n")
+
+    def test_window_with_every_prime_skipped_is_undecided(self, capsys):
+        assert main(["verify", "p*H(1)/3 = 0 mod p^1", "--primes", "3..3"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "summary: UNDECIDED",
+            "skipped (prime divides a coefficient denominator): 3",
+        ]
+
+    def test_pass_and_refused_window_is_undecided(self, capsys):
+        argv = ["verify", "hres(3) = 0 mod p^1", "--primes", "11..13", "--work-budget", "2000"]
+        assert main(argv) == 2
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[3:6]]
+        assert rows == [
+            ["11", "1", "6", "PASS"],
+            ["13", "1", "refused", "REFUSED"],
+            ["summary:", "UNDECIDED"],
+        ]
+
+    def test_a_failing_statement_outweighs_an_undecided_one(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("H(1) = 1 mod p^1\nbinp(2,1,4) = 0 mod p^1\n")
+        assert main(["verify", str(path), "--primes", "97..97"]) == 1
+        out = capsys.readouterr().out
+        assert "summary: FAIL" in out and "summary: UNDECIDED" in out
+
+    def test_prime_column_fits_the_widest_prime(self, capsys):
+        window = "1000000000000000000..1000000000000000100"
+        main(["verify", "H(1) = 0 mod p^1", "--primes", window])
+        header, rule, *rows = capsys.readouterr().out.splitlines()[1:-1]
+        end = header.index("achieved") + len("achieved")
+        assert len(rows) == 4 and len(rule) == len(header)
+        for row in rows:
+            assert row[end - len("refused"):end] == "refused" and row[end] == " "
 
     def test_curious_congruence_passes(self, capsys):
         stmt = "curious(3,3) = -2*p^2*H(2,1) + 2*p^4*H(4,1) mod p^6"
