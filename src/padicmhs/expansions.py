@@ -33,6 +33,7 @@ modulo the relation span.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from typing import Sequence
 
@@ -45,11 +46,10 @@ from .arith import (
     power_sum_poly,
     strip_poly,
 )
-from .compositions import Comp, bounded_tuples, check_int, compositions_of, stuffle
+from .compositions import Comp, bounded_tuples, check_int, stuffle
 from .powersums import (
     _chain_product,
     _profile_products,
-    _raise_order,
     full_sum,
     poly_sum,
     signed_mhs,
@@ -401,22 +401,25 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
     a-chains below ``p^(r-1)``; the j-inequalities across run boundaries
     are handled by inclusion-exclusion over the boundary subsets forced to
     be equal, which glues adjacent runs into longer strictly increasing
-    j-chains whose junction slots collect both exponents.  Chains of
-    distinct blocks multiply via the stuffle product; each factor
-    ``(a p - j)^(-1)`` with ``j >= 1`` expands geometrically as
-    ``-sum_n (a p)^n j^(-1-n)``, while ``j = 0`` slots contribute
-    ``(a p)^(-1)`` directly.
+    j-chains whose junction slots collect both exponents.  A shape (runs
+    and glued boundaries) is one word over {0, 1, 2} with a letter between
+    each two neighbouring positions: same run, new block, or new run glued
+    into the current slot.  Chains of distinct blocks multiply via the
+    stuffle product; each factor ``(a p - j)^(-1)`` with ``j >= 1``
+    expands geometrically as ``-sum_n (a p)^n j^(-1-n)``, while ``j = 0``
+    slots contribute ``(a p)^(-1)`` directly.
 
     Every leaf of that expansion is a j-part (a product of MHS at p^0)
     times an a-part that depends only on the leaf's profile ``(shift,
     svec)``: ``p^shift`` times the a-chain sum ``S_{p^(r-1)-1,0}(svec)``.
-    The signed j-parts are summed per profile first, and each a-part is
-    computed once per ``svec`` at the largest order its profiles need, so
-    there is one product per profile instead of one per leaf.  For
-    ``r = 2`` the a-chains run over ``[1, p-1]`` and their sum is exactly
-    :func:`signed_mhs`; it differs from the geometric expansion of
-    :func:`poly_sum` only by reversal relations, which canonicalization
-    removes.  For ``r >= 3`` the a-part is :func:`poly_sum`.
+    The signed j-parts are summed per profile first, keyed by ``svec``, so
+    there is one product per profile instead of one per leaf; each a-part
+    is computed once, at the order its nonzero profiles need, and not at
+    all when they all sum to zero.  For ``r = 2`` the a-chains run over
+    ``[1, p-1]`` and their sum is exactly :func:`signed_mhs`; it differs
+    from the geometric expansion of :func:`poly_sum` only by reversal
+    relations, which canonicalization removes.  For ``r >= 3`` the a-part
+    is :func:`poly_sum`.
 
     Each shape's geometric degrees come from :func:`bounded_tuples`, and a
     leaf's j-part is :func:`~padicmhs.powersums._chain_product` of its
@@ -425,102 +428,77 @@ def _expand_curious_general(r: int, k: int, order: int) -> MhsSeries:
     """
     pinned_exp = r - 1  # a_1 = p^(r-1)
     a_poly = (-1,) + (0,) * (r - 2) + (1,)  # x^(r-1) - 1
-    # the signed j-parts, summed per profile (shift, svec) as int maps
-    # {(0, composition): coefficient} of terms at p^0; the k! of the
-    # symmetrization scales the sum once, so the entries stay small ints
-    j_sums: dict[tuple[int, tuple[int, ...]], dict[tuple, int]] = {}
+    # the signed j-parts, summed per profile as svec -> shift -> [int map
+    # {(0, composition): coefficient} of terms at p^0, denominator 1]; the
+    # k! of the symmetrization scales the sum once, so the entries stay
+    # small ints
+    j_sums: dict[tuple[int, ...], dict[int, list]] = {}
 
-    for runs in compositions_of(k):
-        t = len(runs)
-        run_of: list[int] = []
-        for ri, size in enumerate(runs):
-            run_of.extend([ri] * size)
-        run_positions: list[list[int]] = [[] for _ in range(t)]
-        for pos, ri in enumerate(run_of):
-            run_positions[ri].append(pos)
-        for e_mask in range(1 << (t - 1)):
-            glued = [bool(e_mask >> i & 1) for i in range(t - 1)]
-            e_size = sum(glued)
-            # blocks of consecutive runs joined by glued boundaries
-            blocks: list[list[int]] = [[0]]
-            for i in range(1, t):
-                if glued[i - 1]:
-                    blocks[-1].append(i)
-                else:
-                    blocks.append([i])
-            # slots: one per position, except glued junctions share a slot
-            block_slots: list[list[list[int]]] = []
-            for block in blocks:
-                slots: list[list[int]] = []
-                for ri in block:
-                    for idx, pos in enumerate(run_positions[ri]):
-                        if idx == 0 and ri != block[0]:
-                            slots[-1].append(pos)
-                        else:
-                            slots.append([pos])
-                block_slots.append(slots)
-            last_block = len(blocks) - 1
-            if last_block == 0 and len(block_slots[0]) == 1:
-                continue  # j_1 = 0 and j_k != 0 cannot both hold
-            # blocks other than the first may place their lowest slot at j = 0,
-            # except a single-slot final block (its slot is j_k != 0)
-            optional = [
-                bi
-                for bi in range(1, len(blocks))
-                if not (bi == last_block and len(block_slots[bi]) == 1)
+    for word in product(range(3), repeat=k - 1):
+        # after each position but the last, the next position stays in the
+        # run (0: a new slot of this block), starts a new run and block (1),
+        # or starts a new run glued to this one (2: it joins the current slot)
+        run_of = [0]
+        blocks: list[list[list[int]]] = [[[0]]]  # blocks of slots of positions
+        for pos, step in enumerate(word, 1):
+            run_of.append(run_of[-1] + (step > 0))
+            if step == 0:
+                blocks[-1].append([pos])
+            elif step == 1:
+                blocks.append([[pos]])
+            else:
+                blocks[-1][-1].append(pos)
+        e_size = word.count(2)
+        last_block = len(blocks) - 1
+        if last_block == 0 and len(blocks[0]) == 1:
+            continue  # j_1 = 0 and j_k != 0 cannot both hold
+        # blocks other than the first may place their lowest slot at j = 0,
+        # except a single-slot final block (its slot is j_k != 0)
+        optional = [
+            bi for bi in range(1, len(blocks)) if not (bi == last_block and len(blocks[bi]) == 1)
+        ]
+        for z_mask in range(1 << len(optional)):
+            zero_blocks = {0} | {optional[i] for i in range(len(optional)) if z_mask >> i & 1}
+            zero_positions: set[int] = set()
+            for bi in zero_blocks:
+                zero_positions.update(blocks[bi][0])
+            geom = [pos for pos in range(k) if pos not in zero_positions]
+            nj0 = [0] * (run_of[-1] + 1)
+            for pos in zero_positions:
+                nj0[run_of[pos]] += 1
+            sign = -1 if (len(geom) + e_size) % 2 else 1
+
+            # the j-chains of each block, as the slots their exponents sum
+            sigma_slots = [
+                slots[1:] if bi in zero_blocks else slots for bi, slots in enumerate(blocks)
             ]
-            for z_mask in range(1 << len(optional)):
-                zero_blocks = {0} | {
-                    optional[i] for i in range(len(optional)) if z_mask >> i & 1
-                }
-                zero_positions: set[int] = set()
-                for bi in zero_blocks:
-                    zero_positions.update(block_slots[bi][0])
-                geom = [pos for pos in range(k) if pos not in zero_positions]
-                nj0 = [0] * t
-                for pos in zero_positions:
-                    nj0[run_of[pos]] += 1
-                sign = -1 if (len(geom) + e_size) % 2 else 1
+            sigma_slots = [slots[::-1] for slots in sigma_slots if slots]
+            # a leaf's valuation floor is shift + valuation_bound(svec),
+            # and every geometric degree raises it by at least 1: the
+            # all-zero leaf's floor bounds the total degree
+            floor0 = valuation_bound(pinned_exp, tuple(nj0[1:]), False)
+            floor0 -= len(zero_positions) + pinned_exp * nj0[0]
+            for degrees in bounded_tuples(len(geom), order - 1 - floor0):
+                e = list(nj0)
+                for pos, n in zip(geom, degrees):
+                    e[run_of[pos]] -= n
+                shift = sum(degrees) - len(zero_positions) - pinned_exp * e[0]
+                svec = tuple(e[1:])
+                if shift + valuation_bound(pinned_exp, svec, False) >= order:
+                    continue  # dropping the leaf is sound
+                n_at = dict(zip(geom, degrees))
+                # the stuffle product commutes: sorted, leaves share products
+                sigmas = tuple(sorted(
+                    tuple(sum(1 + n_at[pos] for pos in slot) for slot in slots)
+                    for slots in sigma_slots
+                ))
+                # every exponent is positive, so the j-part's denominator is 1
+                j_sum = j_sums.setdefault(svec, {}).setdefault(shift, [{}, 1])[0]
+                for key, c in _chain_product(sigmas)._nums.items():
+                    j_sum[key] = j_sum.get(key, 0) + sign * c
 
-                # the j-chains of each block, as the slots their exponents sum
-                sigma_slots = [
-                    slots[1:] if bi in zero_blocks else slots
-                    for bi, slots in enumerate(block_slots)
-                ]
-                sigma_slots = [slots[::-1] for slots in sigma_slots if slots]
-                # a leaf's valuation floor is shift + valuation_bound(svec),
-                # and every geometric degree raises it by at least 1: the
-                # all-zero leaf's floor bounds the total degree
-                floor0 = valuation_bound(pinned_exp, tuple(nj0[1:]), False)
-                floor0 -= len(zero_positions) + pinned_exp * nj0[0]
-                for degrees in bounded_tuples(len(geom), order - 1 - floor0):
-                    e = list(nj0)
-                    for pos, n in zip(geom, degrees):
-                        e[run_of[pos]] -= n
-                    shift = sum(degrees) - len(zero_positions) - pinned_exp * e[0]
-                    svec = tuple(e[1:])
-                    if shift + valuation_bound(pinned_exp, svec, False) >= order:
-                        continue  # dropping the leaf is sound
-                    n_at = dict(zip(geom, degrees))
-                    # the stuffle product commutes: sorted, leaves share products
-                    sigmas = tuple(sorted(
-                        tuple(sum(1 + n_at[pos] for pos in slot) for slot in slots)
-                        for slots in sigma_slots
-                    ))
-                    # every exponent is positive, so the j-part's denominator is 1
-                    j_sum = j_sums.setdefault((shift, svec), {})
-                    for key, c in _chain_product(sigmas)._nums.items():
-                        j_sum[key] = j_sum.get(key, 0) + sign * c
-
-    a_orders: dict[tuple[int, ...], int] = {}
-    for shift, svec in j_sums:
-        _raise_order(a_orders, svec, order - shift)
     return _profile_products(
-        (
-            (svec, shift, [(key, c) for key, c in j_sum.items() if c], 1)
-            for (shift, svec), j_sum in j_sums.items()
-        ),
-        a_orders,
+        j_sums,
         lambda svec, a_order: (
             signed_mhs(svec) if r == 2 else poly_sum(a_poly, svec, False, a_order)
         ),

@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Callable, Iterable
+from typing import Callable
 
 from .arith import INFINITY, IntPoly, poly_mul, poly_sub, power_sum_poly, strip_poly
 from .compositions import bounded_tuples, compositions_of
@@ -264,10 +264,10 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
     Every leaf of that expansion is coeff * chains * p^p_power * a-part,
     where the a-part depends only on the exponents ``e`` of the a-chain.
     The leaves' coeff * chains are summed per profile (e, p_power) first,
-    each a-part is computed once at the largest order its leaves need, and
-    each profile takes one product; by distributivity the result is the
-    same as one product per leaf.  The profile sums are accumulated as int
-    numerators, and :func:`_profile_products` sums the profile products.
+    as int numerators keyed by ``e``, and each profile takes one product;
+    by distributivity the result is the same as one product per leaf.
+    :func:`_profile_products` computes each a-part once, at the order its
+    nonzero profiles need, and sums the profile products.
     An unrestricted sum with a nonpositive exponent is :func:`_eliminate`'s.
     """
     if not exps:
@@ -287,10 +287,9 @@ def block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSe
 
 def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsSeries:
     k = len(exps)
-    # profile (e, p_power) -> [int numerators of the summed coeff * chains,
+    # e -> p_power -> [int numerators of the summed coeff * chains,
     # their common denominator]
-    profiles: dict[tuple[Exps, int], list] = {}
-    a_orders: dict[Exps, int] = {}
+    profiles: dict[Exps, dict[int, list]] = {}
     for structure in compositions_of(k):
         blocks: list[Exps] = []
         pos = 0
@@ -340,50 +339,43 @@ def _block_sum(b: int, r: int, exps: Exps, restricted: bool, order: int) -> MhsS
                 lb_actual = 0 if r == 1 else -(r - 1) * sum(x for x in e if x > 0)
                 if order_a <= lb_actual:
                     continue  # the a-part alone pushes the term past the order
-                e_key = tuple(e)
-                _raise_order(a_orders, e_key, order_a)
-                profile = profiles.setdefault((e_key, p_power), [{}, 1])
+                profile = profiles.setdefault(tuple(e), {}).setdefault(p_power, [{}, 1])
                 profile[1] = _add_into(*profile, chain._nums.items(), chain._den, coeff)
 
     return _profile_products(
-        (
-            (e, p_power, [(key, n) for key, n in summed.items() if n], chain_den)
-            for (e, p_power), (summed, chain_den) in profiles.items()
-        ),
-        a_orders,
-        lambda e, a_order: block_sum(b, r - 1, e, False, a_order),
-        order,
+        profiles, lambda e, a_order: block_sum(b, r - 1, e, False, a_order), order
     )
 
 
-def _raise_order(a_orders: dict, a_key: tuple, order: int) -> None:
-    """Record that the a-part ``a_key`` is needed to O(p^order); keep the highest."""
-    a_orders[a_key] = max(a_orders.get(a_key, order), order)
-
-
-def _profile_products(
-    profiles: Iterable[tuple], a_orders: dict, a_part: Callable, order: int
-) -> MhsSeries:
+def _profile_products(profiles: dict, a_part: Callable, order: int) -> MhsSeries:
     """Sum of ``p^shift * chains * a_part(a_key)`` over the profiles, to O(p^order).
 
-    ``profiles`` yields ``(a_key, shift, chains, den)``, the summed chains
-    as ``(key, numerator)`` pairs over ``den``.  Each a-part is computed
-    once, as ``a_part(a_key, a_orders[a_key])``.  The products are summed as
-    int numerators over one running common denominator.  Shared by
-    :func:`block_sum` and the curious-sum expansion.
+    ``profiles`` maps ``a_key -> shift -> [numerators, den]``, the summed
+    chains as int numerators over ``den``.  A chain term at p^c meets only
+    the a-part terms below ``order - shift - c``, so each a-part is computed
+    once, as ``a_part(a_key, o)`` with ``o`` the largest such cut over its
+    profiles' lowest chain terms; an a-part whose profiles all sum to zero
+    is never computed.  The products are summed as int numerators over one
+    running common denominator.  Shared by :func:`block_sum` and the
+    curious-sum expansion.
     """
-    a_parts = {a_key: a_part(a_key, a_order) for a_key, a_order in a_orders.items()}
     acc: dict = {}
     den = 1
-    for a_key, shift, chains, chain_den in profiles:
-        if not chains:
+    for a_key, by_shift in profiles.items():
+        # (shift, chains, den, cut) of each profile that did not cancel
+        live = []
+        for shift, (nums, chain_den) in by_shift.items():
+            chains = [(key, n) for key, n in nums.items() if n]
+            if chains:
+                cut = order - shift - min(key[0] for key, _ in chains)
+                live.append((shift, chains, chain_den, cut))
+        if not live:
             continue
-        # a-part terms at or above this order meet no chain term below ``order``
-        a = a_parts[a_key]
-        cut = order - shift - min(key[0] for key, _ in chains)
-        d = chain_den * a._den
-        den = _rescale(acc, den, d)
-        _stuffle_into(acc, chains, a._nums_below(cut).items(), shift, order, den // d)
+        a = a_part(a_key, max(cut for *_, cut in live))
+        for shift, chains, chain_den, cut in live:
+            d = chain_den * a._den
+            den = _rescale(acc, den, d)
+            _stuffle_into(acc, chains, a._nums_below(cut).items(), shift, order, den // d)
     return MhsSeries._trusted(acc, den, order)
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 import padicmhs
+from padicmhs import expansions
 from padicmhs.arith import bernoulli, padic_valuation, strip_poly
 from padicmhs.expansions import (
     _expand_curious_general,
@@ -670,6 +671,22 @@ class TestCuriousProfiles:
         raw = _expand_curious_general(r, k, order)
         assert raw.order == order
         assert raw.terms == self.RAW_TERMS[(r, k, order)]
+
+    def test_no_a_part_of_cancelled_profiles(self, monkeypatch):
+        # at (3, 3, 6) every profile whose a-chain starts with exponent 1
+        # sums to zero, so none of those a-parts is needed
+        requested = []
+        real = expansions.poly_sum
+        monkeypatch.setattr(
+            expansions,
+            "poly_sum",
+            lambda f, svec, *a: requested.append(svec) or real(f, svec, *a),
+        )
+        padicmhs.clear_caches()
+        _expand_curious_general(3, 3, 6)
+        padicmhs.clear_caches()
+        assert requested
+        assert [svec for svec in requested if svec[:1] == (1,)] == []
 
 
 # ---------------------------------------------------------------------------

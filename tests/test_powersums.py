@@ -481,7 +481,7 @@ class TestElimination:
                 lambda *a, real=real: calls.append((a[-3], a[-2])) or real(*a),
             )
         padicmhs.clear_caches()
-        _expand_curious_general(3, 3, 6)
+        _expand_curious_general(3, 4, 5)
         padicmhs.clear_caches()
         assert calls
         assert [c for c in calls if not c[1] and min(c[0]) <= 0] == []
