@@ -21,8 +21,8 @@ to ``p``.  The reduction chain:
   ``[0, p-1]`` grouped by runs of equal ``a``'s (independent runs multiply
   via the stuffle product), and each factor ``(a*p - j)^(-s)`` is expanded
   geometrically with an explicit truncation bound; the leaves' j-parts are
-  summed per a-part profile, so each a-part is computed once and each
-  profile takes one product;
+  summed per a-part profile, so each a-part is computed once, at the order
+  its nonzero profiles need, and each profile takes one product;
 * an unrestricted sum with a zero or negative exponent, over ``[1, p-1]``
   (:func:`signed_mhs`), over one block or below a polynomial bound, is not
   expanded: one rule, :func:`_eliminate`, sums that exponent out exactly
